@@ -12,9 +12,13 @@ test:
 	$(GO) test ./...
 
 # Race tier: the runtime is one goroutine per GPU over shared transports,
-# so every test also runs under the race detector.
+# so every test also runs under the race detector. The set-up path's
+# concurrency (machines, devices, plan beside local graphs) gets ten more
+# rounds of its schedule-independence tests, since the detector only sees
+# the interleavings a run happens to execute.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'AcrossGOMAXPROCS|TestFor' ./internal/par/ ./internal/partition/ .
 
 vet:
 	$(GO) vet ./...
@@ -31,23 +35,21 @@ lint: vet
 	$(GO) run ./cmd/dgclvet -baseline .github/dgclvet-baseline.json ./...
 	$(GO) run ./cmd/dgclvet -ignores
 
-# Bench-smoke tier: one iteration of every planner benchmark (serial,
-# parallel waves, warm cache), recorded as BENCH_plan.json for trend
-# tracking. -benchtime 1x keeps it fast enough for CI. The runtime epoch
-# hot-path benchmarks (DESIGN.md §11/§16) — overlap-off and overlap-on
-# variants both match the unanchored -bench regex — refresh the "current"
-# run of BENCH_runtime.json; the "baseline" run is the frozen pre-compile
+# Bench-smoke tier: three iterations of the set-up benchmarks (every planner
+# configuration — serial, parallel waves, warm cache — and the k-way and
+# hierarchical partitioners) and of the runtime epoch hot-path benchmarks
+# (DESIGN.md §11/§16; overlap-off and overlap-on variants both match the
+# unanchored -bench regex), recorded together as the "current" run of
+# BENCH_runtime.json; the "baseline" run is the frozen pre-compile
 # implementation. dgclbenchdiff prints the delta and, with -fail-over,
 # exits nonzero if any shared benchmark regressed past 25% so the smoke
 # gates rather than just reports. The threshold is deliberately loose:
 # 3-iteration runs on shared CI boxes are noisy, and the frozen baseline
 # leaves real headroom below it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlanSPST|BenchmarkPlanCacheWarm' \
-		-benchtime 1x -json ./internal/core/ > BENCH_plan.json
-	@grep -o '"Output":"Benchmark[^"]*' BENCH_plan.json | sed 's/"Output":"//;s/\\n//' || true
-	$(GO) test -run '^$$' -bench 'BenchmarkAllgather|BenchmarkEpoch|BenchmarkWire' \
-		-benchtime 3x -json ./internal/runtime/ ./internal/comm/wire/ \
+	$(GO) test -run '^$$' \
+		-bench 'BenchmarkPlanSPST|BenchmarkPlanCacheWarm|BenchmarkKWay8|BenchmarkHierarchical16|BenchmarkAllgather|BenchmarkEpoch|BenchmarkWire' \
+		-benchtime 3x -json ./internal/core/ ./internal/partition/ ./internal/runtime/ ./internal/comm/wire/ \
 		| $(GO) run ./cmd/dgclbenchdiff -record BENCH_runtime.json -label current
 	$(GO) run ./cmd/dgclbenchdiff -runs baseline,current -fail-over 25 BENCH_runtime.json
 

@@ -22,6 +22,7 @@ package dgcl
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"dgcl/internal/baselines"
@@ -379,11 +380,10 @@ func (s *System) BuildCommInfo(g *Graph, featureDim int) error {
 	if err != nil {
 		return err
 	}
-	plan, err := s.buildPlan(rel, s.topo, featureDim)
+	plan, locals, err := s.planAndLocalGraphs(g, rel, s.topo, featureDim)
 	if err != nil {
 		return err
 	}
-	locals := comm.BuildLocalGraphs(g, rel)
 	clu, err := runtime.NewCluster(rel, locals, plan)
 	if err != nil {
 		return err
@@ -394,6 +394,26 @@ func (s *System) BuildCommInfo(g *Graph, featureDim int) error {
 	s.dtopo, s.alive = nil, nil
 	s.applyRunOptions()
 	return nil
+}
+
+// planAndLocalGraphs plans the relation over the fabric while the per-GPU
+// local graphs are built beside it. Both read only the graph and the
+// relation and neither reads what the other writes, so the pair is what
+// running them one after the other returns.
+func (s *System) planAndLocalGraphs(g *Graph, rel *Relation, topo *Topology, featureDim int) (*Plan, []*LocalGraph, error) {
+	var locals []*LocalGraph
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		locals = comm.BuildLocalGraphs(g, rel)
+	}()
+	plan, err := s.buildPlan(rel, topo, featureDim)
+	wg.Wait()
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan, locals, nil
 }
 
 // buildPlan runs the configured planner for the relation over the given

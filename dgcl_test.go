@@ -1,7 +1,9 @@
 package dgcl
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -229,6 +231,54 @@ func TestAtomicBackwardOptionEquivalence(t *testing.T) {
 	}
 	if a, b := run(true), run(false); a != b {
 		t.Fatalf("atomic option changed results: %v vs %v", a, b)
+	}
+}
+
+// TestBuildCommInfoDeterministicAcrossGOMAXPROCS: set-up overlaps planning
+// with the local-graph build and fans per-machine and per-device work out
+// over GOMAXPROCS; what it builds must be the same at every setting.
+func TestBuildCommInfoDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	g := ComOrkut.Generate(1024, 7)
+	n := g.NumVertices()
+	features := RandomFeatures(n, 8, 8)
+	targets := RandomFeatures(n, 6, 9)
+	type built struct {
+		plan []byte
+		cost float64
+		loss float64
+	}
+	var want built
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		sys := Init(TopologyForGPUCountMust(16), Options{Seed: 7})
+		if err := sys.BuildCommInfo(g, 8); err != nil {
+			t.Fatal(err)
+		}
+		var plan bytes.Buffer
+		if err := sys.Plan().WriteJSON(&plan); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := sys.NewTrainer(NewModel(GCN, 8, 6, 2, 10), features, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loss, err := tr.Epoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := built{plan.Bytes(), sys.PlannedCost(), loss}
+		if procs == 1 {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got.plan, want.plan) {
+			t.Errorf("GOMAXPROCS=%d: plan JSON differs from GOMAXPROCS=1", procs)
+		}
+		if got.cost != want.cost || got.loss != want.loss {
+			t.Errorf("GOMAXPROCS=%d: planned cost %v, first-epoch loss %v; GOMAXPROCS=1 gave %v, %v",
+				procs, got.cost, got.loss, want.cost, want.loss)
+		}
 	}
 }
 

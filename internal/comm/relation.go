@@ -7,9 +7,11 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dgcl/internal/graph"
+	"dgcl/internal/par"
 	"dgcl/internal/partition"
 )
 
@@ -47,32 +49,27 @@ func Build(g *graph.Graph, p *partition.Partition) (*Relation, error) {
 	for v, owner := range p.Assign {
 		r.Local[owner] = append(r.Local[owner], int32(v))
 	}
-	// Collect remote requirements with a dedup set per GPU.
-	needed := make([]map[int32]bool, k)
-	for d := range needed {
-		needed[d] = make(map[int32]bool)
-	}
-	n := g.NumVertices()
-	for u := 0; u < n; u++ {
-		du := p.Assign[u]
-		for _, v := range g.Neighbors(int32(u)) {
-			if dv := p.Assign[v]; dv != du {
-				needed[du][v] = true
+	// Each GPU collects its own remote requirements: the foreign in-neighbors
+	// of its local vertices, each once. GPU d writes only Remote[d] and the
+	// d-th column of Send, so the GPUs are independent of one another.
+	par.For(k, func(d int) {
+		seen := make([]bool, g.NumVertices())
+		rem := make([]int32, 0, len(r.Local[d]))
+		for _, u := range r.Local[d] {
+			for _, v := range g.Neighbors(u) {
+				if p.Assign[v] != int32(d) && !seen[v] {
+					seen[v] = true
+					rem = append(rem, v)
+				}
 			}
 		}
-	}
-	for d := 0; d < k; d++ {
-		rem := make([]int32, 0, len(needed[d]))
-		for v := range needed[d] {
-			rem = append(rem, v)
-		}
-		sort.Slice(rem, func(i, j int) bool { return rem[i] < rem[j] })
+		slices.Sort(rem)
 		r.Remote[d] = rem
 		for _, v := range rem {
 			src := p.Assign[v]
 			r.Send[src][d] = append(r.Send[src][d], v)
 		}
-	}
+	})
 	return r, nil
 }
 
@@ -254,7 +251,7 @@ func searchInt32(s []int32, v int32) int {
 // BuildLocalGraphs constructs the per-GPU re-indexed graphs.
 func BuildLocalGraphs(g *graph.Graph, r *Relation) []*LocalGraph {
 	out := make([]*LocalGraph, r.K)
-	for d := 0; d < r.K; d++ {
+	par.For(r.K, func(d int) {
 		nl, nr := len(r.Local[d]), len(r.Remote[d])
 		globalID := make([]int32, 0, nl+nr)
 		globalID = append(globalID, r.Local[d]...)
@@ -276,6 +273,6 @@ func BuildLocalGraphs(g *graph.Graph, r *Relation) []*LocalGraph {
 			G:         graph.MustFromEdges(nl+nr, edges, false),
 			GlobalID:  globalID,
 		}
-	}
+	})
 	return out
 }

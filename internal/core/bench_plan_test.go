@@ -12,8 +12,8 @@ import (
 )
 
 // Planner benchmarks over three workload sizes. The CI bench-smoke tier
-// (make bench-smoke) runs every case once and records the output as
-// BENCH_plan.json; the acceptance bar is parallel-4 at least 2x faster than
+// (make bench-smoke) records every case in the "current" run of
+// BENCH_runtime.json; the acceptance bar is parallel-4 at least 2x faster than
 // serial on the largest workload (orkut128-32, the 4-machine 32-GPU
 // fabric). On a single-core runner the speedup is purely algorithmic — the
 // frozen-snapshot cost cache and the zero-marginal sweep (parallel.go) do

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -102,6 +106,62 @@ func TestGoldenPlansAreValid(t *testing.T) {
 		}
 		if err := plan.Validate(tc.rel.rel); err != nil {
 			t.Errorf("%s: golden plan invalid for its relation: %v", tc.name, err)
+		}
+	}
+}
+
+// serialDigest pins one serial plan: the FNV-64a of its canonical JSON and
+// the exact bits of the planner's final State.Cost().
+type serialDigest struct {
+	Plan string `json:"plan"`
+	Cost string `json:"cost"`
+}
+
+// TestGoldenSerialDigests pins planSerial over the equivalence battery's 30
+// seeded (relation, topology, bytes) triples. The digests in
+// testdata/golden/serial_digests.json come from a serial Dijkstra that
+// queried every neighbour, so they show the dominated-neighbour skip is
+// exact — same plan bytes, same cost bits — on every triple; they also pin
+// the partitions the relations are built from.
+func TestGoldenSerialDigests(t *testing.T) {
+	path := filepath.Join("testdata", "golden", "serial_digests.json")
+	got := map[string]serialDigest{}
+	for _, tr := range equivalenceTriples(t) {
+		plan, state, err := PlanSPST(tr.rel, tr.topo, 1024, SPSTOptions{Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", tr.name, err)
+		}
+		h := fnv.New64a()
+		h.Write(planJSONBytes(t, plan))
+		got[tr.name] = serialDigest{
+			Plan: fmt.Sprintf("%016x", h.Sum64()),
+			Cost: fmt.Sprintf("%016x", math.Float64bits(state.Cost())),
+		}
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	want := map[string]serialDigest{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden file pins %d triples, battery has %d", len(want), len(got))
+	}
+	for name, g := range got {
+		if w := want[name]; g != w {
+			t.Errorf("%s: plan/cost digest %v, golden %v", name, g, w)
 		}
 	}
 }

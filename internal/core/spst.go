@@ -318,12 +318,15 @@ func (ts *treeSearch) dijkstra(state *State, weight float64) int {
 		if ts.needed[u] {
 			return u
 		}
+		du := ts.dist[u]
 		for v := 0; v < k; v++ {
-			if v == u || ts.settled[v] || ts.inTree[v] {
+			// Marginal costs are >= 0, so a node at dist <= dist[u] can never
+			// be improved from u: skip the cost query entirely.
+			if v == u || ts.dist[v] <= du || ts.settled[v] || ts.inTree[v] {
 				continue
 			}
 			w := state.Incremental(ts.pdepth[u], u, v, weight)
-			if nd := ts.dist[u] + w; nd < ts.dist[v] {
+			if nd := du + w; nd < ts.dist[v] {
 				ts.dist[v] = nd
 				ts.pdepth[v] = ts.pdepth[u] + 1
 				ts.parent[v] = u

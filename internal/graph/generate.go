@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Generators for synthetic graphs. These stand in for the paper's datasets
@@ -221,7 +221,7 @@ func PreferentialAttachment(n, k int, seed int64) *Graph {
 		for t := range chosen {
 			targets = append(targets, t)
 		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+		slices.Sort(targets)
 		for _, t := range targets {
 			edges = append(edges, Edge{int32(v), t}, Edge{t, int32(v)})
 			pool = append(pool, int32(v), t)

@@ -7,7 +7,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is a directed graph in CSR (compressed sparse row) form. Vertices are
@@ -78,7 +78,7 @@ func FromEdges(n int, edges []Edge, dedup bool) (*Graph, error) {
 	}
 	for u := 0; u < n; u++ {
 		nbrs := targets[offsets[u]:offsets[u+1]]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+		slices.Sort(nbrs)
 	}
 	g := &Graph{offsets: offsets, targets: targets}
 	if dedup {
@@ -133,9 +133,8 @@ func (g *Graph) Neighbors(u int32) []int32 {
 
 // HasEdge reports whether the directed edge (u,v) exists, by binary search.
 func (g *Graph) HasEdge(u, v int32) bool {
-	nbrs := g.Neighbors(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
+	_, found := slices.BinarySearch(g.Neighbors(u), v)
+	return found
 }
 
 // AvgDegree returns the mean out-degree.
@@ -170,7 +169,7 @@ func (g *Graph) Reverse() *Graph {
 	}
 	for u := 0; u < n; u++ {
 		nbrs := targets[offsets[u]:offsets[u+1]]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+		slices.Sort(nbrs)
 	}
 	return &Graph{offsets: offsets, targets: targets}
 }
@@ -189,13 +188,29 @@ func (g *Graph) Symmetrize() *Graph {
 }
 
 // IsSymmetric reports whether for every edge (u,v) the edge (v,u) exists.
+// Like HasEdge it relies on neighbor lists being sorted ascending, which
+// makes it one linear pass: sources are visited in ascending order, so the
+// reverse edges a vertex v must hold turn up in exactly the order of v's own
+// list, and a cursor per vertex checks them off.
 func (g *Graph) IsSymmetric() bool {
 	n := g.NumVertices()
+	cursor := make([]int64, n)
+	copy(cursor, g.offsets[:n])
 	for u := 0; u < n; u++ {
+		var prev int32 = -1
 		for _, v := range g.Neighbors(int32(u)) {
-			if !g.HasEdge(v, int32(u)) {
+			if v == prev {
+				continue // duplicate edge, already checked
+			}
+			prev = v
+			c, end := cursor[v], g.offsets[v+1]
+			if c == end || g.targets[c] != int32(u) {
 				return false
 			}
+			for c < end && g.targets[c] == int32(u) {
+				c++
+			}
+			cursor[v] = c
 		}
 	}
 	return true
@@ -256,7 +271,7 @@ func (g *Graph) KHopNeighborhood(seeds []int32, k int, includeSeeds bool) []int3
 	for v := range visited {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -328,6 +328,53 @@ func TestPropertyFromEdgesRoundTrip(t *testing.T) {
 	}
 }
 
+// Property: the linear IsSymmetric agrees with the per-edge HasEdge
+// definition on multigraphs with self loops — symmetric ones, symmetric ones
+// with one direction of an edge removed, and arbitrary directed ones.
+func TestPropertyIsSymmetricMatchesHasEdge(t *testing.T) {
+	bruteForce := func(g *Graph) bool {
+		for u := 0; u < g.NumVertices(); u++ {
+			for _, v := range g.Neighbors(int32(u)) {
+				if !g.HasEdge(v, int32(u)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(30)
+		var edges []Edge
+		for i, m := 0, rng.Intn(120); i < m; i++ {
+			e := Edge{int32(rng.Intn(n)), int32(rng.Intn(n))}
+			edges = append(edges, e)
+			if seed%3 != 0 { // two thirds of the cases start symmetric
+				edges = append(edges, Edge{e.Dst, e.Src})
+			}
+			if rng.Intn(4) == 0 {
+				edges = append(edges, e) // duplicate in one direction only
+			}
+		}
+		if seed%3 == 1 && len(edges) > 0 {
+			// Drop every copy of one direction of one edge.
+			drop := edges[rng.Intn(len(edges))]
+			kept := edges[:0]
+			for _, e := range edges {
+				if e != drop {
+					kept = append(kept, e)
+				}
+			}
+			edges = kept
+		}
+		g := MustFromEdges(n, edges, false)
+		return g.IsSymmetric() == bruteForce(g)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: Reverse preserves edge count and flips every edge.
 func TestPropertyReverse(t *testing.T) {
 	f := func(seed int64) bool {

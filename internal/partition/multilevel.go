@@ -2,7 +2,7 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dgcl/internal/graph"
 )
@@ -98,12 +98,14 @@ func (w *weightedGraph) coarsen(rng *rand.Rand) (*weightedGraph, []int32) {
 	if float64(coarseN) > 0.95*float64(n) {
 		return nil, nil
 	}
-	// Build coarse graph, merging parallel edges.
+	// Build coarse graph, merging parallel edges. A coarse graph has at most
+	// as many edges as the fine one, so both edge arrays are sized once.
 	cw := &weightedGraph{
-		xadj: make([]int64, coarseN+1),
-		vwgt: make([]int64, coarseN),
+		xadj:   make([]int64, coarseN+1),
+		adjncy: make([]int32, 0, len(w.adjncy)),
+		adjwgt: make([]int64, 0, len(w.adjncy)),
+		vwgt:   make([]int64, coarseN),
 	}
-	edgeAccum := make(map[int32]int64, 16)
 	// Gather fine vertices per coarse vertex.
 	fine := make([][2]int32, coarseN)
 	for i := range fine {
@@ -117,8 +119,12 @@ func (w *weightedGraph) coarsen(rng *rand.Rand) (*weightedGraph, []int32) {
 			fine[c][1] = int32(v)
 		}
 	}
+	// accum[cu] is the weight gathered so far on the edge from the current
+	// coarse vertex to cu. Edge weights are >= 1, so 0 means "not a neighbor
+	// yet" and the neighbor ids can be collected straight into adjncy.
+	accum := make([]int64, coarseN)
 	for c := 0; c < coarseN; c++ {
-		clear(edgeAccum)
+		start := len(cw.adjncy)
 		for _, v := range fine[c] {
 			if v < 0 {
 				continue
@@ -127,20 +133,22 @@ func (w *weightedGraph) coarsen(rng *rand.Rand) (*weightedGraph, []int32) {
 			nbrs, wgts := w.neighbors(v)
 			for i, u := range nbrs {
 				cu := cmap[u]
-				if cu != int32(c) {
-					edgeAccum[cu] += wgts[i]
+				if cu == int32(c) {
+					continue
 				}
+				if accum[cu] == 0 {
+					cw.adjncy = append(cw.adjncy, cu)
+				}
+				accum[cu] += wgts[i]
 			}
 		}
-		// Sorted emission keeps the partitioner deterministic for a seed.
-		keys := make([]int32, 0, len(edgeAccum))
-		for u := range edgeAccum {
-			keys = append(keys, u)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, u := range keys {
-			cw.adjncy = append(cw.adjncy, u)
-			cw.adjwgt = append(cw.adjwgt, edgeAccum[u])
+		// Sorted emission keeps the partitioner deterministic for a seed:
+		// heavy-edge matching breaks weight ties by neighbor order.
+		row := cw.adjncy[start:]
+		slices.Sort(row)
+		for _, cu := range row {
+			cw.adjwgt = append(cw.adjwgt, accum[cu])
+			accum[cu] = 0
 		}
 		cw.xadj[c+1] = int64(len(cw.adjncy))
 	}

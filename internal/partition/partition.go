@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"dgcl/internal/graph"
+	"dgcl/internal/par"
 )
 
 // Partition assigns every vertex of a graph to one of K parts.
@@ -115,20 +116,24 @@ func Hierarchical(g *graph.Graph, gpusPer []int, opts Options) (*Partition, erro
 	if err != nil {
 		return nil, err
 	}
+	// The machines' sub-partitions are independent: each draws from its own
+	// Seed+mi+1 stream and fills only its own members' entries of assign, so
+	// running them concurrently cannot change the result.
+	members := make([][]int32, m)
+	for v, p := range top.Assign {
+		members[p] = append(members[p], int32(v))
+	}
 	assign := make([]int32, g.NumVertices())
-	base := 0
-	for mi := 0; mi < m; mi++ {
-		var members []int32
-		for v, p := range top.Assign {
-			if int(p) == mi {
-				members = append(members, int32(v))
-			}
+	errs := make([]error, m)
+	par.For(m, func(mi int) {
+		if len(members[mi]) == 0 {
+			return
 		}
-		if len(members) == 0 {
-			base += gpusPer[mi]
-			continue
+		base := 0
+		for _, c := range gpusPer[:mi] {
+			base += c
 		}
-		sub, orig := g.InducedSubgraph(members)
+		sub, orig := g.InducedSubgraph(members[mi])
 		k := gpusPer[mi]
 		if k > sub.NumVertices() {
 			k = sub.NumVertices()
@@ -137,12 +142,17 @@ func Hierarchical(g *graph.Graph, gpusPer []int, opts Options) (*Partition, erro
 		subOpts.Seed = opts.Seed + int64(mi) + 1
 		sp, err := KWay(sub, k, subOpts)
 		if err != nil {
-			return nil, err
+			errs[mi] = err
+			return
 		}
 		for sv, p := range sp.Assign {
 			assign[orig[sv]] = int32(base) + p
 		}
-		base += gpusPer[mi]
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return &Partition{K: total, Assign: assign}, nil
 }

@@ -2,10 +2,13 @@ package partition
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dgcl/internal/graph"
+	"dgcl/internal/testutil"
 )
 
 func TestKWayBasics(t *testing.T) {
@@ -256,11 +259,69 @@ func TestPropertyKWayCutQuality(t *testing.T) {
 	}
 }
 
+// TestHierarchicalDeterministicAcrossGOMAXPROCS: the machines' sub-partitions
+// run concurrently, and the assignment must not depend on how many of them
+// actually ran at once.
+func TestHierarchicalDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	g := graph.ComOrkut.Generate(512, 3)
+	var want []int32
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		p, err := Hierarchical(g, []int{4, 2, 3}, Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = p.Assign
+		} else if !slices.Equal(p.Assign, want) {
+			t.Errorf("GOMAXPROCS=%d: assignment differs from GOMAXPROCS=1", procs)
+		}
+	}
+}
+
+// TestCoarsenAllocs: a coarsening level allocates its handful of arrays and
+// nothing per coarse vertex, whatever the size of the level.
+func TestCoarsenAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	rng := rand.New(rand.NewSource(1))
+	fine := fromGraph(graph.ComOrkut.Generate(256, 1))
+	coarse, _ := fine.coarsen(rng)
+	if coarse == nil {
+		t.Fatal("Orkut/256 did not coarsen")
+	}
+	for level, w := range []*weightedGraph{fine, coarse} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if cw, _ := w.coarsen(rng); cw == nil {
+				t.Fatal("level did not coarsen")
+			}
+		})
+		if allocs > 12 {
+			t.Errorf("level %d (%d vertices): coarsen allocates %.0f objects, budget 12", level, w.numVertices(), allocs)
+		}
+	}
+}
+
 func BenchmarkKWay8(b *testing.B) {
 	g := graph.WebGoogle.Generate(128, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := KWay(g, 8, Options{Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHierarchical16 is the set-up path's partition call on the
+// two-machine 16-GPU fabric (dgclperf's setup-orkut16 spec).
+func BenchmarkHierarchical16(b *testing.B) {
+	g := graph.ComOrkut.Generate(128, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Hierarchical(g, []int{8, 8}, Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -119,11 +119,10 @@ func (s *System) Degrade(down []int) error {
 	if err != nil {
 		return err
 	}
-	plan, err := s.buildPlan(rel, dtopo, s.featureDim)
+	plan, locals, err := s.planAndLocalGraphs(s.g, rel, dtopo, s.featureDim)
 	if err != nil {
 		return err
 	}
-	locals := comm.BuildLocalGraphs(s.g, rel)
 	clu, err := runtime.NewCluster(rel, locals, plan)
 	if err != nil {
 		return err
