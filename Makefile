@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test race fuzz fuzz-smoke vet lint check bench-smoke chaos wire serve bench-serve rejoin
+.PHONY: all build test race fuzz fuzz-smoke vet lint check perf-smoke loc chaos wire serve rejoin
 
 all: build test
 
@@ -35,23 +35,27 @@ lint: vet
 	$(GO) run ./cmd/dgclvet -baseline .github/dgclvet-baseline.json ./...
 	$(GO) run ./cmd/dgclvet -ignores
 
-# Bench-smoke tier: three iterations of the set-up benchmarks (every planner
-# configuration — serial, parallel waves, warm cache — and the k-way and
-# hierarchical partitioners) and of the runtime epoch hot-path benchmarks
-# (DESIGN.md §11/§16; overlap-off and overlap-on variants both match the
-# unanchored -bench regex), recorded together as the "current" run of
-# BENCH_runtime.json; the "baseline" run is the frozen pre-compile
-# implementation. dgclbenchdiff prints the delta and, with -fail-over,
-# exits nonzero if any shared benchmark regressed past 25% so the smoke
-# gates rather than just reports. The threshold is deliberately loose:
-# 3-iteration runs on shared CI boxes are noisy, and the frozen baseline
-# leaves real headroom below it.
-bench-smoke:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkPlanSPST|BenchmarkPlanCacheWarm|BenchmarkKWay8|BenchmarkHierarchical16|BenchmarkAllgather|BenchmarkEpoch|BenchmarkWire' \
-		-benchtime 3x -json ./internal/core/ ./internal/partition/ ./internal/runtime/ ./internal/comm/wire/ \
-		| $(GO) run ./cmd/dgclbenchdiff -record BENCH_runtime.json -label current
-	$(GO) run ./cmd/dgclbenchdiff -runs baseline,current -fail-over 25 BENCH_runtime.json
+# Perf-smoke tier: the repo's one benchmark (cmd/dgclperf, BENCHMARK.json) at
+# smoke length, ~20 s: all seven workloads, every in-run bit-identity gate
+# (losses, digests, served rows), every declared metric present. It checks
+# that the benchmark runs whole, not its numbers: one run on a shared box
+# cannot resolve a change under the metrics' 25% bounds, so numbers are
+# compared on alternating parent/change pairs (cmd/dgclperf/README.md), never
+# against a stored file. The `go test -bench` micro-benchmarks remain as
+# ungated developer tools.
+perf-smoke:
+	$(GO) run ./cmd/dgclperf -smoke
+
+# Lines of Go per package, non-test and test, with totals for the tree and
+# for the tree outside the benchmark (cmd/dgclperf) — the table CHANGES.md
+# reports before/after when a PR's aim is less code.
+loc:
+	@for d in $$(find . -name '*.go' | sed 's|/[^/]*$$||' | sort -u); do \
+		printf '%-58s %6d %6d\n' $$d \
+			$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) \
+			$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+	done | awk '{ print; nt += $$2; t += $$3; if ($$1 != "./cmd/dgclperf") { ont += $$2; ot += $$3 } } \
+		END { printf "%-58s %6d %6d\n%-58s %6d %6d\n", "total", nt, t, "total outside cmd/dgclperf", ont, ot }'
 
 # Chaos tier (DESIGN.md §10): the failure-handling battery under the race
 # detector — fault-injection chaos, fail-stop crash/recovery, checkpoint
@@ -76,23 +80,14 @@ wire:
 serve:
 	$(GO) test -race -count=1 ./internal/serve/
 
-# Bench-serve smoke: the Zipf load driver against an in-process server at two
-# QPS points, recorded as the "current" run of BENCH_serve.json (the
-# "baseline" run is frozen), then the delta table.
-bench-serve:
-	$(GO) run ./cmd/dgclloadgen -selfserve -qps 200,800 -requests 2000 \
-		-record BENCH_serve.json -label current
-	$(GO) run ./cmd/dgclbenchdiff -runs baseline,current BENCH_serve.json
-
 # Rejoin tier (DESIGN.md §15): the supervised-membership battery under the
 # race detector — lease/heartbeat/backoff timing on injected clocks, control
 # envelope validation, generation fencing, and the process-kill/restart
 # chaos suite (real dgclworker subprocesses, SIGKILL + SIGTERM) with the
-# degrade-onto-survivors path. DGCL_RECORD_RECOVERY=1 makes the kill/restart
-# test record its detection→resume time into the "recovery" run of
-# BENCH_runtime.json.
+# degrade-onto-survivors path (the kill/restart test logs its
+# detection→resume time; add -v to see it).
 rejoin:
-	DGCL_RECORD_RECOVERY=1 $(GO) test -race -count=1 \
+	$(GO) test -race -count=1 \
 		-run 'Membership|Lease|Backoff|Rejoin|Drain|SplitRanks|DecodeCtrl|ProtocolError|Mismatch|Typed|OSProcess|Health|Epochs|LoadEpoch' \
 		./internal/worker/ ./internal/runtime/ ./internal/checkpoint/
 

@@ -2,15 +2,14 @@
 // queries at one or more target QPS points and reports the latency
 // distribution (p50/p99/p999, split by cache hit vs forward path) plus the
 // cache hit rate. It can drive a remote dgclserve endpoint, or spin up a
-// complete server in-process (-selfserve) for the bench-serve smoke:
+// complete server in-process (-selfserve) for a quick look without a second
+// terminal:
 //
 //	dgclloadgen -connect host:7100 -qps 100,300 -requests 5000
-//	dgclloadgen -selfserve -dataset Web-Google -gpus 4 \
-//	    -qps 200,800 -requests 4000 -record BENCH_serve.json -label current
+//	dgclloadgen -selfserve -dataset Web-Google -gpus 4 -qps 200,800 -requests 4000
 //
-// With -record, results land in a dgclbenchdiff runs file (latency quantiles
-// as ns_op), so serve-path trends diff with the same tool as every other
-// BENCH file.
+// Its numbers are for reading, not gating: measured serve-path performance
+// is cmd/dgclperf's serve-steady and serve-refresh workloads.
 package main
 
 import (
@@ -38,8 +37,6 @@ func main() {
 	zipfS := flag.Float64("zipf-s", 1.2, "Zipf skew s (> 1)")
 	zipfV := flag.Float64("zipf-v", 1, "Zipf v (>= 1)")
 	seed := flag.Int64("seed", 1, "query stream seed")
-	record := flag.String("record", "", "upsert results into this dgclbenchdiff runs file")
-	label := flag.String("label", "current", "run label used with -record")
 
 	dataset := flag.String("dataset", "Web-Google", "dataset from Table 4 (selfserve)")
 	model := flag.String("model", "GCN", "model kind (selfserve)")
@@ -58,7 +55,6 @@ func main() {
 		connect: *connect, selfserve: *selfserve,
 		qpsList: *qpsList, requests: *requests, concurrency: *concurrency,
 		zipfS: *zipfS, zipfV: *zipfV, seed: *seed,
-		record: *record, label: *label,
 		spec: worker.Spec{
 			Dataset: *dataset, Model: *model, GPUs: *gpus, Scale: *scale,
 			FeatureDim: *featureDim, Hidden: *hidden, Layers: *layers, Seed: *seed,
@@ -84,8 +80,6 @@ type options struct {
 	zipfS       float64
 	zipfV       float64
 	seed        int64
-	record      string
-	label       string
 	spec        worker.Spec
 	train       int
 	cfg         serve.Config
@@ -140,7 +134,6 @@ func run(o options) error {
 		vertices = n
 	}
 
-	var reports []*serve.LoadReport
 	for _, qps := range points {
 		rep, err := serve.RunLoad(context.Background(), serve.LoadOptions{
 			Addr:        addr,
@@ -156,14 +149,6 @@ func run(o options) error {
 			return err
 		}
 		fmt.Println(serve.FormatReport(rep))
-		reports = append(reports, rep)
-	}
-
-	if o.record != "" {
-		if err := serve.RecordBench(o.record, o.label, reports); err != nil {
-			return err
-		}
-		fmt.Printf("recorded %d QPS points as %q in %s\n", len(reports), o.label, o.record)
 	}
 	return nil
 }

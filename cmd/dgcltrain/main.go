@@ -54,10 +54,9 @@ type recoveryOptions struct {
 
 // overlapOptions bundles the overlapped-execution flags (DESIGN.md §16).
 type overlapOptions struct {
-	on         bool
-	chunkRows  int
-	window     int
-	wireWindow int
+	on        bool
+	chunkRows int
+	window    int
 }
 
 func (o overlapOptions) dgcl() dgcl.OverlapOptions {
@@ -81,7 +80,6 @@ func main() {
 	flag.BoolVar(&ov.on, "overlap", true, "chunked transfers + async stage pipelining (bit-identical to serial; false runs stages serially)")
 	flag.IntVar(&ov.chunkRows, "chunk-rows", 0, "rows per transfer chunk for overlapped execution (0 = default; shared by every process of a -listen run)")
 	flag.IntVar(&ov.window, "overlap-window", 0, "stages the send pipeline may run ahead of aggregation (0 = default)")
-	flag.IntVar(&ov.wireWindow, "wire-window", 0, "per-link wire credit window in frames for -listen runs (0 = default)")
 	var chaos chaosOptions
 	flag.Float64Var(&chaos.drop, "fault-drop", 0, "transport drop probability per message (chaos)")
 	flag.Float64Var(&chaos.corrupt, "fault-corrupt", 0, "transport corruption probability per message (chaos)")
@@ -133,7 +131,7 @@ func coordinate(addr string, workers int, dataset, modelName string, gpus, scale
 		return fmt.Errorf("-listen coordinates real processes; the chaos and checkpoint flags apply to single-process runs only")
 	}
 	if !ov.on || ov.window > 0 {
-		return fmt.Errorf("-overlap and -overlap-window are per-process policy: set them on each dgclworker (-chunk-rows and -wire-window distribute through the spec)")
+		return fmt.Errorf("-overlap and -overlap-window are per-process policy: set them on each dgclworker (-chunk-rows distributes through the spec)")
 	}
 	ds, err := graph.DatasetByName(dataset)
 	if err != nil {
@@ -150,8 +148,7 @@ func coordinate(addr string, workers int, dataset, modelName string, gpus, scale
 		Seed:    seed,
 		LR:      lr,
 
-		ChunkRows:  ov.chunkRows,
-		WireWindow: ov.wireWindow,
+		ChunkRows: ov.chunkRows,
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -44,7 +44,6 @@ func main() {
 	timeout := flag.Duration("timeout", 15*time.Minute, "overall deadline for the run")
 	overlap := flag.Bool("overlap", true, "pipelined chunked execution for this process's ranks (bit-identical either way)")
 	overlapWindow := flag.Int("overlap-window", 0, "stages the send pipeline may run ahead of aggregation (0 = default)")
-	wireWindow := flag.Int("wire-window", 0, "per-link wire credit window in frames (0 = spec value, else default)")
 	flag.Parse()
 	if *connect == "" {
 		fmt.Fprintln(os.Stderr, "dgclworker: -connect is required")
@@ -80,7 +79,6 @@ func main() {
 		Drain:           drain,
 		OverlapOff:      !*overlap,
 		OverlapWindow:   *overlapWindow,
-		WireWindow:      *wireWindow,
 	})
 	if errors.Is(err, worker.ErrDrained) {
 		fmt.Println("drained")

@@ -626,11 +626,7 @@ func (s *System) ensureResilience(downAfter int) {
 		s.clu.Stats = runtime.NewCommStats(s.rel.K)
 	}
 	if s.health == nil {
-		var stats *CommStats
-		if s.clu != nil {
-			stats = s.clu.Stats
-		}
-		s.health = runtime.NewHealthTracker(downAfter, s.crash, stats)
+		s.health = runtime.NewHealthTracker(downAfter, s.crash)
 	}
 }
 

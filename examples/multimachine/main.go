@@ -59,12 +59,12 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := worker.RunWorker(ctx, ln.Addr().String(), "127.0.0.1:0"); err != nil {
+			if _, err := worker.Run(ctx, worker.WorkerOptions{Coordinator: ln.Addr().String()}); err != nil {
 				log.Printf("worker %d: %v", i, err)
 			}
 		}(i)
 	}
-	report, err := worker.RunCoordinator(ctx, ln, workers, spec)
+	report, err := worker.Supervise(ctx, ln, worker.SuperviseOptions{Workers: workers, Spec: spec})
 	wg.Wait()
 	if err != nil {
 		log.Fatal(err)

@@ -109,21 +109,6 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks every non-test .go file directly in dir as
-// a single package with the given import path. It is the entry point the
-// analysistest harness uses for testdata packages, which live outside the
-// module's package tree.
-func (l *Loader) LoadDir(dir, path string) (*Package, error) {
-	files, err := goFilesIn(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	return l.check(path, files, nil)
-}
-
 // LoadTree loads dir as the package `path` plus every subdirectory of dir
 // containing Go files as `path/<rel>`. The packages are type-checked in
 // dependency order with imports among them resolved to the freshly checked

@@ -259,16 +259,3 @@ func (s *Store) LoadEpoch(epoch int) (*Snapshot, int, error) {
 	}
 	return nil, 0, fmt.Errorf("checkpoint: %s has no intact snapshot at epoch %d: %w", s.Dir, epoch, ErrNoCheckpoint)
 }
-
-// Latest returns the newest generation number present (by manifest), or
-// ErrNoCheckpoint. It does not verify the payload; use Load for that.
-func (s *Store) Latest() (int, error) {
-	gens, err := s.generations()
-	if err != nil {
-		return 0, err
-	}
-	if len(gens) == 0 {
-		return 0, fmt.Errorf("checkpoint: %s: %w", s.Dir, ErrNoCheckpoint)
-	}
-	return gens[len(gens)-1], nil
-}

@@ -17,8 +17,7 @@ import (
 // Wire hot-path benchmarks: the same workloads as the runtime package's
 // BenchmarkAllgather/BenchmarkEpoch, but with every embedding crossing a
 // loopback TCP socket through the framed, credit-windowed wire transport.
-// The bench-smoke tier records them in BENCH_runtime.json next to the
-// channel-transport rows, so `dgclbenchdiff` prices the wire tax — and the
+// Read next to the channel-transport rows they price the wire tax — and the
 // pooled serialization path keeps allocs/op flat across payload sizes.
 
 type benchCase struct {

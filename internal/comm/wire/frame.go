@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"dgcl/internal/core"
+	"dgcl/internal/fnv64"
 	"dgcl/internal/runtime"
 	"dgcl/internal/tensor"
 )
@@ -85,37 +86,9 @@ type Frame struct {
 	Credits uint32
 }
 
-// fnv64a is the frame checksum: FNV-64a chaining over 64-bit little-endian
-// lanes (byte-at-a-time only for the tail), inlined so the hot path hashes
-// without allocating a hash.Hash64. The checksum never leaves a single
-// build — it is computed on encode and verified on decode by peers running
-// the same library — so the lane-wide variant is free to diverge from
-// canonical byte-wise FNV; what matters is that any flipped body byte
-// changes the chained state, which the wire corruption tests exercise.
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for len(b) >= 8 {
-		h ^= binary.LittleEndian.Uint64(b)
-		h *= 1099511628211
-		b = b[8:]
-	}
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // hashTag names an exchange stream; both sides derive it from the same tag
 // string.
-func hashTag(tag string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(tag); i++ {
-		h ^= uint64(tag[i])
-		h *= 1099511628211
-	}
-	return h
-}
+func hashTag(tag string) uint64 { return uint64(fnv64.New().Str(tag)) }
 
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
@@ -168,7 +141,7 @@ func encodeFrame(buf []byte, f *Frame) []byte {
 	}
 	body := buf[bodyStart:]
 	binary.LittleEndian.PutUint32(buf[start+8:], uint32(len(body)))
-	binary.LittleEndian.PutUint64(buf[start+12:], fnv64a(body))
+	binary.LittleEndian.PutUint64(buf[start+12:], fnv64.SumLanes(body))
 	return buf
 }
 
@@ -311,7 +284,7 @@ func DecodeFrame(data []byte) (*Frame, int, error) {
 		return nil, 0, fmt.Errorf("wire: truncated frame: header declares %d body bytes, %d available", h.length, len(data)-headerSize)
 	}
 	body := data[headerSize : headerSize+h.length]
-	if got := fnv64a(body); got != h.sum {
+	if got := fnv64.SumLanes(body); got != h.sum {
 		return nil, 0, fmt.Errorf("wire: frame checksum mismatch: header %#x, body %#x", h.sum, got)
 	}
 	f, err := decodeBody(h.typ, body, nil)
@@ -324,29 +297,22 @@ func DecodeFrame(data []byte) (*Frame, int, error) {
 // PlanDigest fingerprints a communication plan for the connection handshake:
 // two processes may only train together when they compiled identical plans.
 func PlanDigest(p *core.Plan) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(p.K))
-	mix(uint64(p.BytesPerVertex))
-	mix(uint64(len(p.Stages)))
+	h := fnv64.New()
+	h = h.U64(uint64(p.K))
+	h = h.U64(uint64(p.BytesPerVertex))
+	h = h.U64(uint64(len(p.Stages)))
 	for _, st := range p.Stages {
-		mix(uint64(len(st)))
+		h = h.U64(uint64(len(st)))
 		for _, tr := range st {
-			mix(uint64(tr.Src))
-			mix(uint64(tr.Dst))
-			mix(uint64(len(tr.Vertices)))
+			h = h.U64(uint64(tr.Src))
+			h = h.U64(uint64(tr.Dst))
+			h = h.U64(uint64(len(tr.Vertices)))
 			for _, v := range tr.Vertices {
-				mix(uint64(uint32(v)))
+				h = h.U64(uint64(uint32(v)))
 			}
 		}
 	}
-	return h
+	return uint64(h)
 }
 
 // DigestWithChunking folds the transfer-chunking granularity into a plan
@@ -357,12 +323,5 @@ func PlanDigest(p *core.Plan) uint64 {
 // granularity into the hello's plan sum turns that desync into a handshake
 // rejection.
 func DigestWithChunking(planSum uint64, chunkRows int) uint64 {
-	h := planSum
-	v := uint64(uint32(chunkRows))
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
+	return uint64(fnv64.Hash(planSum).U64(uint64(uint32(chunkRows))))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dgcl/internal/core"
+	"dgcl/internal/fnv64"
 	"dgcl/internal/runtime"
 	"dgcl/internal/tensor"
 )
@@ -141,7 +142,7 @@ func TestDecodeFrameRejectsDimPayloadMismatch(t *testing.T) {
 func patchBodySum(buf []byte) {
 	body := buf[headerSize:]
 	buf[12] = 0
-	sum := fnv64a(body)
+	sum := fnv64.SumLanes(body)
 	for i := 0; i < 8; i++ {
 		buf[12+i] = byte(sum >> (8 * i))
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dgcl/internal/fnv64"
 )
 
 // Config parameterizes a wire endpoint. The zero value selects defaults.
@@ -20,13 +22,6 @@ type Config struct {
 	// Handshakes reject peers whose plans differ — a divergent plan would
 	// deadlock mid-collective, far from the cause.
 	PlanSum uint64
-	// Window is the per-link in-flight frame window: a sender holds one
-	// credit per unrouted frame and blocks (cancellably) when the window is
-	// exhausted; the receiver returns a credit as each frame is routed.
-	// Chunked overlapped execution shifts the frame-size distribution toward
-	// many small frames, where a larger window keeps the pipe full (see
-	// dgcltrain/dgclworker -wire-window). Default DefaultWindow.
-	Window int
 	// IOTimeout bounds every mid-frame socket read and every frame write.
 	// Default 10s.
 	IOTimeout time.Duration
@@ -42,14 +37,12 @@ type Config struct {
 	MaxBody int
 }
 
-// DefaultWindow is the per-link credit window used when Config does not
-// choose one.
-const DefaultWindow = 64
+// creditWindow is the per-link in-flight frame window: a sender holds one
+// credit per unrouted frame and blocks (cancellably) when the window is
+// exhausted; the receiver returns a credit as each frame is routed.
+const creditWindow = 64
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
 	if c.IOTimeout <= 0 {
 		c.IOTimeout = 10 * time.Second
 	}
@@ -122,8 +115,8 @@ type link struct {
 
 func newLink(n *Node, peer int, conn net.Conn) *link {
 	l := &link{node: n, peer: peer, conn: conn, cfg: &n.cfg, closed: make(chan struct{})}
-	l.credits = make(chan struct{}, l.cfg.Window)
-	for i := 0; i < l.cfg.Window; i++ {
+	l.credits = make(chan struct{}, creditWindow)
+	for i := 0; i < creditWindow; i++ {
 		l.credits <- struct{}{} //dgclvet:ignore ctxbound filling a fresh channel to its exact capacity; cannot block
 	}
 	return l
@@ -268,7 +261,7 @@ func (l *link) readLoop() {
 			l.fail(err)
 			return
 		}
-		if got := fnv64a(body); got != h.sum {
+		if got := fnv64.SumLanes(body); got != h.sum {
 			l.node.bytes.put(body)
 			l.fail(fmt.Errorf("wire: frame checksum mismatch from node %d", l.peer))
 			return

@@ -285,7 +285,7 @@ func TestFabricMidCollectiveKillMapsToDeviceDown(t *testing.T) {
 	local := randomLocals(rel, 4, 3)
 	fab := newFabric(t, c)
 	c.Provider = &killerProvider{fab: fab, dev: dead}
-	c.Health = runtime.NewHealthTracker(1, nil, nil)
+	c.Health = runtime.NewHealthTracker(1, nil)
 	c.Timeout = 10 * time.Second
 
 	_, err := c.Allgather(local)

@@ -11,10 +11,9 @@ import (
 	"dgcl/internal/topology"
 )
 
-// Planner benchmarks over three workload sizes. The CI bench-smoke tier
-// (make bench-smoke) records every case in the "current" run of
-// BENCH_runtime.json; the acceptance bar is parallel-4 at least 2x faster than
-// serial on the largest workload (orkut128-32, the 4-machine 32-GPU
+// Planner benchmarks over three workload sizes (developer tools, ungated).
+// The bar when the parallel planner landed was parallel-4 at least 2x faster
+// than serial on the largest workload (orkut128-32, the 4-machine 32-GPU
 // fabric). On a single-core runner the speedup is purely algorithmic — the
 // frozen-snapshot cost cache and the zero-marginal sweep (parallel.go) do
 // the work, and extra workers add wave concurrency on real machines.

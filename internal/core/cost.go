@@ -22,14 +22,13 @@ import (
 // connection do not contend.
 type hopSlot int32
 
-// Model precomputes, for every ordered GPU pair, the direct channel and its
-// directed hop slots, so cost evaluation never touches the topology again.
+// Model precomputes, for every ordered GPU pair, the directed hop slots of
+// its direct channel, so cost evaluation never touches the topology again.
 type Model struct {
-	Topo  *topology.Topology
-	K     int
-	chans [][]*topology.Channel
-	hops  [][][]hopSlot // [src][dst] -> directed hop slots
-	bw    []float64     // hop slot -> bandwidth (bytes/s)
+	Topo *topology.Topology
+	K    int
+	hops [][][]hopSlot // [src][dst] -> directed hop slots
+	bw   []float64     // hop slot -> bandwidth (bytes/s)
 	// Reciprocals let the batched planner's frozen cost tables multiply
 	// instead of divide (see parallel.go); the serial path keeps dividing so
 	// its plans stay bit-identical across releases.
@@ -44,7 +43,7 @@ func NewModel(topo *topology.Topology) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Topo: topo, K: k, chans: chans}
+	m := &Model{Topo: topo, K: k}
 	m.bw = make([]float64, 2*len(topo.Conns()))
 	for _, c := range topo.Conns() {
 		m.bw[2*c.ID] = c.Bandwidth
@@ -94,9 +93,6 @@ func (m *Model) directedHops(ch *topology.Channel) []hopSlot {
 	return out
 }
 
-// Channel returns the direct channel between two GPUs (nil on the diagonal).
-func (m *Model) Channel(src, dst int) *topology.Channel { return m.chans[src][dst] }
-
 // ChannelTime returns the uncontended time to move the given bytes over the
 // direct channel between src and dst (bottleneck hop bound).
 func (m *Model) ChannelTime(src, dst int, bytes int64) float64 {
@@ -122,9 +118,6 @@ type State struct {
 // NewState returns an empty accumulation state for the model.
 func NewState(m *Model) *State { return &State{m: m} }
 
-// Model returns the model the state accumulates against.
-func (s *State) Model() *Model { return s.m }
-
 func (s *State) ensure(stage int) {
 	for len(s.stageVol) <= stage {
 		s.stageVol = append(s.stageVol, make([]float64, len(s.m.bw)))
@@ -136,14 +129,6 @@ func (s *State) ensure(stage int) {
 // stages of the maximum hop time in the stage.
 func (s *State) Cost() float64 {
 	return tensor.Sum64(s.stageMax)
-}
-
-// StageTime returns the modeled time of one stage (0 if the stage is empty).
-func (s *State) StageTime(stage int) float64 {
-	if stage >= len(s.stageMax) {
-		return 0
-	}
-	return s.stageMax[stage]
 }
 
 // NumStages returns the number of stages with any volume.

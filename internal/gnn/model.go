@@ -42,13 +42,6 @@ func (m *Model) Clone() *Model {
 	return out
 }
 
-// ZeroGrads clears the accumulated gradients of every layer.
-func (m *Model) ZeroGrads() {
-	for _, l := range m.Layers {
-		l.ZeroGrads()
-	}
-}
-
 // Step applies one SGD update with the given learning rate and clears grads.
 func (m *Model) Step(lr float32) {
 	for _, l := range m.Layers {

@@ -15,9 +15,9 @@ import (
 
 // Epoch hot-path benchmarks (ISSUE 5): BenchmarkAllgather times the forward
 // graphAllgather alone, BenchmarkEpoch the full forward+backward+SGD step.
-// Both report allocations (b.ReportAllocs) so the bench-smoke tier's
-// BENCH_runtime.json tracks the steady-state allocation budget alongside
-// wall-clock time; cmd/dgclbenchdiff prints the delta between two runs.
+// Both report allocations (b.ReportAllocs): the steady-state allocation
+// budget reads alongside wall-clock time. Developer tools, ungated — the
+// repo's benchmark is cmd/dgclperf.
 
 // benchCase is one synthesized workload: a community graph partitioned over
 // k GPUs with an SPST plan, the configuration the paper's epoch measurements

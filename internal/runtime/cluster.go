@@ -36,12 +36,10 @@ type Cluster struct {
 	// (behind the transport, so forward and backward collectives both
 	// count).
 	Stats *CommStats
-	// Transport overrides the base transport (default: in-memory channels).
-	Transport TransportFactory
-	// Provider, when non-nil, supplies the base transport instead (it wins
-	// over Transport). Providers keep long-lived state across collectives
-	// (pooled sockets) and route by external device id, so they survive
-	// Degrade rebuilds.
+	// Provider, when non-nil, supplies the base transport (default:
+	// in-memory channels). Providers keep long-lived state across
+	// collectives (pooled sockets) and route by external device id, so they
+	// survive Degrade rebuilds.
 	Provider TransportProvider
 	// Ranks, when non-nil, restricts execution to those client indices: in a
 	// multi-process run each process hosts a subset of the clients and the
@@ -119,15 +117,6 @@ func (c *Cluster) eachActive(fn func(d int)) {
 	}
 }
 
-// DeviceID returns the external id of client index d (identity when no
-// mapping is installed).
-func (c *Cluster) DeviceID(d int) int {
-	if c.DeviceIDs == nil {
-		return d
-	}
-	return c.DeviceIDs[d]
-}
-
 // NewCluster validates the plan against the relation and builds the cluster.
 func NewCluster(rel *comm.Relation, locals []*comm.LocalGraph, plan *core.Plan) (*Cluster, error) {
 	if len(locals) != rel.K {
@@ -148,8 +137,6 @@ func (c *Cluster) newTransport(stages [][]core.Transfer, relayAware bool) Transp
 	var t Transport
 	if c.Provider != nil {
 		t = c.Provider.CollectiveTransport(stages, c.DeviceIDs)
-	} else if c.Transport != nil {
-		t = c.Transport(stages)
 	} else {
 		t = NewChanTransport(stages)
 	}
@@ -163,7 +150,7 @@ func (c *Cluster) newTransport(stages [][]core.Transfer, relayAware bool) Transp
 		t = NewRetryTransport(t, *c.Retry, c.Stats)
 	}
 	if c.Stats != nil {
-		t = newStatsTransport(t, c.Stats, c.Rel.Owner, relayAware)
+		t = NewStatsTransport(t, c.Stats, c.Rel.Owner, relayAware)
 	}
 	return t
 }
@@ -348,9 +335,7 @@ func (c *Cluster) validateInputs(in []*tensor.Matrix, backward bool) (int, error
 // runForwardClient executes one client's compiled forward program. The
 // output `full` doubles as the vertex store: owned rows are block-copied up
 // front, received rows land directly at their precomputed local-graph
-// offset, and relay-only rows live in a pooled arena. Send buffers come
-// from the pool and are returned by the *receiving* client once consumed
-// (Cluster.recycle), so steady-state epochs allocate no payload memory.
+// offset, and relay-only rows live in a pooled arena.
 func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Matrix, cols int, tp Transport, cp *clientProgram, copies bool) (*tensor.Matrix, error) {
 	lg := c.Locals[d]
 	full := tensor.New(lg.NumLocal+lg.NumRemote, cols)
@@ -363,14 +348,32 @@ func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Mat
 		}
 		return arena.Row(int(-s - 1))
 	}
-	if c.Overlap.Enabled && !cp.serialOnly {
-		if err := c.runClientPipelined(ctx, d, cols, tp, cp, copies, rowOf, func(slots []int32, rows *tensor.Matrix) {
-			aggregateCopy(rowOf, slots, rows)
-		}); err != nil {
-			return nil, err
-		}
-		return full, nil
+	if err := c.runClient(ctx, d, cols, tp, cp, copies, rowOf, aggregateCopy); err != nil {
+		return nil, err
 	}
+	return full, nil
+}
+
+// runClient runs one client's compiled program over the slot storage behind
+// rowOf, landing each received payload with agg: pipelined when overlap is
+// on and the program's hazard analysis allows it, stage by stage otherwise.
+// The two executors produce bit-identical slots (overlap.go).
+func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, copies bool, rowOf func(int32) []float32, agg aggregateFunc) error {
+	if c.Overlap.Enabled && !cp.serialOnly {
+		return c.runClientPipelined(ctx, d, cols, tp, cp, copies, rowOf, agg)
+	}
+	return c.runClientSerial(ctx, d, cols, tp, cp, copies, rowOf, agg)
+}
+
+// runClientSerial is the strictly-in-order executor: each stage's sends, then
+// its receives. Sending first is safe in both directions — a stage's sends
+// only carry rows settled in earlier stages, never data arriving in this
+// stage's receives (forward: tree edges at depth k ship rows received at
+// depth k-1; backward: the same edges reversed) — and it is what keeps the
+// stage deadlock-free. Send buffers come from the pool and are returned by
+// the *receiving* client once consumed (Cluster.recycle), so steady-state
+// epochs allocate no payload memory.
+func (c *Cluster) runClientSerial(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, copies bool, rowOf func(int32) []float32, agg aggregateFunc) error {
 	for _, cs := range cp.stages {
 		// Send phase: fill peer buffers and set done flags.
 		for _, snd := range cs.sends {
@@ -379,7 +382,7 @@ func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Mat
 				copy(buf.Row(i), rowOf(s))
 			}
 			if err := tp.Send(ctx, snd.key, snd.tr, c.seal(Message{Rows: buf})); err != nil {
-				return nil, fmt.Errorf("runtime: GPU %d send: %w", d, err)
+				return fmt.Errorf("runtime: GPU %d send: %w", d, err)
 			}
 			if copies {
 				// A copying transport serialized the payload before Send
@@ -391,13 +394,13 @@ func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Mat
 		for _, rcv := range cs.recvs {
 			msg, err := tp.Recv(ctx, rcv.key, rcv.tr)
 			if err != nil {
-				return nil, fmt.Errorf("runtime: GPU %d recv: %w", d, err)
+				return fmt.Errorf("runtime: GPU %d recv: %w", d, err)
 			}
-			aggregateCopy(rowOf, rcv.slots, msg.Rows)
+			agg(rowOf, rcv.slots, msg.Rows)
 			c.recycle(tp, msg)
 		}
 	}
-	return full, nil
+	return nil
 }
 
 // BackwardAllgather routes gradients back along the plan's trees: gradFull[d]
@@ -474,40 +477,8 @@ func (c *Cluster) runBackwardClient(ctx context.Context, d int, gradFull *tensor
 		}
 		return arena.Row(int(-s - 1))
 	}
-	if c.Overlap.Enabled && !cp.serialOnly {
-		if err := c.runClientPipelined(ctx, d, cols, tp, cp, copies, rowOf, func(slots []int32, rows *tensor.Matrix) {
-			aggregateAdd(rowOf, slots, rows)
-		}); err != nil {
-			return nil, err
-		}
-		return own, nil
-	}
-	for _, cs := range cp.stages {
-		// Send first within a backward stage: tree edges at different depths
-		// land in different backward stages, so a stage's sends only carry
-		// gradients accumulated in earlier stages — never data arriving in
-		// this stage's receives. Sending first therefore preserves both
-		// correctness and deadlock freedom, exactly as in forward.
-		for _, snd := range cs.sends {
-			buf := c.pool.get(len(snd.slots), cols)
-			for i, s := range snd.slots {
-				copy(buf.Row(i), rowOf(s))
-			}
-			if err := tp.Send(ctx, snd.key, snd.tr, c.seal(Message{Rows: buf})); err != nil {
-				return nil, fmt.Errorf("runtime: GPU %d send: %w", d, err)
-			}
-			if copies {
-				c.pool.put(buf)
-			}
-		}
-		for _, rcv := range cs.recvs {
-			msg, err := tp.Recv(ctx, rcv.key, rcv.tr)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: GPU %d recv: %w", d, err)
-			}
-			aggregateAdd(rowOf, rcv.slots, msg.Rows)
-			c.recycle(tp, msg)
-		}
+	if err := c.runClient(ctx, d, cols, tp, cp, copies, rowOf, aggregateAdd); err != nil {
+		return nil, err
 	}
 	return own, nil
 }

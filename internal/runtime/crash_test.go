@@ -105,7 +105,7 @@ func crashedCluster(t *testing.T, cfg CrashConfig) (*Cluster, []*tensor.Matrix) 
 	}
 	c.Stats = NewCommStats(c.K)
 	c.Crash = NewCrashTracker(cfg)
-	c.Health = NewHealthTracker(0, c.Crash, c.Stats)
+	c.Health = NewHealthTracker(0, c.Crash)
 	c.Timeout = 30 * time.Second
 	return c, local
 }
@@ -209,7 +209,7 @@ func TestCrashWatcherUnblocksPendingRecv(t *testing.T) {
 
 func TestHealthTrackerStrikesAndExoneration(t *testing.T) {
 	crash := NewCrashTracker(CrashConfig{})
-	h := NewHealthTracker(2, crash, nil)
+	h := NewHealthTracker(2, crash)
 	deadline := func(self, peer int) error {
 		return &TransportError{Op: "recv", Src: peer, Dst: self, Attempts: 1, Err: context.DeadlineExceeded}
 	}
@@ -230,7 +230,7 @@ func TestHealthTrackerStrikesAndExoneration(t *testing.T) {
 	}
 
 	// A clean round from the suspect itself clears accumulated strikes.
-	h2 := NewHealthTracker(2, nil, nil)
+	h2 := NewHealthTracker(2, nil)
 	h2.ObserveCollective([]error{deadline(0, 2), nil, nil, nil}, nil)
 	h2.ObserveCollective([]error{nil, nil, nil, nil}, nil) // device 2 answers cleanly
 	down = h2.ObserveCollective([]error{deadline(0, 2), nil, nil, nil}, nil)
@@ -240,7 +240,7 @@ func TestHealthTrackerStrikesAndExoneration(t *testing.T) {
 
 	// Explicit down evidence is an immediate verdict regardless of strikes,
 	// and plain cancellation implicates nobody.
-	h3 := NewHealthTracker(2, nil, nil)
+	h3 := NewHealthTracker(2, nil)
 	down = h3.ObserveCollective([]error{&DeviceDownError{Device: 1}, context.Canceled, nil, nil}, nil)
 	if !reflect.DeepEqual(down, []int{1}) {
 		t.Fatalf("down after explicit evidence = %v, want [1]", down)
@@ -248,7 +248,7 @@ func TestHealthTrackerStrikesAndExoneration(t *testing.T) {
 }
 
 func TestHealthTrackerMapsClientIndicesToExternalIDs(t *testing.T) {
-	h := NewHealthTracker(1, nil, nil)
+	h := NewHealthTracker(1, nil)
 	// Compact client 1 times out against compact client 2; ids maps compact
 	// 2 to external device 5.
 	err := &TransportError{Op: "recv", Src: 2, Dst: 1, Attempts: 1, Err: context.DeadlineExceeded}

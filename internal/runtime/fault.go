@@ -41,28 +41,6 @@ type FaultStats struct {
 	Drops, Delays, Duplicates, Corrupts atomic.Int64
 }
 
-// FaultSnapshot is a race-free point-in-time copy of FaultStats.
-type FaultSnapshot struct {
-	Drops, Delays, Duplicates, Corrupts int64
-}
-
-// Snapshot returns the counters as plain values; safe to call while a
-// collective is injecting faults.
-func (s *FaultStats) Snapshot() FaultSnapshot {
-	return FaultSnapshot{
-		Drops: s.Drops.Load(), Delays: s.Delays.Load(),
-		Duplicates: s.Duplicates.Load(), Corrupts: s.Corrupts.Load(),
-	}
-}
-
-// Reset zeroes every counter.
-func (s *FaultStats) Reset() {
-	s.Drops.Store(0)
-	s.Delays.Store(0)
-	s.Duplicates.Store(0)
-	s.Corrupts.Store(0)
-}
-
 // FaultConfig configures the fault-injecting transport wrapper.
 type FaultConfig struct {
 	// Seed makes the fault sequence reproducible.

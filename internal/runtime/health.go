@@ -31,23 +31,19 @@ type HealthTracker struct {
 
 	mu       sync.Mutex
 	crash    *CrashTracker
-	stats    *CommStats
 	strikes  map[int]int
 	verdicts map[int]bool
-	evidence CommSnapshot
 }
 
-// NewHealthTracker builds a detector that reports verdicts into crash (so
-// the transport layer fast-fails confirmed-dead devices) and snapshots stats
-// (may be nil) as evidence whenever a verdict is reached.
-func NewHealthTracker(downAfter int, crash *CrashTracker, stats *CommStats) *HealthTracker {
+// NewHealthTracker builds a detector that reports verdicts into crash (may
+// be nil) so the transport layer fast-fails confirmed-dead devices.
+func NewHealthTracker(downAfter int, crash *CrashTracker) *HealthTracker {
 	if downAfter <= 0 {
 		downAfter = DefaultDownAfter
 	}
 	return &HealthTracker{
 		DownAfter: downAfter,
 		crash:     crash,
-		stats:     stats,
 		strikes:   make(map[int]int),
 		verdicts:  make(map[int]bool),
 	}
@@ -103,17 +99,14 @@ func (h *HealthTracker) ObserveCollective(errs []error, ids []int) []int {
 	return h.downLocked()
 }
 
-// verdictLocked records a down verdict, snapshots evidence, and tells the
-// crash tracker so the transport fast-fails the device from now on.
+// verdictLocked records a down verdict and tells the crash tracker so the
+// transport fast-fails the device from now on.
 func (h *HealthTracker) verdictLocked(dev int) {
 	if h.verdicts[dev] {
 		return
 	}
 	h.verdicts[dev] = true
 	delete(h.strikes, dev)
-	if h.stats != nil {
-		h.evidence = h.stats.Snapshot()
-	}
 	if h.crash != nil {
 		h.crash.MarkDown(dev)
 	}
@@ -208,12 +201,4 @@ func (h *HealthTracker) downLocked() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Evidence returns the stats snapshot captured at the most recent verdict
-// (zero value if none was reached or no stats were attached).
-func (h *HealthTracker) Evidence() CommSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.evidence
 }

@@ -11,7 +11,7 @@ import (
 // same verdict model as the collective path.
 
 func TestHealthDirectStrikesReachVerdict(t *testing.T) {
-	h := NewHealthTracker(3, nil, nil)
+	h := NewHealthTracker(3, nil)
 	if h.ObserveStrike(5) {
 		t.Fatal("first strike produced a verdict")
 	}
@@ -33,7 +33,7 @@ func TestHealthDirectStrikesReachVerdict(t *testing.T) {
 }
 
 func TestHealthRenewalClearsStrikesButNotVerdicts(t *testing.T) {
-	h := NewHealthTracker(2, nil, nil)
+	h := NewHealthTracker(2, nil)
 	h.ObserveStrike(3)
 	h.ObserveRenewal(3)
 	if got := h.Strikes(3); got != 0 {
@@ -58,7 +58,7 @@ func TestHealthRenewalClearsStrikesButNotVerdicts(t *testing.T) {
 
 func TestHealthEvidenceIsImmediateAndFeedsCrash(t *testing.T) {
 	crash := NewCrashTracker(CrashConfig{})
-	h := NewHealthTracker(5, crash, nil)
+	h := NewHealthTracker(5, crash)
 	h.ObserveEvidence(7)
 	if !h.Down(7) {
 		t.Fatal("explicit evidence did not produce an immediate verdict")

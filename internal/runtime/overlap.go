@@ -261,6 +261,9 @@ func (ps *pipeState) firstErr() error {
 // results.
 const minParallelAggRows = 128
 
+// aggregateFunc lands one received payload at its compiled slots.
+type aggregateFunc func(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix)
+
 // aggregateCopy lands a received payload at its compiled slots (forward:
 // pure row copies). Rows are partitioned over the kernel workers with one
 // writer per row, so the result is bit-identical at any worker count.
@@ -310,7 +313,7 @@ func aggregateAdd(rowOf func(int32) []float32, slots []int32, rows *tensor.Matri
 // unchanged from serial execution: a buffer is filled, shipped, and either
 // returned immediately (copying transports) or returned by the receiving
 // client through Cluster.recycle.
-func (c *Cluster) runClientPipelined(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, copies bool, rowOf func(int32) []float32, agg func([]int32, *tensor.Matrix)) error {
+func (c *Cluster) runClientPipelined(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, copies bool, rowOf func(int32) []float32, agg aggregateFunc) error {
 	window := c.Overlap.window()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -360,7 +363,7 @@ func (c *Cluster) runClientPipelined(ctx context.Context, d, cols int, tp Transp
 				failed = true
 				break
 			}
-			agg(rcv.slots, msg.Rows)
+			agg(rowOf, rcv.slots, msg.Rows)
 			c.recycle(tp, msg)
 		}
 		if failed {

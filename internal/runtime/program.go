@@ -244,7 +244,7 @@ func (c *Cluster) compileBackward(nonAtomic bool) (*routingProgram, error) {
 // transportCache holds the reusable plain-stack channel transport bound to
 // one compiled program's stage layout. Channel construction is O(transfers)
 // per collective; on the undecorated stack (no faults, crashes, retries, or
-// custom base) a successful collective provably drains every channel — each
+// provider base) a successful collective provably drains every channel — each
 // key is sent exactly once and received exactly once — so the transport can
 // carry the next collective as-is. Any client error (timeout, cancellation)
 // may strand messages in channels, so a failed collective discards the
@@ -295,29 +295,29 @@ func (tc *transportCache) release(b Transport, failed bool) {
 
 // acquireTransport composes the transport stack for one collective over the
 // program's stage layout. Decorated stacks (fault injection, crash, retry,
-// custom base) are rebuilt per collective exactly as before — their
-// correctness depends on per-collective state. The plain stack reuses the
-// program's cached channel transport, re-wrapping only the cheap stats
-// accounting layer.
+// provider base) are rebuilt per collective — their correctness depends on
+// per-collective state. The plain stack reuses the program's cached channel
+// transport, re-wrapping only the cheap stats accounting layer.
 func (c *Cluster) acquireTransport(prog *routingProgram, relayAware bool) (Transport, func(failed bool)) {
-	if c.Transport != nil || c.Provider != nil || c.Faults != nil || c.Crash != nil || c.Retry != nil {
+	if c.Provider != nil || c.Faults != nil || c.Crash != nil || c.Retry != nil {
 		return c.newTransport(prog.stages, relayAware), func(bool) {}
 	}
 	base := prog.tc.acquire(prog.stages)
 	tp := base
 	if c.Stats != nil {
-		tp = newStatsTransport(tp, c.Stats, c.Rel.Owner, relayAware)
+		tp = NewStatsTransport(tp, c.Stats, c.Rel.Owner, relayAware)
 	}
 	return tp, func(failed bool) { prog.tc.release(base, failed) }
 }
 
-// seal wraps a payload for transmission. Checksums exist so transports that
-// can corrupt data (fault injection, custom bases) are detectable end to
-// end; the plain in-process stack never corrupts, and nothing on it ever
-// calls Valid, so sealing there would burn a hash of every payload float for
-// a field nobody reads. Profiling put that hash at ~21% of epoch CPU.
+// seal wraps a payload for transmission. Checksums exist so the one layer
+// that can corrupt data (fault injection) is detectable end to end; without
+// it nothing ever calls Valid — the channel stack never corrupts and the
+// wire guards its frames with their own checksum — so sealing would burn a
+// hash of every payload float for a field nobody reads. Profiling put that
+// hash at ~21% of epoch CPU.
 func (c *Cluster) seal(rows Message) Message {
-	if c.Faults != nil || c.Transport != nil {
+	if c.Faults != nil {
 		rows.Checksum = payloadChecksum(rows.Rows)
 	}
 	return rows
@@ -329,13 +329,13 @@ func (c *Cluster) seal(rows Message) Message {
 // and retransmissions re-deliver the same buffer at most once — so the
 // consumer owns the payload outright. A transport chain exposing a
 // MessageRecycler (the wire transport pools its decode buffers) takes the
-// payload back itself. Any other custom Transport may retain or replay
+// payload back itself. Any other provider's transport may retain or replay
 // messages, so its payloads are never pooled.
 func (c *Cluster) recycle(tp Transport, msg Message) {
 	if msg.Rows == nil {
 		return
 	}
-	if c.Transport == nil && c.Provider == nil {
+	if c.Provider == nil {
 		c.pool.put(msg.Rows)
 		return
 	}

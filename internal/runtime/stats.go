@@ -68,55 +68,6 @@ func (s *CommStats) Retries(d int) int64 { return s.retries[d].Load() }
 // Timeouts returns the receive deadlines GPU d hit.
 func (s *CommStats) Timeouts(d int) int64 { return s.timeouts[d].Load() }
 
-// GPUCommSnapshot is one GPU's counters at a point in time.
-type GPUCommSnapshot struct {
-	SentBytes, SentMsgs int64
-	RecvBytes, RecvMsgs int64
-	RelayedBytes        int64
-	Retries, Timeouts   int64
-}
-
-// CommSnapshot is a consistent-enough point-in-time copy of CommStats: each
-// counter is loaded atomically, so a snapshot taken while a collective is in
-// flight is race-free (individual counters may be mid-update relative to
-// each other, which is fine for health evidence and reporting).
-type CommSnapshot struct {
-	PerGPU []GPUCommSnapshot
-}
-
-// TotalTimeouts sums the receive-deadline hits across the snapshot.
-func (s CommSnapshot) TotalTimeouts() int64 {
-	var t int64
-	for _, g := range s.PerGPU {
-		t += g.Timeouts
-	}
-	return t
-}
-
-// TotalRetries sums the retransmissions across the snapshot.
-func (s CommSnapshot) TotalRetries() int64 {
-	var t int64
-	for _, g := range s.PerGPU {
-		t += g.Retries
-	}
-	return t
-}
-
-// Snapshot returns a race-free copy of every counter; safe to call while
-// collectives are running.
-func (s *CommStats) Snapshot() CommSnapshot {
-	out := CommSnapshot{PerGPU: make([]GPUCommSnapshot, s.k)}
-	for d := 0; d < s.k; d++ {
-		out.PerGPU[d] = GPUCommSnapshot{
-			SentBytes: s.sentBytes[d].Load(), SentMsgs: s.sentMsgs[d].Load(),
-			RecvBytes: s.recvBytes[d].Load(), RecvMsgs: s.recvMsgs[d].Load(),
-			RelayedBytes: s.relayedBytes[d].Load(),
-			Retries:      s.retries[d].Load(), Timeouts: s.timeouts[d].Load(),
-		}
-	}
-	return out
-}
-
 // TotalBytes returns all bytes sent across the cluster.
 func (s *CommStats) TotalBytes() int64 {
 	var t int64
@@ -175,15 +126,11 @@ type statsTransport struct {
 	relayAware bool
 }
 
-func newStatsTransport(inner Transport, stats *CommStats, owner []int32, relayAware bool) Transport {
-	return &statsTransport{inner: inner, stats: stats, owner: owner, relayAware: relayAware}
-}
-
 // NewStatsTransport wraps inner with per-GPU transfer accounting. Exported
 // for the transport conformance battery; production composition happens in
 // Cluster.newTransport.
 func NewStatsTransport(inner Transport, stats *CommStats, owner []int32, relayAware bool) Transport {
-	return newStatsTransport(inner, stats, owner, relayAware)
+	return &statsTransport{inner: inner, stats: stats, owner: owner, relayAware: relayAware}
 }
 
 // Unwrap exposes the decorated transport (see WrappingTransport).

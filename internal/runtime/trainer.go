@@ -104,30 +104,9 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 	c := tr.Cluster
 	numLayers := len(tr.Models[0].Layers)
 	active := c.ActiveRanks()
-	// Forward: per layer, allgather then concurrent local layer compute.
-	h := tr.Features
-	for l := 0; l < numLayers; l++ {
-		var full []*tensor.Matrix
-		var err error
-		if l == 0 {
-			full, err = tr.layer0Full(ctx)
-		} else {
-			full, err = c.AllgatherContext(ctx, h)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("runtime: forward allgather layer %d: %w", l, err)
-		}
-		next := make([]*tensor.Matrix, c.K)
-		var wg sync.WaitGroup
-		for _, d := range active {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				next[d] = tr.Models[d].Layers[l].Forward(tr.Aggs[d], full[d])
-			}(d)
-		}
-		wg.Wait()
-		h = next
+	h, err := tr.forward(ctx)
+	if err != nil {
+		return 0, err
 	}
 	// Loss on local outputs; worker mode fills in the other processes' rank
 	// losses so the global loss stays a bit-identical rank-ordered sum.
@@ -178,6 +157,39 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 		return 0, err
 	}
 	return loss, nil
+}
+
+// forward runs the forward passes — per layer, allgather then concurrent
+// local layer compute on every locally-executed client — and returns each
+// client's output rows (nil entries for clients hosted by other processes).
+func (tr *Trainer) forward(ctx context.Context) ([]*tensor.Matrix, error) {
+	c := tr.Cluster
+	active := c.ActiveRanks()
+	h := tr.Features
+	for l := range tr.Models[0].Layers {
+		var full []*tensor.Matrix
+		var err error
+		if l == 0 {
+			full, err = tr.layer0Full(ctx)
+		} else {
+			full, err = c.AllgatherContext(ctx, h)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("runtime: forward allgather layer %d: %w", l, err)
+		}
+		next := make([]*tensor.Matrix, c.K)
+		var wg sync.WaitGroup
+		for _, d := range active {
+			wg.Add(1)
+			go func(d int) {
+				defer wg.Done()
+				next[d] = tr.Models[d].Layers[l].Forward(tr.Aggs[d], full[d])
+			}(d)
+		}
+		wg.Wait()
+		h = next
+	}
+	return h, nil
 }
 
 // allreduceGrads synchronizes every parameter gradient across clients with a
@@ -257,18 +269,9 @@ func (tr *Trainer) Forward(globalRows int) (*tensor.Matrix, error) {
 // ForwardContext runs only the forward passes and returns the global output
 // matrix, for inference-style verification. Every allgather observes ctx.
 func (tr *Trainer) ForwardContext(ctx context.Context, globalRows int) (*tensor.Matrix, error) {
-	c := tr.Cluster
-	h := tr.Features
-	for l := 0; l < len(tr.Models[0].Layers); l++ {
-		full, err := c.AllgatherContext(ctx, h)
-		if err != nil {
-			return nil, err
-		}
-		next := make([]*tensor.Matrix, c.K)
-		for d := 0; d < c.K; d++ {
-			next[d] = tr.Models[d].Layers[l].Forward(tr.Aggs[d], full[d])
-		}
-		h = next
+	h, err := tr.forward(ctx)
+	if err != nil {
+		return nil, err
 	}
 	return tr.GatherOutput(h, globalRows), nil
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"dgcl/internal/core"
+	"dgcl/internal/fnv64"
 	"dgcl/internal/tensor"
 )
 
@@ -44,14 +44,11 @@ func NewMessage(rows *tensor.Matrix) Message {
 func (m Message) Valid() bool { return m.Checksum == payloadChecksum(m.Rows) }
 
 func payloadChecksum(rows *tensor.Matrix) uint64 {
-	h := fnv.New64a()
-	var b [4]byte
+	h := fnv64.New()
 	for _, f := range rows.Data {
-		bits := math.Float32bits(f)
-		b[0], b[1], b[2], b[3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
-		h.Write(b[:])
+		h = h.U32(math.Float32bits(f))
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Transport moves one collective's messages between clients. A Transport
@@ -70,17 +67,12 @@ type Transport interface {
 	Recv(ctx context.Context, key TransferKey, tr core.Transfer) (Message, error)
 }
 
-// TransportFactory builds a fresh Transport for one collective over the
-// given (flattened) stage layout.
-type TransportFactory func(stages [][]core.Transfer) Transport
-
 // TransportProvider supplies the base transport per collective along with
-// the cluster's client->device mapping. Unlike a bare TransportFactory, a
-// provider can keep long-lived state (pooled sockets, sequence counters)
-// across collectives and route transfers by external device id — so a
-// degraded cluster rebuilt over survivors keeps addressing the same
-// endpoints. The wire transport (internal/comm/wire) is the canonical
-// implementation.
+// the cluster's client->device mapping. A provider can keep long-lived state
+// (pooled sockets, sequence counters) across collectives and routes
+// transfers by external device id — so a degraded cluster rebuilt over
+// survivors keeps addressing the same endpoints. The wire transport
+// (internal/comm/wire) is the canonical implementation.
 type TransportProvider interface {
 	CollectiveTransport(stages [][]core.Transfer, deviceIDs []int) Transport
 }

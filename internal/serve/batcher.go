@@ -3,6 +3,8 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"dgcl/internal/clock"
 )
 
 // The request batcher coalesces concurrent vertex-embedding queries into one
@@ -58,7 +60,7 @@ type batcher struct {
 	in       chan request
 	maxBatch int
 	delay    time.Duration
-	clock    Clock
+	clock    clock.Clock
 	flush    flushFunc
 	done     chan struct{}
 
@@ -66,12 +68,12 @@ type batcher struct {
 	closed bool
 }
 
-func newBatcher(maxBatch int, delay time.Duration, queueDepth int, clock Clock, flush flushFunc) *batcher {
+func newBatcher(maxBatch int, delay time.Duration, queueDepth int, clk clock.Clock, flush flushFunc) *batcher {
 	b := &batcher{
 		in:       make(chan request, queueDepth),
 		maxBatch: maxBatch,
 		delay:    delay,
-		clock:    clock,
+		clock:    clk,
 		flush:    flush,
 		done:     make(chan struct{}),
 	}
@@ -115,18 +117,15 @@ func (b *batcher) close() {
 func (b *batcher) run() {
 	defer close(b.done)
 	var batch []request
-	var tm Timer
+	var deadline <-chan time.Time
+	var stop func() bool
 	stopTimer := func() {
-		if tm != nil {
-			tm.Stop()
-			tm = nil
+		if stop != nil {
+			stop()
+			deadline, stop = nil, nil
 		}
 	}
 	for {
-		var deadline <-chan time.Time
-		if tm != nil {
-			deadline = tm.C()
-		}
 		select {
 		case r, ok := <-b.in:
 			if !ok {
@@ -138,7 +137,7 @@ func (b *batcher) run() {
 			}
 			batch = append(batch, r)
 			if len(batch) == 1 {
-				tm = b.clock.NewTimer(b.delay)
+				deadline, stop = b.clock.After(b.delay)
 			}
 			if len(batch) >= b.maxBatch {
 				stopTimer()
@@ -146,7 +145,7 @@ func (b *batcher) run() {
 				batch = nil
 			}
 		case <-deadline:
-			tm = nil
+			deadline, stop = nil, nil
 			if len(batch) > 0 {
 				b.flush(batch, flushDeadline)
 			}

@@ -5,83 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"dgcl/internal/clock"
 	"dgcl/internal/testutil"
 )
 
-// fakeClock is a deterministic Clock for the batcher tests: time advances
-// only when the test says so, and timers fire only when advanced past their
-// deadline.
-type fakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1700000000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) NewTimer(d time.Duration) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{ch: make(chan time.Time, 1), deadline: c.now.Add(d)}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-// advance moves time forward and fires every timer whose deadline passed.
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	var live []*fakeTimer
-	for _, t := range c.timers {
-		if t.fire(c.now) {
-			continue
-		}
-		live = append(live, t)
-	}
-	c.timers = live
-	c.mu.Unlock()
-}
-
-type fakeTimer struct {
-	mu       sync.Mutex
-	ch       chan time.Time
-	deadline time.Time
-	stopped  bool
-}
-
-func (t *fakeTimer) C() <-chan time.Time { return t.ch }
-
-func (t *fakeTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	was := !t.stopped
-	t.stopped = true
-	return was
-}
-
-// fire delivers the tick if due and not stopped; reports whether the timer
-// is finished (fired or stopped).
-func (t *fakeTimer) fire(now time.Time) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		return true
-	}
-	if !now.Before(t.deadline) {
-		t.stopped = true
-		t.ch <- now
-		return true
-	}
-	return false
-}
+func newFakeClock() *clock.Fake { return clock.NewFake(time.Unix(1700000000, 0)) }
 
 // flushRecorder collects flushes for assertions.
 type flushRecorder struct {
@@ -160,13 +88,13 @@ func waitBatched(t *testing.T, b *batcher) {
 
 func TestBatcherDeadlineFiresBeforeOccupancy(t *testing.T) {
 	base := testutil.Goroutines()
-	clock := newFakeClock()
+	clk := newFakeClock()
 	rec := newFlushRecorder()
-	b := newBatcher(8, 10*time.Millisecond, 64, clock, rec.flush)
+	b := newBatcher(8, 10*time.Millisecond, 64, clk, rec.flush)
 
 	submitN(t, b, 1, 2, 3)
 	waitBatched(t, b)
-	clock.advance(10 * time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
 
 	flushes := rec.wait(t, 1)
 	if got := flushes[0]; got.reason != flushDeadline || len(got.vertices) != 3 {
@@ -179,9 +107,9 @@ func TestBatcherDeadlineFiresBeforeOccupancy(t *testing.T) {
 }
 
 func TestBatcherOccupancyFiresBeforeDeadline(t *testing.T) {
-	clock := newFakeClock()
+	clk := newFakeClock()
 	rec := newFlushRecorder()
-	b := newBatcher(4, time.Hour, 64, clock, rec.flush)
+	b := newBatcher(4, time.Hour, 64, clk, rec.flush)
 	defer b.close()
 
 	// The deadline is an hour out and the clock never advances: only the
@@ -201,14 +129,14 @@ func TestBatcherOccupancyFiresBeforeDeadline(t *testing.T) {
 }
 
 func TestBatcherShedsAtQueueThreshold(t *testing.T) {
-	clock := newFakeClock()
+	clk := newFakeClock()
 	// A flush gate that blocks keeps the run loop busy so submissions pile
 	// up in the queue.
 	gate := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
 	defer release()
-	b := newBatcher(1, time.Hour, 4, clock, func(batch []request, _ flushReason) {
+	b := newBatcher(1, time.Hour, 4, clk, func(batch []request, _ flushReason) {
 		<-gate
 		for _, r := range batch {
 			r.ch <- response{}
@@ -234,9 +162,9 @@ func TestBatcherShedsAtQueueThreshold(t *testing.T) {
 
 func TestBatcherDrainsOnShutdown(t *testing.T) {
 	base := testutil.Goroutines()
-	clock := newFakeClock()
+	clk := newFakeClock()
 	rec := newFlushRecorder()
-	b := newBatcher(8, time.Hour, 64, clock, rec.flush)
+	b := newBatcher(8, time.Hour, 64, clk, rec.flush)
 
 	reqs := submitN(t, b, 1, 2, 3, 4, 5)
 	b.close() // deadline never fired, batch not full: drain must flush

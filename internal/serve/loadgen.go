@@ -2,12 +2,10 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -19,8 +17,7 @@ import (
 // a target QPS — the skewed access pattern real vertex-serving workloads see
 // (a hot head of popular vertices, a long cold tail), which is exactly what
 // exercises the LRU: the head hits, the tail misses. It can drive a Server
-// in-process (direct mode) or a dgclserve endpoint over TCP, and can record
-// its report into a dgclbenchdiff runs file.
+// in-process (direct mode) or a dgclserve endpoint over TCP.
 
 // LoadOptions configures one load run. Exactly one of Server and Addr must
 // be set.
@@ -240,71 +237,6 @@ func tcpQuerier(conn net.Conn, timeout time.Duration) func(v int) (bool, error) 
 		}
 		return reply.Cached[0], nil
 	}
-}
-
-// benchResult / benchRun / benchRecord mirror the dgclbenchdiff runs-file
-// shape so BENCH_serve.json diffs with the same tool as the other BENCH
-// files.
-type benchResult struct {
-	Name     string  `json:"name"`
-	Iters    int64   `json:"iters"`
-	NsPerOp  float64 `json:"ns_op"`
-	BPerOp   int64   `json:"b_op"`
-	AllocsOp int64   `json:"allocs_op"`
-}
-
-type benchRun struct {
-	Label   string        `json:"label"`
-	Results []benchResult `json:"results"`
-}
-
-type benchRecord struct {
-	Note string     `json:"note,omitempty"`
-	Runs []benchRun `json:"runs"`
-}
-
-// RecordBench upserts the reports as a labeled run in a dgclbenchdiff runs
-// file. Latencies are recorded in ns/op under ServeZipf/qps=... names; the
-// hit rate rides along as a pseudo-benchmark in percent.
-func RecordBench(path, label string, reports []*LoadReport) error {
-	var results []benchResult
-	for _, r := range reports {
-		iters := int64(r.OK)
-		prefix := fmt.Sprintf("BenchmarkServeZipf/qps=%g", r.QPS)
-		add := func(name string, v float64) {
-			results = append(results, benchResult{Name: prefix + "/" + name, Iters: iters, NsPerOp: v})
-		}
-		add("p50", float64(r.P50.Nanoseconds()))
-		add("p99", float64(r.P99.Nanoseconds()))
-		add("p999", float64(r.P999.Nanoseconds()))
-		add("hit_p99", float64(r.HitP99.Nanoseconds()))
-		add("miss_p99", float64(r.MissP99.Nanoseconds()))
-		add("hit_rate_pct", 100*r.HitRate)
-	}
-	rec := &benchRecord{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, rec); err != nil {
-			return fmt.Errorf("loadgen: %s: %w", path, err)
-		}
-	}
-	if rec.Note == "" {
-		rec.Note = "serve-path latency under Zipf load (ns_op carries latency quantiles; hit_rate_pct is a percentage)"
-	}
-	replaced := false
-	for i := range rec.Runs {
-		if rec.Runs[i].Label == label {
-			rec.Runs[i].Results = results
-			replaced = true
-		}
-	}
-	if !replaced {
-		rec.Runs = append(rec.Runs, benchRun{Label: label, Results: results})
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FormatReport renders one report as a human-readable line block.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"dgcl/internal/fnv64"
 )
 
 // The serve protocol frames requests as DGS1 binary frames (the wire codec's
@@ -64,17 +66,6 @@ type StatsReply struct {
 	Stats       Stats  `json:"stats"`
 }
 
-// reqFNV64a is FNV-64a over the raw body bytes (same checksum as the wire
-// frame codec, inlined for the same no-alloc reason).
-func reqFNV64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // AppendRequest appends the canonical encoding of r to buf.
 func AppendRequest(buf []byte, r *Request) []byte {
 	start := len(buf)
@@ -92,7 +83,7 @@ func AppendRequest(buf []byte, r *Request) []byte {
 	}
 	body := buf[bodyStart:]
 	binary.LittleEndian.PutUint32(buf[start+8:], uint32(len(body)))
-	binary.LittleEndian.PutUint64(buf[start+12:], reqFNV64a(body))
+	binary.LittleEndian.PutUint64(buf[start+12:], fnv64.Sum(body))
 	return buf
 }
 
@@ -124,7 +115,7 @@ func DecodeRequest(data []byte) (*Request, int, error) {
 	}
 	sum := binary.LittleEndian.Uint64(data[12:])
 	body := data[reqHeaderSize : reqHeaderSize+int(length)]
-	if got := reqFNV64a(body); got != sum {
+	if got := fnv64.Sum(body); got != sum {
 		return nil, 0, fmt.Errorf("serve: request checksum mismatch: header %#x, body %#x", sum, got)
 	}
 	r := &Request{Op: op}

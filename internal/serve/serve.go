@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"dgcl"
+	"dgcl/internal/clock"
 )
 
 // ErrOverload is returned by Query when admission control sheds the request:
@@ -72,7 +73,7 @@ type Config struct {
 	// Default 15s.
 	RequestTimeout time.Duration
 	// Clock injects time (tests); nil means the wall clock.
-	Clock Clock
+	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -103,7 +104,7 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 15 * time.Second
 	}
 	if c.Clock == nil {
-		c.Clock = realClock{}
+		c.Clock = clock.Real{}
 	}
 	return c
 }
@@ -112,7 +113,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg         Config
 	sys         *dgcl.System
-	clock       Clock
+	clock       clock.Clock
 	numVertices int
 
 	// version is the model version: bumped by UpdateModel/EpochHook and by

@@ -182,9 +182,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Topology returns the simulated fabric.
-func (n *Network) Topology() *topology.Topology { return n.topo }
-
 // flow is one concurrent transfer within a stage.
 type flow struct {
 	hops    []topology.DirectedHop

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net"
 	"time"
+
+	"dgcl/internal/clock"
 )
 
 // BackoffConfig bounds the exponential reconnect backoff a worker uses to
@@ -69,12 +71,12 @@ func (b *backoff) next() time.Duration {
 
 // dialBackoff dials the coordinator under the backoff schedule, sleeping on
 // the injected clock so tests drive the retries deterministically.
-func dialBackoff(ctx context.Context, clock Clock, addr string, cfg BackoffConfig) (net.Conn, error) {
+func dialBackoff(ctx context.Context, clk clock.Clock, addr string, cfg BackoffConfig) (net.Conn, error) {
 	b := newBackoff(cfg)
 	var lastErr error
 	for try := 0; try < b.cfg.Tries; try++ {
 		if try > 0 {
-			ch, stop := clock.After(b.next())
+			ch, stop := clk.After(b.next())
 			select {
 			case <-ch:
 			case <-ctx.Done():

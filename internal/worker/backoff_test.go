@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dgcl/internal/testutil"
+	"dgcl/internal/clock"
 )
 
 // TestBackoffScheduleDeterministicAndBounded: the retry schedule is a pure
@@ -69,7 +69,7 @@ func TestDialBackoffSleepsOnInjectedClock(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // nothing listens here any more: every dial fails fast
 
-	fc := testutil.NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	done := make(chan error, 1)
 	go func() {
 		_, err := dialBackoff(context.Background(), fc, addr,
@@ -104,7 +104,7 @@ func TestDialBackoffHonorsContextCancel(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	fc := testutil.NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -9,17 +9,17 @@ import (
 	"sync"
 	"time"
 
+	"dgcl/internal/clock"
 	"dgcl/internal/comm/wire"
 	"dgcl/internal/runtime"
 )
 
-// The supervised coordinator (DESIGN.md §15). RunCoordinator's static
-// join/start/result/bye protocol is now the degenerate fast path of a
-// membership layer: every worker holds a lease renewed by heartbeats, missed
-// deadlines accumulate HealthTracker strikes (stalled → suspect → dead), a
-// connection loss is immediate fail-stop evidence, and a membership change —
-// death, graceful leave, rejoin — rolls the run forward one generation
-// instead of tearing it down. Within the rejoin grace window a restarted
+// The supervised coordinator (DESIGN.md §15). A static join/start/result/bye
+// run is the degenerate fast path of a membership layer: every worker holds
+// a lease renewed by heartbeats, missed deadlines accumulate HealthTracker
+// strikes (stalled → suspect → dead), a connection loss is immediate
+// fail-stop evidence, and a membership change — death, graceful leave,
+// rejoin — rolls the run forward one generation instead of tearing it down. Within the rejoin grace window a restarted
 // worker can reclaim its dead slot and every member catches up from the
 // newest checkpoint epoch they all hold; after the window the coordinator
 // degrades the dead members' ranks onto the survivors over live sockets
@@ -53,8 +53,8 @@ type SuperviseOptions struct {
 	// 2×GPUs.
 	MaxChanges int
 	// Clock injects time for lease arithmetic and wakeups (tests use
-	// testutil.FakeClock). Default: the real clock.
-	Clock Clock
+	// clock.Fake). Default: the real clock.
+	Clock clock.Clock
 	// OnEvent, when non-nil, observes every membership transition.
 	OnEvent func(MemberEvent)
 }
@@ -131,7 +131,7 @@ type lossRec struct {
 type supervisor struct {
 	opts  SuperviseOptions
 	spec  Spec
-	clock Clock
+	clock clock.Clock
 	runID string
 	ln    net.Listener
 
@@ -152,10 +152,9 @@ type supervisor struct {
 	// Recovery timing: detection of the current incident and the generation
 	// it happened in; resolved by the first progress beat of a later
 	// generation.
-	measuring  bool
-	detectAt   time.Time
-	detectGen  uint64
-	recoveries []time.Duration
+	measuring bool
+	detectAt  time.Time
+	detectGen uint64
 
 	failure error
 }
@@ -180,16 +179,9 @@ func (o SuperviseOptions) withDefaults() SuperviseOptions {
 		o.MaxChanges = 2 * o.Spec.GPUs
 	}
 	if o.Clock == nil {
-		o.Clock = realClock{}
+		o.Clock = clock.Real{}
 	}
 	return o
-}
-
-// RunCoordinator serves one multi-process run on a pre-opened listener with
-// default supervision. Kept as the compatibility entry point; Supervise is
-// the full surface.
-func RunCoordinator(ctx context.Context, ln net.Listener, workers int, spec Spec) (*Report, error) {
-	return Supervise(ctx, ln, SuperviseOptions{Workers: workers, Spec: spec})
 }
 
 // Supervise serves one supervised multi-process run: it admits Workers
@@ -757,8 +749,7 @@ func (s *supervisor) handleMemberMsg(m *member, msg ctrlMsg) {
 		m.epoch = msg.Epoch
 		if s.measuring && s.gen > s.detectGen {
 			s.measuring = false
-			s.recoveries = append(s.recoveries, s.clock.Now().Sub(s.detectAt))
-			s.event(m.slot, "recovered", m.epoch, fmt.Sprintf("detection to resumed progress: %v", s.recoveries[len(s.recoveries)-1]))
+			s.event(m.slot, "recovered", m.epoch, fmt.Sprintf("detection to resumed progress: %v", s.clock.Now().Sub(s.detectAt)))
 		}
 	case mtFault:
 		if s.leases != nil {
@@ -838,8 +829,3 @@ func (s *supervisor) finish() (*Report, error) {
 	}
 	return &Report{Losses: losses, ModelSum: sum}, nil
 }
-
-// RecoveryTimes returns the measured detection→resume durations of a
-// supervisor run. Exposed through Supervise's OnEvent "recovered" records;
-// this accessor exists for the chaos bench recorder.
-func (s *supervisor) RecoveryTimes() []time.Duration { return s.recoveries }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"dgcl/internal/clock"
 	"dgcl/internal/runtime"
 )
 
@@ -21,7 +22,7 @@ import (
 // via Clock), so it needs no lock of its own; the embedded HealthTracker is
 // internally synchronized.
 type leases struct {
-	clock   Clock
+	clock   clock.Clock
 	timeout time.Duration
 	health  *runtime.HealthTracker
 
@@ -31,11 +32,11 @@ type leases struct {
 
 // newLeases builds a lease table for one membership generation. timeout is
 // the per-renewal deadline; downAfter the consecutive-strike threshold.
-func newLeases(clock Clock, timeout time.Duration, downAfter int) *leases {
+func newLeases(clk clock.Clock, timeout time.Duration, downAfter int) *leases {
 	return &leases{
-		clock:   clock,
+		clock:   clk,
 		timeout: timeout,
-		health:  runtime.NewHealthTracker(downAfter, nil, nil),
+		health:  runtime.NewHealthTracker(downAfter, nil),
 		last:    make(map[int]time.Time),
 		dev:     make(map[int]int),
 	}

@@ -5,15 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"dgcl/internal/testutil"
+	"dgcl/internal/clock"
 )
 
 // Lease-table battery on the injected clock: expiry cadence, strike
 // accumulation to a verdict, renewal clearing strikes, and the wakeup
 // arithmetic are all exact — no wall-clock sleeps.
 
-func leaseFixture(timeout time.Duration, downAfter int) (*testutil.FakeClock, *leases) {
-	fc := testutil.NewFakeClock(time.Unix(1000, 0))
+func leaseFixture(timeout time.Duration, downAfter int) (*clock.Fake, *leases) {
+	fc := clock.NewFake(time.Unix(1000, 0))
 	return fc, newLeases(fc, timeout, downAfter)
 }
 

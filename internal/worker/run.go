@@ -13,6 +13,7 @@ import (
 
 	"dgcl"
 	"dgcl/internal/checkpoint"
+	"dgcl/internal/clock"
 	"dgcl/internal/comm/wire"
 	"dgcl/internal/gnn"
 	"dgcl/internal/runtime"
@@ -51,7 +52,7 @@ type WorkerOptions struct {
 	Backoff BackoffConfig
 	// Clock injects time for backoff sleeps and heartbeat pacing. Default:
 	// the real clock.
-	Clock Clock
+	Clock clock.Clock
 	// Drain, when non-nil, requests a graceful exit when it becomes
 	// readable: polled at epoch boundaries (cmd/dgclworker closes it on
 	// SIGTERM/SIGINT).
@@ -67,9 +68,6 @@ type WorkerOptions struct {
 	// OverlapWindow overrides the in-flight stage window locally (0 keeps
 	// the default).
 	OverlapWindow int
-	// WireWindow overrides the spec's per-link credit window locally (0
-	// uses the spec's, then wire.DefaultWindow).
-	WireWindow int
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -80,7 +78,7 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 		o.CheckpointEvery = 1
 	}
 	if o.Clock == nil {
-		o.Clock = realClock{}
+		o.Clock = clock.Real{}
 	}
 	if o.EpochTimeout <= 0 {
 		o.EpochTimeout = 2 * time.Minute
@@ -155,14 +153,6 @@ func runStateDir(stateDir, runID string) string {
 		}
 	}
 	return filepath.Join(stateDir, string(safe))
-}
-
-// RunWorker hosts one process's share of a run with default options: join
-// the coordinator at coordAddr, advertise data listeners bound on dataBind,
-// train, report. Kept as the compatibility entry point; Run is the full
-// surface.
-func RunWorker(ctx context.Context, coordAddr, dataBind string) (*Report, error) {
-	return Run(ctx, WorkerOptions{Coordinator: coordAddr, DataBind: dataBind})
 }
 
 // session is one membership generation's training state: the system built
@@ -404,14 +394,9 @@ func (s *session) train(ctx context.Context, cc *ctrlConn, mesh ctrlMsg, opts Wo
 		return fmt.Errorf("worker: resume epoch %d is beyond the run's %d epochs", start, s.spec.Epochs)
 	}
 
-	window := s.spec.WireWindow
-	if opts.WireWindow > 0 {
-		window = opts.WireWindow
-	}
 	node := wire.NewNode(wire.Config{
 		ClusterID: fmt.Sprintf("%s#g%d", s.runID, s.gen),
 		PlanSum:   s.planSum,
-		Window:    window,
 	}, s.you, s.ln)
 	s.node = node
 	if err := node.Connect(ctx, mesh.Nodes); err != nil {

@@ -21,12 +21,12 @@ package worker
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
 
 	"dgcl"
+	"dgcl/internal/fnv64"
 	"dgcl/internal/gnn"
 	"dgcl/internal/graph"
 )
@@ -52,11 +52,6 @@ type Spec struct {
 	// chunked layout, and the wire plan digest folds it in so a mismatch is
 	// rejected at the handshake.
 	ChunkRows int
-	// WireWindow is the per-link credit window every worker's wire node
-	// uses (0 means wire.DefaultWindow). Purely a tuning knob — it cannot
-	// affect results — but distributing it through the spec keeps the whole
-	// run consistently tuned.
-	WireWindow int
 }
 
 func (s Spec) withDefaults() Spec {
@@ -158,23 +153,15 @@ func TrainLocal(ctx context.Context, spec Spec) (*Report, error) {
 // ModelDigest fingerprints the model weights: FNV-64a over every parameter
 // float32's bits in deterministic order.
 func ModelDigest(m *dgcl.Model) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= 1099511628211
-		}
-	}
+	h := fnv64.New()
 	for _, layer := range m.Layers {
 		for _, p := range layer.Params() {
 			for _, x := range p.Data {
-				mix(math.Float32bits(x))
+				h = h.U32(math.Float32bits(x))
 			}
 		}
 	}
-	return h
+	return uint64(h)
 }
 
 // splitRanks assigns the K client ranks contiguously over w workers.

@@ -72,10 +72,10 @@ func runDistributed(t *testing.T, spec Spec, w int) *Report {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			workerReports[i], workerErrs[i] = RunWorker(ctx, ln.Addr().String(), "127.0.0.1:0")
+			workerReports[i], workerErrs[i] = Run(ctx, WorkerOptions{Coordinator: ln.Addr().String()})
 		}(i)
 	}
-	report, err := RunCoordinator(ctx, ln, w, spec)
+	report, err := Supervise(ctx, ln, SuperviseOptions{Workers: w, Spec: spec})
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
@@ -128,7 +128,7 @@ func TestCoordinatorRejectsTooManyWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := testSpec()
-	if _, err := RunCoordinator(context.Background(), ln, spec.GPUs+1, spec); err == nil {
+	if _, err := Supervise(context.Background(), ln, SuperviseOptions{Workers: spec.GPUs + 1, Spec: spec}); err == nil {
 		t.Fatal("coordinator accepted more workers than GPUs")
 	}
 }
@@ -169,7 +169,7 @@ func TestTwoOSProcesses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	report, err := RunCoordinator(ctx, ln, 2, spec)
+	report, err := Supervise(ctx, ln, SuperviseOptions{Workers: 2, Spec: spec})
 	for i, p := range procs {
 		if werr := p.Wait(); werr != nil {
 			t.Errorf("dgclworker %d: %v\n%s", i, werr, outs[i].String())
