@@ -5,8 +5,13 @@ FUZZTIME ?= 30s
 
 all: build test
 
+# The second and third lines keep the portable row kernels compiling and
+# vetting where they are the only implementation (internal/tensor has amd64
+# assembly; see DESIGN.md §11). Stdlib cross-compile: needs no network.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/gnn/
 
 test:
 	$(GO) test ./...

@@ -52,10 +52,12 @@ func (a *Aggregator) Forward(h *tensor.Matrix) *tensor.Matrix {
 	}
 	out := tensor.New(a.NumOut, h.Cols)
 	// Each output row u is written by exactly one worker (the
-	// one-writer-per-row discipline of tensor.ParallelRows), and the w == 1
-	// sum path drops the multiply: 1*x == x bitwise for every float32 x. Both
-	// keep the result bit-identical to the historical serial loop at any
-	// worker count.
+	// one-writer-per-row discipline of tensor.ParallelRows) and receives its
+	// neighbours' rows one at a time in ascending neighbour order. Blocking
+	// them by four (tensor.Axpy4) loads and stores the output row once per
+	// four neighbours without changing that order, and the sum path shares
+	// the loop: 1*x == x bitwise for every float32 x. Both keep the result
+	// bit-identical to the per-edge serial loop at any worker count.
 	tensor.ParallelRows(a.NumOut, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			w := a.weight(int32(u))
@@ -63,14 +65,14 @@ func (a *Aggregator) Forward(h *tensor.Matrix) *tensor.Matrix {
 				continue
 			}
 			orow := out.Row(u)
-			if w == 1 {
-				for _, v := range a.G.Neighbors(int32(u)) {
-					tensor.AddTo(orow, h.Row(int(v)))
-				}
-			} else {
-				for _, v := range a.G.Neighbors(int32(u)) {
-					tensor.Axpy(w, h.Row(int(v)), orow)
-				}
+			nbrs := a.G.Neighbors(int32(u))
+			i := 0
+			for ; i+3 < len(nbrs); i += 4 {
+				tensor.Axpy4(w, w, w, w,
+					h.Row(int(nbrs[i])), h.Row(int(nbrs[i+1])), h.Row(int(nbrs[i+2])), h.Row(int(nbrs[i+3])), orow)
+			}
+			for ; i < len(nbrs); i++ {
+				tensor.Axpy(w, h.Row(int(nbrs[i])), orow)
 			}
 		}
 	})

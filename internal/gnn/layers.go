@@ -48,7 +48,8 @@ type ParamsOnlyBackward interface {
 	BackwardParams(agg *Aggregator, gradOut *tensor.Matrix)
 }
 
-// selfRows returns the first n rows of h as a view-backed matrix copy.
+// selfRows returns a view of the first n rows of h (no copy: writes through
+// it land in h).
 func selfRows(h *tensor.Matrix, n int) *tensor.Matrix {
 	return tensor.FromData(n, h.Cols, h.Data[:n*h.Cols])
 }
@@ -198,13 +199,7 @@ func (l *GINLayer) Forward(agg *Aggregator, h *tensor.Matrix) *tensor.Matrix {
 		panic("gnn: GIN requires a sum aggregator")
 	}
 	l.sum = agg.Forward(h)
-	self := selfRows(h, agg.NumOut)
-	for i := 0; i < agg.NumOut; i++ {
-		srow, hrow := l.sum.Row(i), self.Row(i)
-		for j := range srow {
-			srow[j] += (1 + l.Eps) * hrow[j]
-		}
-	}
+	tensor.Axpy(1+l.Eps, selfRows(h, agg.NumOut).Data, l.sum.Data)
 	l.pre1 = tensor.MatMul(l.sum, l.W1)
 	tensor.AddBiasInPlace(l.pre1, l.B1)
 	l.hidden = tensor.ReLU(l.pre1)
@@ -223,13 +218,8 @@ func (l *GINLayer) Backward(agg *Aggregator, gradOut *tensor.Matrix) *tensor.Mat
 	tensor.AddInPlace(l.gB1, tensor.BiasGrad(gradPre1))
 	gradSum := tensor.MatMulABT(gradPre1, l.W1)
 	gradIn := agg.Backward(gradSum)
-	// (1+eps) self contribution.
-	for i := 0; i < agg.NumOut; i++ {
-		grow, srow := gradIn.Row(i), gradSum.Row(i)
-		for j := range srow {
-			grow[j] += (1 + l.Eps) * srow[j]
-		}
-	}
+	// (1+eps) self contribution, to the local rows only.
+	tensor.Axpy(1+l.Eps, gradSum.Data, selfRows(gradIn, agg.NumOut).Data)
 	return gradIn
 }
 

@@ -289,21 +289,13 @@ func aggregateAdd(rowOf func(int32) []float32, slots []int32, rows *tensor.Matri
 	if tensor.Parallelism() > 1 && len(slots) >= minParallelAggRows {
 		tensor.ParallelRows(len(slots), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				src := rows.Row(i)
-				dst := rowOf(slots[i])
-				for j, x := range src {
-					dst[j] += x
-				}
+				tensor.AddTo(rowOf(slots[i]), rows.Row(i))
 			}
 		})
 		return
 	}
 	for i, s := range slots {
-		src := rows.Row(i)
-		dst := rowOf(s)
-		for j, x := range src {
-			dst[j] += x
-		}
+		tensor.AddTo(rowOf(s), rows.Row(i))
 	}
 }
 

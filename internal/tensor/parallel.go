@@ -69,103 +69,18 @@ func ParallelRows(rows int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Axpy adds a*x into y elementwise over len(y) entries. The reslice of x is
-// a bounds hint: it pins len(x) == len(y) so the loop body needs no
-// per-element bounds checks. Each y[j] is updated by exactly one
-// independent += a*x[j], so the 4-way unroll changes neither values nor
-// accumulation order versus the historical inline loops — there is no
-// cross-element dependency to reassociate. Exported (with AddTo) so the GNN
-// aggregator's per-edge row updates go through the same tuned inner loop.
-func Axpy(a float32, x, y []float32) {
-	x = x[:len(y)]
-	// Slice-advance unroll: the loop conditions prove every index in the
-	// body, so the compiler emits no per-element bounds checks.
-	for len(x) >= 4 && len(y) >= 4 {
-		y[0] += a * x[0]
-		y[1] += a * x[1]
-		y[2] += a * x[2]
-		y[3] += a * x[3]
-		x, y = x[4:], y[4:]
-	}
-	if len(x) >= 2 && len(y) >= 2 {
-		y[0] += a * x[0]
-		y[1] += a * x[1]
-		x, y = x[2:], y[2:]
-	}
-	if len(x) >= 1 && len(y) >= 1 {
-		y[0] += a * x[0]
-	}
-}
-
-// AddTo adds x into y elementwise over len(y) entries — Axpy with a == 1,
-// minus the multiply (1*x == x bitwise for every float32 x, so callers may
-// use either form interchangeably).
-func AddTo(y, x []float32) {
-	x = x[:len(y)]
-	for len(x) >= 4 && len(y) >= 4 {
-		y[0] += x[0]
-		y[1] += x[1]
-		y[2] += x[2]
-		y[3] += x[3]
-		x, y = x[4:], y[4:]
-	}
-	if len(x) >= 2 && len(y) >= 2 {
-		y[0] += x[0]
-		y[1] += x[1]
-		x, y = x[2:], y[2:]
-	}
-	if len(x) >= 1 && len(y) >= 1 {
-		y[0] += x[0]
-	}
-}
-
-// axpy4 adds a0*x0 + a1*x1 + a2*x2 + a3*x3 into y, element by element, with
-// the four contributions applied in order (v is rounded to float32 after
-// each add, exactly as four successive Axpy calls would round). Blocking
-// four terms loads and stores y[j] once instead of four times.
-func axpy4(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
-	n := len(y)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	for j := range y {
-		v := y[j]
-		v += a0 * x0[j]
-		v += a1 * x1[j]
-		v += a2 * x2[j]
-		v += a3 * x3[j]
-		y[j] = v
-	}
-}
-
-// dot4 computes four fixed-order inner products of a against x0..x3 in one
-// pass. Each accumulator is its own left-to-right chain — identical to four
-// Dot calls — but the four independent chains pipeline where a single
-// chain's add latency would serialize.
-//
-//dgclvet:detreduce four independent canonical fixed-order float32 inner products.
-func dot4(a, x0, x1, x2, x3 []float32) (s0, s1, s2, s3 float32) {
-	n := len(a)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	for j := range a {
-		v := a[j]
-		s0 += v * x0[j]
-		s1 += v * x1[j]
-		s2 += v * x2[j]
-		s3 += v * x3[j]
-	}
-	return s0, s1, s2, s3
-}
-
 // matMulRows computes out[lo:hi] of out = a × b with the serial i-k-j loop,
 // k blocked by four: every output element still receives its k-terms one at
-// a time in ascending k (see axpy4), so results are bit-identical to the
-// unblocked kernel.
-func matMulRows(a, b, out *Matrix, lo, hi int) {
+// a time in ascending k (see Axpy4), so results are bit-identical to the
+// unblocked kernel. b is a header by value so that MatMulABT's transposed
+// copy needs no heap header.
+func matMulRows(a *Matrix, b Matrix, out *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		k := 0
 		for ; k+3 < len(arow); k += 4 {
-			axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3],
+			Axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3],
 				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), orow)
 		}
 		for ; k < len(arow); k++ {
@@ -184,29 +99,11 @@ func matMulATBRows(a, b, out *Matrix, lo, hi int) {
 		orow := out.Row(k)
 		i := 0
 		for ; i+3 < a.Rows; i += 4 {
-			axpy4(a.Data[i*a.Cols+k], a.Data[(i+1)*a.Cols+k], a.Data[(i+2)*a.Cols+k], a.Data[(i+3)*a.Cols+k],
+			Axpy4(a.Data[i*a.Cols+k], a.Data[(i+1)*a.Cols+k], a.Data[(i+2)*a.Cols+k], a.Data[(i+3)*a.Cols+k],
 				b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3), orow)
 		}
 		for ; i < a.Rows; i++ {
 			Axpy(a.Data[i*a.Cols+k], b.Row(i), orow)
-		}
-	}
-}
-
-// matMulABTRows computes out[lo:hi] of out = a × bᵀ; each output element is
-// one fixed-order Dot, computed four at a time (dot4) where the row width
-// allows.
-func matMulABTRows(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		j := 0
-		for ; j+3 < len(orow); j += 4 {
-			orow[j], orow[j+1], orow[j+2], orow[j+3] =
-				dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
-		}
-		for ; j < len(orow); j++ {
-			orow[j] = Dot(arow, b.Row(j))
 		}
 	}
 }

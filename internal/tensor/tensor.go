@@ -1,9 +1,16 @@
 // Package tensor provides the dense float32 linear algebra used by the GNN
 // substrate: row-major matrices with the operations GNN layers need
 // (matmul, transposed matmuls for backprop, bias, ReLU, row gather/scatter)
-// plus deterministic Xavier initialization. It is deliberately simple —
-// correctness and determinism matter more here than BLAS-grade speed, since
-// compute *time* is modeled by package device.
+// plus deterministic Xavier initialization. Its kernels are what an epoch
+// spends its time in, so they are built for speed under one fixed guarantee:
+// every output element receives its terms one at a time, in one order (the
+// serial loop's) — no reassociation, no partial sums. All of them run on
+// three row primitives (rowkernels.go) that are packed SSE2 on amd64, with
+// each product and each sum rounded to float32 on its own (no fused
+// multiply-add), and plain Go elsewhere and under -race; the assembly is
+// bit-identical to what the compiler makes of the Go loops on amd64.
+// Blocking and row-parallelism change how fast the order is walked, never
+// the order. (Results are pinned per platform: arm64 Go fuses y += a*x.)
 package tensor
 
 import (
@@ -88,7 +95,7 @@ func MatMul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmul %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
-	ParallelRows(a.Rows, func(lo, hi int) { matMulRows(a, b, out, lo, hi) })
+	ParallelRows(a.Rows, func(lo, hi int) { matMulRows(a, *b, out, lo, hi) })
 	return out
 }
 
@@ -104,22 +111,34 @@ func MatMulATB(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulABT returns a × bᵀ (used for input gradients).
+// MatMulABT returns a × bᵀ (used for input gradients): MatMul against a
+// transposed copy of b, which is the small operand (a weight matrix). Every
+// output element still receives a[i][k]·b[j][k] in ascending k starting from
+// +0 — the fixed-order inner product Dot(a.Row(i), b.Row(j)) — but as row
+// updates, so it runs on the same kernel as the other two matmuls. The copy
+// costs no allocation of its own: its floats sit behind the result's in one
+// slab and its header travels in the closure.
 func MatMulABT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulABT %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
-	ParallelRows(a.Rows, func(lo, hi int) { matMulABTRows(a, b, out, lo, hi) })
+	n := a.Rows * b.Rows
+	slab := make([]float32, n+len(b.Data))
+	out := FromData(a.Rows, b.Rows, slab[:n:n])
+	bt := Matrix{Rows: b.Cols, Cols: b.Rows, Data: slab[n:]}
+	for j := 0; j < b.Rows; j++ {
+		for k, v := range b.Row(j) {
+			bt.Data[k*bt.Cols+j] = v
+		}
+	}
+	ParallelRows(a.Rows, func(lo, hi int) { matMulRows(a, bt, out, lo, hi) })
 	return out
 }
 
 // AddInPlace adds b into a (same shape).
 func AddInPlace(a, b *Matrix) {
 	checkSameShape("add", a, b)
-	for i, v := range b.Data {
-		a.Data[i] += v
-	}
+	AddTo(a.Data, b.Data)
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -135,10 +154,7 @@ func AddBiasInPlace(a *Matrix, bias *Matrix) {
 		panic(fmt.Sprintf("tensor: bias %dx%d for %dx%d", bias.Rows, bias.Cols, a.Rows, a.Cols))
 	}
 	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j, bv := range bias.Data {
-			row[j] += bv
-		}
+		AddTo(a.Row(i), bias.Data)
 	}
 }
 
@@ -190,11 +206,7 @@ func ScatterAddRows(dst, src *Matrix, rows []int32) {
 		panic(fmt.Sprintf("tensor: scatter %dx%d into %dx%d via %d rows", src.Rows, src.Cols, dst.Rows, dst.Cols, len(rows)))
 	}
 	for i, r := range rows {
-		drow := dst.Row(int(r))
-		srow := src.Row(i)
-		for j, v := range srow {
-			drow[j] += v
-		}
+		AddTo(dst.Row(int(r)), src.Row(i))
 	}
 }
 

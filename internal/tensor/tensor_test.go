@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"dgcl/internal/testutil"
 )
 
 func TestMatMulKnown(t *testing.T) {
@@ -263,13 +265,18 @@ func bitsEqual(a, b *Matrix) bool {
 }
 
 // TestParallelKernelsBitIdentical runs all three matmul kernels across odd
-// shapes (including rows < workers, single rows/cols, and sparse inputs
-// exercising the removed zero-skip) at worker counts {1, 2, 3, 4, 7},
+// shapes (including rows < workers, single rows/cols, widths and depths off
+// the kernels' block sizes, and sparse inputs exercising the removed
+// zero-skip) at worker counts {1, 2, 3, 4, 7},
 // asserting bit-identical outputs against the serial references.
 func TestParallelKernelsBitIdentical(t *testing.T) {
 	defer SetParallelism(SetParallelism(1))
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 7}, {7, 3, 1}, {2, 9, 4}, {13, 6, 5}, {64, 17, 9}, {5, 1, 3},
+		// MatMulABT runs on the row kernel over a transposed b: k and n off
+		// the multiples of four (the k-block tail, the vector-loop tail) and
+		// rows narrower than one vector.
+		{4, 10, 2}, {9, 7, 3}, {3, 4, 2}, {6, 18, 19}, {5, 33, 6}, {2, 3, 13},
 	}
 	for _, sparse := range []bool{false, true} {
 		for si, s := range shapes {
@@ -301,6 +308,23 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 			}
 			SetParallelism(1)
 		}
+	}
+}
+
+// TestMatMulABTAllocatesLikeMatMul: the transposed copy MatMulABT computes
+// over must not show up as allocations of its own (an epoch calls it once per
+// rank per layer, and runtime.allocs_per_epoch is a tracked count).
+func TestMatMulABTAllocatesLikeMatMul(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer SetParallelism(SetParallelism(1))
+	a := New(50, 16).FillRandom(1)
+	w, wt := New(32, 16).FillRandom(2), New(16, 32).FillRandom(3)
+	abt := testing.AllocsPerRun(50, func() { MatMulABT(a, w) })
+	mm := testing.AllocsPerRun(50, func() { MatMul(a, wt) })
+	if abt > mm {
+		t.Fatalf("MatMulABT allocates %v times per call, MatMul %v", abt, mm)
 	}
 }
 
