@@ -13,17 +13,21 @@ build:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/gnn/
 
+# The second line runs the partitioner's micro-benchmarks once each
+# (ungated) so the ones DESIGN.md §17.3 cites keep compiling and running.
 test:
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench 'Coarsen|Hierarchical16|KWay8' -benchtime 1x ./internal/partition/
 
 # Race tier: the runtime is one goroutine per GPU over shared transports,
 # so every test also runs under the race detector. The set-up path's
 # concurrency (machines, devices, plan beside local graphs) gets ten more
 # rounds of its schedule-independence tests, since the detector only sees
-# the interleavings a run happens to execute.
+# the interleavings a run happens to execute, and of the coarsening
+# exactness tests, whose scratch rows every level shares.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'AcrossGOMAXPROCS|TestFor' ./internal/par/ ./internal/partition/ .
+	$(GO) test -race -count=10 -run 'AcrossGOMAXPROCS|TestFor|Coarsen' ./internal/par/ ./internal/partition/ .
 
 vet:
 	$(GO) vet ./...

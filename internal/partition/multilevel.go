@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/rand"
-	"slices"
 
 	"dgcl/internal/graph"
 )
@@ -58,10 +57,31 @@ func (w *weightedGraph) neighbors(v int32) ([]int32, []int64) {
 	return w.adjncy[w.xadj[v]:w.xadj[v+1]], w.adjwgt[w.xadj[v]:w.xadj[v+1]]
 }
 
+// rowScratch holds coarse rows as they are gathered, unsorted: a row's
+// length, and so the coarse edge count, is known only once it is complete. A
+// coarse graph has at most as many edges as the graph it was built from, so
+// one rowScratch sized for the finest level serves every level of a
+// multilevel call.
+type rowScratch struct {
+	adjncy []int32
+	adjwgt []int64
+}
+
+func newRowScratch(edges int) rowScratch {
+	return rowScratch{adjncy: make([]int32, edges), adjwgt: make([]int64, edges)}
+}
+
 // coarsen performs one level of heavy-edge matching and returns the coarse
 // graph plus the fine->coarse vertex map. Returns nil if matching failed to
-// shrink the graph meaningfully (ratio > 0.95).
-func (w *weightedGraph) coarsen(rng *rand.Rand) (*weightedGraph, []int32) {
+// shrink the graph meaningfully (ratio > 0.95). s must hold at least
+// len(w.adjncy) entries; coarsen overwrites it.
+//
+// Each coarse row is gathered unsorted into s and then emitted in ascending
+// neighbour order, without sorting: a counting scatter (a transpose) writes
+// the ids and a row-local pass attaches each row's own weights. Heavy-edge
+// matching breaks weight ties by neighbour order, so the order is what keeps
+// a seed's partition fixed.
+func (w *weightedGraph) coarsen(rng *rand.Rand, s rowScratch) (*weightedGraph, []int32) {
 	n := w.numVertices()
 	match := make([]int32, n)
 	for i := range match {
@@ -98,14 +118,8 @@ func (w *weightedGraph) coarsen(rng *rand.Rand) (*weightedGraph, []int32) {
 	if float64(coarseN) > 0.95*float64(n) {
 		return nil, nil
 	}
-	// Build coarse graph, merging parallel edges. A coarse graph has at most
-	// as many edges as the fine one, so both edge arrays are sized once.
-	cw := &weightedGraph{
-		xadj:   make([]int64, coarseN+1),
-		adjncy: make([]int32, 0, len(w.adjncy)),
-		adjwgt: make([]int64, 0, len(w.adjncy)),
-		vwgt:   make([]int64, coarseN),
-	}
+	// Build coarse graph, merging parallel edges.
+	xadj, vwgt := make([]int64, coarseN+1), make([]int64, coarseN)
 	// Gather fine vertices per coarse vertex.
 	fine := make([][2]int32, coarseN)
 	for i := range fine {
@@ -121,15 +135,17 @@ func (w *weightedGraph) coarsen(rng *rand.Rand) (*weightedGraph, []int32) {
 	}
 	// accum[cu] is the weight gathered so far on the edge from the current
 	// coarse vertex to cu. Edge weights are >= 1, so 0 means "not a neighbor
-	// yet" and the neighbor ids can be collected straight into adjncy.
+	// yet" and the neighbor ids can be collected straight into the scratch.
+	scrAdj, scrWgt := s.adjncy, s.adjwgt
 	accum := make([]int64, coarseN)
+	var e int64
 	for c := 0; c < coarseN; c++ {
-		start := len(cw.adjncy)
+		start := e
 		for _, v := range fine[c] {
 			if v < 0 {
 				continue
 			}
-			cw.vwgt[c] += w.vwgt[v]
+			vwgt[c] += w.vwgt[v]
 			nbrs, wgts := w.neighbors(v)
 			for i, u := range nbrs {
 				cu := cmap[u]
@@ -137,39 +153,50 @@ func (w *weightedGraph) coarsen(rng *rand.Rand) (*weightedGraph, []int32) {
 					continue
 				}
 				if accum[cu] == 0 {
-					cw.adjncy = append(cw.adjncy, cu)
+					scrAdj[e] = cu
+					e++
 				}
 				accum[cu] += wgts[i]
 			}
 		}
-		// Sorted emission keeps the partitioner deterministic for a seed:
-		// heavy-edge matching breaks weight ties by neighbor order.
-		row := cw.adjncy[start:]
-		slices.Sort(row)
-		for _, cu := range row {
-			cw.adjwgt = append(cw.adjwgt, accum[cu])
+		for j, cu := range scrAdj[start:e] {
+			scrWgt[start+int64(j)] = accum[cu]
 			accum[cu] = 0
 		}
-		cw.xadj[c+1] = int64(len(cw.adjncy))
+		xadj[c+1] = e
 	}
-	return cw, cmap
+	// accum is all zero again and now counts the ids written to each row of
+	// the transpose. The fine graph has an edge u→v exactly when it has v→u
+	// (fromGraph symmetrizes any graph that lacks one), so the coarse graph
+	// does too: row d of the transpose holds exactly row d's ids, in
+	// ascending order because c ascends, and fills the slots xadj gives row d.
+	adjncy, adjwgt := make([]int32, e), make([]int64, e)
+	for c := 0; c < coarseN; c++ {
+		for _, d := range scrAdj[xadj[c]:xadj[c+1]] {
+			adjncy[xadj[d]+accum[d]] = int32(c)
+			accum[d]++
+		}
+	}
+	// Weights cannot ride along in the transpose: it would give row c the
+	// weight of d→c where c→d belongs, and the two differ when fromGraph
+	// keeps a multigraph's duplicate edges (it keeps any input that has both
+	// directions of every edge). Each row looks its weights up in its own
+	// unsorted copy instead, through accum.
+	for c := 0; c < coarseN; c++ {
+		lo, hi := xadj[c], xadj[c+1]
+		for j, d := range scrAdj[lo:hi] {
+			accum[d] = scrWgt[lo+int64(j)]
+		}
+		for j, d := range adjncy[lo:hi] {
+			adjwgt[lo+int64(j)] = accum[d]
+		}
+	}
+	return &weightedGraph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt, vwgt: vwgt}, cmap
 }
 
 // multilevel runs the full coarsen / initial-partition / refine pipeline.
 func multilevel(w *weightedGraph, k int, opts Options, rng *rand.Rand) []int32 {
-	// Coarsening phase.
-	var levels []*weightedGraph
-	var maps [][]int32
-	cur := w
-	for cur.numVertices() > opts.CoarsenTo {
-		cw, cmap := cur.coarsen(rng)
-		if cw == nil {
-			break
-		}
-		levels = append(levels, cur)
-		maps = append(maps, cmap)
-		cur = cw
-	}
+	levels, maps, cur := coarsenLevels(w, opts.CoarsenTo, rng)
 	// Initial partition at the coarsest level.
 	assign := greedyGrow(cur, k, rng)
 	refine(cur, assign, k, opts, rng)
@@ -184,6 +211,29 @@ func multilevel(w *weightedGraph, k int, opts Options, rng *rand.Rand) []int32 {
 		refine(fineG, assign, k, opts, rng)
 	}
 	return assign
+}
+
+// coarsenLevels coarsens w until it has at most limit vertices or matching
+// stops shrinking it. It returns every level but the coarsest, the
+// fine->coarse map out of each, and the coarsest graph. The row scratch
+// every level shares is sized for w and dies on return, so refinement does
+// not hold it.
+func coarsenLevels(w *weightedGraph, limit int, rng *rand.Rand) (levels []*weightedGraph, maps [][]int32, coarsest *weightedGraph) {
+	if w.numVertices() <= limit {
+		return nil, nil, w
+	}
+	scratch := newRowScratch(len(w.adjncy))
+	cur := w
+	for cur.numVertices() > limit {
+		cw, cmap := cur.coarsen(rng, scratch)
+		if cw == nil {
+			break
+		}
+		levels = append(levels, cur)
+		maps = append(maps, cmap)
+		cur = cw
+	}
+	return levels, maps, cur
 }
 
 // greedyGrow produces an initial k-way partition by BFS-growing parts from

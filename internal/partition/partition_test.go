@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -281,25 +282,69 @@ func TestHierarchicalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestCoarsenAllocs: a coarsening level allocates its handful of arrays and
-// nothing per coarse vertex, whatever the size of the level.
+// nothing per coarse vertex, whatever the size of the level, and no more
+// bytes than the sort-based coarsening did (maxBytes, measured with this
+// test's seed and runs before the counting reorder replaced it).
 func TestCoarsenAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(1))
 	fine := fromGraph(graph.ComOrkut.Generate(256, 1))
-	coarse, _ := fine.coarsen(rng)
+	scratch := newRowScratch(len(fine.adjncy))
+	coarse, _ := fine.coarsen(rng, scratch)
 	if coarse == nil {
 		t.Fatal("Orkut/256 did not coarsen")
 	}
-	for level, w := range []*weightedGraph{fine, coarse} {
-		allocs := testing.AllocsPerRun(3, func() {
-			if cw, _ := w.coarsen(rng); cw == nil {
+	for level, c := range []struct {
+		w        *weightedGraph
+		maxBytes uint64
+	}{{fine, 5800032}, {coarse, 5335648}} {
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if cw, _ := c.w.coarsen(rng, scratch); cw == nil {
 				t.Fatal("level did not coarsen")
 			}
-		})
+		}
+		runtime.ReadMemStats(&after)
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("level %d (%d vertices): %d objects, %d bytes", level, c.w.numVertices(), allocs, bytes)
 		if allocs > 12 {
-			t.Errorf("level %d (%d vertices): coarsen allocates %.0f objects, budget 12", level, w.numVertices(), allocs)
+			t.Errorf("level %d (%d vertices): coarsen allocates %d objects, budget 12", level, c.w.numVertices(), allocs)
+		}
+		if bytes > c.maxBytes {
+			t.Errorf("level %d (%d vertices): coarsen allocates %d bytes, budget %d", level, c.w.numVertices(), bytes, c.maxBytes)
+		}
+	}
+}
+
+// BenchmarkCoarsen times one coarsening step from each of the first three
+// levels of Com-Orkut at 1/256 and 1/128 (setup-orkut16's graph).
+func BenchmarkCoarsen(b *testing.B) {
+	for _, scale := range []int{256, 128} {
+		levels := []*weightedGraph{fromGraph(graph.ComOrkut.Generate(scale, 1))}
+		scratch := newRowScratch(len(levels[0].adjncy))
+		rng := rand.New(rand.NewSource(1))
+		for len(levels) < 3 {
+			cw, _ := levels[len(levels)-1].coarsen(rng, scratch)
+			if cw == nil {
+				b.Fatalf("Orkut/%d stopped coarsening at level %d", scale, len(levels)-1)
+			}
+			levels = append(levels, cw)
+		}
+		for level, w := range levels {
+			b.Run(fmt.Sprintf("orkut%d/level%d", scale, level), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if cw, _ := w.coarsen(rng, scratch); cw == nil {
+						b.Fatal("level did not coarsen")
+					}
+				}
+			})
 		}
 	}
 }
