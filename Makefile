@@ -34,14 +34,13 @@ vet:
 
 # Lint tier: gofmt hygiene plus the project's own analyzer suite (dgclvet,
 # internal/analysis) enforcing the determinism/concurrency/error invariants
-# DESIGN.md §9/§14 document. Exit 1 = findings, exit 2 = load failure.
-# Findings matching the committed baseline (kept empty — the tree is clean)
-# are reported but do not fail; the ignores audit then fails on any
-# //dgclvet:ignore naming a nonexistent analyzer or missing a justification.
+# DESIGN.md §9/§14 document. Exit 1 = findings, exit 2 = load failure; the
+# ignores audit then fails on any //dgclvet:ignore naming a nonexistent
+# analyzer or missing a justification.
 lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/dgclvet -baseline .github/dgclvet-baseline.json ./...
+	$(GO) run ./cmd/dgclvet ./...
 	$(GO) run ./cmd/dgclvet -ignores
 
 # Perf-smoke tier: the repo's one benchmark (cmd/dgclperf, BENCHMARK.json) at

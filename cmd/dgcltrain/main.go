@@ -75,7 +75,6 @@ func main() {
 	adam := flag.Bool("adam", false, "use Adam instead of SGD")
 	planner := flag.String("planner", "spst", "spst | p2p | spst-noforward")
 	cache := flag.Bool("cache-features", false, "cache remote layer-0 features across epochs")
-	kernelWorkers := flag.Int("kernel-workers", 1, "workers for the deterministic parallel tensor kernels (results bit-identical at any value)")
 	var ov overlapOptions
 	flag.BoolVar(&ov.on, "overlap", true, "chunked transfers + async stage pipelining (bit-identical to serial; false runs stages serially)")
 	flag.IntVar(&ov.chunkRows, "chunk-rows", 0, "rows per transfer chunk for overlapped execution (0 = default; shared by every process of a -listen run)")
@@ -106,7 +105,7 @@ func main() {
 	if *listen != "" {
 		err = coordinate(*listen, *workers, *dataset, *model, *gpus, *scale, *epochs, *layers, *seed, *lr, ov, chaos, rec, sup)
 	} else {
-		err = run(*dataset, *model, *gpus, *scale, *epochs, *layers, *seed, float32(*lr), *adam, *planner, *cache, *kernelWorkers, ov, chaos, rec)
+		err = run(*dataset, *model, *gpus, *scale, *epochs, *layers, *seed, float32(*lr), *adam, *planner, *cache, ov, chaos, rec)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dgcltrain:", err)
@@ -181,7 +180,7 @@ func coordinate(addr string, workers int, dataset, modelName string, gpus, scale
 	return nil
 }
 
-func run(dataset, modelName string, gpus, scale, epochs, layers int, seed int64, lr float32, adam bool, planner string, cache bool, kernelWorkers int, ov overlapOptions, chaos chaosOptions, rec recoveryOptions) error {
+func run(dataset, modelName string, gpus, scale, epochs, layers int, seed int64, lr float32, adam bool, planner string, cache bool, ov overlapOptions, chaos chaosOptions, rec recoveryOptions) error {
 	ds, err := graph.DatasetByName(dataset)
 	if err != nil {
 		return err
@@ -200,7 +199,7 @@ func run(dataset, modelName string, gpus, scale, epochs, layers int, seed int64,
 	if err != nil {
 		return err
 	}
-	sys := dgcl.Init(topo, dgcl.Options{Planner: dgcl.Planner(planner), Seed: seed, CacheFeatures: cache, KernelWorkers: kernelWorkers, Overlap: ov.dgcl()})
+	sys := dgcl.Init(topo, dgcl.Options{Planner: dgcl.Planner(planner), Seed: seed, CacheFeatures: cache, Overlap: ov.dgcl()})
 	if err := sys.BuildCommInfo(g, ds.FeatureDim); err != nil {
 		return err
 	}
@@ -347,12 +346,11 @@ func run(dataset, modelName string, gpus, scale, epochs, layers int, seed int64,
 	// amortized per-epoch overhead at the chosen interval).
 	if rec.dir != "" || crashCfg != nil {
 		ckptBytes := modelBytes(res.Model)
-		rp := &simnet.RecoveryProfile{}
 		epochTime := computePerEpoch + commPerEpoch
 		fmt.Printf("\nrecovery pricing: checkpoint %.3f ms (payload %d B), restore %.3f ms, full recovery %.3f s\n",
-			rp.CheckpointTime(ckptBytes)*1e3, ckptBytes, rp.RestoreTime(ckptBytes)*1e3, rp.RecoveryTime(ckptBytes))
+			simnet.CheckpointTime(ckptBytes)*1e3, ckptBytes, simnet.RestoreTime(ckptBytes)*1e3, simnet.RecoveryTime(ckptBytes))
 		fmt.Printf("amortized overhead at interval %d: %.3f ms/epoch (at 1e-4 failures/epoch)\n",
-			rec.every, rp.OverheadPerEpoch(rec.every, ckptBytes, epochTime, 1e-4)*1e3)
+			rec.every, simnet.OverheadPerEpoch(rec.every, ckptBytes, epochTime, 1e-4)*1e3)
 		if len(res.Recoveries) > 0 {
 			fmt.Printf("recoveries performed: %d, checkpoints written: %d\n", len(res.Recoveries), res.Checkpoints)
 		}

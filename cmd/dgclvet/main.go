@@ -4,17 +4,14 @@
 //
 // Usage:
 //
-//	dgclvet [-only name1,name2] [-list] [-json] [-baseline file] [-ignores] [packages]
+//	dgclvet [-only name1,name2] [-list] [-ignores] [packages]
 //
 // Packages default to ./... relative to the current directory. Exit status
 // is 0 when clean, 1 when any analyzer reported a finding, 2 when packages
 // failed to load or type-check. Findings are suppressed per line with
 // //dgclvet:ignore <analyzers> <justification>.
 //
-// -json emits findings as a JSON array instead of text lines. -baseline
-// names a committed JSON baseline; findings matching it on (file, analyzer,
-// message) are reported but do not fail the run, so CI gates on new findings
-// only. -ignores skips analysis and instead audits every //dgclvet:ignore
+// -ignores skips analysis and instead audits every //dgclvet:ignore
 // directive in the tree, failing on stale analyzer names or missing
 // justifications.
 package main
@@ -30,8 +27,6 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	baseline := flag.String("baseline", "", "JSON baseline file; matching findings do not fail the run")
 	ignores := flag.Bool("ignores", false, "audit //dgclvet:ignore directives instead of running analysis")
 	flag.Parse()
 
@@ -53,6 +48,5 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	opts := dgclvet.Options{JSON: *jsonOut, Baseline: *baseline}
-	os.Exit(dgclvet.Run(".", patterns, analyzers, opts, os.Stdout))
+	os.Exit(dgclvet.Main(".", patterns, analyzers, os.Stdout))
 }

@@ -68,7 +68,7 @@ type (
 	RetryPolicy = runtime.RetryPolicy
 	// FaultConfig configures transport fault injection (chaos testing).
 	FaultConfig = runtime.FaultConfig
-	// FaultRates are per-send fault probabilities per link class.
+	// FaultRates are per-send fault probabilities.
 	FaultRates = runtime.FaultRates
 	// FaultStats counts injected transport faults.
 	FaultStats = runtime.FaultStats
@@ -205,9 +205,6 @@ type Options struct {
 	Planner Planner
 	// Seed drives partitioning and planning; runs are reproducible.
 	Seed int64
-	// ChunkSize is the SPST vertex-chunking granularity (default 16; 1 =
-	// exact per-vertex planning).
-	ChunkSize int
 	// Plan tunes planner execution: parallel workers, wave batch size and
 	// the on-disk plan cache. The zero value plans serially, uncached.
 	Plan PlanOptions
@@ -217,14 +214,6 @@ type Options struct {
 	// allgathered once and cached across epochs, trading memory for the
 	// elimination of the widest allgather of every epoch.
 	CacheFeatures bool
-	// KernelWorkers is the number of workers the deterministic parallel
-	// tensor kernels use (tensor.SetParallelism): 0 or 1 runs serially,
-	// larger values row-partition the dense matmuls and the aggregator
-	// forward. Results are bit-identical for every worker count — each
-	// output row has exactly one writer using the serial accumulation order.
-	// The knob is process-wide: the kernels are shared by every client
-	// goroutine, so the last Init wins.
-	KernelWorkers int
 	// Overlap configures chunked transfers and async stage pipelining in
 	// the collective executor. Overlap is ON by default (the zero value
 	// chunks at DefaultChunkRows and pipelines with the default window);
@@ -289,15 +278,14 @@ type System struct {
 	// from BuildCommInfo so degraded replans weight the plan identically;
 	// dtopo is the degraded fabric after Degrade (nil = full fabric); alive
 	// maps compact device index -> original device id (nil = identity);
-	// runOpts/autoClassify reapply transport options after a rebuild; crash
-	// and health outlive cluster rebuilds so dead devices stay dead.
-	featureDim   int
-	dtopo        *Topology
-	alive        []int
-	runOpts      *RunOptions
-	autoClassify bool
-	crash        *runtime.CrashTracker
-	health       *runtime.HealthTracker
+	// runOpts reapplies transport options after a rebuild; crash and health
+	// outlive cluster rebuilds so dead devices stay dead.
+	featureDim int
+	dtopo      *Topology
+	alive      []int
+	runOpts    *RunOptions
+	crash      *runtime.CrashTracker
+	health     *runtime.HealthTracker
 
 	// Worker-mode state (see SetWorkerMode): the client ranks this process
 	// executes and the peer exchanger that synchronizes the rest.
@@ -323,9 +311,6 @@ func (s *System) curTopo() *Topology {
 func Init(topo *Topology, opts Options) *System {
 	if opts.Planner == "" {
 		opts.Planner = PlannerSPST
-	}
-	if opts.KernelWorkers > 0 {
-		tensor.SetParallelism(opts.KernelWorkers)
 	}
 	return &System{topo: topo, opts: opts}
 }
@@ -426,7 +411,7 @@ func (s *System) buildPlan(rel *Relation, topo *Topology, featureDim int) (*Plan
 	var err error
 	switch s.opts.Planner {
 	case PlannerSPST, PlannerSPSTNoForward:
-		spstOpts := core.SPSTOptions{Seed: s.opts.Seed, ChunkSize: s.opts.ChunkSize,
+		spstOpts := core.SPSTOptions{Seed: s.opts.Seed,
 			Workers: s.opts.Plan.Workers, BatchSize: s.opts.Plan.BatchSize,
 			DisableForwarding: s.opts.Planner == PlannerSPSTNoForward}
 		var state *core.State
@@ -485,8 +470,8 @@ type RunOptions struct {
 	// hanging the allgather.
 	Retry *RetryPolicy
 	// Faults, when non-nil, injects seeded transport faults
-	// (drop/delay/duplicate/corrupt), classified per physical link class
-	// when no Classify function is set. Pair with Retry for recovery.
+	// (drop/delay/duplicate/corrupt) at the same rates on every link. Pair
+	// with Retry for recovery.
 	Faults *FaultConfig
 	// CollectStats enables per-GPU transfer/retry/timeout counters,
 	// readable via Stats. Implied when Retry or Faults is set.
@@ -508,18 +493,14 @@ type RunOptions struct {
 	Transport runtime.TransportProvider
 }
 
-// SetRunOptions installs transport options on the initialized system. When
-// fault injection is requested without a link classifier, transfers are
-// classified by the topology's channel classes ("NVLink", "SameSocket",
-// "CrossSocket", "CrossMachine") so FaultConfig.PerClass keys match the
-// physical fabric. Options survive a degraded rebuild: Degrade reapplies
-// them against the surviving fabric.
+// SetRunOptions installs transport options on the initialized system.
+// Options survive a degraded rebuild: Degrade reapplies them against the
+// surviving fabric.
 func (s *System) SetRunOptions(opts RunOptions) error {
 	if err := s.ready(); err != nil {
 		return err
 	}
 	s.runOpts = &opts
-	s.autoClassify = opts.Faults != nil && opts.Faults.Classify == nil
 	if opts.Crash != nil {
 		s.crash = runtime.NewCrashTracker(*opts.Crash)
 	}
@@ -541,19 +522,6 @@ func (s *System) applyRunOptions() {
 	s.clu.Overlap = s.opts.Overlap.runtimeConfig()
 	if s.runOpts != nil {
 		opts := s.runOpts
-		if opts.Faults != nil && (opts.Faults.Classify == nil || s.autoClassify) {
-			// Regenerate the auto classifier against the *current* fabric: a
-			// closure over the pre-degrade topology would misclassify links
-			// after survivors are renumbered.
-			topo := s.curTopo()
-			opts.Faults.Classify = func(src, dst int) string {
-				ch, err := topo.GPUChannel(src, dst)
-				if err != nil {
-					return ""
-				}
-				return ch.Class.String()
-			}
-		}
 		s.clu.Timeout = opts.Timeout
 		s.clu.Faults = opts.Faults
 		s.clu.Retry = opts.Retry

@@ -9,13 +9,11 @@
 package dgclvet
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/parser"
 	"go/token"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -85,56 +83,11 @@ func Names() []string {
 	return names
 }
 
-// A Finding is one diagnostic in machine-readable form, as emitted by the
-// -json flag and as stored in the baseline file.
-type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// baselineKey identifies a finding for baseline matching. Line and column are
-// deliberately excluded: unrelated edits shift positions, and a baseline that
-// churns on every diff trains people to regenerate it blindly.
-type baselineKey struct {
-	File     string
-	Analyzer string
-	Message  string
-}
-
-func (f Finding) key() baselineKey {
-	return baselineKey{File: filepath.ToSlash(f.File), Analyzer: f.Analyzer, Message: f.Message}
-}
-
-// Options configures a driver run.
-type Options struct {
-	// JSON emits findings as a JSON array of Finding instead of the
-	// "file:line:col: analyzer: message" text lines.
-	JSON bool
-	// Baseline is the path of a committed JSON baseline (an array of
-	// Finding). Findings matching a baseline entry on (file, analyzer,
-	// message) are reported but do not affect the exit code, so CI fails
-	// on NEW findings only. Empty means no baseline.
-	Baseline string
-}
-
 // Main loads the packages matched by patterns (relative to dir), runs each
 // selected analyzer over the packages it applies to, prints findings to w as
-// "file:line:col: analyzer: message", and returns the exit code. It is
-// Run with zero Options.
+// "file:line:col: analyzer: message" (file relative to dir when inside it),
+// and returns the exit code.
 func Main(dir string, patterns []string, analyzers []*analysis.Analyzer, w io.Writer) int {
-	return Run(dir, patterns, analyzers, Options{}, w)
-}
-
-// Run is Main with explicit Options.
-func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, opts Options, w io.Writer) int {
-	baseline, err := loadBaseline(opts.Baseline)
-	if err != nil {
-		fmt.Fprintf(w, "dgclvet: %v\n", err)
-		return ExitLoadError
-	}
 	pkgs, err := analysis.DefaultLoader().Load(dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(w, "dgclvet: %v\n", err)
@@ -142,7 +95,6 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, opts Opt
 	}
 	exit := ExitClean
 	absDir, absErr := filepath.Abs(dir)
-	var findings []Finding
 	for _, pkg := range pkgs {
 		if pkg.LoadErr != "" {
 			fmt.Fprintf(w, "dgclvet: %s: %s\n", pkg.Path, pkg.LoadErr)
@@ -172,63 +124,19 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer, opts Opt
 		}
 		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
-			f := Finding{
-				File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			}
+			file := pos.Filename
 			if absErr == nil {
-				if rel, err := filepath.Rel(absDir, f.File); err == nil && !strings.HasPrefix(rel, "..") {
-					f.File = filepath.ToSlash(rel)
+				if rel, err := filepath.Rel(absDir, file); err == nil && !strings.HasPrefix(rel, "..") {
+					file = filepath.ToSlash(rel)
 				}
 			}
-			findings = append(findings, f)
-			if !baseline[f.key()] && exit == ExitClean {
+			fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", file, pos.Line, pos.Column, d.Analyzer, d.Message)
+			if exit == ExitClean {
 				exit = ExitFindings
 			}
 		}
 	}
-	if opts.JSON {
-		if findings == nil {
-			findings = []Finding{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(w, "dgclvet: %v\n", err)
-			return ExitLoadError
-		}
-		return exit
-	}
-	for _, f := range findings {
-		suffix := ""
-		if baseline[f.key()] {
-			suffix = " (baselined)"
-		}
-		fmt.Fprintf(w, "%s:%d:%d: %s: %s%s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message, suffix)
-	}
 	return exit
-}
-
-// loadBaseline reads a baseline file into a match set. A missing path is an
-// error — a typo'd -baseline silently accepting every finding would defeat
-// the gate.
-func loadBaseline(path string) (map[baselineKey]bool, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var entries []Finding
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	set := make(map[baselineKey]bool, len(entries))
-	for _, e := range entries {
-		set[e.key()] = true
-	}
-	return set, nil
 }
 
 // An Ignore is one //dgclvet:ignore directive found in the tree.

@@ -2,123 +2,11 @@ package dgclvet
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// -json must emit a parseable array of findings with stable fields.
-func TestRunJSON(t *testing.T) {
-	var out bytes.Buffer
-	code := Run(".", []string{"./testdata/src/bad"}, Analyzers, Options{JSON: true}, &out)
-	if code != ExitFindings {
-		t.Fatalf("Run = %d, want %d; output:\n%s", code, ExitFindings, out.String())
-	}
-	var findings []Finding
-	if err := json.Unmarshal(out.Bytes(), &findings); err != nil {
-		t.Fatalf("output is not a JSON finding array: %v\n%s", err, out.String())
-	}
-	if len(findings) == 0 {
-		t.Fatal("JSON run on the bad fixture produced zero findings")
-	}
-	for _, f := range findings {
-		if f.File == "" || f.Line == 0 || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("finding missing fields: %+v", f)
-		}
-		if filepath.IsAbs(f.File) {
-			t.Errorf("finding file %q is absolute; want repo-relative for a portable baseline", f.File)
-		}
-	}
-}
-
-// A clean JSON run must print an empty array, not "null" — downstream jq in
-// CI iterates the array unconditionally.
-func TestRunJSONCleanIsEmptyArray(t *testing.T) {
-	var out bytes.Buffer
-	code := Run(".", []string{"./testdata/src/clean"}, Analyzers, Options{JSON: true}, &out)
-	if code != ExitClean {
-		t.Fatalf("Run on clean fixture = %d, want %d; output:\n%s", code, ExitClean, out.String())
-	}
-	if got := strings.TrimSpace(out.String()); got != "[]" {
-		t.Fatalf("clean JSON output = %q, want []", got)
-	}
-}
-
-// Baselined findings are still printed but do not fail the run; a finding
-// NOT in the baseline still does.
-func TestRunBaseline(t *testing.T) {
-	var jsonOut bytes.Buffer
-	if code := Run(".", []string{"./testdata/src/bad"}, Analyzers, Options{JSON: true}, &jsonOut); code != ExitFindings {
-		t.Fatalf("seed run = %d, want %d", code, ExitFindings)
-	}
-	var findings []Finding
-	if err := json.Unmarshal(jsonOut.Bytes(), &findings); err != nil {
-		t.Fatal(err)
-	}
-
-	full := writeBaseline(t, findings)
-	var out bytes.Buffer
-	if code := Run(".", []string{"./testdata/src/bad"}, Analyzers, Options{Baseline: full}, &out); code != ExitClean {
-		t.Fatalf("fully-baselined run = %d, want %d; output:\n%s", code, ExitClean, out.String())
-	}
-	if !strings.Contains(out.String(), "(baselined)") {
-		t.Fatalf("baselined findings not annotated in text output:\n%s", out.String())
-	}
-
-	partial := writeBaseline(t, findings[:len(findings)-1])
-	out.Reset()
-	if code := Run(".", []string{"./testdata/src/bad"}, Analyzers, Options{Baseline: partial}, &out); code != ExitFindings {
-		t.Fatalf("partially-baselined run = %d, want %d (the new finding must fail)", code, ExitFindings)
-	}
-}
-
-// Baseline matching ignores line numbers: the same finding shifted by an
-// unrelated edit must still match.
-func TestBaselineIgnoresLineNumbers(t *testing.T) {
-	var jsonOut bytes.Buffer
-	Run(".", []string{"./testdata/src/bad"}, Analyzers, Options{JSON: true}, &jsonOut)
-	var findings []Finding
-	if err := json.Unmarshal(jsonOut.Bytes(), &findings); err != nil {
-		t.Fatal(err)
-	}
-	for i := range findings {
-		findings[i].Line += 100
-		findings[i].Col = 1
-	}
-	shifted := writeBaseline(t, findings)
-	var out bytes.Buffer
-	if code := Run(".", []string{"./testdata/src/bad"}, Analyzers, Options{Baseline: shifted}, &out); code != ExitClean {
-		t.Fatalf("line-shifted baseline did not match: exit %d\n%s", code, out.String())
-	}
-}
-
-// A missing baseline file is a hard error, not a silent no-op gate.
-func TestMissingBaselineIsLoadError(t *testing.T) {
-	var out bytes.Buffer
-	code := Run(".", []string{"./testdata/src/bad"}, Analyzers, Options{Baseline: "no/such/baseline.json"}, &out)
-	if code != ExitLoadError {
-		t.Fatalf("Run with missing baseline = %d, want %d", code, ExitLoadError)
-	}
-}
-
-// The committed baseline must be empty: the tree is clean, and any finding a
-// PR introduces must fail CI rather than ride in via a pre-populated file.
-func TestCommittedBaselineIsEmpty(t *testing.T) {
-	root := moduleRoot(t)
-	data, err := os.ReadFile(filepath.Join(root, ".github", "dgclvet-baseline.json"))
-	if err != nil {
-		t.Fatalf("committed baseline missing: %v", err)
-	}
-	var entries []Finding
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatalf("committed baseline is not a JSON finding array: %v", err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("committed baseline has %d entries, want 0", len(entries))
-	}
-}
 
 // The ignores audit lists every directive in the real tree and passes: each
 // names a live analyzer and carries a justification.
@@ -190,17 +78,4 @@ func TestLoadErrorIsPerPackage(t *testing.T) {
 	if !strings.Contains(out.String(), "mapdet") {
 		t.Fatalf("good package was not analyzed alongside the bad pattern:\n%s", out.String())
 	}
-}
-
-func writeBaseline(t *testing.T, findings []Finding) string {
-	t.Helper()
-	data, err := json.Marshal(findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }

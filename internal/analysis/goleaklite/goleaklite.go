@@ -11,9 +11,9 @@
 //     everything it captures leak. Channel ops inside goroutines must sit
 //     in a select with a ctx.Done()/default escape, or behind a function
 //     that takes a context.
-//   - G2: passing a sync.WaitGroup *by value* into a goroutine (parameter
-//     or argument) — the classic copied-WaitGroup bug: Done decrements the
-//     copy and Wait blocks forever.
+//
+// (A sync.WaitGroup passed by value into a goroutine is go vet's copylocks
+// check, which runs beside dgclvet in make lint.)
 //
 // Nested `go` statements are analyzed independently (each launch is its own
 // finding site).
@@ -21,7 +21,6 @@ package goleaklite
 
 import (
 	"go/ast"
-	"go/types"
 
 	"dgcl/internal/analysis"
 )
@@ -30,7 +29,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "goleaklite",
 	Doc: "flags goroutine launches that can block forever: bare channel ops " +
-		"without a cancellation escape, and WaitGroups passed by value",
+		"without a cancellation escape",
 	Run: run,
 }
 
@@ -49,34 +48,9 @@ func run(pass *analysis.Pass) error {
 }
 
 func checkGo(pass *analysis.Pass, g *ast.GoStmt) {
-	// G2: WaitGroup by value, as an argument...
-	for _, arg := range g.Call.Args {
-		t := pass.TypeOf(arg)
-		if t == nil {
-			continue
-		}
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			continue
-		}
-		if analysis.IsNamedType(t, "sync", "WaitGroup") {
-			pass.Reportf(arg.Pos(),
-				"sync.WaitGroup passed by value to a goroutine: Done decrements a copy "+
-					"and Wait blocks forever; pass a pointer")
-		}
-	}
 	lit, ok := g.Call.Fun.(*ast.FuncLit)
 	if !ok {
 		return
-	}
-	// ...or as a parameter of the launched literal.
-	if lit.Type.Params != nil {
-		for _, field := range lit.Type.Params.List {
-			if t := pass.TypeOf(field.Type); t != nil && analysis.IsNamedType(t, "sync", "WaitGroup") && !isPointerType(field.Type) {
-				pass.Reportf(field.Pos(),
-					"sync.WaitGroup parameter passed by value into a goroutine: Done "+
-						"decrements a copy and Wait blocks forever; pass a pointer")
-			}
-		}
 	}
 	// G1: bare blocking channel ops anywhere in the literal's body, skipping
 	// nested go statements (they are visited as their own launch sites).
@@ -99,9 +73,4 @@ func checkGo(pass *analysis.Pass, g *ast.GoStmt) {
 		}
 		return true
 	})
-}
-
-func isPointerType(e ast.Expr) bool {
-	_, ok := e.(*ast.StarExpr)
-	return ok
 }

@@ -1,8 +1,6 @@
 // Package a is the goleaklite analysistest fixture.
 package a
 
-import "sync"
-
 // leakySend: the goroutine blocks forever if nobody drains ch.
 func leakySend(ch chan int) {
 	go func() {
@@ -37,23 +35,8 @@ func nonBlocking(ch chan int) {
 	}()
 }
 
-// wgByValue copies the WaitGroup twice: at the call site and into the
-// parameter. Done decrements the copies; Wait blocks forever.
-func wgByValue(wg sync.WaitGroup) {
-	go func(w sync.WaitGroup) { // want "WaitGroup parameter passed by value"
-		w.Done()
-	}(wg) // want "WaitGroup passed by value"
-}
-
-// wgByPointer is the correct form.
-func wgByPointer(wg *sync.WaitGroup) {
-	go func(w *sync.WaitGroup) {
-		defer w.Done()
-	}(wg)
-}
-
 // namedLaunch launches a declared function; channel discipline inside it is
-// the callee's concern, and the argument is not a WaitGroup.
+// the callee's concern.
 func namedLaunch(ch chan int) {
 	go drain(ch)
 }

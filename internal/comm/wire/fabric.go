@@ -23,7 +23,6 @@ import (
 // It implements runtime.TransportProvider; install it via Cluster.Provider
 // or dgcl.RunOptions.Transport.
 type Fabric struct {
-	cfg   Config
 	nodes []*Node
 	owner map[int32]int
 	pool  *runtime.MatrixPool
@@ -32,8 +31,7 @@ type Fabric struct {
 
 // NewLoopbackFabric opens K loopback endpoints and forms the mesh.
 func NewLoopbackFabric(k int, cfg Config) (*Fabric, error) {
-	cfg = cfg.withDefaults()
-	f := &Fabric{cfg: cfg, pool: &runtime.MatrixPool{}, owner: make(map[int32]int)}
+	f := &Fabric{pool: &runtime.MatrixPool{}, owner: make(map[int32]int)}
 	specs := make([]NodeSpec, k)
 	for i := 0; i < k; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -47,7 +45,7 @@ func NewLoopbackFabric(k int, cfg Config) (*Fabric, error) {
 		specs[i] = NodeSpec{Addr: ln.Addr().String(), Ranks: []int{i}}
 		f.owner[int32(i)] = i
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.HandshakeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), handshakeTimeout)
 	defer cancel()
 	errs := make([]error, k)
 	var wg sync.WaitGroup

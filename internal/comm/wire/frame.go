@@ -53,9 +53,9 @@ const (
 	dataHeaderSize     = 40
 	exchangeHeaderSize = 32
 
-	// DefaultMaxBody caps a frame body before any allocation; oversized
-	// length prefixes are rejected without materializing anything.
-	DefaultMaxBody = 1 << 26
+	// maxBody caps a frame body before any allocation; oversized length
+	// prefixes are rejected without materializing anything.
+	maxBody = 1 << 26
 
 	// maxDim bounds the row/col counts of a payload matrix individually, so
 	// their product cannot overflow before the exact-size check.
@@ -154,7 +154,7 @@ type header struct {
 
 // parseHeader validates a raw 20-byte header against maxBody. No body memory
 // has been touched yet when it rejects.
-func parseHeader(b []byte, maxBody int) (header, error) {
+func parseHeader(b []byte) (header, error) {
 	if len(b) < headerSize {
 		return header{}, fmt.Errorf("wire: short frame header: %d bytes", len(b))
 	}
@@ -169,7 +169,7 @@ func parseHeader(b []byte, maxBody int) (header, error) {
 		return header{}, fmt.Errorf("wire: unknown frame type %d", typ)
 	}
 	length := binary.LittleEndian.Uint32(b[8:])
-	if int64(length) > int64(maxBody) {
+	if int64(length) > maxBody {
 		return header{}, fmt.Errorf("wire: frame body %d bytes exceeds cap %d", length, maxBody)
 	}
 	return header{typ: typ, length: int(length), sum: binary.LittleEndian.Uint64(b[12:])}, nil
@@ -276,7 +276,7 @@ func decodeF32(payload []byte, rows, cols, n int, pool *runtime.MatrixPool) *ten
 // truncated, oversized, or bit-flipped inputs error without panicking, and
 // nothing larger than the declared (capped) body length is ever allocated.
 func DecodeFrame(data []byte) (*Frame, int, error) {
-	h, err := parseHeader(data, DefaultMaxBody)
+	h, err := parseHeader(data)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -56,7 +56,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("re-encode differs at byte %d: %#x vs %#x", i, re[i], data[i])
 			}
 		}
-		if fr.Rows != nil && len(fr.Rows.Data) > DefaultMaxBody/4 {
+		if fr.Rows != nil && len(fr.Rows.Data) > maxBody/4 {
 			t.Fatalf("payload of %d floats exceeds the body cap", len(fr.Rows.Data))
 		}
 	})

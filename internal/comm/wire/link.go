@@ -13,7 +13,7 @@ import (
 	"dgcl/internal/fnv64"
 )
 
-// Config parameterizes a wire endpoint. The zero value selects defaults.
+// Config identifies the run a wire endpoint belongs to.
 type Config struct {
 	// ClusterID must match across every process of one run; the handshake
 	// rejects strangers.
@@ -22,41 +22,23 @@ type Config struct {
 	// Handshakes reject peers whose plans differ — a divergent plan would
 	// deadlock mid-collective, far from the cause.
 	PlanSum uint64
-	// IOTimeout bounds every mid-frame socket read and every frame write.
-	// Default 10s.
-	IOTimeout time.Duration
-	// IdleTimeout is the reader's re-arm period while a link sits idle
-	// between collectives (idle timeouts are not failures). Default 30s.
-	IdleTimeout time.Duration
-	// HandshakeTimeout bounds the hello exchange; it is generous because a
-	// peer may spend a long time building its system before connecting.
-	// Default 60s.
-	HandshakeTimeout time.Duration
-	// MaxBody caps a frame body before materialization. Default
-	// DefaultMaxBody.
-	MaxBody int
 }
+
+const (
+	// ioTimeout bounds every mid-frame socket read and every frame write.
+	ioTimeout = 10 * time.Second
+	// idleTimeout is the reader's re-arm period while a link sits idle
+	// between collectives (idle timeouts are not failures).
+	idleTimeout = 30 * time.Second
+	// handshakeTimeout bounds the hello exchange; it is generous because a
+	// peer may spend a long time building its system before connecting.
+	handshakeTimeout = 60 * time.Second
+)
 
 // creditWindow is the per-link in-flight frame window: a sender holds one
 // credit per unrouted frame and blocks (cancellably) when the window is
 // exhausted; the receiver returns a credit as each frame is routed.
 const creditWindow = 64
-
-func (c Config) withDefaults() Config {
-	if c.IOTimeout <= 0 {
-		c.IOTimeout = 10 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 30 * time.Second
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 60 * time.Second
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = DefaultMaxBody
-	}
-	return c
-}
 
 // bytePool recycles frame serialization and body scratch buffers, binned by
 // power-of-two capacity like the runtime matrix pool (and like it,
@@ -103,7 +85,6 @@ type link struct {
 	node    *Node
 	peer    int // peer node id
 	conn    net.Conn
-	cfg     *Config
 	credits chan struct{}
 
 	wmu sync.Mutex // serializes frame writes
@@ -114,7 +95,7 @@ type link struct {
 }
 
 func newLink(n *Node, peer int, conn net.Conn) *link {
-	l := &link{node: n, peer: peer, conn: conn, cfg: &n.cfg, closed: make(chan struct{})}
+	l := &link{node: n, peer: peer, conn: conn, closed: make(chan struct{})}
 	l.credits = make(chan struct{}, creditWindow)
 	for i := 0; i < creditWindow; i++ {
 		l.credits <- struct{}{} //dgclvet:ignore ctxbound filling a fresh channel to its exact capacity; cannot block
@@ -146,13 +127,13 @@ func (l *link) isClosed() bool {
 // readFull fills p from the socket under armed read deadlines. With idleOK,
 // timeouts while no byte of the next frame has arrived simply re-arm (links
 // idle between collectives); once a frame has started, a stall longer than
-// IOTimeout is a peer failure.
+// ioTimeout is a peer failure.
 func (l *link) readFull(p []byte, idleOK bool) error {
 	got := 0
 	for got < len(p) {
-		d := l.cfg.IOTimeout
+		d := ioTimeout
 		if idleOK && got == 0 {
-			d = l.cfg.IdleTimeout
+			d = idleTimeout
 		}
 		if err := l.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
 			return err
@@ -175,7 +156,7 @@ func (l *link) writeFrame(ctx context.Context, buf []byte) error {
 	if l.isClosed() {
 		return l.downErr()
 	}
-	deadline := time.Now().Add(l.cfg.IOTimeout)
+	deadline := time.Now().Add(ioTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
@@ -250,7 +231,7 @@ func (l *link) readLoop() {
 			l.fail(err)
 			return
 		}
-		h, err := parseHeader(hdr, l.cfg.MaxBody)
+		h, err := parseHeader(hdr)
 		if err != nil {
 			l.fail(err)
 			return

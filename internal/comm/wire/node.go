@@ -90,7 +90,7 @@ type Node struct {
 // with the complete table to form the mesh.
 func NewNode(cfg Config, id int, ln net.Listener) *Node {
 	return &Node{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		id:     id,
 		ln:     ln,
 		links:  make(map[int]*link),
@@ -200,7 +200,6 @@ func (n *Node) Connect(ctx context.Context, specs []NodeSpec) error {
 		myRanks[i] = int32(r)
 	}
 	me := hello{nodeID: int32(n.id), clusterID: n.cfg.ClusterID, planSum: n.cfg.PlanSum, ranks: myRanks}
-	hsT := n.cfg.HandshakeTimeout
 
 	conns := make(map[int]net.Conn)
 	var mu sync.Mutex
@@ -218,9 +217,9 @@ func (n *Node) Connect(ctx context.Context, specs []NodeSpec) error {
 				errs[0] = fmt.Errorf("wire: dial node %d: %w", peer, err)
 				return
 			}
-			if err := writeHello(conn, me, hsT); err == nil {
+			if err := writeHello(conn, me, handshakeTimeout); err == nil {
 				var ph hello
-				if ph, err = readHello(conn, hsT); err == nil {
+				if ph, err = readHello(conn, handshakeTimeout); err == nil {
 					err = n.checkHello(ph, peer)
 				}
 			}
@@ -239,7 +238,7 @@ func (n *Node) Connect(ctx context.Context, specs []NodeSpec) error {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		deadline := time.Now().Add(hsT)
+		deadline := time.Now().Add(handshakeTimeout)
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 			deadline = d
 		}
@@ -256,7 +255,7 @@ func (n *Node) Connect(ctx context.Context, specs []NodeSpec) error {
 				errs[1] = fmt.Errorf("wire: accept: %w", err)
 				return
 			}
-			ph, err := readHello(conn, hsT)
+			ph, err := readHello(conn, handshakeTimeout)
 			if err == nil {
 				err = n.checkHello(ph, -1)
 			}
@@ -264,7 +263,7 @@ func (n *Node) Connect(ctx context.Context, specs []NodeSpec) error {
 				err = fmt.Errorf("wire: lower-id node %d dialed the wrong direction", ph.nodeID)
 			}
 			if err == nil {
-				err = writeHello(conn, me, hsT)
+				err = writeHello(conn, me, handshakeTimeout)
 			}
 			if err != nil {
 				conn.Close()

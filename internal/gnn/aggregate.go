@@ -51,31 +51,28 @@ func (a *Aggregator) Forward(h *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("gnn: aggregate input %d rows for graph with %d vertices", h.Rows, a.G.NumVertices()))
 	}
 	out := tensor.New(a.NumOut, h.Cols)
-	// Each output row u is written by exactly one worker (the
-	// one-writer-per-row discipline of tensor.ParallelRows) and receives its
-	// neighbours' rows one at a time in ascending neighbour order. Blocking
-	// them by four (tensor.Axpy4) loads and stores the output row once per
-	// four neighbours without changing that order, and the sum path shares
-	// the loop: 1*x == x bitwise for every float32 x. Both keep the result
-	// bit-identical to the per-edge serial loop at any worker count.
-	tensor.ParallelRows(a.NumOut, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			w := a.weight(int32(u))
-			if w == 0 {
-				continue
-			}
-			orow := out.Row(u)
-			nbrs := a.G.Neighbors(int32(u))
-			i := 0
-			for ; i+3 < len(nbrs); i += 4 {
-				tensor.Axpy4(w, w, w, w,
-					h.Row(int(nbrs[i])), h.Row(int(nbrs[i+1])), h.Row(int(nbrs[i+2])), h.Row(int(nbrs[i+3])), orow)
-			}
-			for ; i < len(nbrs); i++ {
-				tensor.Axpy(w, h.Row(int(nbrs[i])), orow)
-			}
+	// Each output row u receives its neighbours' rows one at a time in
+	// ascending neighbour order. Blocking them by four (tensor.Axpy4) loads
+	// and stores the output row once per four neighbours without changing
+	// that order, and the sum path shares the loop: 1*x == x bitwise for
+	// every float32 x. Both keep the result bit-identical to the per-edge
+	// serial loop.
+	for u := 0; u < a.NumOut; u++ {
+		w := a.weight(int32(u))
+		if w == 0 {
+			continue
 		}
-	})
+		orow := out.Row(u)
+		nbrs := a.G.Neighbors(int32(u))
+		i := 0
+		for ; i+3 < len(nbrs); i += 4 {
+			tensor.Axpy4(w, w, w, w,
+				h.Row(int(nbrs[i])), h.Row(int(nbrs[i+1])), h.Row(int(nbrs[i+2])), h.Row(int(nbrs[i+3])), orow)
+		}
+		for ; i < len(nbrs); i++ {
+			tensor.Axpy(w, h.Row(int(nbrs[i])), orow)
+		}
+	}
 	return out
 }
 
@@ -89,9 +86,7 @@ func (a *Aggregator) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("gnn: aggregate grad %d rows, want %d", grad.Rows, a.NumOut))
 	}
 	out := tensor.New(a.G.NumVertices(), grad.Cols)
-	// Backward scatters into neighbor rows, so it stays serial (two vertices
-	// can share a neighbor — no one-writer-per-row partition exists). The
-	// scaled row w·grad_u is computed once per u instead of once per edge:
+	// The scaled row w·grad_u is computed once per u instead of once per edge:
 	// every neighbor then receives the identical per-element products the
 	// per-edge loop produced, in the same order.
 	scaled := make([]float32, grad.Cols)

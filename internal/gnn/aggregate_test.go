@@ -79,7 +79,6 @@ func everyTailGraph() *graph.Graph {
 }
 
 func TestAggregatorBitIdenticalToPerEdge(t *testing.T) {
-	defer tensor.SetParallelism(tensor.SetParallelism(1))
 	g := everyTailGraph()
 	for _, numOut := range []int{10, g.NumVertices()} {
 		for _, mean := range []bool{true, false} {
@@ -87,13 +86,9 @@ func TestAggregatorBitIdenticalToPerEdge(t *testing.T) {
 			for _, cols := range []int{1, 3, 8, 64, 130} {
 				h := tensor.New(g.NumVertices(), cols).FillRandom(int64(cols))
 				grad := tensor.New(numOut, cols).FillRandom(int64(cols) + 1000)
-				wantFwd, wantBwd := perEdgeForward(agg, h), perEdgeBackward(agg, grad)
-				for _, workers := range []int{1, 3} {
-					tensor.SetParallelism(workers)
-					label := fmt.Sprintf("numOut=%d mean=%v cols=%d workers=%d", numOut, mean, cols, workers)
-					requireSameBits(t, "Forward "+label, agg.Forward(h), wantFwd)
-					requireSameBits(t, "Backward "+label, agg.Backward(grad), wantBwd)
-				}
+				label := fmt.Sprintf("numOut=%d mean=%v cols=%d", numOut, mean, cols)
+				requireSameBits(t, "Forward "+label, agg.Forward(h), perEdgeForward(agg, h))
+				requireSameBits(t, "Backward "+label, agg.Backward(grad), perEdgeBackward(agg, grad))
 			}
 		}
 	}

@@ -194,12 +194,13 @@ func (w *weightedGraph) coarsen(rng *rand.Rand, s rowScratch) (*weightedGraph, [
 	return &weightedGraph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt, vwgt: vwgt}, cmap
 }
 
-// multilevel runs the full coarsen / initial-partition / refine pipeline.
-func multilevel(w *weightedGraph, k int, opts Options, rng *rand.Rand) []int32 {
-	levels, maps, cur := coarsenLevels(w, opts.CoarsenTo, rng)
+// multilevel runs the full coarsen / initial-partition / refine pipeline,
+// coarsening until at most 30 vertices per part remain.
+func multilevel(w *weightedGraph, k int, rng *rand.Rand) []int32 {
+	levels, maps, cur := coarsenLevels(w, 30*k, rng)
 	// Initial partition at the coarsest level.
 	assign := greedyGrow(cur, k, rng)
-	refine(cur, assign, k, opts, rng)
+	refine(cur, assign, k, rng)
 	// Uncoarsening with refinement.
 	for i := len(levels) - 1; i >= 0; i-- {
 		fineG, cmap := levels[i], maps[i]
@@ -208,7 +209,7 @@ func multilevel(w *weightedGraph, k int, opts Options, rng *rand.Rand) []int32 {
 			fineAssign[v] = assign[cmap[v]]
 		}
 		assign = fineAssign
-		refine(fineG, assign, k, opts, rng)
+		refine(fineG, assign, k, rng)
 	}
 	return assign
 }
@@ -303,21 +304,29 @@ func greedyGrow(w *weightedGraph, k int, rng *rand.Rand) []int32 {
 	return assign
 }
 
+const (
+	// imbalance is the allowed load imbalance: no part may exceed
+	// (1+imbalance) times the mean part weight.
+	imbalance = 0.05
+	// refinePasses bounds the refinement passes per level.
+	refinePasses = 8
+)
+
 // refine performs greedy boundary FM-style refinement passes: boundary
 // vertices move to the neighboring part with the highest cut gain subject to
 // the balance constraint.
-func refine(w *weightedGraph, assign []int32, k int, opts Options, rng *rand.Rand) {
+func refine(w *weightedGraph, assign []int32, k int, rng *rand.Rand) {
 	n := w.numVertices()
 	loads := make([]int64, k)
 	for v := 0; v < n; v++ {
 		loads[assign[v]] += w.vwgt[v]
 	}
-	maxLoad := int64(float64(w.totalVWgt()) * (1 + opts.Imbalance) / float64(k))
+	maxLoad := int64(float64(w.totalVWgt()) * (1 + imbalance) / float64(k))
 	if maxLoad < 1 {
 		maxLoad = 1
 	}
 	conn := make([]int64, k) // connectivity of current vertex to each part
-	for pass := 0; pass < opts.Refinement; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		order := rng.Perm(n)
 		for _, vi := range order {

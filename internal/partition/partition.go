@@ -23,26 +23,7 @@ type Partition struct {
 
 // Options configures the multilevel partitioner.
 type Options struct {
-	Seed       int64   // PRNG seed; same seed => same partition
-	Imbalance  float64 // allowed load imbalance, e.g. 0.05 for 5%; default 0.05
-	CoarsenTo  int     // stop coarsening below this many vertices; default 30*k
-	Refinement int     // max refinement passes per level; default 8
-}
-
-func (o Options) withDefaults(k int) Options {
-	if o.Imbalance <= 0 {
-		o.Imbalance = 0.05
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 30 * k
-	}
-	if o.CoarsenTo < 4*k {
-		o.CoarsenTo = 4 * k
-	}
-	if o.Refinement <= 0 {
-		o.Refinement = 8
-	}
-	return o
+	Seed int64 // PRNG seed; same seed => same partition
 }
 
 // KWay partitions g into k balanced parts minimizing edge cut, treating g as
@@ -61,10 +42,9 @@ func KWay(g *graph.Graph, k int, opts Options) (*Partition, error) {
 	if k > n {
 		return nil, fmt.Errorf("partition: k=%d exceeds vertex count %d", k, n)
 	}
-	opts = opts.withDefaults(k)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	wg := fromGraph(g)
-	assign := multilevel(wg, k, opts, rng)
+	assign := multilevel(wg, k, rng)
 	return &Partition{K: k, Assign: assign}, nil
 }
 

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -272,21 +271,12 @@ func TestCompiledBackwardMatchesLegacyBitwise(t *testing.T) {
 	}
 }
 
-// runSeededTraining builds a fresh trainer for one seed and runs three
-// epochs under the given kernel worker count, returning the per-epoch losses
-// and the final replica-0 model.
-func runSeededTraining(t *testing.T, seed int64, workers int) ([]float64, *gnn.Model) {
+// runSeededTraining builds a fresh trainer for one seed under the given
+// execution policy and runs three epochs, returning the per-epoch losses and
+// the final replica-0 model. The overlapped-executor bit-identity battery
+// (overlap_test.go) reruns the same seeds under chunked, pipelined execution.
+func runSeededTraining(t *testing.T, seed int64, ov OverlapConfig) ([]float64, *gnn.Model) {
 	t.Helper()
-	return runSeededTrainingOverlap(t, seed, workers, OverlapConfig{})
-}
-
-// runSeededTrainingOverlap is runSeededTraining with an execution-policy
-// override: the overlapped-executor bit-identity battery (overlap_test.go)
-// reruns the same seeds under chunked, pipelined execution.
-func runSeededTrainingOverlap(t *testing.T, seed int64, workers int, ov OverlapConfig) ([]float64, *gnn.Model) {
-	t.Helper()
-	prev := tensor.SetParallelism(workers)
-	defer tensor.SetParallelism(prev)
 	ks := []int{2, 3, 4, 6, 8}
 	k := ks[seed%int64(len(ks))]
 	cols := 8
@@ -318,37 +308,6 @@ func runSeededTrainingOverlap(t *testing.T, seed int64, workers int, ov OverlapC
 		losses = append(losses, loss)
 	}
 	return losses, tr.Models[0]
-}
-
-// TestEpochBitIdenticalAcrossKernelWorkers trains the same seeded
-// configuration twice — serial kernels vs four workers — and requires the
-// losses and every final weight to agree bit for bit. This is the acceptance
-// check for the one-writer-per-row determinism argument: parallelism may
-// only change wall-clock time, never a single bit of the result.
-func TestEpochBitIdenticalAcrossKernelWorkers(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			l1, m1 := runSeededTraining(t, seed, 1)
-			l4, m4 := runSeededTraining(t, seed, 4)
-			for e := range l1 {
-				if math.Float64bits(l1[e]) != math.Float64bits(l4[e]) {
-					t.Fatalf("epoch %d loss diverges: W=1 %v, W=4 %v", e, l1[e], l4[e])
-				}
-			}
-			for li, layer := range m1.Layers {
-				p4 := m4.Layers[li].Params()
-				for pi, p1 := range layer.Params() {
-					for j := range p1.Data {
-						if math.Float32bits(p1.Data[j]) != math.Float32bits(p4[pi].Data[j]) {
-							t.Fatalf("layer %d param %d element %d diverges: W=1 %v, W=4 %v",
-								li, pi, j, p1.Data[j], p4[pi].Data[j])
-						}
-					}
-				}
-			}
-		})
-	}
 }
 
 // allocCluster builds the k=4 benchmark workload used by the allocation

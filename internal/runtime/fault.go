@@ -13,7 +13,7 @@ import (
 )
 
 // Fault injection: a Transport wrapper that, with seeded probabilities,
-// drops, delays, duplicates, or corrupts messages per link class. It models
+// drops, delays, duplicates, or corrupts messages. It models
 // the misbehaving transports of real deployments (lossy cross-machine
 // links, contended PCIe) so the chaos tests can exercise the retry/timeout
 // machinery deterministically. The same knobs are mirrored into
@@ -45,28 +45,13 @@ type FaultStats struct {
 type FaultConfig struct {
 	// Seed makes the fault sequence reproducible.
 	Seed int64
-	// Default applies to every link without a per-class override.
+	// Default applies to every link.
 	Default FaultRates
-	// PerClass overrides rates for specific link classes (keys are the
-	// topology.ChannelClass strings, e.g. "nvlink", "cross-machine").
-	PerClass map[string]FaultRates
-	// Classify maps a transfer's endpoints to a link class for PerClass
-	// lookup. Nil means every link uses Default.
-	Classify func(src, dst int) string
 	// MaxDelay bounds the injected delay (uniform in (0, MaxDelay]);
 	// defaults to 1ms when a Delay rate is set.
 	MaxDelay time.Duration
 	// Stats, when non-nil, counts injected faults.
 	Stats *FaultStats
-}
-
-func (c FaultConfig) ratesFor(src, dst int) FaultRates {
-	if c.Classify != nil && len(c.PerClass) > 0 {
-		if r, ok := c.PerClass[c.Classify(src, dst)]; ok {
-			return r
-		}
-	}
-	return c.Default
 }
 
 type faultTransport struct {
@@ -107,7 +92,7 @@ func (t *faultTransport) roll(r FaultRates) (drop, dup, corrupt bool, delay time
 }
 
 func (t *faultTransport) Send(ctx context.Context, key TransferKey, tr core.Transfer, msg Message) error {
-	rates := t.cfg.ratesFor(tr.Src, tr.Dst)
+	rates := t.cfg.Default
 	if rates.zero() {
 		return t.inner.Send(ctx, key, tr, msg)
 	}

@@ -27,11 +27,9 @@ import (
 // compiled order (one blocking Recv per key), and chunk splitting preserves
 // the global row order of every transfer, so the slots of a collective are
 // written in the same order with the same values as serially. Within one
-// received payload each destination row has exactly one writer and its
-// floats are combined in row-local order, so partitioning the rows over
-// tensor.ParallelRows workers cannot reorder any addition. Results are
-// therefore bit-identical to serial execution at any chunk size and worker
-// count.
+// received payload each destination row's floats are combined in row-local
+// order. Results are therefore bit-identical to serial execution at any
+// chunk size.
 
 // DefaultOverlapWindow is the in-flight stage window used when OverlapConfig
 // enables the pipeline without choosing one: the sender may run at most this
@@ -255,45 +253,20 @@ func (ps *pipeState) firstErr() error {
 	return ps.err
 }
 
-// minParallelAggRows keeps tiny payloads on the inline path: below this the
-// per-goroutine overhead of ParallelRows outweighs the copy work. The
-// arithmetic is identical either way, so the threshold cannot affect
-// results.
-const minParallelAggRows = 128
-
 // aggregateFunc lands one received payload at its compiled slots.
 type aggregateFunc func(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix)
 
 // aggregateCopy lands a received payload at its compiled slots (forward:
-// pure row copies). Rows are partitioned over the kernel workers with one
-// writer per row, so the result is bit-identical at any worker count.
+// pure row copies).
 func aggregateCopy(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix) {
-	if tensor.Parallelism() > 1 && len(slots) >= minParallelAggRows {
-		tensor.ParallelRows(len(slots), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				copy(rowOf(slots[i]), rows.Row(i))
-			}
-		})
-		return
-	}
 	for i, s := range slots {
 		copy(rowOf(s), rows.Row(i))
 	}
 }
 
 // aggregateAdd accumulates a received payload into its compiled slots
-// (backward). Each destination row is touched by exactly one worker and its
-// floats are added in row-local order, so partitioning cannot reorder any
-// addition.
+// (backward), each destination row's floats added in row-local order.
 func aggregateAdd(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix) {
-	if tensor.Parallelism() > 1 && len(slots) >= minParallelAggRows {
-		tensor.ParallelRows(len(slots), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				tensor.AddTo(rowOf(slots[i]), rows.Row(i))
-			}
-		})
-		return
-	}
 	for i, s := range slots {
 		tensor.AddTo(rowOf(s), rows.Row(i))
 	}

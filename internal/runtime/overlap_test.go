@@ -110,23 +110,22 @@ func TestOverlapBackwardBitIdenticalToSerial(t *testing.T) {
 
 // TestOverlapTrainingBitIdentical trains the 20 seeded configurations under
 // serial execution and under overlapped execution at two chunk sizes and
-// two kernel worker counts; losses and final weights must agree bit for bit
-// in every combination.
+// windows; losses and final weights must agree bit for bit in every
+// combination.
 func TestOverlapTrainingBitIdentical(t *testing.T) {
 	variants := []struct {
-		name    string
-		workers int
-		ov      OverlapConfig
+		name string
+		ov   OverlapConfig
 	}{
-		{"chunk64-w1", 1, OverlapConfig{Enabled: true, ChunkRows: 64, Window: 4}},
-		{"chunk16-w4", 4, OverlapConfig{Enabled: true, ChunkRows: 16, Window: 2}},
+		{"chunk64", OverlapConfig{Enabled: true, ChunkRows: 64, Window: 4}},
+		{"chunk16", OverlapConfig{Enabled: true, ChunkRows: 16, Window: 2}},
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			refLosses, refModel := runSeededTraining(t, seed, 1)
+			refLosses, refModel := runSeededTraining(t, seed, OverlapConfig{})
 			for _, v := range variants {
-				losses, model := runSeededTrainingOverlap(t, seed, v.workers, v.ov)
+				losses, model := runSeededTraining(t, seed, v.ov)
 				for e := range refLosses {
 					if math.Float64bits(refLosses[e]) != math.Float64bits(losses[e]) {
 						t.Fatalf("%s: epoch %d loss diverges: serial %v, overlap %v", v.name, e, refLosses[e], losses[e])

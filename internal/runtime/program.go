@@ -37,7 +37,7 @@ import (
 // which the legacy path redid on every call.
 
 // sendStep is one compiled send: the transport key, the transfer (for
-// accounting and fault classification), and the source slot of each payload
+// accounting and failure attribution), and the source slot of each payload
 // row.
 type sendStep struct {
 	key   TransferKey

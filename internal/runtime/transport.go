@@ -61,7 +61,7 @@ func payloadChecksum(rows *tensor.Matrix) uint64 {
 // (dropped, corrupted in flight, receiver buffer full). Recv blocks until
 // the payload for key arrives, the context is done, or the transport gives
 // up. The tr argument carries the transfer's endpoints and vertex list for
-// accounting and fault classification; implementations must not mutate it.
+// accounting and failure attribution; implementations must not mutate it.
 type Transport interface {
 	Send(ctx context.Context, key TransferKey, tr core.Transfer, msg Message) error
 	Recv(ctx context.Context, key TransferKey, tr core.Transfer) (Message, error)

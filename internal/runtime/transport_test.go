@@ -155,25 +155,19 @@ func TestFaultTransportDuplicateIsDeliveredTwice(t *testing.T) {
 	}
 }
 
-func TestFaultTransportPerClassRates(t *testing.T) {
-	// Link 0->1 is "lossy" (always drops); everything else is clean.
-	tp := NewFaultTransport(NewChanTransport([][]core.Transfer{{
-		{Src: 0, Dst: 1}, {Src: 2, Dst: 3},
-	}}), FaultConfig{
-		Seed:     1,
-		PerClass: map[string]FaultRates{"lossy": {Drop: 1}},
-		Classify: func(src, dst int) string {
-			if src == 0 && dst == 1 {
-				return "lossy"
-			}
-			return "clean"
-		},
-	})
-	if err := tp.Send(context.Background(), TransferKey{0, 0}, core.Transfer{Src: 0, Dst: 1}, payload(1)); !errors.Is(err, ErrDropped) {
-		t.Fatalf("lossy link send = %v, want ErrDropped", err)
-	}
-	if err := tp.Send(context.Background(), TransferKey{0, 1}, core.Transfer{Src: 2, Dst: 3}, payload(1)); err != nil {
-		t.Fatalf("clean link send = %v, want nil", err)
+func TestFaultTransportRatesApplyToEveryLink(t *testing.T) {
+	stages := [][]core.Transfer{{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}}}
+	// Zero rates pass every send through untouched.
+	clean := NewFaultTransport(NewChanTransport(stages), FaultConfig{Seed: 1})
+	lossy := NewFaultTransport(NewChanTransport(stages), FaultConfig{Seed: 1, Default: FaultRates{Drop: 1}})
+	for i, tr := range stages[0] {
+		key := TransferKey{0, i}
+		if err := clean.Send(context.Background(), key, tr, payload(1)); err != nil {
+			t.Fatalf("zero-rate send %d->%d = %v, want nil", tr.Src, tr.Dst, err)
+		}
+		if err := lossy.Send(context.Background(), key, tr, payload(1)); !errors.Is(err, ErrDropped) {
+			t.Fatalf("drop-rate send %d->%d = %v, want ErrDropped", tr.Src, tr.Dst, err)
+		}
 	}
 }
 

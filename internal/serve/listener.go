@@ -39,7 +39,7 @@ func (s *Server) ServeListener(ln net.Listener) error {
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	for {
-		req, err := ReadRequest(conn, s.cfg.IdleTimeout)
+		req, err := ReadRequest(conn, idleTimeout)
 		if err != nil {
 			return
 		}
@@ -50,7 +50,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		case OpStats:
 			reply := StatsReply{ID: req.ID, NumVertices: s.numVertices, Stats: s.Stats()}
-			if err := wire.WriteControl(conn, &reply, s.cfg.WriteTimeout); err != nil {
+			if err := wire.WriteControl(conn, &reply, writeTimeout); err != nil {
 				return
 			}
 		}
@@ -61,7 +61,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // batcher coalesces them into shared flushes — and replies with one slot per
 // vertex in request order.
 func (s *Server) handleQuery(conn net.Conn, req *Request) error {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
 	reply := QueryReply{
 		ID:       req.ID,
@@ -86,5 +86,5 @@ func (s *Server) handleQuery(conn net.Conn, req *Request) error {
 		}()
 	}
 	wg.Wait()
-	return wire.WriteControl(conn, &reply, s.cfg.WriteTimeout)
+	return wire.WriteControl(conn, &reply, writeTimeout)
 }

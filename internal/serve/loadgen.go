@@ -42,8 +42,6 @@ type LoadOptions struct {
 	ZipfS, ZipfV float64
 	// Seed makes the query stream reproducible.
 	Seed int64
-	// RequestTimeout bounds one query. Default 15s.
-	RequestTimeout time.Duration
 }
 
 // LoadReport summarizes one load run.
@@ -86,9 +84,6 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	}
 	if opts.ZipfV < 1 {
 		opts.ZipfV = 1
-	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 15 * time.Second
 	}
 
 	// Zipf ranks hit a fixed popularity order (0 most popular); the seeded
@@ -149,7 +144,7 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 				return nil, fmt.Errorf("loadgen: dialing %s: %w", opts.Addr, err)
 			}
 			defer conn.Close()
-			go worker(tcpQuerier(conn, opts.RequestTimeout))
+			go worker(tcpQuerier(conn))
 		}
 	}
 
@@ -214,16 +209,16 @@ dispatch:
 
 // tcpQuerier issues single-vertex DGS1 queries over one connection. A reply
 // whose error slot mentions overload counts as shed on the client side.
-func tcpQuerier(conn net.Conn, timeout time.Duration) func(v int) (bool, error) {
+func tcpQuerier(conn net.Conn) func(v int) (bool, error) {
 	var id uint64
 	return func(v int) (bool, error) {
 		id++
 		req := Request{Op: OpQuery, ID: id, Vertices: []int32{int32(v)}}
-		if err := WriteRequest(conn, &req, timeout); err != nil {
+		if err := WriteRequest(conn, &req, requestTimeout); err != nil {
 			return false, err
 		}
 		var reply QueryReply
-		if err := wire.ReadControl(conn, &reply, timeout); err != nil {
+		if err := wire.ReadControl(conn, &reply, requestTimeout); err != nil {
 			return false, err
 		}
 		if reply.ID != id {

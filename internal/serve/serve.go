@@ -59,22 +59,20 @@ type Config struct {
 	RateLimit float64
 	// RateBurst is the token-bucket capacity; minimum 1 when RateLimit > 0.
 	RateBurst int
-	// ForwardTimeout bounds one batched forward. Default 30s.
-	ForwardTimeout time.Duration
-	// DisableFailover turns off the Degrade-and-retry path (forward errors
-	// then fail the batch).
-	DisableFailover bool
-	// IdleTimeout bounds how long a network connection may sit between
-	// requests. Default 60s.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one reply. Default 10s.
-	WriteTimeout time.Duration
-	// RequestTimeout bounds one query on behalf of a network client.
-	// Default 15s.
-	RequestTimeout time.Duration
-	// Clock injects time (tests); nil means the wall clock.
-	Clock clock.Clock
 }
+
+const (
+	// forwardTimeout bounds one batched forward.
+	forwardTimeout = 30 * time.Second
+	// idleTimeout bounds how long a network connection may sit between
+	// requests.
+	idleTimeout = 60 * time.Second
+	// writeTimeout bounds writing one reply.
+	writeTimeout = 10 * time.Second
+	// requestTimeout bounds one query on behalf of a network client, and one
+	// query of the load generator.
+	requestTimeout = 15 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
@@ -91,29 +89,12 @@ func (c Config) withDefaults() Config {
 	} else if c.CacheEntries < 0 {
 		c.CacheEntries = 0
 	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 30 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 15 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Real{}
-	}
 	return c
 }
 
 // Server answers vertex-embedding queries over a trained system.
 type Server struct {
-	cfg         Config
 	sys         *dgcl.System
-	clock       clock.Clock
 	numVertices int
 
 	// version is the model version: bumped by UpdateModel/EpochHook and by
@@ -150,18 +131,16 @@ func New(sys *dgcl.System, model *dgcl.Model, features *dgcl.Matrix, cfg Config)
 		return nil, fmt.Errorf("serve: building inference engine: %w", err)
 	}
 	s := &Server{
-		cfg:         cfg,
 		sys:         sys,
-		clock:       cfg.Clock,
 		numVertices: features.Rows,
 		eng:         eng,
-		limiter:     newTokenBucket(cfg.RateLimit, cfg.RateBurst, cfg.Clock.Now()),
+		limiter:     newTokenBucket(cfg.RateLimit, cfg.RateBurst, time.Now()),
 	}
 	if cfg.CacheEntries > 0 {
 		assign := append([]int32(nil), sys.PartitionAssignment()...)
 		s.cache = newCache(cfg.CacheEntries, assign, sys.NumGPUs())
 	}
-	s.batcher = newBatcher(cfg.MaxBatch, cfg.BatchDelay, cfg.QueueDepth, cfg.Clock, s.flush)
+	s.batcher = newBatcher(cfg.MaxBatch, cfg.BatchDelay, cfg.QueueDepth, clock.Real{}, s.flush)
 	return s, nil
 }
 
@@ -178,7 +157,7 @@ func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 		s.stats.errors.Add(1)
 		return Result{}, fmt.Errorf("serve: vertex %d out of range [0,%d)", vertex, s.numVertices)
 	}
-	start := s.clock.Now()
+	start := time.Now()
 	if !s.limiter.allow(start) {
 		s.stats.shedRate.Add(1)
 		return Result{}, ErrOverload
@@ -186,7 +165,7 @@ func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 	v := int32(vertex)
 	if row, ok := s.cache.get(v, s.version.Load()); ok {
 		s.stats.hits.Add(1)
-		s.stats.observe(s.clock.Now().Sub(start), true)
+		s.stats.observe(time.Since(start), true)
 		return Result{Row: row, Version: s.version.Load(), Cached: true}, nil
 	}
 	req := request{vertex: v, ch: make(chan response, 1)}
@@ -201,7 +180,7 @@ func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 			s.stats.errors.Add(1)
 			return Result{}, resp.err
 		}
-		s.stats.observe(s.clock.Now().Sub(start), false)
+		s.stats.observe(time.Since(start), false)
 		return Result{Row: resp.row, Version: resp.version}, nil
 	case <-ctx.Done():
 		s.stats.errors.Add(1)
@@ -210,17 +189,16 @@ func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 }
 
 // flush executes one batch: a single distributed forward answers every
-// request, deduplicated by vertex. On a device-death failure (and failover
-// enabled) it degrades the system onto the survivors, invalidates the cache,
+// request, deduplicated by vertex. On a device-death failure it degrades the system onto the survivors, invalidates the cache,
 // records the transition, and retries once on the degraded replica.
 func (s *Server) flush(batch []request, reason flushReason) {
 	s.stats.noteFlush(len(batch), reason)
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 	defer cancel()
 
 	s.mu.Lock()
 	out, err := s.eng.forward(ctx)
-	if err != nil && !s.cfg.DisableFailover {
+	if err != nil {
 		if down := downDevices(err); len(down) > 0 {
 			if rerr := s.eng.recover(down); rerr != nil {
 				err = fmt.Errorf("serve: failover after losing %v: %w", down, rerr)

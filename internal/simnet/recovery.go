@@ -8,75 +8,43 @@ package simnet
 // detect/replan/restore stalls on a failure — the classical Young/Daly
 // trade-off, priced for this system's fabrics.
 
-// RecoveryProfile prices checkpoint I/O and failure handling in virtual
-// time. Zero-valued fields take the listed defaults via withDefaults.
-type RecoveryProfile struct {
-	// CheckpointWriteBW is the durable-write bandwidth in bytes/second
-	// (default 2 GB/s, a local NVMe).
-	CheckpointWriteBW float64
-	// CheckpointReadBW is the restore-read bandwidth in bytes/second
-	// (default 4 GB/s).
-	CheckpointReadBW float64
-	// CommitLatency is the fixed fsync + rename commit cost per checkpoint,
-	// in seconds (default 5ms).
-	CommitLatency float64
-	// DetectLatency is the time from a device dying to a down verdict, in
-	// seconds (default 2s — the receive deadline that converts silence into
-	// a strike, times the verdict threshold is already folded in by callers
-	// that know their RetryPolicy).
-	DetectLatency float64
-	// ReplanLatency is the degraded SPST replan stall, in seconds (default
-	// 50ms cold; callers with a warm plan cache pass their own).
-	ReplanLatency float64
-}
-
-func (p *RecoveryProfile) withDefaults() RecoveryProfile {
-	g := RecoveryProfile{}
-	if p != nil {
-		g = *p
-	}
-	if g.CheckpointWriteBW == 0 {
-		g.CheckpointWriteBW = 2e9
-	}
-	if g.CheckpointReadBW == 0 {
-		g.CheckpointReadBW = 4e9
-	}
-	if g.CommitLatency == 0 {
-		g.CommitLatency = 5e-3
-	}
-	if g.DetectLatency == 0 {
-		g.DetectLatency = 2.0
-	}
-	if g.ReplanLatency == 0 {
-		g.ReplanLatency = 50e-3
-	}
-	return g
-}
+const (
+	// checkpointWriteBW is the durable-write bandwidth in bytes/second (a
+	// local NVMe).
+	checkpointWriteBW = 2e9
+	// checkpointReadBW is the restore-read bandwidth in bytes/second.
+	checkpointReadBW = 4e9
+	// commitLatency is the fixed fsync + rename commit cost per checkpoint,
+	// in seconds.
+	commitLatency = 5e-3
+	// detectLatency is the time from a device dying to a down verdict, in
+	// seconds: the receive deadline that converts silence into a strike.
+	detectLatency = 2.0
+	// replanLatency is the cold degraded SPST replan stall, in seconds.
+	replanLatency = 50e-3
+)
 
 // CheckpointTime prices one durable checkpoint of the given payload size.
-func (p *RecoveryProfile) CheckpointTime(bytes int64) float64 {
-	g := p.withDefaults()
-	return float64(bytes)/g.CheckpointWriteBW + g.CommitLatency
+func CheckpointTime(bytes int64) float64 {
+	return float64(bytes)/checkpointWriteBW + commitLatency
 }
 
 // RestoreTime prices reading and verifying one checkpoint payload.
-func (p *RecoveryProfile) RestoreTime(bytes int64) float64 {
-	g := p.withDefaults()
-	return float64(bytes) / g.CheckpointReadBW
+func RestoreTime(bytes int64) float64 {
+	return float64(bytes) / checkpointReadBW
 }
 
 // RecoveryTime prices one full failure handling: detection, degraded
 // replanning, and checkpoint restore — the stall between the last failed
 // collective and the first degraded epoch.
-func (p *RecoveryProfile) RecoveryTime(checkpointBytes int64) float64 {
-	g := p.withDefaults()
-	return g.DetectLatency + g.ReplanLatency + p.RestoreTime(checkpointBytes)
+func RecoveryTime(checkpointBytes int64) float64 {
+	return detectLatency + replanLatency + RestoreTime(checkpointBytes)
 }
 
 // LostWorkTime prices the re-executed epochs after a restore: with
 // checkpoints every interval epochs, a crash loses on average interval/2
 // epochs of epochTime each (worst case interval).
-func (p *RecoveryProfile) LostWorkTime(interval int, epochTime float64) float64 {
+func LostWorkTime(interval int, epochTime float64) float64 {
 	if interval < 1 {
 		interval = 1
 	}
@@ -89,11 +57,11 @@ func (p *RecoveryProfile) LostWorkTime(interval int, epochTime float64) float64 
 // checkpoint write plus the expected recovery and lost-work cost. Sweeping
 // interval traces the recovery cost curve; its minimum is the Young/Daly
 // optimal interval for the configuration.
-func (p *RecoveryProfile) OverheadPerEpoch(interval int, checkpointBytes int64, epochTime, failuresPerEpoch float64) float64 {
+func OverheadPerEpoch(interval int, checkpointBytes int64, epochTime, failuresPerEpoch float64) float64 {
 	if interval < 1 {
 		interval = 1
 	}
-	steady := p.CheckpointTime(checkpointBytes) / float64(interval)
-	expectedStall := failuresPerEpoch * (p.RecoveryTime(checkpointBytes) + p.LostWorkTime(interval, epochTime))
+	steady := CheckpointTime(checkpointBytes) / float64(interval)
+	expectedStall := failuresPerEpoch * (RecoveryTime(checkpointBytes) + LostWorkTime(interval, epochTime))
 	return steady + expectedStall
 }

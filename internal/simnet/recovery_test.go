@@ -7,54 +7,40 @@ import (
 
 // Recovery-pricing battery: the curve must behave like the Young/Daly
 // trade-off it models — monotone parts pulling in opposite directions with
-// an interior minimum, and defaults that kick in for zero-valued profiles.
+// an interior minimum, and the fixed bandwidths and latencies it prices.
 
-func TestRecoveryProfileDefaults(t *testing.T) {
-	var p *RecoveryProfile // nil profile: all defaults
-	bytes := int64(2e9)    // 1s write at the 2 GB/s default
-	if got := p.CheckpointTime(bytes); math.Abs(got-1.005) > 1e-9 {
+func TestRecoveryPricing(t *testing.T) {
+	bytes := int64(2e9) // 1s write at 2 GB/s
+	if got := CheckpointTime(bytes); math.Abs(got-1.005) > 1e-9 {
 		t.Fatalf("CheckpointTime(2GB) = %v, want 1.005 (1s write + 5ms commit)", got)
 	}
-	if got := p.RestoreTime(bytes); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("RestoreTime(2GB) = %v, want 0.5 at the 4 GB/s default", got)
+	if got := RestoreTime(bytes); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("RestoreTime(2GB) = %v, want 0.5 at 4 GB/s", got)
 	}
 	want := 2.0 + 50e-3 + 0.5
-	if got := p.RecoveryTime(bytes); math.Abs(got-want) > 1e-9 {
+	if got := RecoveryTime(bytes); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("RecoveryTime(2GB) = %v, want %v (detect + replan + restore)", got, want)
 	}
 }
 
-func TestRecoveryProfileOverrides(t *testing.T) {
-	p := &RecoveryProfile{CheckpointWriteBW: 1e9, CommitLatency: 1e-3}
-	if got := p.CheckpointTime(1e9); math.Abs(got-1.001) > 1e-9 {
-		t.Fatalf("CheckpointTime with overrides = %v, want 1.001", got)
-	}
-	// Unset fields still default: read bandwidth stays 4 GB/s.
-	if got := p.RestoreTime(4e9); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("RestoreTime with partial overrides = %v, want 1.0", got)
-	}
-}
-
 func TestLostWorkScalesWithInterval(t *testing.T) {
-	var p *RecoveryProfile
 	epoch := 2.0
-	if got := p.LostWorkTime(4, epoch); got != 4.0 {
+	if got := LostWorkTime(4, epoch); got != 4.0 {
 		t.Fatalf("LostWorkTime(4, 2s) = %v, want 4 (interval/2 epochs)", got)
 	}
-	if got := p.LostWorkTime(0, epoch); got != 1.0 {
+	if got := LostWorkTime(0, epoch); got != 1.0 {
 		t.Fatalf("LostWorkTime clamps interval to 1, got %v", got)
 	}
 }
 
 func TestOverheadPerEpochTracesAYoungDalyCurve(t *testing.T) {
-	var p *RecoveryProfile
 	const (
 		bytes     = int64(1e9)
 		epochTime = 10.0
 		failures  = 1e-3
 	)
 	over := func(interval int) float64 {
-		return p.OverheadPerEpoch(interval, bytes, epochTime, failures)
+		return OverheadPerEpoch(interval, bytes, epochTime, failures)
 	}
 	// Steady-state checkpoint cost strictly decreases with the interval;
 	// expected lost work strictly increases. Their sum must dip somewhere in
@@ -72,7 +58,7 @@ func TestOverheadPerEpochTracesAYoungDalyCurve(t *testing.T) {
 	// cheap — only the amortized write remains.
 	prev := math.Inf(1)
 	for interval := 1; interval <= 1024; interval *= 2 {
-		o := p.OverheadPerEpoch(interval, bytes, epochTime, 0)
+		o := OverheadPerEpoch(interval, bytes, epochTime, 0)
 		if o > prev+1e-12 {
 			t.Fatalf("failure-free overhead rose from %v to %v at interval %d", prev, o, interval)
 		}

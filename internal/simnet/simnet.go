@@ -68,17 +68,19 @@ type OverlapModel struct {
 // runtime's fault-injection + retry knobs: a transfer is lost with
 // probability DropRate+CorruptRate (a corrupted copy still occupies the
 // link, then is retransmitted), retransmitted up to MaxRetries times with
-// exponential backoff, and duplicated with probability DuplicateRate.
+// exponential backoff from retryBackoff, and duplicated with probability
+// DuplicateRate.
 type FaultProfile struct {
 	DropRate      float64
 	CorruptRate   float64
 	DuplicateRate float64
 	// MaxRetries is the retransmission budget per transfer (default 4).
 	MaxRetries int
-	// RetryBackoff is the virtual-time wait before the first
-	// retransmission, doubling each retry (default 200µs).
-	RetryBackoff float64
 }
+
+// retryBackoff is the virtual-time wait before the first retransmission, in
+// seconds; it doubles each retry.
+const retryBackoff = 200e-6
 
 func (f *FaultProfile) withDefaults() *FaultProfile {
 	if f == nil {
@@ -87,9 +89,6 @@ func (f *FaultProfile) withDefaults() *FaultProfile {
 	g := *f
 	if g.MaxRetries == 0 {
 		g.MaxRetries = 4
-	}
-	if g.RetryBackoff == 0 {
-		g.RetryBackoff = 200e-6
 	}
 	return &g
 }
@@ -410,7 +409,7 @@ func (n *Network) priceFaults(f *flow) int {
 		lose = 0.95
 	}
 	extra := 0
-	backoff := fp.RetryBackoff
+	backoff := retryBackoff
 	for i := 0; i < fp.MaxRetries && n.rng.Float64() < lose; i++ {
 		extra++
 		f.latency += backoff

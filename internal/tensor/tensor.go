@@ -83,9 +83,7 @@ func (m *Matrix) FillRandom(seed int64) *Matrix {
 	return m
 }
 
-// MatMul returns a × b. Output rows are computed independently (see
-// parallel.go), so the kernel parallelizes bit-identically across
-// SetParallelism workers. The historical data-dependent zero-skip on a's
+// MatMul returns a × b. The historical data-dependent zero-skip on a's
 // elements is gone: it made kernel cost a function of activation sparsity in
 // a way the device cost model never priced, for a win that only materialized
 // on artificially sparse inputs (aggregated embeddings are dense in
@@ -95,19 +93,17 @@ func MatMul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmul %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
-	ParallelRows(a.Rows, func(lo, hi int) { matMulRows(a, *b, out, lo, hi) })
+	matMulRows(a, *b, out)
 	return out
 }
 
-// MatMulATB returns aᵀ × b (used for weight gradients). Workers partition
-// the OUTPUT rows k (columns of a); the row loop over a stays outermost per
-// worker so each output row accumulates in the exact serial order.
+// MatMulATB returns aᵀ × b (used for weight gradients).
 func MatMulATB(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulATB %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Cols, b.Cols)
-	ParallelRows(a.Cols, func(lo, hi int) { matMulATBRows(a, b, out, lo, hi) })
+	matMulATBRows(a, b, out)
 	return out
 }
 
@@ -117,7 +113,7 @@ func MatMulATB(a, b *Matrix) *Matrix {
 // +0 — the fixed-order inner product Dot(a.Row(i), b.Row(j)) — but as row
 // updates, so it runs on the same kernel as the other two matmuls. The copy
 // costs no allocation of its own: its floats sit behind the result's in one
-// slab and its header travels in the closure.
+// slab and its header is passed by value.
 func MatMulABT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulABT %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -131,8 +127,46 @@ func MatMulABT(a, b *Matrix) *Matrix {
 			bt.Data[k*bt.Cols+j] = v
 		}
 	}
-	ParallelRows(a.Rows, func(lo, hi int) { matMulRows(a, bt, out, lo, hi) })
+	matMulRows(a, bt, out)
 	return out
+}
+
+// matMulRows computes out = a × b with the serial i-k-j loop, k blocked by
+// four: every output element still receives its k-terms one at a time in
+// ascending k (see Axpy4), so results are bit-identical to the unblocked
+// kernel. b is a header by value so that MatMulABT's transposed copy needs no
+// heap header.
+func matMulRows(a *Matrix, b Matrix, out *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		k := 0
+		for ; k+3 < len(arow); k += 4 {
+			Axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3],
+				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), orow)
+		}
+		for ; k < len(arow); k++ {
+			Axpy(arow[k], b.Row(k), orow)
+		}
+	}
+}
+
+// matMulATBRows computes out = aᵀ × b. The output-row loop k is outermost so
+// each output row is resolved once and stays hot, and every row accumulates
+// its per-i contributions in ascending i — the serial order, since iteration
+// order within one output row is all that bit-identity depends on.
+func matMulATBRows(a, b, out *Matrix) {
+	for k := 0; k < a.Cols; k++ {
+		orow := out.Row(k)
+		i := 0
+		for ; i+3 < a.Rows; i += 4 {
+			Axpy4(a.Data[i*a.Cols+k], a.Data[(i+1)*a.Cols+k], a.Data[(i+2)*a.Cols+k], a.Data[(i+3)*a.Cols+k],
+				b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3), orow)
+		}
+		for ; i < a.Rows; i++ {
+			Axpy(a.Data[i*a.Cols+k], b.Row(i), orow)
+		}
+	}
 }
 
 // AddInPlace adds b into a (same shape).

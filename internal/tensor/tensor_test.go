@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -265,12 +264,10 @@ func bitsEqual(a, b *Matrix) bool {
 }
 
 // TestParallelKernelsBitIdentical runs all three matmul kernels across odd
-// shapes (including rows < workers, single rows/cols, widths and depths off
-// the kernels' block sizes, and sparse inputs exercising the removed
-// zero-skip) at worker counts {1, 2, 3, 4, 7},
-// asserting bit-identical outputs against the serial references.
+// shapes (single rows/cols, widths and depths off the kernels' block sizes,
+// and sparse inputs exercising the removed zero-skip), asserting
+// bit-identical outputs against the naive serial references.
 func TestParallelKernelsBitIdentical(t *testing.T) {
-	defer SetParallelism(SetParallelism(1))
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 7}, {7, 3, 1}, {2, 9, 4}, {13, 6, 5}, {64, 17, 9}, {5, 1, 3},
 		// MatMulABT runs on the row kernel over a transposed b: k and n off
@@ -291,75 +288,36 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			wantMM := serialMatMul(a, bm)
-			wantATB := serialATB(a, atb)
-			wantABT := serialABT(a, abt)
-			for _, w := range []int{1, 2, 3, 4, 7} {
-				SetParallelism(w)
-				if got := MatMul(a, bm); !bitsEqual(got, wantMM) {
-					t.Fatalf("MatMul %dx%dx%d diverges at W=%d (sparse=%v)", s.m, s.k, s.n, w, sparse)
-				}
-				if got := MatMulATB(a, atb); !bitsEqual(got, wantATB) {
-					t.Fatalf("MatMulATB %dx%dx%d diverges at W=%d (sparse=%v)", s.m, s.k, s.n, w, sparse)
-				}
-				if got := MatMulABT(a, abt); !bitsEqual(got, wantABT) {
-					t.Fatalf("MatMulABT %dx%dx%d diverges at W=%d (sparse=%v)", s.m, s.k, s.n, w, sparse)
-				}
+			if got := MatMul(a, bm); !bitsEqual(got, serialMatMul(a, bm)) {
+				t.Fatalf("MatMul %dx%dx%d diverges (sparse=%v)", s.m, s.k, s.n, sparse)
 			}
-			SetParallelism(1)
+			if got := MatMulATB(a, atb); !bitsEqual(got, serialATB(a, atb)) {
+				t.Fatalf("MatMulATB %dx%dx%d diverges (sparse=%v)", s.m, s.k, s.n, sparse)
+			}
+			if got := MatMulABT(a, abt); !bitsEqual(got, serialABT(a, abt)) {
+				t.Fatalf("MatMulABT %dx%dx%d diverges (sparse=%v)", s.m, s.k, s.n, sparse)
+			}
 		}
 	}
 }
 
 // TestMatMulABTAllocatesLikeMatMul: the transposed copy MatMulABT computes
 // over must not show up as allocations of its own (an epoch calls it once per
-// rank per layer, and runtime.allocs_per_epoch is a tracked count).
+// rank per layer, and runtime.allocs_per_epoch is a tracked count), and
+// MatMul allocates nothing beyond its result's header and floats.
 func TestMatMulABTAllocatesLikeMatMul(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	defer SetParallelism(SetParallelism(1))
 	a := New(50, 16).FillRandom(1)
 	w, wt := New(32, 16).FillRandom(2), New(16, 32).FillRandom(3)
 	abt := testing.AllocsPerRun(50, func() { MatMulABT(a, w) })
 	mm := testing.AllocsPerRun(50, func() { MatMul(a, wt) })
+	if mm != 2 {
+		t.Fatalf("MatMul allocates %v times per call, want 2 (the result)", mm)
+	}
 	if abt > mm {
 		t.Fatalf("MatMulABT allocates %v times per call, MatMul %v", abt, mm)
-	}
-}
-
-// TestSetParallelism pins the knob's semantics: returns the previous value,
-// clamps to >= 1, and ParallelRows covers [0, rows) in disjoint chunks.
-func TestSetParallelism(t *testing.T) {
-	defer SetParallelism(SetParallelism(1))
-	if prev := SetParallelism(4); prev != 1 {
-		t.Fatalf("previous parallelism = %d, want 1", prev)
-	}
-	if got := Parallelism(); got != 4 {
-		t.Fatalf("parallelism = %d, want 4", got)
-	}
-	if prev := SetParallelism(0); prev != 4 {
-		t.Fatalf("previous parallelism = %d, want 4", prev)
-	}
-	if got := Parallelism(); got != 1 {
-		t.Fatalf("parallelism after clamp = %d, want 1", got)
-	}
-	SetParallelism(3)
-	for _, rows := range []int{0, 1, 2, 3, 7, 10} {
-		covered := make([]int32, rows)
-		var mu sync.Mutex
-		ParallelRows(rows, func(lo, hi int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := lo; i < hi; i++ {
-				covered[i]++
-			}
-		})
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("rows=%d: row %d covered %d times", rows, i, c)
-			}
-		}
 	}
 }
 

@@ -46,12 +46,6 @@ type SuperviseOptions struct {
 	// worker may reclaim its slot before the coordinator degrades onto the
 	// survivors. Default 15s.
 	RejoinWait time.Duration
-	// PrepareTimeout bounds each member's system build per generation.
-	// Default 2m.
-	PrepareTimeout time.Duration
-	// MaxChanges bounds membership generations (churn budget). Default
-	// 2×GPUs.
-	MaxChanges int
 	// Clock injects time for lease arithmetic and wakeups (tests use
 	// clock.Fake). Default: the real clock.
 	Clock clock.Clock
@@ -172,17 +166,14 @@ func (o SuperviseOptions) withDefaults() SuperviseOptions {
 	if o.RejoinWait <= 0 {
 		o.RejoinWait = 15 * time.Second
 	}
-	if o.PrepareTimeout <= 0 {
-		o.PrepareTimeout = 2 * time.Minute
-	}
-	if o.MaxChanges <= 0 {
-		o.MaxChanges = 2 * o.Spec.GPUs
-	}
 	if o.Clock == nil {
 		o.Clock = clock.Real{}
 	}
 	return o
 }
+
+// prepareTimeout bounds each member's system build per generation.
+const prepareTimeout = 2 * time.Minute
 
 // Supervise serves one supervised multi-process run: it admits Workers
 // joins, then drives generations of prepare → ready → mesh → train until
@@ -232,8 +223,9 @@ func (s *supervisor) run(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	for {
-		if int(s.gen) > s.opts.MaxChanges {
-			return nil, fmt.Errorf("worker: membership churn budget (%d generations) exhausted", s.opts.MaxChanges)
+		// The churn budget: at most two membership generations per GPU.
+		if maxChanges := 2 * s.opts.Spec.GPUs; int(s.gen) > maxChanges {
+			return nil, fmt.Errorf("worker: membership churn budget (%d generations) exhausted", maxChanges)
 		}
 		if err := s.startGeneration(ctx); err != nil {
 			return nil, err
@@ -462,7 +454,7 @@ func (s *supervisor) startGeneration(ctx context.Context) error {
 			return fmt.Errorf("worker: prepare member %d: %w", m.slot, err)
 		}
 	}
-	deadline := s.clock.Now().Add(s.opts.PrepareTimeout)
+	deadline := s.clock.Now().Add(prepareTimeout)
 	for {
 		pending := 0
 		for _, m := range active {

@@ -57,9 +57,6 @@ type WorkerOptions struct {
 	// readable: polled at epoch boundaries (cmd/dgclworker closes it on
 	// SIGTERM/SIGINT).
 	Drain <-chan struct{}
-	// EpochTimeout bounds each epoch's collectives so a stalled peer
-	// surfaces as a fault instead of a hang. Default 2m.
-	EpochTimeout time.Duration
 	// OverlapOff disables the pipelined overlap executor locally. The
 	// spec's chunked layout still applies (it determines the wire transfer
 	// keys), so an overlap-off worker interoperates bit-identically with
@@ -70,6 +67,10 @@ type WorkerOptions struct {
 	OverlapWindow int
 }
 
+// epochTimeout bounds each epoch's collectives so a stalled peer surfaces as
+// a fault instead of a hang.
+const epochTimeout = 2 * time.Minute
+
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.DataBind == "" {
 		o.DataBind = "127.0.0.1:0"
@@ -79,9 +80,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real{}
-	}
-	if o.EpochTimeout <= 0 {
-		o.EpochTimeout = 2 * time.Minute
 	}
 	return o
 }
@@ -445,7 +443,7 @@ func (s *session) train(ctx context.Context, cc *ctrlConn, mesh ctrlMsg, opts Wo
 			stopBeats()
 			return s.drain(cc, tr, e)
 		}
-		epochCtx, cancel := context.WithTimeout(ctx, opts.EpochTimeout)
+		epochCtx, cancel := context.WithTimeout(ctx, epochTimeout)
 		loss, err := tr.EpochAt(epochCtx, e)
 		cancel()
 		if err != nil {

@@ -188,20 +188,15 @@ type TrainOptions struct {
 	// Resume starts from the newest intact checkpoint in CheckpointDir when
 	// one exists (a fresh start otherwise).
 	Resume bool
-	// EpochRetries bounds retries of one epoch on transient (non-device-down)
-	// collective failures before giving up (<=0 means 2).
-	EpochRetries int
-	// MaxRecoveries bounds device-down recoveries before giving up (<=0
-	// means the device count minus one — every device but the last may die).
-	MaxRecoveries int
-	// DownAfter tunes the failure detector's consecutive-strike threshold
-	// (0 = default).
-	DownAfter int
 	// OnEpoch, when non-nil, observes every completed epoch.
 	OnEpoch func(epoch int, loss float64)
 	// OnRecovery, when non-nil, observes every completed recovery.
 	OnRecovery func(RecoveryEvent)
 }
+
+// epochRetries bounds Train's retries of one epoch on transient
+// (non-device-down) collective failures before it gives up.
+const epochRetries = 2
 
 // RecoveryEvent describes one completed crash recovery.
 type RecoveryEvent struct {
@@ -236,10 +231,11 @@ type TrainResult struct {
 }
 
 // Train runs the resilient training loop: epochs with periodic durable
-// checkpoints, transient-failure retries, and device-down recovery
-// (degrade to survivors, replan, restore newest intact checkpoint,
-// continue). model/features/targets are global; sharding follows the active
-// partition and is redone on every recovery.
+// checkpoints, transient-failure retries (epochRetries per epoch), and
+// device-down recovery (degrade to survivors, replan, restore newest intact
+// checkpoint, continue) until every device but the last has died.
+// model/features/targets are global; sharding follows the active partition
+// and is redone on every recovery.
 func (s *System) Train(ctx context.Context, model *Model, features, targets *Matrix, opts TrainOptions) (*TrainResult, error) {
 	if err := s.ready(); err != nil {
 		return nil, err
@@ -251,15 +247,8 @@ func (s *System) Train(ctx context.Context, model *Model, features, targets *Mat
 	if newOpt == nil {
 		newOpt = func() Optimizer { return gnn.NewSGD(0.01, 0) }
 	}
-	epochRetries := opts.EpochRetries
-	if epochRetries <= 0 {
-		epochRetries = 2
-	}
-	maxRecoveries := opts.MaxRecoveries
-	if maxRecoveries <= 0 {
-		maxRecoveries = s.topo.NumGPUs() - 1
-	}
-	s.ensureResilience(opts.DownAfter)
+	maxRecoveries := s.topo.NumGPUs() - 1
+	s.ensureResilience(0)
 	s.applyRunOptions()
 
 	var store *checkpoint.Store
