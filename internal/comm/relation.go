@@ -6,6 +6,7 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -73,34 +74,6 @@ func Build(g *graph.Graph, p *partition.Partition) (*Relation, error) {
 	return r, nil
 }
 
-// Task is one multicast obligation: vertex Vertex, owned by GPU Src, must
-// reach every GPU in Dsts (sorted, never containing Src).
-type Task struct {
-	Vertex int32
-	Src    int
-	Dsts   []int
-}
-
-// MulticastTasks expands the relation into one task per vertex that has at
-// least one remote consumer, ordered by vertex id.
-func (r *Relation) MulticastTasks() []Task {
-	dsts := make(map[int32][]int)
-	for src := 0; src < r.K; src++ {
-		for dst := 0; dst < r.K; dst++ {
-			for _, v := range r.Send[src][dst] {
-				dsts[v] = append(dsts[v], dst)
-			}
-		}
-	}
-	out := make([]Task, 0, len(dsts))
-	for v, ds := range dsts {
-		sort.Ints(ds)
-		out = append(out, Task{Vertex: v, Src: int(r.Owner[v]), Dsts: ds})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Vertex < out[j].Vertex })
-	return out
-}
-
 // Class is a group of vertices sharing the same source GPU and destination
 // set; planning treats all its vertices identically, so grouping (and then
 // chunking) classes makes SPST cost proportional to the number of distinct
@@ -111,48 +84,66 @@ type Class struct {
 	Vertices []int32
 }
 
-// Classes groups multicast tasks by (source, destination-set). The result is
-// deterministic: classes sorted by source then destination signature, and
-// vertex lists sorted ascending.
+// Classes groups the vertices that have at least one remote consumer by
+// (source, destination set). The result is deterministic: classes sorted by
+// source then destination list (lexicographically, a prefix first), and
+// vertex lists ascending. The classes' Dsts and Vertices share two backing
+// arrays; each slice's capacity ends at its length, so appending copies.
 func (r *Relation) Classes() []Class {
-	type key struct {
-		src  int
-		dsts string
-	}
-	byKey := make(map[key]*Class)
-	for _, t := range r.MulticastTasks() {
-		sig := make([]byte, 0, len(t.Dsts)*2)
-		for _, d := range t.Dsts {
-			sig = append(sig, byte(d), byte(d>>8))
+	n := len(r.Owner)
+	// Per-vertex destination lists in CSR form: counting into off[v+2] and
+	// filling at off[v+1]++ leaves v's list at dsts[off[v]:off[v+1]].
+	// Filling destination-major makes every list ascending.
+	off := make([]int, n+2)
+	for _, row := range r.Send {
+		for _, vs := range row {
+			for _, v := range vs {
+				off[v+2]++
+			}
 		}
-		kk := key{t.Src, string(sig)}
-		c := byKey[kk]
-		if c == nil {
-			c = &Class{Src: t.Src, Dsts: t.Dsts}
-			byKey[kk] = c
-		}
-		c.Vertices = append(c.Vertices, t.Vertex)
 	}
-	out := make([]Class, 0, len(byKey))
-	for _, c := range byKey {
-		out = append(out, *c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
+	var perm []int32 // the vertices with a consumer, ascending
+	for v := 0; v < n; v++ {
+		if off[v+2] > 0 {
+			perm = append(perm, int32(v))
 		}
-		return lessIntSlice(out[i].Dsts, out[j].Dsts)
-	})
-	return out
-}
+		off[v+2] += off[v+1]
+	}
+	dsts := make([]int, off[n+1])
+	for dst := 0; dst < r.K; dst++ {
+		for src := 0; src < r.K; src++ {
+			for _, v := range r.Send[src][dst] {
+				dsts[off[v+1]] = dst
+				off[v+1]++
+			}
+		}
+	}
 
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+	// Order the sending vertices by (owner, destination list, id): classes
+	// become runs, in class order, each holding its vertices ascending.
+	// slices.Compare orders a list before its extensions.
+	list := func(v int32) []int { return dsts[off[v]:off[v+1]:off[v+1]] }
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(r.Owner[a], r.Owner[b]); c != 0 {
+			return c
 		}
+		if c := slices.Compare(list(a), list(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+
+	out := make([]Class, 0)
+	for lo := 0; lo < len(perm); {
+		v := perm[lo]
+		hi := lo + 1
+		for hi < len(perm) && r.Owner[perm[hi]] == r.Owner[v] && slices.Equal(list(perm[hi]), list(v)) {
+			hi++
+		}
+		out = append(out, Class{Src: int(r.Owner[v]), Dsts: list(v), Vertices: perm[lo:hi:hi]})
+		lo = hi
 	}
-	return len(a) < len(b)
+	return out
 }
 
 // TotalRemoteVertices returns the total number of (gpu, vertex) remote

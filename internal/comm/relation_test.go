@@ -1,12 +1,17 @@
 package comm
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"dgcl/internal/graph"
 	"dgcl/internal/partition"
+	"dgcl/internal/topology"
 )
 
 // fig1Graph reproduces the example graph of Figure 1 (12 vertices a..l) with
@@ -92,33 +97,6 @@ func TestRelationOnRing(t *testing.T) {
 	}
 }
 
-func TestMulticastTasks(t *testing.T) {
-	g, p := fig1Graph()
-	r, _ := Build(g, p)
-	tasks := r.MulticastTasks()
-	byVertex := map[int32]Task{}
-	for _, task := range tasks {
-		byVertex[task.Vertex] = task
-	}
-	// Vertex a(0) is needed by GPU1 (d,f are its neighbors' owners... a's
-	// consumers: d(GPU1) f(GPU1) j(GPU3)); so Dsts = {1,3}.
-	ta, ok := byVertex[0]
-	if !ok {
-		t.Fatal("vertex a should be multicast")
-	}
-	if ta.Src != 0 || len(ta.Dsts) != 2 || ta.Dsts[0] != 1 || ta.Dsts[1] != 3 {
-		t.Fatalf("task for a = %+v", ta)
-	}
-	// Every task's dsts exclude its src.
-	for _, task := range tasks {
-		for _, d := range task.Dsts {
-			if d == task.Src {
-				t.Fatalf("task %+v contains src in dsts", task)
-			}
-		}
-	}
-}
-
 func TestClassesGroupCorrectly(t *testing.T) {
 	g, p := fig1Graph()
 	r, _ := Build(g, p)
@@ -127,6 +105,11 @@ func TestClassesGroupCorrectly(t *testing.T) {
 	seen := map[int32]bool{}
 	for _, c := range classes {
 		totalVertices += len(c.Vertices)
+		for _, d := range c.Dsts {
+			if d == c.Src {
+				t.Fatalf("class %+v contains its src in dsts", c)
+			}
+		}
 		for _, v := range c.Vertices {
 			if seen[v] {
 				t.Fatalf("vertex %d in two classes", v)
@@ -137,8 +120,164 @@ func TestClassesGroupCorrectly(t *testing.T) {
 			}
 		}
 	}
-	if totalVertices != len(r.MulticastTasks()) {
-		t.Fatalf("classes cover %d vertices, tasks %d", totalVertices, len(r.MulticastTasks()))
+	// Every vertex some other GPU needs is in exactly one class.
+	consumed := map[int32]bool{}
+	for _, rem := range r.Remote {
+		for _, v := range rem {
+			consumed[v] = true
+		}
+	}
+	if totalVertices != len(consumed) {
+		t.Fatalf("classes cover %d vertices, %d have remote consumers", totalVertices, len(consumed))
+	}
+	// Vertex a(0) is needed by GPU 1 (its neighbours d and f) and GPU 3 (j),
+	// so it travels from GPU 0 to {1, 3}.
+	for _, c := range classes {
+		if slices.Contains(c.Vertices, 0) && (c.Src != 0 || !slices.Equal(c.Dsts, []int{1, 3})) {
+			t.Fatalf("class of vertex a = %+v, want src 0 dsts [1 3]", c)
+		}
+	}
+}
+
+// referenceClasses is Classes as a map-based grouping: one destination list
+// per vertex through a map, sorted, then a string-keyed map of classes. The
+// product code must match it exactly, order included.
+func referenceClasses(r *Relation) []Class {
+	dsts := make(map[int32][]int)
+	for src := 0; src < r.K; src++ {
+		for dst := 0; dst < r.K; dst++ {
+			for _, v := range r.Send[src][dst] {
+				dsts[v] = append(dsts[v], dst)
+			}
+		}
+	}
+	vertices := make([]int32, 0, len(dsts))
+	for v, ds := range dsts {
+		sort.Ints(ds)
+		vertices = append(vertices, v)
+	}
+	slices.Sort(vertices)
+	type key struct {
+		src  int
+		dsts string
+	}
+	byKey := make(map[key]*Class)
+	for _, v := range vertices {
+		src, ds := int(r.Owner[v]), dsts[v]
+		sig := make([]byte, 0, len(ds)*2)
+		for _, d := range ds {
+			sig = append(sig, byte(d), byte(d>>8))
+		}
+		kk := key{src, string(sig)}
+		c := byKey[kk]
+		if c == nil {
+			c = &Class{Src: src, Dsts: ds}
+			byKey[kk] = c
+		}
+		c.Vertices = append(c.Vertices, v)
+	}
+	out := make([]Class, 0, len(byKey))
+	for _, c := range byKey {
+		out = append(out, *c)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Src != out[j].Src {
+			return out[i].Src < out[j].Src
+		}
+		return slices.Compare(out[i].Dsts, out[j].Dsts) < 0
+	})
+	return out
+}
+
+// randomRelation draws a relation over k GPUs whose n vertices pick their
+// destination set from a small pool (so classes hold many vertices), the
+// pool holding prefixes of one another (so the ordering's "a prefix first"
+// rule is exercised) and sets as large as all k-1 other GPUs. With anySet,
+// a fifth of the vertices draw an arbitrary set instead.
+func randomRelation(rng *rand.Rand, n, k int, anySet bool) *Relation {
+	r := &Relation{K: k, Owner: make([]int32, n), Send: make([][][]int32, k)}
+	for i := range r.Send {
+		r.Send[i] = make([][]int32, k)
+	}
+	pool := make([][]int, 6)
+	for i := range pool {
+		for d := 0; d < k; d++ {
+			if rng.Intn(3) == 0 {
+				pool[i] = append(pool[i], d)
+			}
+		}
+	}
+	pool = append(pool, pool[0][:len(pool[0])/2], pool[1][:len(pool[1])/3])
+	all := make([]int, k)
+	for d := range all {
+		all[d] = d
+	}
+	pool = append(pool, all)
+	for v := 0; v < n; v++ {
+		src := rng.Intn(k)
+		r.Owner[v] = int32(src)
+		var ds []int
+		switch x := rng.Intn(10); {
+		case x == 0: // no remote consumer
+		case anySet && x < 3:
+			ds = rng.Perm(k)[:1+rng.Intn(k)]
+			slices.Sort(ds)
+		default:
+			ds = pool[rng.Intn(len(pool))]
+		}
+		for _, d := range ds {
+			if d != src {
+				r.Send[src][d] = append(r.Send[src][d], int32(v))
+			}
+		}
+	}
+	return r
+}
+
+// TestClassesMatchReference checks Classes against the map-based reference,
+// order included, on the Figure 1 relation, on partitioned random graphs,
+// and on random relations up to MultiMachineDGX1(9)'s 72 GPUs.
+func TestClassesMatchReference(t *testing.T) {
+	check := func(name string, r *Relation) {
+		t.Helper()
+		got, want := r.Classes(), referenceClasses(r)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Classes differs from the reference (%d vs %d classes)", name, len(got), len(want))
+		}
+	}
+	g, p := fig1Graph()
+	fig1, _ := Build(g, p)
+	check("figure1", fig1)
+	for seed := int64(1); seed <= 4; seed++ {
+		g := graph.RMAT(600, 6000, 0.57, 0.19, 0.19, seed)
+		p, err := partition.KWay(g, 2+4*int(seed), partition.Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Build(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("rmat-k%d", p.K), r)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{2, 3, 8, 16, topology.MultiMachineDGX1(9).NumGPUs()} {
+		for trial := 0; trial < 3; trial++ {
+			check(fmt.Sprintf("random-k%d-%d", k, trial), randomRelation(rng, 2000, k, true))
+		}
+	}
+	check("empty", randomRelation(rng, 0, 4, true))
+}
+
+// TestClassesAllocs bounds Classes' allocations by the number of classes,
+// not vertices: 20,000 vertices in a few dozen classes must not allocate
+// per vertex (a per-vertex destination slice or map entry would).
+func TestClassesAllocs(t *testing.T) {
+	r := randomRelation(rand.New(rand.NewSource(7)), 20000, 72, false)
+	n := len(r.Classes())
+	allocs := testing.AllocsPerRun(5, func() { r.Classes() })
+	if allocs > float64(n) {
+		t.Fatalf("Classes allocates %.0f times for %d classes of 20000 vertices", allocs, n)
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 	"dgcl/internal/topology"
 )
 
-// Planner benchmarks over three workload sizes (developer tools, ungated).
+// Planner benchmarks over four workloads (developer tools, ungated);
+// orkut-dual16 is setup-orkut16's shape, whose serial planning dominates that
+// workload's set-up.
 // The bar when the parallel planner landed was parallel-4 at least 2x faster
 // than serial on the largest workload (orkut128-32, the 4-machine 32-GPU
 // fabric). On a single-core runner the speedup is purely algorithmic — the
@@ -40,6 +42,10 @@ func benchWorkload(b *testing.B, name string) *relTopo {
 		g = graph.Reddit.Generate(32, 1)
 		topo, _ = topology.ForGPUCount(16)
 		shape = []int{8, 8}
+	case "orkut-dual16": // setup-orkut16's shape
+		g = graph.ComOrkut.Generate(128, 1)
+		topo = topology.TwoMachineDGX1()
+		shape = []int{8, 8}
 	case "orkut128-32":
 		g = graph.ComOrkut.Generate(128, 1)
 		topo = topology.MultiMachineDGX1(4)
@@ -61,7 +67,7 @@ func benchWorkload(b *testing.B, name string) *relTopo {
 }
 
 func BenchmarkPlanSPST(b *testing.B) {
-	for _, name := range []string{"web64-16", "reddit32-16", "orkut128-32"} {
+	for _, name := range []string{"web64-16", "reddit32-16", "orkut-dual16", "orkut128-32"} {
 		w := benchWorkload(b, name)
 		configs := []struct {
 			label string

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dgcl/internal/tensor"
 	"dgcl/internal/topology"
@@ -27,11 +28,12 @@ type hopSlot int32
 type Model struct {
 	Topo *topology.Topology
 	K    int
-	hops [][][]hopSlot // [src][dst] -> directed hop slots
-	bw   []float64     // hop slot -> bandwidth (bytes/s)
+	hops [][]hopSlot // [src*K+dst] -> directed hop slots
+	bw   []float64   // hop slot -> bandwidth (bytes/s)
 	// Reciprocals let the batched planner's frozen cost tables multiply
-	// instead of divide (see parallel.go); the serial path keeps dividing so
-	// its plans stay bit-identical across releases.
+	// instead of divide (see parallel.go). The serial path's hop-time table
+	// (hopTimes) divides, once per weight change or commit rather than per
+	// query, so its plans stay bit-identical across releases.
 	invBW         []float64
 	invBottleneck [][]float64 // [src][dst] -> 1 / min hop bandwidth
 }
@@ -55,17 +57,16 @@ func NewModel(topo *topology.Topology) (*Model, error) {
 			m.invBW[i] = 1 / bw
 		}
 	}
-	m.hops = make([][][]hopSlot, k)
+	m.hops = make([][]hopSlot, k*k)
 	m.invBottleneck = make([][]float64, k)
 	for s := 0; s < k; s++ {
-		m.hops[s] = make([][]hopSlot, k)
 		m.invBottleneck[s] = make([]float64, k)
 		for d := 0; d < k; d++ {
 			if s == d {
 				continue
 			}
-			m.hops[s][d] = m.directedHops(chans[s][d])
-			for _, h := range m.hops[s][d] {
+			m.hops[s*k+d] = m.directedHops(chans[s][d])
+			for _, h := range m.hops[s*k+d] {
 				if inv := m.invBW[h]; inv > m.invBottleneck[s][d] {
 					m.invBottleneck[s][d] = inv
 				}
@@ -97,7 +98,7 @@ func (m *Model) directedHops(ch *topology.Channel) []hopSlot {
 // direct channel between src and dst (bottleneck hop bound).
 func (m *Model) ChannelTime(src, dst int, bytes int64) float64 {
 	var worst float64
-	for _, h := range m.hops[src][dst] {
+	for _, h := range m.hops[src*m.K+dst] {
 		if t := float64(bytes) / m.bw[h]; t > worst {
 			worst = t
 		}
@@ -107,7 +108,7 @@ func (m *Model) ChannelTime(src, dst int, bytes int64) float64 {
 
 // State is the mutable accumulator the SPST algorithm updates as it routes
 // vertices: per-stage, per-directed-hop byte counts, with the per-stage
-// maximum hop time cached so that cost and incremental-cost queries are
+// maximum hop time cached so that cost and marginal-cost queries are
 // O(hops per channel).
 type State struct {
 	m        *Model
@@ -134,37 +135,87 @@ func (s *State) Cost() float64 {
 // NumStages returns the number of stages with any volume.
 func (s *State) NumStages() int { return len(s.stageMax) }
 
-// Incremental returns the increase in total cost if `bytes` more bytes were
-// sent on the direct channel src->dst during the given stage (Algorithm 2's
-// C(i, ej) entries, computed on demand).
-func (s *State) Incremental(stage, src, dst int, bytes float64) float64 {
-	old := 0.0
-	if stage < len(s.stageMax) {
-		old = s.stageMax[stage]
-	}
-	newMax := old
-	for _, h := range s.m.hops[src][dst] {
-		var vol float64
-		if stage < len(s.stageVol) {
-			vol = s.stageVol[stage][h]
-		}
-		if t := (vol + bytes) / s.m.bw[h]; t > newMax {
-			newMax = t
-		}
-	}
-	return newMax - old
-}
-
 // Add commits `bytes` on the direct channel src->dst at the given stage and
 // updates the cached stage maximum.
 func (s *State) Add(stage, src, dst int, bytes float64) {
 	s.ensure(stage)
-	for _, h := range s.m.hops[src][dst] {
+	for _, h := range s.m.hops[src*s.m.K+dst] {
 		s.stageVol[stage][h] += bytes
 		if t := s.stageVol[stage][h] / s.m.bw[h]; t > s.stageMax[stage] {
 			s.stageMax[stage] = t
 		}
 	}
+}
+
+// hopTimes is the serial planner's pricing view of a State for one item of
+// w bytes: rows[stage][slot] = (vol + w) / bw is the time the hop would take
+// in that stage if the item crossed it too, and beyond[slot] = w / bw is the
+// same for a stage no transfer uses yet. A marginal-cost query (Algorithm 2's
+// C(i, ej)) is then one load and one compare per hop, with no division. The
+// rows are recomputed when w changes and refreshed on the hops a commit
+// touches, always with the expression a per-query division would use, so
+// every marginal is bitwise the same.
+type hopTimes struct {
+	s      *State
+	w      float64
+	rows   [][]float64 // [stage][hopSlot], one row per State stage
+	beyond []float64   // [hopSlot]
+}
+
+func newHopTimes(s *State) *hopTimes {
+	return &hopTimes{s: s, beyond: make([]float64, len(s.m.bw))}
+}
+
+// setWeight reprices the table for an item of w bytes.
+func (h *hopTimes) setWeight(w float64) {
+	if w == h.w {
+		return
+	}
+	h.w = w
+	bw := h.s.m.bw
+	for i, b := range bw {
+		h.beyond[i] = w / b
+	}
+	for st, row := range h.rows {
+		vol := h.s.stageVol[st]
+		for i, b := range bw {
+			row[i] = (vol[i] + w) / b
+		}
+	}
+}
+
+// add commits the item on the direct channel src->dst at the given stage and
+// refreshes the hops it touched.
+func (h *hopTimes) add(stage, src, dst int) {
+	h.s.Add(stage, src, dst, h.w)
+	for len(h.rows) < len(h.s.stageVol) {
+		// An empty stage's volumes are 0, and 0 + w == w exactly.
+		h.rows = append(h.rows, slices.Clone(h.beyond))
+	}
+	row, vol, bw := h.rows[stage], h.s.stageVol[stage], h.s.m.bw
+	for _, hs := range h.s.m.hops[src*h.s.m.K+dst] {
+		row[hs] = (vol[hs] + h.w) / bw[hs]
+	}
+}
+
+// at returns the hop-time row and the current time of a stage.
+func (h *hopTimes) at(stage int) (row []float64, stageMax float64) {
+	if stage < len(h.rows) {
+		return h.rows[stage], h.s.stageMax[stage]
+	}
+	return h.beyond, 0
+}
+
+// marginal returns the increase in total cost if the item crossed the hops
+// in a stage whose hop-time row and time at returned.
+func marginal(row []float64, stageMax float64, hops []hopSlot) float64 {
+	newMax := stageMax
+	for _, h := range hops {
+		if t := row[h]; t > newMax {
+			newMax = t
+		}
+	}
+	return newMax - stageMax
 }
 
 // ReplayState rebuilds the planner's accumulation state from a finished plan
@@ -196,7 +247,7 @@ func LinkClassBreakdown(m *Model, p *Plan) (nvlink, others float64) {
 	for si, st := range p.Stages {
 		for _, t := range st {
 			bytes := float64(int64(len(t.Vertices)) * p.BytesPerVertex)
-			for _, h := range m.hops[t.Src][t.Dst] {
+			for _, h := range m.hops[t.Src*m.K+t.Dst] {
 				key := [2]int{si, int(h)}
 				vol[key] += bytes
 				tm := vol[key] / m.bw[h]

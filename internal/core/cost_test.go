@@ -2,12 +2,86 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"dgcl/internal/topology"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// Incremental is the reference oracle for the planner's hop-time table: the
+// increase in total cost if `bytes` more bytes were sent on the direct
+// channel src->dst during the given stage (Algorithm 2's C(i, ej) entries),
+// computed from the volumes with a division on every call.
+func (s *State) Incremental(stage, src, dst int, bytes float64) float64 {
+	old := 0.0
+	if stage < len(s.stageMax) {
+		old = s.stageMax[stage]
+	}
+	newMax := old
+	for _, h := range s.m.hops[src*s.m.K+dst] {
+		var vol float64
+		if stage < len(s.stageVol) {
+			vol = s.stageVol[stage][h]
+		}
+		if t := (vol + bytes) / s.m.bw[h]; t > newMax {
+			newMax = t
+		}
+	}
+	return newMax - old
+}
+
+// TestHopTimesMatchIncremental drives random commits, stage growth and
+// weight switches through the hop-time table and checks that every marginal
+// it prices is bitwise the oracle's, on one, two and three machines.
+func TestHopTimesMatchIncremental(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.DGX1(), topology.TwoMachineDGX1(), topology.MultiMachineDGX1(3),
+	} {
+		m, err := NewModel(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := m.K
+		rng := rand.New(rand.NewSource(int64(k)))
+		ht := newHopTimes(NewState(m))
+		// Chunk weights as planSerial sees them: mostly one vertex, sometimes
+		// a full or partial chunk, at two row widths.
+		weights := []float64{128, 128, 128, 2048, 640, 1024, 16384, 3 * 1024}
+		queries := 0
+		for step := 0; step < 3000; step++ {
+			if step%7 == 0 {
+				ht.setWeight(weights[rng.Intn(len(weights))])
+			}
+			for q := 0; q < 8; q++ {
+				// One stage past the last as well: the "beyond" row.
+				stage := rng.Intn(ht.s.NumStages() + 2)
+				src, dst := rng.Intn(k), rng.Intn(k)
+				if src == dst {
+					continue
+				}
+				row, stageMax := ht.at(stage)
+				got := marginal(row, stageMax, m.hops[src*k+dst])
+				want := ht.s.Incremental(stage, src, dst, ht.w)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s step %d: marginal(%d, %d->%d, w=%v) = %v, oracle %v",
+						topo.Name, step, stage, src, dst, ht.w, got, want)
+				}
+				queries++
+			}
+			// Commits mostly land on existing stages and sometimes open the
+			// next one, as a tree's deepening path does.
+			src, dst := rng.Intn(k), rng.Intn(k)
+			if src != dst {
+				ht.add(rng.Intn(ht.s.NumStages()+1), src, dst)
+			}
+		}
+		if ht.s.NumStages() < 4 || queries == 0 {
+			t.Fatalf("%s: battery reached %d stages, %d queries", topo.Name, ht.s.NumStages(), queries)
+		}
+	}
+}
 
 func TestModelChannelTime(t *testing.T) {
 	topo := topology.DGX1()

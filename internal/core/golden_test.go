@@ -165,3 +165,38 @@ func TestGoldenSerialDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestPinnedOrkut16Serial pins planSerial on setup-orkut16's shape (the
+// scaled Com-Orkut graph, hierarchically partitioned 8+8 over the
+// two-machine DGX-1 fabric) at two row widths: the FNV-64a of the plan JSON
+// and the exact bits of the final State.Cost(). The values were captured
+// before the hop-time table replaced per-query division, so they show the
+// table prices every relaxation exactly as the division did.
+func TestPinnedOrkut16Serial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans the 16-GPU Com-Orkut shape twice (seconds)")
+	}
+	topo := topology.TwoMachineDGX1()
+	rel := partitionFor(t, graph.ComOrkut.Generate(128, 1), topo, 1)
+	for _, pin := range []struct {
+		bytesPerVertex int64
+		want           serialDigest
+	}{
+		{128, serialDigest{Plan: "48f4b5f0f19b335a", Cost: "3f30d6707be0e6bd"}},
+		{1024, serialDigest{Plan: "1e7e8b82cacad738", Cost: "3f60d6707be0e6bd"}},
+	} {
+		plan, state, err := PlanSPST(rel, topo, pin.bytesPerVertex, SPSTOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(planJSONBytes(t, plan))
+		got := serialDigest{
+			Plan: fmt.Sprintf("%016x", h.Sum64()),
+			Cost: fmt.Sprintf("%016x", math.Float64bits(state.Cost())),
+		}
+		if got != pin.want {
+			t.Errorf("%d B/vertex: plan/cost digest %v, pinned %v", pin.bytesPerVertex, got, pin.want)
+		}
+	}
+}

@@ -8,9 +8,9 @@ import (
 // Parallel batched SPST planning.
 //
 // The serial planner routes one work item at a time against a single mutable
-// State, so nothing can run concurrently and every Dijkstra relaxation pays a
-// full Incremental() hop walk. planWaves processes the (already shuffled)
-// work items in waves of Workers*BatchSize items:
+// State, so nothing can run concurrently: every tree search must see the
+// previous item's commits. planWaves processes the (already shuffled) work
+// items in waves of Workers*BatchSize items:
 //
 //   - At the start of a wave the accumulated link loads are frozen. Each
 //     worker plans its batch of BatchSize items against that snapshot PLUS
@@ -21,10 +21,10 @@ import (
 //     is bounded by one wave, because every wave commits all load deltas (in
 //     deterministic item order) before the next begins.
 //   - The frozen base lets a worker keep per-hop contended *times* instead of
-//     byte volumes (cachedCost): marginal-cost queries — where the planner
-//     spends its time — become an add and a compare per hop with no division,
-//     and commits bump only the touched slots. This speeds planning up even
-//     with Workers=1.
+//     byte volumes (cachedCost): marginal-cost queries become an add and a
+//     compare per hop with no division, and commits bump only the touched
+//     slots. The serial planner's hop-time table (hopTimes, cost.go) does
+//     the same with one load per hop and divides where this multiplies.
 //   - Workers never write shared data during a wave, so for a fixed
 //     (Seed, ChunkSize, Workers, BatchSize) the plan is deterministic
 //     regardless of goroutine scheduling.
@@ -48,8 +48,9 @@ type edgeOp struct {
 // hop's contended transfer time, (baseVol+localVol)/bandwidth, kept valid in
 // place (adds bump only the touched slots by a precomputed weight/bandwidth
 // delta). A marginal-cost query is then two loads, an add and a compare per
-// hop — no division, no invalidation bookkeeping — where the serial
-// State.Incremental reloads volumes and divides on every call.
+// hop, with no division. Unlike the serial hopTimes it must add the item's
+// own weight per query: its times carry the loadScale-inflated local load,
+// which the query prices at the unscaled weight.
 type cachedCost struct {
 	m      *Model
 	base   *State // frozen for the duration of a wave; read-only
@@ -130,7 +131,8 @@ func (c *cachedCost) grow() {
 	}
 }
 
-// incremental mirrors State.Incremental against the combined base+local view.
+// incremental is the marginal cost of the item on channel src->dst at the
+// stage, against the combined base+local view.
 func (c *cachedCost) incremental(stage, src, dst int) float64 {
 	if stage >= len(c.stageMax) {
 		// Untouched empty stage: no contention, the bottleneck hop decides.
@@ -138,7 +140,7 @@ func (c *cachedCost) incremental(stage, src, dst int) float64 {
 	}
 	var hm float64
 	ct := c.curTime[stage]
-	for _, h := range c.m.hops[src][dst] {
+	for _, h := range c.m.hops[src*c.m.K+dst] {
 		if t := ct[h] + c.wInv[h]; t > hm {
 			hm = t
 		}
@@ -157,7 +159,7 @@ func (c *cachedCost) add(stage, src, dst int) {
 	}
 	ct := c.curTime[stage]
 	sm := c.stageMax[stage]
-	for _, h := range c.m.hops[src][dst] {
+	for _, h := range c.m.hops[src*c.m.K+dst] {
 		ct[h] += c.addInv[h]
 		if ct[h] > sm {
 			sm = ct[h]

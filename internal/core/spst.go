@@ -135,17 +135,21 @@ func PlanSPST(rel *comm.Relation, topo *topology.Topology, bytesPerVertex int64,
 // the fully up-to-date link loads, including earlier edges of its own item.
 func planSerial(m *Model, items []workItem, bytesPerVertex int64, opts SPSTOptions, pb *planBuilder) *State {
 	state := NewState(m)
-	sp := newTreeSearch(m.K)
-	for _, it := range items {
-		weight := float64(int64(len(it.vertices)) * bytesPerVertex)
-		if opts.DisableForwarding {
+	if opts.DisableForwarding {
+		for _, it := range items {
+			weight := float64(int64(len(it.vertices)) * bytesPerVertex)
 			for _, d := range it.dsts {
 				state.Add(0, it.src, d, weight)
 				pb.add(0, it.src, d, it.vertices)
 			}
-			continue
 		}
-		sp.growTree(state, it, weight, pb)
+		return state
+	}
+	ht := newHopTimes(state)
+	sp := newTreeSearch(m.K)
+	for _, it := range items {
+		ht.setWeight(float64(int64(len(it.vertices)) * bytesPerVertex))
+		sp.growTree(ht, it, pb)
 	}
 	return state
 }
@@ -220,6 +224,7 @@ type treeSearch struct {
 	pdepth  []int // path depth during Dijkstra
 	parent  []int
 	settled []bool
+	path    []int // leaf..root nodes of the path being committed
 }
 
 func newTreeSearch(k int) *treeSearch {
@@ -232,8 +237,8 @@ func newTreeSearch(k int) *treeSearch {
 }
 
 // growTree implements the inner loop of Algorithm 1 for one work item,
-// committing volumes to state and transfers to pb.
-func (ts *treeSearch) growTree(state *State, it workItem, weight float64, pb *planBuilder) {
+// committing volumes to the state behind ht and transfers to pb.
+func (ts *treeSearch) growTree(ht *hopTimes, it workItem, pb *planBuilder) {
 	k := ts.k
 	for i := 0; i < k; i++ {
 		ts.inTree[i] = false
@@ -249,14 +254,14 @@ func (ts *treeSearch) growTree(state *State, it workItem, weight float64, pb *pl
 		}
 	}
 	for remaining > 0 {
-		dest := ts.dijkstra(state, weight)
+		dest := ts.dijkstra(ht)
 		if dest < 0 {
 			// Unreachable destination: fall back to a direct stage-1 send so
 			// the plan stays executable (should not happen on connected
 			// fabrics).
 			for d := 0; d < k; d++ {
 				if ts.needed[d] {
-					state.Add(0, it.src, d, weight)
+					ht.add(0, it.src, d)
 					pb.add(0, it.src, d, it.vertices)
 					ts.needed[d] = false
 					remaining--
@@ -266,17 +271,18 @@ func (ts *treeSearch) growTree(state *State, it workItem, weight float64, pb *pl
 		}
 		// Walk the path root-ward, collecting edges, then commit them in
 		// root-to-leaf order.
-		var path []int // node sequence leaf..root-side
+		path := ts.path[:0]
 		for n := dest; ; n = ts.parent[n] {
 			path = append(path, n)
 			if ts.inTree[n] {
 				break
 			}
 		}
+		ts.path = path
 		for i := len(path) - 1; i > 0; i-- {
 			u, v := path[i], path[i-1]
 			stage := ts.depth[u] // edge u->v runs at stage depth(u)+1, index depth(u)
-			state.Add(stage, u, v, weight)
+			ht.add(stage, u, v)
 			pb.add(stage, u, v, it.vertices)
 			ts.inTree[v] = true
 			ts.depth[v] = ts.depth[u] + 1
@@ -292,8 +298,9 @@ func (ts *treeSearch) growTree(state *State, it workItem, weight float64, pb *pl
 // sources are all in-tree GPUs (distance 0 at their tree depth); edge weight
 // for hopping u->v at path depth d is the marginal cost of sending the item
 // on channel (u,v) at stage d. It returns the first settled needed
-// destination (the globally cheapest one), or -1 if none is reachable.
-func (ts *treeSearch) dijkstra(state *State, weight float64) int {
+// destination (the globally cheapest one, lowest index on ties), or -1 if
+// none is reachable.
+func (ts *treeSearch) dijkstra(ht *hopTimes) int {
 	k := ts.k
 	for i := 0; i < k; i++ {
 		ts.dist[i] = math.Inf(1)
@@ -305,10 +312,13 @@ func (ts *treeSearch) dijkstra(state *State, weight float64) int {
 		}
 	}
 	for {
-		u := -1
+		u, du := -1, math.Inf(1)
 		for i := 0; i < k; i++ {
-			if !ts.settled[i] && !math.IsInf(ts.dist[i], 1) && (u < 0 || ts.dist[i] < ts.dist[u]) {
-				u = i
+			if d := ts.dist[i]; d < du && !ts.settled[i] {
+				u, du = i, d
+				if d == 0 {
+					break // marginals are >= 0: nothing later can be lower
+				}
 			}
 		}
 		if u < 0 {
@@ -318,17 +328,19 @@ func (ts *treeSearch) dijkstra(state *State, weight float64) int {
 		if ts.needed[u] {
 			return u
 		}
-		du := ts.dist[u]
-		for v := 0; v < k; v++ {
-			// Marginal costs are >= 0, so a node at dist <= dist[u] can never
-			// be improved from u: skip the cost query entirely.
-			if v == u || ts.dist[v] <= du || ts.settled[v] || ts.inTree[v] {
+		row, stageMax := ht.at(ts.pdepth[u])
+		depth := ts.pdepth[u] + 1
+		chans := ht.s.m.hops[u*k : u*k+k]
+		for v, hops := range chans {
+			// Marginal costs are >= 0, so every settled or in-tree node (u
+			// included) is at dist <= dist[u], and no node there can be
+			// improved from u: skip the cost query entirely.
+			if ts.dist[v] <= du {
 				continue
 			}
-			w := state.Incremental(ts.pdepth[u], u, v, weight)
-			if nd := du + w; nd < ts.dist[v] {
+			if nd := du + marginal(row, stageMax, hops); nd < ts.dist[v] {
 				ts.dist[v] = nd
-				ts.pdepth[v] = ts.pdepth[u] + 1
+				ts.pdepth[v] = depth
 				ts.parent[v] = u
 			}
 		}
