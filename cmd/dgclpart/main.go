@@ -60,7 +60,6 @@ func run(dataset string, k, machines, scale int, seed int64) error {
 		return err
 	}
 	report("multilevel", ml)
-	report("streaming", partition.Streaming(g, k, seed))
 	report("hash", partition.Hash(g, k))
 	report("range", partition.Range(g, k))
 	return nil

@@ -27,8 +27,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	planner := flag.String("planner", "spst", "spst | spst-noforward | p2p")
 	chunk := flag.Int("chunk", 16, "SPST vertex chunk size (1 = exact per-vertex)")
-	workers := flag.Int("workers", 1, "SPST planning workers (1 = exact serial planning)")
-	batch := flag.Int("batch", 1, "items each worker plans per wave against a frozen load snapshot")
 	cacheDir := flag.String("plan-cache", "", "content-addressed plan cache directory (empty = no cache)")
 	verbose := flag.Bool("verbose", false, "print per-stage transfer lists")
 	gantt := flag.Bool("gantt", false, "render the simulated flow timeline as an ASCII chart")
@@ -36,7 +34,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write the simulated flow timeline as CSV to this file")
 	flag.Parse()
 
-	cfg := plannerConfig{chunk: *chunk, workers: *workers, batch: *batch, cacheDir: *cacheDir}
+	cfg := plannerConfig{chunk: *chunk, cacheDir: *cacheDir}
 	if err := run(*dataset, *gpus, *scale, *seed, *planner, cfg, *verbose, *gantt, *planOut, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "dgclplan:", err)
 		os.Exit(1)
@@ -46,8 +44,6 @@ func main() {
 // plannerConfig groups the SPST tuning flags so run() stays readable.
 type plannerConfig struct {
 	chunk    int
-	workers  int
-	batch    int
 	cacheDir string
 }
 
@@ -92,7 +88,7 @@ func run(dataset string, gpus, scale int, seed int64, planner string, cfg planne
 	switch planner {
 	case "spst", "spst-noforward":
 		opts := core.SPSTOptions{
-			Seed: seed, ChunkSize: cfg.chunk, Workers: cfg.workers, BatchSize: cfg.batch,
+			Seed: seed, ChunkSize: cfg.chunk,
 			DisableForwarding: planner == "spst-noforward"}
 		var state *core.State
 		if cfg.cacheDir != "" {

@@ -31,7 +31,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":7100", "address to serve DGS1 requests on")
 	dataset := flag.String("dataset", "Web-Google", "dataset from Table 4")
-	model := flag.String("model", "GCN", "GCN | CommNet | GIN | GraphSAGE | GAT")
+	model := flag.String("model", "GCN", "GCN | CommNet | GIN")
 	gpus := flag.Int("gpus", 4, "GPU count (1-8 or 16)")
 	scale := flag.Int("scale", 256, "dataset downscale factor")
 	featureDim := flag.Int("feature-dim", 16, "input feature width (0 = dataset native)")

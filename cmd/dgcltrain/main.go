@@ -6,7 +6,7 @@
 // model/dataset/fabric combination.
 //
 //	dgcltrain -dataset Reddit -model GCN -gpus 8 -epochs 3
-//	dgcltrain -dataset Web-Google -model GAT -gpus 16 -planner p2p
+//	dgcltrain -dataset Web-Google -model GIN -gpus 16 -planner p2p
 //
 // With -listen, dgcltrain instead coordinates a real multi-process run: it
 // waits for -workers dgclworker processes to join over TCP, hands each its
@@ -46,8 +46,6 @@ func (c chaosOptions) enabled() bool { return c.drop > 0 || c.corrupt > 0 || c.d
 // recoveryOptions bundles the checkpoint / resume / crash-schedule flags.
 type recoveryOptions struct {
 	dir    string
-	every  int
-	keep   int
 	resume bool
 	crash  string
 }
@@ -63,15 +61,20 @@ func (o overlapOptions) dgcl() dgcl.OverlapOptions {
 	return dgcl.OverlapOptions{Disabled: !o.on, ChunkRows: o.chunkRows, Window: o.window}
 }
 
+// Training settings every run shares: model depth, the seed behind the
+// graph, partition, plan, weights and features, and the learning rate.
+const (
+	layers = 2
+	seed   = 1
+	lr     = 0.001
+)
+
 func main() {
 	dataset := flag.String("dataset", "Reddit", "dataset from Table 4")
-	model := flag.String("model", "GCN", "GCN | CommNet | GIN | GraphSAGE | GAT")
+	model := flag.String("model", "GCN", "GCN | CommNet | GIN")
 	gpus := flag.Int("gpus", 8, "GPU count (1-8 or 16)")
 	scale := flag.Int("scale", 256, "dataset downscale factor")
 	epochs := flag.Int("epochs", 5, "training epochs")
-	layers := flag.Int("layers", 2, "GNN depth")
-	seed := flag.Int64("seed", 1, "random seed")
-	lr := flag.Float64("lr", 0.001, "learning rate")
 	adam := flag.Bool("adam", false, "use Adam instead of SGD")
 	planner := flag.String("planner", "spst", "spst | p2p | spst-noforward")
 	cache := flag.Bool("cache-features", false, "cache remote layer-0 features across epochs")
@@ -88,24 +91,23 @@ func main() {
 	flag.DurationVar(&chaos.timeout, "comm-timeout", 30*time.Second, "end-to-end deadline per collective when faults are on")
 	var rec recoveryOptions
 	flag.StringVar(&rec.dir, "checkpoint-dir", "", "directory for durable epoch checkpoints (empty = disabled)")
-	flag.IntVar(&rec.every, "checkpoint-every", 1, "epochs between checkpoints")
-	flag.IntVar(&rec.keep, "checkpoint-keep", 0, "checkpoint generations to retain (0 = default)")
 	flag.BoolVar(&rec.resume, "resume", false, "resume from the newest intact checkpoint in -checkpoint-dir")
 	flag.StringVar(&rec.crash, "crash", "", "fail-stop schedule dev@epoch[:stage],... (chaos)")
 	listen := flag.String("listen", "", "coordinate a multi-process run: accept dgclworker joins on this address")
 	workers := flag.Int("workers", 2, "worker processes to wait for in -listen mode")
 	var sup supervisionOptions
 	flag.DurationVar(&sup.heartbeat, "heartbeat", 0, "worker heartbeat interval in -listen mode (0 = default)")
-	flag.DurationVar(&sup.lease, "lease", 0, "per-heartbeat lease deadline in -listen mode (0 = 4x heartbeat)")
 	flag.IntVar(&sup.downAfter, "down-after", 0, "consecutive missed leases before a worker is judged dead (0 = default)")
 	flag.DurationVar(&sup.rejoinWait, "rejoin-wait", 0, "grace window for a restarted worker to rejoin before degrading (0 = default)")
 	flag.Parse()
 
-	var err error
-	if *listen != "" {
-		err = coordinate(*listen, *workers, *dataset, *model, *gpus, *scale, *epochs, *layers, *seed, *lr, ov, chaos, rec, sup)
-	} else {
-		err = run(*dataset, *model, *gpus, *scale, *epochs, *layers, *seed, float32(*lr), *adam, *planner, *cache, ov, chaos, rec)
+	kind, err := gnn.ParseModelKind(*model)
+	if err == nil {
+		if *listen != "" {
+			err = coordinate(*listen, *workers, *dataset, kind, *gpus, *scale, *epochs, ov, chaos, rec, sup)
+		} else {
+			err = run(*dataset, kind, *gpus, *scale, *epochs, *adam, *planner, *cache, ov, chaos, rec)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dgcltrain:", err)
@@ -116,7 +118,6 @@ func main() {
 // supervisionOptions bundles the -listen mode membership flags.
 type supervisionOptions struct {
 	heartbeat  time.Duration
-	lease      time.Duration
 	downAfter  int
 	rejoinWait time.Duration
 }
@@ -125,7 +126,7 @@ type supervisionOptions struct {
 // lifting — graph build, planning, training — happens in the dgclworker
 // processes; this side is pure control plane, supervising the membership
 // (heartbeats, rejoin, degrade-onto-survivors).
-func coordinate(addr string, workers int, dataset, modelName string, gpus, scale, epochs, layers int, seed int64, lr float64, ov overlapOptions, chaos chaosOptions, rec recoveryOptions, sup supervisionOptions) error {
+func coordinate(addr string, workers int, dataset string, kind gnn.ModelKind, gpus, scale, epochs int, ov overlapOptions, chaos chaosOptions, rec recoveryOptions, sup supervisionOptions) error {
 	if chaos.enabled() || rec.crash != "" || rec.dir != "" {
 		return fmt.Errorf("-listen coordinates real processes; the chaos and checkpoint flags apply to single-process runs only")
 	}
@@ -139,7 +140,7 @@ func coordinate(addr string, workers int, dataset, modelName string, gpus, scale
 	spec := worker.Spec{
 		Dataset: dataset,
 		Scale:   scale,
-		Model:   modelName,
+		Model:   string(kind),
 		Hidden:  ds.HiddenDim,
 		Layers:  layers,
 		GPUs:    gpus,
@@ -154,14 +155,13 @@ func coordinate(addr string, workers int, dataset, modelName string, gpus, scale
 		return err
 	}
 	fmt.Printf("coordinating %s/%s over %d GPUs: waiting for %d workers on %s\n",
-		dataset, modelName, gpus, workers, ln.Addr())
+		dataset, kind, gpus, workers, ln.Addr())
 	report, err := worker.Supervise(context.Background(), ln, worker.SuperviseOptions{
-		Workers:      workers,
-		Spec:         spec,
-		Heartbeat:    sup.heartbeat,
-		LeaseTimeout: sup.lease,
-		DownAfter:    sup.downAfter,
-		RejoinWait:   sup.rejoinWait,
+		Workers:    workers,
+		Spec:       spec,
+		Heartbeat:  sup.heartbeat,
+		DownAfter:  sup.downAfter,
+		RejoinWait: sup.rejoinWait,
 		OnEvent: func(ev worker.MemberEvent) {
 			if ev.Detail != "" {
 				fmt.Printf("membership: gen %d worker %d %s (%s)\n", ev.Gen, ev.Member, ev.State, ev.Detail)
@@ -180,16 +180,10 @@ func coordinate(addr string, workers int, dataset, modelName string, gpus, scale
 	return nil
 }
 
-func run(dataset, modelName string, gpus, scale, epochs, layers int, seed int64, lr float32, adam bool, planner string, cache bool, ov overlapOptions, chaos chaosOptions, rec recoveryOptions) error {
+func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool, planner string, cache bool, ov overlapOptions, chaos chaosOptions, rec recoveryOptions) error {
 	ds, err := graph.DatasetByName(dataset)
 	if err != nil {
 		return err
-	}
-	kind := gnn.ModelKind(modelName)
-	switch kind {
-	case gnn.GCN, gnn.CommNet, gnn.GIN, gnn.GraphSAGE, gnn.GAT:
-	default:
-		return fmt.Errorf("unknown model %q", modelName)
 	}
 	g := ds.Generate(scale, seed)
 	fmt.Printf("%s at 1/%d scale: %d vertices, %d edges; %s, %d layers, %d GPUs\n",
@@ -316,12 +310,10 @@ func run(dataset, modelName string, gpus, scale, epochs, layers int, seed int64,
 	computePerEpoch := gpu.EpochComputeTime(model, maxV, maxE)
 
 	res, err := sys.Train(context.Background(), model, features, targets, dgcl.TrainOptions{
-		Epochs:          epochs,
-		NewOptimizer:    newOptimizer,
-		CheckpointDir:   rec.dir,
-		CheckpointEvery: rec.every,
-		CheckpointKeep:  rec.keep,
-		Resume:          rec.resume,
+		Epochs:        epochs,
+		NewOptimizer:  newOptimizer,
+		CheckpointDir: rec.dir,
+		Resume:        rec.resume,
 		OnEpoch: func(e int, loss float64) {
 			fmt.Printf("epoch %d: loss %12.4f | simulated %.3f ms (compute %.3f + comm %.3f)\n",
 				e, loss, (computePerEpoch+commPerEpoch)*1e3, computePerEpoch*1e3, commPerEpoch*1e3)
@@ -349,8 +341,8 @@ func run(dataset, modelName string, gpus, scale, epochs, layers int, seed int64,
 		epochTime := computePerEpoch + commPerEpoch
 		fmt.Printf("\nrecovery pricing: checkpoint %.3f ms (payload %d B), restore %.3f ms, full recovery %.3f s\n",
 			simnet.CheckpointTime(ckptBytes)*1e3, ckptBytes, simnet.RestoreTime(ckptBytes)*1e3, simnet.RecoveryTime(ckptBytes))
-		fmt.Printf("amortized overhead at interval %d: %.3f ms/epoch (at 1e-4 failures/epoch)\n",
-			rec.every, simnet.OverheadPerEpoch(rec.every, ckptBytes, epochTime, 1e-4)*1e3)
+		fmt.Printf("amortized overhead at interval 1: %.3f ms/epoch (at 1e-4 failures/epoch)\n",
+			simnet.OverheadPerEpoch(1, ckptBytes, epochTime, 1e-4)*1e3)
 		if len(res.Recoveries) > 0 {
 			fmt.Printf("recoveries performed: %d, checkpoints written: %d\n", len(res.Recoveries), res.Checkpoints)
 		}

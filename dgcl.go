@@ -119,14 +119,11 @@ var (
 	WikiTalk  = graph.WikiTalk
 )
 
-// Model kinds: the paper's three evaluated models plus GraphSAGE (max-pool
-// aggregator) as an extension.
+// Model kinds: the paper's three evaluated models.
 const (
-	GCN       = gnn.GCN
-	CommNet   = gnn.CommNet
-	GIN       = gnn.GIN
-	GraphSAGE = gnn.GraphSAGE
-	GAT       = gnn.GAT
+	GCN     = gnn.GCN
+	CommNet = gnn.CommNet
+	GIN     = gnn.GIN
 )
 
 // Topology builders for the paper's hardware configurations.
@@ -178,21 +175,10 @@ const (
 	PlannerSteiner       Planner = "steiner"
 )
 
-// PlanOptions tunes how the SPST planner executes — parallelism and plan
-// caching. It never changes what a plan means, only how fast one is
-// produced: Workers/BatchSize trade bounded staleness for planning speed
-// (see internal/core/parallel.go), and CacheDir short-circuits planning
-// entirely when an identical (graph relation, fabric, options) input has
-// been planned before.
+// PlanOptions tunes how plans are obtained, not what they are: CacheDir
+// short-circuits planning entirely when an identical (graph relation,
+// fabric, options) input has been planned before.
 type PlanOptions struct {
-	// Workers is the number of concurrent planning workers. 0 or 1 runs the
-	// paper's exact serial algorithm; larger values plan work items in
-	// waves against an immutable snapshot of the link loads.
-	Workers int
-	// BatchSize is the number of work items each worker plans per wave
-	// (default 1). Workers*BatchSize bounds how stale a worker's view of
-	// link contention can be.
-	BatchSize int
 	// CacheDir, when non-empty, persists plans to this directory keyed by a
 	// content digest of everything that determines them; warm lookups skip
 	// the planner entirely. The empty string disables caching.
@@ -205,8 +191,7 @@ type Options struct {
 	Planner Planner
 	// Seed drives partitioning and planning; runs are reproducible.
 	Seed int64
-	// Plan tunes planner execution: parallel workers, wave batch size and
-	// the on-disk plan cache. The zero value plans serially, uncached.
+	// Plan configures the on-disk plan cache. The zero value plans uncached.
 	Plan PlanOptions
 	// AtomicBackward disables the §6.2 non-atomic sub-stage schedule.
 	AtomicBackward bool
@@ -412,7 +397,6 @@ func (s *System) buildPlan(rel *Relation, topo *Topology, featureDim int) (*Plan
 	switch s.opts.Planner {
 	case PlannerSPST, PlannerSPSTNoForward:
 		spstOpts := core.SPSTOptions{Seed: s.opts.Seed,
-			Workers: s.opts.Plan.Workers, BatchSize: s.opts.Plan.BatchSize,
 			DisableForwarding: s.opts.Planner == PlannerSPSTNoForward}
 		var state *core.State
 		if s.opts.Plan.CacheDir != "" {

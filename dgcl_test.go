@@ -361,31 +361,6 @@ func TestCacheFeaturesViaPublicAPI(t *testing.T) {
 	}
 }
 
-func TestParallelPlannerViaPublicAPI(t *testing.T) {
-	// Parallel planning is aimed at multi-machine fabrics, where relations
-	// are large enough for planning time to matter and path diversity keeps
-	// the staleness cost small (see DESIGN.md for the measured envelope).
-	g := Reddit.Generate(64, 1)
-	serial := Init(TwoMachineDGX1(), Options{Seed: 1})
-	if err := serial.BuildCommInfo(g, 32); err != nil {
-		t.Fatal(err)
-	}
-	par := Init(TwoMachineDGX1(), Options{Seed: 1, Plan: PlanOptions{Workers: 4, BatchSize: 4}})
-	if err := par.BuildCommInfo(g, 32); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Plan().Validate(par.Relation()); err != nil {
-		t.Fatal(err)
-	}
-	if r := par.PlannedCost() / serial.PlannedCost(); r > 1.5 {
-		t.Fatalf("parallel plan cost ratio %.3f vs serial", r)
-	}
-	bad := Init(DGX1(), Options{Plan: PlanOptions{Workers: -1}})
-	if err := bad.BuildCommInfo(g, 32); err == nil {
-		t.Fatal("negative Workers must fail")
-	}
-}
-
 func TestPlanCacheViaPublicAPI(t *testing.T) {
 	g := Reddit.Generate(512, 1)
 	dir := t.TempDir()

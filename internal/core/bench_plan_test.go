@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -12,13 +11,8 @@ import (
 )
 
 // Planner benchmarks over four workloads (developer tools, ungated);
-// orkut-dual16 is setup-orkut16's shape, whose serial planning dominates that
+// orkut-dual16 is setup-orkut16's shape, whose planning dominates that
 // workload's set-up.
-// The bar when the parallel planner landed was parallel-4 at least 2x faster
-// than serial on the largest workload (orkut128-32, the 4-machine 32-GPU
-// fabric). On a single-core runner the speedup is purely algorithmic — the
-// frozen-snapshot cost cache and the zero-marginal sweep (parallel.go) do
-// the work, and extra workers add wave concurrency on real machines.
 
 // benchWorkload lazily builds and caches one named (relation, topology)
 // workload; graph synthesis and partitioning dominate planning for the
@@ -69,28 +63,17 @@ func benchWorkload(b *testing.B, name string) *relTopo {
 func BenchmarkPlanSPST(b *testing.B) {
 	for _, name := range []string{"web64-16", "reddit32-16", "orkut-dual16", "orkut128-32"} {
 		w := benchWorkload(b, name)
-		configs := []struct {
-			label string
-			opts  SPSTOptions
-		}{
-			{"serial", SPSTOptions{Seed: 1}},
-			{"parallel-2", SPSTOptions{Seed: 1, Workers: 2}},
-			{"parallel-4", SPSTOptions{Seed: 1, Workers: 4}},
-			{"parallel-4x8", SPSTOptions{Seed: 1, Workers: 4, BatchSize: 8}},
-		}
-		for _, cfg := range configs {
-			b.Run(fmt.Sprintf("%s/%s", name, cfg.label), func(b *testing.B) {
-				var cost float64
-				for i := 0; i < b.N; i++ {
-					_, state, err := PlanSPST(w.rel, w.topo, 1024, cfg.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cost = state.Cost()
+		b.Run(name, func(b *testing.B) {
+			var cost float64
+			for i := 0; i < b.N; i++ {
+				_, state, err := PlanSPST(w.rel, w.topo, 1024, SPSTOptions{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(cost*1e3, "modeled-ms")
-			})
-		}
+				cost = state.Cost()
+			}
+			b.ReportMetric(cost*1e3, "modeled-ms")
+		})
 	}
 }
 

@@ -28,13 +28,11 @@ import (
 
 // CacheKey returns the content digest identifying the plan PlanSPST would
 // produce for these inputs. Options are normalized first, so e.g. ChunkSize 0
-// and 16 share an entry. Workers and BatchSize are part of the key: batched
-// planning trades staleness for speed, so different settings legitimately
-// produce different plans.
+// and 16 share an entry.
 func CacheKey(rel *comm.Relation, topo *topology.Topology, bytesPerVertex int64, opts SPSTOptions) string {
 	opts = opts.withDefaults()
 	h := sha256.New()
-	hashStr(h, "dgcl-spst-plan-v1")
+	hashStr(h, "dgcl-spst-plan-v2")
 	hashInts(h, int64(rel.K), bytesPerVertex)
 	for src := 0; src < rel.K; src++ {
 		for dst := 0; dst < rel.K; dst++ {
@@ -46,8 +44,7 @@ func CacheKey(rel *comm.Relation, topo *topology.Topology, bytesPerVertex int64,
 		}
 	}
 	hashTopology(h, topo)
-	hashInts(h, opts.Seed, int64(opts.ChunkSize), int64(opts.Workers), int64(opts.BatchSize),
-		boolInt(opts.DisableForwarding), boolInt(opts.TreePerSource))
+	hashInts(h, opts.Seed, int64(opts.ChunkSize), boolInt(opts.DisableForwarding), boolInt(opts.TreePerSource))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -124,21 +124,13 @@ func TestCacheKeySensitivity(t *testing.T) {
 	w, _ := cacheWorkload(t)
 	base := CacheKey(w.rel, w.topo, 1024, SPSTOptions{Seed: 4})
 
-	same := []SPSTOptions{
-		{Seed: 4, ChunkSize: 16},            // explicit default chunk
-		{Seed: 4, Workers: 1, BatchSize: 1}, // explicit default serial config
-	}
-	for _, opts := range same {
-		if got := CacheKey(w.rel, w.topo, 1024, opts); got != base {
-			t.Errorf("normalized options %+v changed the key", opts)
-		}
+	if got := CacheKey(w.rel, w.topo, 1024, SPSTOptions{Seed: 4, ChunkSize: 16}); got != base {
+		t.Error("the explicit default ChunkSize changed the key")
 	}
 
 	diff := map[string]string{
 		"seed":      CacheKey(w.rel, w.topo, 1024, SPSTOptions{Seed: 5}),
 		"chunk":     CacheKey(w.rel, w.topo, 1024, SPSTOptions{Seed: 4, ChunkSize: 4}),
-		"workers":   CacheKey(w.rel, w.topo, 1024, SPSTOptions{Seed: 4, Workers: 4}),
-		"batch":     CacheKey(w.rel, w.topo, 1024, SPSTOptions{Seed: 4, BatchSize: 8}),
 		"noforward": CacheKey(w.rel, w.topo, 1024, SPSTOptions{Seed: 4, DisableForwarding: true}),
 		"bytes":     CacheKey(w.rel, w.topo, 2048, SPSTOptions{Seed: 4}),
 	}
@@ -165,8 +157,8 @@ func TestPlanCacheValidatesInputs(t *testing.T) {
 	if _, _, err := c.PlanSPST(w.rel, w.topo, 0, opts); err == nil {
 		t.Error("bytesPerVertex=0 not rejected")
 	}
-	if _, _, err := c.PlanSPST(w.rel, w.topo, 1024, SPSTOptions{Workers: -1}); err == nil {
-		t.Error("negative Workers not rejected")
+	if _, _, err := c.PlanSPST(w.rel, w.topo, 1024, SPSTOptions{ChunkSize: -1}); err == nil {
+		t.Error("negative ChunkSize not rejected")
 	}
 	if _, _, err := c.PlanSPST(w.rel, topology.SubDGX1(4), 1024, opts); err == nil {
 		t.Error("relation/topology GPU-count mismatch not rejected")

@@ -30,12 +30,6 @@ type Model struct {
 	K    int
 	hops [][]hopSlot // [src*K+dst] -> directed hop slots
 	bw   []float64   // hop slot -> bandwidth (bytes/s)
-	// Reciprocals let the batched planner's frozen cost tables multiply
-	// instead of divide (see parallel.go). The serial path's hop-time table
-	// (hopTimes) divides, once per weight change or commit rather than per
-	// query, so its plans stay bit-identical across releases.
-	invBW         []float64
-	invBottleneck [][]float64 // [src][dst] -> 1 / min hop bandwidth
 }
 
 // NewModel builds a cost model for the topology.
@@ -51,25 +45,11 @@ func NewModel(topo *topology.Topology) (*Model, error) {
 		m.bw[2*c.ID] = c.Bandwidth
 		m.bw[2*c.ID+1] = c.Bandwidth
 	}
-	m.invBW = make([]float64, len(m.bw))
-	for i, bw := range m.bw {
-		if bw > 0 {
-			m.invBW[i] = 1 / bw
-		}
-	}
 	m.hops = make([][]hopSlot, k*k)
-	m.invBottleneck = make([][]float64, k)
 	for s := 0; s < k; s++ {
-		m.invBottleneck[s] = make([]float64, k)
 		for d := 0; d < k; d++ {
-			if s == d {
-				continue
-			}
-			m.hops[s*k+d] = m.directedHops(chans[s][d])
-			for _, h := range m.hops[s*k+d] {
-				if inv := m.invBW[h]; inv > m.invBottleneck[s][d] {
-					m.invBottleneck[s][d] = inv
-				}
+			if s != d {
+				m.hops[s*k+d] = m.directedHops(chans[s][d])
 			}
 		}
 	}
@@ -147,7 +127,7 @@ func (s *State) Add(stage, src, dst int, bytes float64) {
 	}
 }
 
-// hopTimes is the serial planner's pricing view of a State for one item of
+// hopTimes is the planner's pricing view of a State for one item of
 // w bytes: rows[stage][slot] = (vol + w) / bw is the time the hop would take
 // in that stage if the item crossed it too, and beyond[slot] = w / bw is the
 // same for a stage no transfer uses yet. A marginal-cost query (Algorithm 2's

@@ -13,6 +13,7 @@ import (
 
 	"dgcl/internal/comm"
 	"dgcl/internal/graph"
+	"dgcl/internal/partition"
 	"dgcl/internal/topology"
 )
 
@@ -29,8 +30,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden plan files instead of comparing")
 
 // goldenCases are the pinned workloads: one community graph on the DGX-1 and
-// one power-law graph on the two-machine fabric, across the serial planner,
-// both ablations, and a batched-parallel configuration.
+// one power-law graph on the two-machine fabric, across the planner's default
+// and chunk-size settings and both ablations.
 func goldenCases(t *testing.T) []struct {
 	name string
 	rel  relTopo
@@ -50,9 +51,7 @@ func goldenCases(t *testing.T) []struct {
 		{"community-dgx1-chunk4", dgx, SPSTOptions{Seed: 11, ChunkSize: 4}},
 		{"community-dgx1-noforward", dgx, SPSTOptions{Seed: 11, DisableForwarding: true}},
 		{"community-dgx1-sourcetree", dgx, SPSTOptions{Seed: 11, TreePerSource: true}},
-		{"community-dgx1-w4b4", dgx, SPSTOptions{Seed: 11, Workers: 4, BatchSize: 4}},
 		{"rmat-dual16-serial", dual, SPSTOptions{Seed: 11}},
-		{"rmat-dual16-w4b4", dual, SPSTOptions{Seed: 11, Workers: 4, BatchSize: 4}},
 	}
 }
 
@@ -117,8 +116,8 @@ type serialDigest struct {
 	Cost string `json:"cost"`
 }
 
-// TestGoldenSerialDigests pins planSerial over the equivalence battery's 30
-// seeded (relation, topology, bytes) triples. The digests in
+// TestGoldenSerialDigests pins planSerial over the 30 seeded (relation,
+// topology, bytes) triples of seededTriples. The digests in
 // testdata/golden/serial_digests.json come from a serial Dijkstra that
 // queried every neighbour, so they show the dominated-neighbour skip is
 // exact — same plan bytes, same cost bits — on every triple; they also pin
@@ -126,7 +125,7 @@ type serialDigest struct {
 func TestGoldenSerialDigests(t *testing.T) {
 	path := filepath.Join("testdata", "golden", "serial_digests.json")
 	got := map[string]serialDigest{}
-	for _, tr := range equivalenceTriples(t) {
+	for _, tr := range seededTriples(t) {
 		plan, state, err := PlanSPST(tr.rel, tr.topo, 1024, SPSTOptions{Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", tr.name, err)
@@ -199,4 +198,87 @@ func TestPinnedOrkut16Serial(t *testing.T) {
 			t.Errorf("%d B/vertex: plan/cost digest %v, pinned %v", pin.bytesPerVertex, got, pin.want)
 		}
 	}
+}
+
+// planTriple is one seeded (graph, topology, partition) workload.
+type planTriple struct {
+	name string
+	rel  *comm.Relation
+	topo *topology.Topology
+}
+
+// partitionFor partitions the graph to match the topology (hierarchically
+// across machines, like dgcl.BuildCommInfo).
+func partitionFor(tb testing.TB, g *graph.Graph, topo *topology.Topology, seed int64) *comm.Relation {
+	tb.Helper()
+	k := topo.NumGPUs()
+	var p *partition.Partition
+	var err error
+	if topo.NumMachines() > 1 {
+		per := make([]int, topo.NumMachines())
+		for d := 0; d < k; d++ {
+			per[topo.GPUMachine(d)]++
+		}
+		p, err = partition.Hierarchical(g, per, partition.Options{Seed: seed})
+	} else {
+		p, err = partition.KWay(g, k, partition.Options{Seed: seed})
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rel, err := comm.Build(g, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rel
+}
+
+// seededTriples builds the 30 seeded triples of the digest battery: five
+// graph families spanning community, power-law, locality and uniform degree
+// structure, three fabrics (4-GPU quad, DGX-1, two-machine 16-GPU), two
+// partition seeds each.
+func seededTriples(tb testing.TB) []planTriple {
+	tb.Helper()
+	graphs := []struct {
+		name string
+		gen  func(seed int64) *graph.Graph
+	}{
+		{"community", func(s int64) *graph.Graph { return graph.CommunityGraph(700, 12, 8, 0.8, s) }},
+		{"rmat", func(s int64) *graph.Graph { return graph.RMAT(512, 4096, 0.57, 0.19, 0.19, s) }},
+		{"locality", func(s int64) *graph.Graph { return graph.LocalityGraph(800, 10, s) }},
+		{"chunglu", func(s int64) *graph.Graph { return graph.ChungLu(600, 8, 2.5, s) }},
+		{"erdos", func(s int64) *graph.Graph { return graph.ErdosRenyi(500, 3000, s) }},
+	}
+	topos := []struct {
+		name string
+		topo *topology.Topology
+	}{
+		{"quad4", topology.SubDGX1(4)},
+		{"dgx1", topology.DGX1()},
+		{"dual16", topology.TwoMachineDGX1()},
+	}
+	var out []planTriple
+	for _, gg := range graphs {
+		for _, tt := range topos {
+			for seed := int64(1); seed <= 2; seed++ {
+				g := gg.gen(seed)
+				out = append(out, planTriple{
+					name: fmt.Sprintf("%s-%s-s%d", gg.name, tt.name, seed),
+					rel:  partitionFor(tb, g, tt.topo, seed),
+					topo: tt.topo,
+				})
+			}
+		}
+	}
+	return out
+}
+
+// planJSONBytes canonically serializes a plan for byte comparison.
+func planJSONBytes(tb testing.TB, p *Plan) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := p.WriteJSON(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }

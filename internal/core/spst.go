@@ -38,28 +38,11 @@ type SPSTOptions struct {
 	// tree (ablation: isolates the value of per-vertex strategy flexibility
 	// and communication fusion).
 	TreePerSource bool
-	// Workers is the number of concurrent planning workers. 1 (or 0, the
-	// default) with BatchSize<=1 runs the exact serial algorithm; larger
-	// values shard work items into waves planned against an immutable
-	// snapshot of the link loads (see parallel.go for the staleness model).
-	Workers int
-	// BatchSize is the number of work items each worker plans per wave
-	// (default 1). Workers*BatchSize is the staleness window: link loads are
-	// committed between waves, so items within one wave do not see each
-	// other's load. Larger batches amortize wave synchronization on many-core
-	// machines at a small plan-quality cost.
-	BatchSize int
 }
 
 func (o SPSTOptions) withDefaults() SPSTOptions {
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 16
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 1
 	}
 	return o
 }
@@ -69,12 +52,6 @@ func (o SPSTOptions) withDefaults() SPSTOptions {
 func (o SPSTOptions) Validate() error {
 	if o.ChunkSize < 0 {
 		return fmt.Errorf("core: SPSTOptions.ChunkSize must be >= 0, got %d", o.ChunkSize)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: SPSTOptions.Workers must be >= 0, got %d", o.Workers)
-	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("core: SPSTOptions.BatchSize must be >= 0, got %d", o.BatchSize)
 	}
 	return nil
 }
@@ -119,14 +96,7 @@ func PlanSPST(rel *comm.Relation, topo *topology.Topology, bytesPerVertex int64,
 	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 
 	pb := newPlanBuilder(rel.K)
-	var state *State
-	// Forwarding-free plans never read link state, so the serial loop is
-	// already exact and parallelism has nothing to hide latency behind.
-	if opts.DisableForwarding || (opts.Workers <= 1 && opts.BatchSize <= 1) {
-		state = planSerial(m, items, bytesPerVertex, opts, pb)
-	} else {
-		state = planWaves(m, items, bytesPerVertex, opts, pb)
-	}
+	state := planSerial(m, items, bytesPerVertex, opts, pb)
 	plan := pb.build(bytesPerVertex, algName(opts))
 	return plan, state, nil
 }

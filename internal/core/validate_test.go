@@ -19,12 +19,9 @@ func TestSPSTOptionsValidate(t *testing.T) {
 		wantErr string // "" = valid
 	}{
 		{"zero value", SPSTOptions{}, ""},
-		{"defaults spelled out", SPSTOptions{ChunkSize: 16, Workers: 1, BatchSize: 1}, ""},
-		{"parallel config", SPSTOptions{Workers: 8, BatchSize: 32}, ""},
+		{"defaults spelled out", SPSTOptions{ChunkSize: 16}, ""},
 		{"ablations", SPSTOptions{DisableForwarding: true, TreePerSource: true}, ""},
 		{"negative chunk", SPSTOptions{ChunkSize: -1}, "ChunkSize"},
-		{"negative workers", SPSTOptions{Workers: -4}, "Workers"},
-		{"negative batch", SPSTOptions{BatchSize: -2}, "BatchSize"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,8 +52,6 @@ func TestPlanSPSTRejectsBadInputs(t *testing.T) {
 	}{
 		{"zero bytesPerVertex", 0, SPSTOptions{}},
 		{"negative bytesPerVertex", -8, SPSTOptions{}},
-		{"negative workers", 256, SPSTOptions{Workers: -1}},
-		{"negative batch", 256, SPSTOptions{BatchSize: -1}},
 		{"negative chunk", 256, SPSTOptions{ChunkSize: -16}},
 	}
 	for _, tc := range cases {
@@ -72,15 +67,15 @@ func TestPlanSPSTRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestSPSTOptionsDefaults pins the documented default resolution: zero
-// values mean ChunkSize 16, Workers 1, BatchSize 1 (exact serial planning).
+// TestSPSTOptionsDefaults pins the documented default resolution: a zero
+// ChunkSize means 16.
 func TestSPSTOptionsDefaults(t *testing.T) {
 	d := SPSTOptions{}.withDefaults()
-	if d.ChunkSize != 16 || d.Workers != 1 || d.BatchSize != 1 {
-		t.Fatalf("withDefaults() = %+v, want ChunkSize 16, Workers 1, BatchSize 1", d)
+	if d.ChunkSize != 16 {
+		t.Fatalf("withDefaults() = %+v, want ChunkSize 16", d)
 	}
-	keep := SPSTOptions{ChunkSize: 4, Workers: 8, BatchSize: 2}.withDefaults()
-	if keep.ChunkSize != 4 || keep.Workers != 8 || keep.BatchSize != 2 {
+	keep := SPSTOptions{ChunkSize: 4}.withDefaults()
+	if keep.ChunkSize != 4 {
 		t.Fatalf("withDefaults() clobbered explicit values: %+v", keep)
 	}
 }

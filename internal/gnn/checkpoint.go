@@ -88,11 +88,9 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gnn: read kind: %w", err)
 	}
-	kind := ModelKind(kindStr)
-	switch kind {
-	case GCN, CommNet, GIN, GraphSAGE, GAT:
-	default:
-		return nil, fmt.Errorf("gnn: unknown model kind %q in checkpoint", kindStr)
+	kind, err := ParseModelKind(kindStr)
+	if err != nil {
+		return nil, fmt.Errorf("%w in checkpoint", err)
 	}
 	var numLayers int32
 	if err := binary.Read(r, binary.LittleEndian, &numLayers); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	for _, kind := range []ModelKind{GCN, CommNet, GIN, GraphSAGE, GAT} {
+	for _, kind := range AllModels {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			m := NewModel(kind, 6, 5, 2, 42)

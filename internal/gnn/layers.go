@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"errors"
 	"fmt"
 
 	"dgcl/internal/tensor"
@@ -253,26 +254,39 @@ func (l *GINLayer) FLOPs(vertices, edges int64) int64 {
 // ModelKind names one of the paper's three GNN models.
 type ModelKind string
 
-// The three models of §7, plus GraphSAGE (mentioned in the paper's
-// introduction; implemented with the max-pool aggregator as an extension).
+// The three models of §7.
 const (
-	GCN       ModelKind = "GCN"
-	CommNet   ModelKind = "CommNet"
-	GIN       ModelKind = "GIN"
-	GraphSAGE ModelKind = "GraphSAGE"
-	GAT       ModelKind = "GAT"
+	GCN     ModelKind = "GCN"
+	CommNet ModelKind = "CommNet"
+	GIN     ModelKind = "GIN"
 )
 
-// AllModels lists the paper's evaluated models in evaluation order
-// (GraphSAGE is an extension and not part of the §7 sweeps).
+// AllModels lists the paper's evaluated models in evaluation order.
 var AllModels = []ModelKind{GCN, CommNet, GIN}
 
+// ErrUnknownModel is returned (wrapped) by ParseModelKind for a name outside
+// AllModels: a mistyped flag, a coordinator's Spec or a checkpoint written
+// by another build.
+var ErrUnknownModel = errors.New("gnn: unknown model kind")
+
+// ParseModelKind returns the model kind named s, or an error matching
+// ErrUnknownModel.
+func ParseModelKind(s string) (ModelKind, error) {
+	for _, k := range AllModels {
+		if string(k) == s {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("%w %q", ErrUnknownModel, s)
+}
+
 // NeedsMeanAggregator reports whether the model aggregates with mean (GCN,
-// CommNet). GIN uses sum; GraphSAGE does its own max-pooling but receives a
-// sum aggregator for degree bookkeeping.
+// CommNet). GIN uses sum.
 func (k ModelKind) NeedsMeanAggregator() bool { return k == GCN || k == CommNet }
 
-// NewLayer constructs one layer of the given kind.
+// NewLayer constructs one layer of the given kind. An unknown kind is a
+// programming error: names from outside the program go through
+// ParseModelKind first.
 func (k ModelKind) NewLayer(in, out int, seed int64) Layer {
 	switch k {
 	case GCN:
@@ -281,10 +295,6 @@ func (k ModelKind) NewLayer(in, out int, seed int64) Layer {
 		return NewCommNetLayer(in, out, seed)
 	case GIN:
 		return NewGINLayer(in, out, seed)
-	case GraphSAGE:
-		return NewSAGELayer(in, out, seed)
-	case GAT:
-		return NewGATLayer(in, out, seed)
 	}
 	panic(fmt.Sprintf("gnn: unknown model kind %q", k))
 }

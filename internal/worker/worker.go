@@ -39,7 +39,7 @@ type Spec struct {
 	Dataset    string // dataset name from the paper's Table 4 (graph.DatasetByName)
 	Scale      int    // dataset downscale factor
 	FeatureDim int    // input feature width; 0 means the dataset's native width
-	Model      string // GCN | CommNet | GIN | GraphSAGE | GAT
+	Model      string // GCN | CommNet | GIN
 	Hidden     int    // hidden layer width
 	Layers     int    // GNN depth
 	GPUs       int    // cluster size K
@@ -92,11 +92,9 @@ func Build(spec Spec) (*dgcl.System, *dgcl.Model, *dgcl.Matrix, *dgcl.Matrix, er
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	kind := gnn.ModelKind(spec.Model)
-	switch kind {
-	case gnn.GCN, gnn.CommNet, gnn.GIN, gnn.GraphSAGE, gnn.GAT:
-	default:
-		return nil, nil, nil, nil, fmt.Errorf("worker: unknown model %q", spec.Model)
+	kind, err := gnn.ParseModelKind(spec.Model)
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("worker: %w", err)
 	}
 	g := ds.Generate(spec.Scale, spec.Seed)
 	topo, err := dgcl.TopologyForGPUCount(spec.GPUs)

@@ -1,7 +1,9 @@
 package worker
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"net"
 	"os"
 	"os/exec"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dgcl/internal/gnn"
 	"dgcl/internal/testutil"
 )
 
@@ -136,6 +139,31 @@ func TestCoordinatorRejectsTooManyWorkers(t *testing.T) {
 // TestTwoOSProcesses runs the real dgclworker binary twice against an
 // in-process coordinator: one training run spanning N OS processes, the
 // acceptance scenario of the multi-process walkthrough.
+// TestRetiredModelKindsFailCleanly: GraphSAGE and GAT are gone, so a Spec
+// naming one (sent by a coordinator of an older build) and a checkpoint
+// naming one (written by an older build) must fail with gnn.ErrUnknownModel
+// before anything is built, never reach NewLayer's panic.
+func TestRetiredModelKindsFailCleanly(t *testing.T) {
+	for _, kind := range []string{"GraphSAGE", "GAT"} {
+		t.Run(kind, func(t *testing.T) {
+			spec := testSpec()
+			spec.Model = kind
+			if _, _, _, _, err := Build(spec); !errors.Is(err, gnn.ErrUnknownModel) {
+				t.Errorf("Build: err = %v, want gnn.ErrUnknownModel", err)
+			}
+			m := gnn.NewModel(gnn.GCN, 4, 3, 2, 1)
+			m.Kind = gnn.ModelKind(kind)
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := gnn.Load(&buf); !errors.Is(err, gnn.ErrUnknownModel) {
+				t.Errorf("Load: err = %v, want gnn.ErrUnknownModel", err)
+			}
+		})
+	}
+}
+
 func TestTwoOSProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs dgclworker subprocesses")
