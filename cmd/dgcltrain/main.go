@@ -203,11 +203,10 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 		fmt.Printf("overlap: pipelined execution, %d-row chunks\n", sys.OverlapChunkRows())
 	}
 
-	// Fault injection: the runtime transport retries real losses, and the
-	// network simulator prices the retransmissions in virtual time. A
-	// -crash schedule additionally kills whole devices fail-stop; the
-	// resilient loop recovers by degrading onto the survivors.
-	var faultProfile *simnet.FaultProfile
+	// Fault injection: the runtime transport retries real losses; the
+	// simulated timing stays the fault-free model. A -crash schedule
+	// additionally kills whole devices fail-stop; the resilient loop
+	// recovers by degrading onto the survivors.
 	var crashCfg *dgcl.CrashConfig
 	if rec.crash != "" {
 		crashCfg, err = dgcl.ParseCrashSchedule(rec.crash)
@@ -229,11 +228,7 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 				Default: dgcl.FaultRates{Drop: chaos.drop, Corrupt: chaos.corrupt, Duplicate: chaos.dup},
 				Stats:   &dgcl.FaultStats{},
 			}
-			faultProfile = &simnet.FaultProfile{
-				DropRate: chaos.drop, CorruptRate: chaos.corrupt, DuplicateRate: chaos.dup,
-				MaxRetries: chaos.retries,
-			}
-			fmt.Printf("chaos: drop %.2f corrupt %.2f dup %.2f, %d retries, %s deadline\n",
+			fmt.Printf("chaos: drop %.2f corrupt %.2f dup %.2f, %d retries, %s deadline (simulated timing is the fault-free model)\n",
 				chaos.drop, chaos.corrupt, chaos.dup, chaos.retries, chaos.timeout)
 		}
 		if crashCfg != nil {
@@ -259,7 +254,6 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 	// (network simulator over the plan).
 	gpu := device.V100()
 	simCfg := simnet.DefaultConfig(seed)
-	simCfg.Faults = faultProfile
 	if ov.on {
 		simCfg.Overlap = &simnet.OverlapModel{ChunkRows: sys.OverlapChunkRows(), Window: ov.window}
 	}
@@ -267,35 +261,19 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 	if err != nil {
 		return err
 	}
-	var commPerEpoch float64
-	var retransPerEpoch int
 	dims := make([]int, layers)
 	dims[0] = ds.FeatureDim
 	for l := 1; l < layers; l++ {
 		dims[l] = ds.HiddenDim
 	}
-	for li, dim := range dims {
-		p := *sys.Plan()
-		p.BytesPerVertex = int64(dim) * 4
-		if !(cache && li == 0) {
-			fwd, err := net.RunPlan(&p)
-			if err != nil {
-				return err
-			}
-			commPerEpoch += fwd.Time
-			retransPerEpoch += fwd.Retransmissions
-		}
-		if li > 0 {
-			bwd, err := net.RunBackward(&p, true)
-			if err != nil {
-				return err
-			}
-			commPerEpoch += bwd.Time
-			retransPerEpoch += bwd.Retransmissions
-		}
+	fwd, bwd, err := net.EpochComm(sys.Plan(), dims, cache)
+	if err != nil {
+		return err
 	}
-	if retransPerEpoch > 0 {
-		fmt.Printf("simulated retransmissions per epoch: %d\n", retransPerEpoch)
+	var commPerEpoch float64
+	for l := range dims {
+		commPerEpoch += fwd[l]
+		commPerEpoch += bwd[l]
 	}
 	maxV, maxE := int64(0), int64(0)
 	for d := 0; d < gpus; d++ {
@@ -333,30 +311,8 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 		fmt.Printf("\ntransport: %d retransmissions, %d receive timeouts\n",
 			st.TotalRetries(), st.TotalTimeouts())
 	}
-	// Recovery pricing: virtual-time cost of the crash-tolerance machinery
-	// for this configuration (checkpoint write/restore, full recovery stall,
-	// amortized per-epoch overhead at the chosen interval).
-	if rec.dir != "" || crashCfg != nil {
-		ckptBytes := modelBytes(res.Model)
-		epochTime := computePerEpoch + commPerEpoch
-		fmt.Printf("\nrecovery pricing: checkpoint %.3f ms (payload %d B), restore %.3f ms, full recovery %.3f s\n",
-			simnet.CheckpointTime(ckptBytes)*1e3, ckptBytes, simnet.RestoreTime(ckptBytes)*1e3, simnet.RecoveryTime(ckptBytes))
-		fmt.Printf("amortized overhead at interval 1: %.3f ms/epoch (at 1e-4 failures/epoch)\n",
-			simnet.OverheadPerEpoch(1, ckptBytes, epochTime, 1e-4)*1e3)
-		if len(res.Recoveries) > 0 {
-			fmt.Printf("recoveries performed: %d, checkpoints written: %d\n", len(res.Recoveries), res.Checkpoints)
-		}
+	if len(res.Recoveries) > 0 {
+		fmt.Printf("\nrecoveries performed: %d, checkpoints written: %d\n", len(res.Recoveries), res.Checkpoints)
 	}
 	return nil
-}
-
-// modelBytes is the checkpoint payload size estimate: float32 parameters.
-func modelBytes(m *dgcl.Model) int64 {
-	var n int64
-	for _, l := range m.Layers {
-		for _, p := range l.Params() {
-			n += int64(p.Rows) * int64(p.Cols) * 4
-		}
-	}
-	return n
 }

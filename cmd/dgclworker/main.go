@@ -37,9 +37,6 @@ func main() {
 	data := flag.String("data", "127.0.0.1:0", "bind/advertise address for the peer data listener")
 	state := flag.String("state", "", "directory for durable worker state (membership identity + checkpoints)")
 	rejoin := flag.Bool("rejoin", false, "rejoin the run persisted under -state instead of joining fresh")
-	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint cadence in epochs")
-	dialInitial := flag.Duration("dial-backoff", 100*time.Millisecond, "initial coordinator dial backoff")
-	dialMax := flag.Duration("dial-backoff-max", 5*time.Second, "backoff ceiling")
 	dialTries := flag.Int("dial-tries", 1, "coordinator dial attempts before giving up")
 	timeout := flag.Duration("timeout", 15*time.Minute, "overall deadline for the run")
 	overlap := flag.Bool("overlap", true, "pipelined chunked execution for this process's ranks (bit-identical either way)")
@@ -70,15 +67,14 @@ func main() {
 	defer signal.Stop(sigs)
 
 	report, err := worker.Run(ctx, worker.WorkerOptions{
-		Coordinator:     *connect,
-		DataBind:        *data,
-		StateDir:        *state,
-		CheckpointEvery: *ckptEvery,
-		Rejoin:          *rejoin,
-		Backoff:         worker.BackoffConfig{Initial: *dialInitial, Max: *dialMax, Tries: *dialTries},
-		Drain:           drain,
-		OverlapOff:      !*overlap,
-		OverlapWindow:   *overlapWindow,
+		Coordinator:   *connect,
+		DataBind:      *data,
+		StateDir:      *state,
+		Rejoin:        *rejoin,
+		Backoff:       worker.BackoffConfig{Tries: *dialTries},
+		Drain:         drain,
+		OverlapOff:    !*overlap,
+		OverlapWindow: *overlapWindow,
 	})
 	if errors.Is(err, worker.ErrDrained) {
 		fmt.Println("drained")

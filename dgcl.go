@@ -193,8 +193,6 @@ type Options struct {
 	Seed int64
 	// Plan configures the on-disk plan cache. The zero value plans uncached.
 	Plan PlanOptions
-	// AtomicBackward disables the §6.2 non-atomic sub-stage schedule.
-	AtomicBackward bool
 	// CacheFeatures enables the §3 strategy (1): remote layer-0 features are
 	// allgathered once and cached across epochs, trading memory for the
 	// elimination of the widest allgather of every epoch.
@@ -358,7 +356,7 @@ func (s *System) BuildCommInfo(g *Graph, featureDim int) error {
 	if err != nil {
 		return err
 	}
-	clu.NonAtomic = !s.opts.AtomicBackward
+	clu.NonAtomic = true
 	s.g, s.part, s.rel, s.locals, s.plan, s.clu = g, p, rel, locals, plan, clu
 	s.featureDim = featureDim
 	s.dtopo, s.alive = nil, nil

@@ -209,31 +209,6 @@ func TestSteinerPlannerViaPublicAPI(t *testing.T) {
 	}
 }
 
-func TestAtomicBackwardOptionEquivalence(t *testing.T) {
-	g := WebGoogle.Generate(4096, 11)
-	n := g.NumVertices()
-	features := RandomFeatures(n, 8, 12)
-	targets := RandomFeatures(n, 6, 13)
-	run := func(atomic bool) float64 {
-		sys := Init(TopologyForGPUCountMust(4), Options{Seed: 11, AtomicBackward: atomic})
-		if err := sys.BuildCommInfo(g, 8); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := sys.NewTrainer(NewModel(GCN, 8, 6, 2, 14), features, targets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loss, err := tr.Epoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loss
-	}
-	if a, b := run(true), run(false); a != b {
-		t.Fatalf("atomic option changed results: %v vs %v", a, b)
-	}
-}
-
 // TestBuildCommInfoDeterministicAcrossGOMAXPROCS: set-up overlaps planning
 // with the local-graph build and fans per-machine and per-device work out
 // over GOMAXPROCS; what it builds must be the same at every setting.

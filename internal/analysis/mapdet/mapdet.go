@@ -21,7 +21,10 @@
 //     loop (float addition is not associative, so order changes the sum);
 //   - calls to order-sensitive sinks (Write/WriteString/WriteByte/
 //     WriteRune/Encode methods on receivers declared outside the loop, and
-//     fmt.Fprint* calls) — bytes emitted per iteration encode the order.
+//     fmt.Fprint* calls) — bytes emitted per iteration encode the order;
+//   - assignment of the range key to a variable declared outside the loop
+//     under an `if` whose condition orders (<, <=, >, >=): an argmin/argmax
+//     over map keys, where on a tie the iteration order picks the winner.
 //
 // Integer/bool accumulation is exempt: integer addition, max, and set
 // inserts are order-insensitive.
@@ -84,6 +87,56 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.BlockStm
 			checkAssign(pass, rng, fnBody, s)
 		case *ast.CallExpr:
 			checkSinkCall(pass, rng, s)
+		case *ast.IfStmt:
+			if ordering(s.Cond) {
+				checkKeyPick(pass, rng, s.Body)
+			}
+		}
+		return true
+	})
+}
+
+// ordering reports whether cond is, or joins with && / ||, a <, <=, > or >=
+// comparison.
+func ordering(cond ast.Expr) bool {
+	switch e := cond.(type) {
+	case *ast.ParenExpr:
+		return ordering(e.X)
+	case *ast.BinaryExpr:
+		switch e.Op {
+		case token.LSS, token.LEQ, token.GTR, token.GEQ:
+			return true
+		case token.LAND, token.LOR:
+			return ordering(e.X) || ordering(e.Y)
+		}
+	}
+	return false
+}
+
+// checkKeyPick flags, inside the body of an ordering if, an assignment of
+// rng's key to a variable declared outside the loop.
+func checkKeyPick(pass *analysis.Pass, rng *ast.RangeStmt, body *ast.BlockStmt) {
+	key, ok := rng.Key.(*ast.Ident)
+	if !ok || key.Name == "_" {
+		return
+	}
+	keyObj := pass.ObjectOf(key)
+	ast.Inspect(body, func(n ast.Node) bool {
+		s, ok := n.(*ast.AssignStmt)
+		if !ok || s.Tok != token.ASSIGN || len(s.Lhs) != len(s.Rhs) {
+			return true
+		}
+		for i, rhs := range s.Rhs {
+			r, ok := rhs.(*ast.Ident)
+			if !ok || pass.ObjectOf(r) != keyObj {
+				continue
+			}
+			if l, ok := s.Lhs[i].(*ast.Ident); ok && analysis.DeclaredOutside(pass, l, rng.Pos(), rng.End()) {
+				pass.Reportf(s.Pos(),
+					"range key %q picked into %q under an ordering comparison inside range "+
+						"over map: on a tie the randomized iteration order picks the winner; "+
+						"iterate sorted keys", key.Name, l.Name)
+			}
 		}
 		return true
 	})

@@ -90,6 +90,43 @@ func writerSink(m map[string]int) string {
 	return b.String()
 }
 
+// nearestKey is an argmin over map keys shaped like a Steiner
+// nearest-terminal pick: on a distance tie the iteration order wins.
+func nearestKey(inTree []bool, dist [][]float64, remaining map[int]bool) (int, int) {
+	bestFrom, bestTo, bestD := -1, -1, 1e300
+	for from := range inTree {
+		if !inTree[from] {
+			continue
+		}
+		for to := range remaining {
+			if dist[from][to] < bestD {
+				bestFrom, bestTo, bestD = from, to, dist[from][to] // want "range key \"to\" picked into \"bestTo\""
+			}
+		}
+	}
+	return bestFrom, bestTo
+}
+
+// maxValue is a max over values that records no key; ties are harmless.
+func maxValue(m map[string]int) int {
+	best := 0
+	for _, v := range m {
+		if v > best {
+			best = v
+		}
+	}
+	return best
+}
+
+// keyedAbove writes under an ordering if, but keyed by the range key.
+func keyedAbove(m map[string]int, out map[string]bool) {
+	for k, v := range m {
+		if v >= 3 {
+			out[k] = true
+		}
+	}
+}
+
 // sliceRange is not a map range; nothing fires.
 func sliceRange(xs []string) []string {
 	var out []string

@@ -79,43 +79,6 @@ func PlanSwap(rel *comm.Relation, topo *topology.Topology, bytesPerVertex int64)
 	return sp, nil
 }
 
-// SwapCost evaluates the modeled time of the swap exchange on the topology:
-// phase 1 is the concurrent dump of all local embeddings over each GPU's
-// host path, phase 2 the concurrent load of remote embeddings, plus a
-// cross-machine phase when host memories must synchronize. Contention on
-// shared PCIe hops is accounted exactly as in the §5.1 cost model.
-func SwapCost(sp *SwapPlan, topo *topology.Topology) (float64, error) {
-	hopVolWrite := map[int]float64{}
-	hopVolRead := map[int]float64{}
-	for d := 0; d < sp.K; d++ {
-		ch, err := topo.HostChannel(d)
-		if err != nil {
-			return 0, err
-		}
-		for _, h := range ch.Hops {
-			hopVolWrite[h] += float64(sp.WriteBytes[d])
-			hopVolRead[h] += float64(sp.ReadBytes[d])
-		}
-	}
-	phase := func(vol map[int]float64) float64 {
-		var worst float64
-		for h, v := range vol {
-			if t := v / topo.Conn(h).Bandwidth; t > worst {
-				worst = t
-			}
-		}
-		return worst
-	}
-	total := phase(hopVolWrite) + phase(hopVolRead)
-	// Cross-machine host-to-host synchronization over the NIC fabric.
-	for _, bytes := range sp.CrossBytes {
-		if bytes > 0 {
-			total += float64(bytes) / topology.IB.Bandwidth()
-		}
-	}
-	return total, nil
-}
-
 // ReplicationInfo summarizes the Medusa-style replication strategy for a
 // K-layer GNN: every GPU stores its own partition plus the khop-hop
 // in-neighborhood of it, so no embeddings ever cross GPUs.
@@ -144,18 +107,4 @@ func Replication(g *graph.Graph, p *partition.Partition, khop int) *ReplicationI
 		info.Factor = float64(total) / float64(n)
 	}
 	return info
-}
-
-// FitsMemory reports whether the replicated working set fits in perGPUBytes
-// of device memory, given bytesPerVertexResident (features + activations +
-// gradients per vertex across layers).
-func (ri *ReplicationInfo) FitsMemory(perGPUBytes int64, bytesPerVertexResident int64) bool {
-	return int64(ri.MaxStored)*bytesPerVertexResident <= perGPUBytes
-}
-
-// ComputeBlowup returns the factor by which per-GPU computation grows versus
-// non-replicated partitioning with perfect balance: replicated vertices are
-// recomputed on every GPU that stores them.
-func (ri *ReplicationInfo) ComputeBlowup() float64 {
-	return ri.Factor
 }

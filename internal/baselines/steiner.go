@@ -64,25 +64,31 @@ func PlanSteiner(rel *comm.Relation, topo *topology.Topology, bytesPerVertex int
 
 	inTree := make([]bool, k)
 	depth := make([]int, k)
+	remaining := make([]bool, k)
 	for _, cl := range rel.Classes() {
 		for i := range inTree {
 			inTree[i] = false
+			remaining[i] = false
 		}
 		inTree[cl.Src] = true
 		depth[cl.Src] = 0
-		remaining := map[int]bool{}
+		left := 0
 		for _, d := range cl.Dsts {
-			remaining[d] = true
+			if !remaining[d] {
+				remaining[d] = true
+				left++
+			}
 		}
-		for len(remaining) > 0 {
-			// Nearest remaining terminal to the current tree.
+		for left > 0 {
+			// Nearest remaining terminal to the current tree; ties go to
+			// the lowest (from, to).
 			bestFrom, bestTo, bestD := -1, -1, math.Inf(1)
 			for from := 0; from < k; from++ {
 				if !inTree[from] {
 					continue
 				}
-				for to := range remaining {
-					if dist[from][to] < bestD {
+				for to := 0; to < k; to++ {
+					if remaining[to] && dist[from][to] < bestD {
 						bestFrom, bestTo, bestD = from, to, dist[from][to]
 					}
 				}
@@ -101,7 +107,10 @@ func PlanSteiner(rel *comm.Relation, topo *topology.Topology, bytesPerVertex int
 					if depth[nxt] > maxStage {
 						maxStage = depth[nxt]
 					}
-					delete(remaining, nxt)
+					if remaining[nxt] {
+						remaining[nxt] = false
+						left--
+					}
 				}
 				cur = nxt
 			}

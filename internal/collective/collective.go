@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"dgcl/internal/tensor"
-	"dgcl/internal/topology"
 )
 
 // RingAllreduce sums the same-shaped matrices of all workers and leaves the
@@ -82,57 +81,6 @@ func RingAllreduce(bufs []*tensor.Matrix) error {
 		}
 	}
 	return nil
-}
-
-// RingAllgather concatenates every worker's rows into each worker's output:
-// out[w] = vstack(in[0] ... in[k-1]). Inputs may have different row counts
-// (rank sizes); columns must agree.
-func RingAllgather(in []*tensor.Matrix) ([]*tensor.Matrix, error) {
-	k := len(in)
-	if k == 0 {
-		return nil, fmt.Errorf("collective: no workers")
-	}
-	cols := in[0].Cols
-	total := 0
-	for i, b := range in {
-		if b.Cols != cols {
-			return nil, fmt.Errorf("collective: worker %d has %d cols, worker 0 has %d", i, b.Cols, cols)
-		}
-		total += b.Rows
-	}
-	out := make([]*tensor.Matrix, k)
-	for w := 0; w < k; w++ {
-		out[w] = tensor.New(total, cols)
-		row := 0
-		for r := 0; r < k; r++ {
-			copy(out[w].Data[row*cols:], in[r].Data)
-			row += in[r].Rows
-		}
-	}
-	return out, nil
-}
-
-// RingAllreduceTime models the wall time of a bandwidth-optimal ring
-// allreduce of `bytes` per worker over the fabric: 2(k-1)/k × bytes over the
-// slowest link of the ring formed by GPU order 0..k-1.
-func RingAllreduceTime(topo *topology.Topology, bytes int64) (float64, error) {
-	k := topo.NumGPUs()
-	if k < 2 {
-		return 0, nil
-	}
-	slowest := 1e30
-	for w := 0; w < k; w++ {
-		ch, err := topo.GPUChannel(w, (w+1)%k)
-		if err != nil {
-			return 0, err
-		}
-		if bw := ch.Bottleneck(topo); bw < slowest {
-			slowest = bw
-		}
-	}
-	chunk := float64(bytes) / float64(k)
-	steps := float64(2 * (k - 1))
-	return steps * chunk / slowest, nil
 }
 
 // FullAllgatherBytes returns the bytes a regular (NCCL-style) allgather

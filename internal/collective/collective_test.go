@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"dgcl/internal/tensor"
-	"dgcl/internal/topology"
 )
 
 func TestRingAllreduceSums(t *testing.T) {
@@ -79,57 +78,6 @@ func TestPropertyRingAllreduce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRingAllgather(t *testing.T) {
-	in := []*tensor.Matrix{
-		tensor.FromData(2, 2, []float32{1, 2, 3, 4}),
-		tensor.FromData(1, 2, []float32{5, 6}),
-		tensor.FromData(2, 2, []float32{7, 8, 9, 10}),
-	}
-	out, err := RingAllgather(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 3; w++ {
-		if out[w].Rows != 5 {
-			t.Fatalf("worker %d rows %d", w, out[w].Rows)
-		}
-		if out[w].At(0, 0) != 1 || out[w].At(2, 0) != 5 || out[w].At(4, 1) != 10 {
-			t.Fatalf("worker %d content %v", w, out[w].Data)
-		}
-	}
-	if _, err := RingAllgather(nil); err == nil {
-		t.Fatal("empty must fail")
-	}
-	if _, err := RingAllgather([]*tensor.Matrix{tensor.New(1, 2), tensor.New(1, 3)}); err == nil {
-		t.Fatal("column mismatch must fail")
-	}
-}
-
-func TestRingAllreduceTimeModel(t *testing.T) {
-	topo := topology.DGX1()
-	tm, err := RingAllreduceTime(topo, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm <= 0 {
-		t.Fatal("time must be positive")
-	}
-	// Doubling bytes doubles time.
-	tm2, _ := RingAllreduceTime(topo, 1<<21)
-	if math.Abs(tm2-2*tm)/tm > 1e-9 {
-		t.Fatalf("not linear: %v vs %v", tm, tm2)
-	}
-	// A two-machine ring crossing IB is slower than the single machine.
-	tm16, _ := RingAllreduceTime(topology.TwoMachineDGX1(), 1<<20)
-	if tm16 <= tm {
-		t.Fatalf("16-GPU IB ring %v should be slower than DGX-1 ring %v", tm16, tm)
-	}
-	// Single GPU: free.
-	if tm1, _ := RingAllreduceTime(topology.SubDGX1(1), 1<<20); tm1 != 0 {
-		t.Fatal("single GPU allreduce should be free")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dgcl/internal/graph"
 	"dgcl/internal/par"
@@ -156,19 +155,6 @@ func (r *Relation) TotalRemoteVertices() int64 {
 	return t
 }
 
-// PairVolume returns an K×K matrix of vertex counts: PairVolume[i][j] =
-// |Vij|.
-func (r *Relation) PairVolume() [][]int64 {
-	out := make([][]int64, r.K)
-	for i := range out {
-		out[i] = make([]int64, r.K)
-		for j := range out[i] {
-			out[i][j] = int64(len(r.Send[i][j]))
-		}
-	}
-	return out
-}
-
 // Validate cross-checks the internal consistency of the relation.
 func (r *Relation) Validate() error {
 	for src := 0; src < r.K; src++ {
@@ -217,26 +203,6 @@ type LocalGraph struct {
 	NumRemote int
 	G         *graph.Graph
 	GlobalID  []int32 // local index -> global vertex id
-}
-
-// LocalIndex returns the local index of global vertex v on this GPU, or -1.
-func (lg *LocalGraph) LocalIndex(v int32) int {
-	// GlobalID is sorted in two runs (locals then remotes); binary search each.
-	if i := searchInt32(lg.GlobalID[:lg.NumLocal], v); i >= 0 {
-		return i
-	}
-	if i := searchInt32(lg.GlobalID[lg.NumLocal:], v); i >= 0 {
-		return lg.NumLocal + i
-	}
-	return -1
-}
-
-func searchInt32(s []int32, v int32) int {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return i
-	}
-	return -1
 }
 
 // BuildLocalGraphs constructs the per-GPU re-indexed graphs.

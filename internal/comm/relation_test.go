@@ -281,17 +281,6 @@ func TestClassesAllocs(t *testing.T) {
 	}
 }
 
-func TestPairVolume(t *testing.T) {
-	g := graph.Ring(8)
-	p := partition.Range(g, 4)
-	r, _ := Build(g, p)
-	vol := r.PairVolume()
-	// Ring: each part sends 1 vertex to each neighbor part.
-	if vol[0][1] != 1 || vol[1][0] != 1 || vol[0][2] != 0 {
-		t.Fatalf("pair volumes: %v", vol)
-	}
-}
-
 func TestLocalGraphs(t *testing.T) {
 	g, p := fig1Graph()
 	r, _ := Build(g, p)
@@ -323,21 +312,6 @@ func TestLocalGraphs(t *testing.T) {
 				t.Fatalf("gpu %d remote vertex has local out-edges", d)
 			}
 		}
-	}
-}
-
-func TestLocalIndex(t *testing.T) {
-	g, p := fig1Graph()
-	r, _ := Build(g, p)
-	lgs := BuildLocalGraphs(g, r)
-	lg := lgs[0]
-	for i, v := range lg.GlobalID {
-		if lg.LocalIndex(v) != i {
-			t.Fatalf("LocalIndex(%d) = %d want %d", v, lg.LocalIndex(v), i)
-		}
-	}
-	if lg.LocalIndex(6) != -1 { // vertex g is 3 hops from GPU0's partition
-		t.Fatal("LocalIndex of absent vertex should be -1")
 	}
 }
 

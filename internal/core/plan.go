@@ -241,17 +241,6 @@ func (p *Plan) BackwardSchedule(nonAtomic bool) [][]SubStage {
 	return out
 }
 
-// PairBytes returns per-ordered-pair transferred bytes summed over stages.
-func (p *Plan) PairBytes() map[PairID]int64 {
-	out := make(map[PairID]int64)
-	for _, st := range p.Stages {
-		for _, t := range st {
-			out[MakePair(p.K, t.Src, t.Dst)] += int64(len(t.Vertices)) * p.BytesPerVertex
-		}
-	}
-	return out
-}
-
 // String summarizes the plan.
 func (p *Plan) String() string {
 	return fmt.Sprintf("Plan{%s, K=%d, stages=%d, bytes=%d}", p.Algorithm, p.K, p.NumStages(), p.TotalBytes())

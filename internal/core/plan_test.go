@@ -95,10 +95,6 @@ func TestPlanTotalsAndTables(t *testing.T) {
 	if got := p.TableMemoryBytes(); got != 5*4*2 {
 		t.Fatalf("TableMemoryBytes=%d want 40", got)
 	}
-	pb := p.PairBytes()
-	if pb[MakePair(4, 0, 1)] != 300 || pb[MakePair(4, 1, 2)] != 200 {
-		t.Fatalf("PairBytes=%v", pb)
-	}
 	if p.NumStages() != 2 {
 		t.Fatalf("NumStages=%d", p.NumStages())
 	}

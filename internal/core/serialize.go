@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Plan serialization: communication plans are computed once before training
@@ -92,43 +91,4 @@ func (p *Plan) ComputeStats(owner []int32) Stats {
 		}
 	}
 	return s
-}
-
-// TopPairs returns the n heaviest ordered GPU pairs by transferred bytes.
-func (p *Plan) TopPairs(n int) []struct {
-	Src, Dst int
-	Bytes    int64
-} {
-	pb := p.PairBytes()
-	type row struct {
-		Src, Dst int
-		Bytes    int64
-	}
-	rows := make([]row, 0, len(pb))
-	for pair, b := range pb {
-		rows = append(rows, row{pair.Src(p.K), pair.Dst(p.K), b})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Bytes != rows[j].Bytes {
-			return rows[i].Bytes > rows[j].Bytes
-		}
-		if rows[i].Src != rows[j].Src {
-			return rows[i].Src < rows[j].Src
-		}
-		return rows[i].Dst < rows[j].Dst
-	})
-	if n > len(rows) {
-		n = len(rows)
-	}
-	out := make([]struct {
-		Src, Dst int
-		Bytes    int64
-	}, n)
-	for i := 0; i < n; i++ {
-		out[i] = struct {
-			Src, Dst int
-			Bytes    int64
-		}{rows[i].Src, rows[i].Dst, rows[i].Bytes}
-	}
-	return out
 }

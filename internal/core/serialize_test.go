@@ -85,20 +85,3 @@ func TestComputeStats(t *testing.T) {
 		t.Fatalf("bytes %d tables %d", s.BytesTotal, s.TableBytes)
 	}
 }
-
-func TestTopPairs(t *testing.T) {
-	p := NewPlan(4, 10, "t")
-	p.Stages = [][]Transfer{{
-		{Src: 0, Dst: 1, Vertices: make([]int32, 5)},
-		{Src: 2, Dst: 3, Vertices: make([]int32, 9)},
-		{Src: 1, Dst: 2, Vertices: make([]int32, 1)},
-	}}
-	top := p.TopPairs(2)
-	if len(top) != 2 || top[0].Src != 2 || top[0].Bytes != 90 || top[1].Src != 0 {
-		t.Fatalf("top pairs %+v", top)
-	}
-	all := p.TopPairs(99)
-	if len(all) != 3 {
-		t.Fatalf("want all 3 pairs, got %d", len(all))
-	}
-}

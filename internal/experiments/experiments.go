@@ -178,28 +178,18 @@ type epochResult struct {
 
 func (e epochResult) total() float64 { return e.CommTime + e.ComputeTime }
 
-// commTimePerEpoch simulates one epoch's communication for a staged plan: a
-// forward allgather per layer at that layer's input width, and a backward
-// gradient exchange per hidden layer (the layer-0 feature gradient is
-// discarded, so a K-layer epoch runs K forward and K-1 backward exchanges).
+// commTimePerEpoch simulates one epoch's communication for a staged plan
+// (simnet.EpochComm): a forward allgather per layer and a backward gradient
+// exchange per layer after the first.
 func commTimePerEpoch(w *workload, plan *core.Plan, net *simnet.Network) (float64, error) {
+	fwd, bwd, err := net.EpochComm(plan, w.layerDims(), false)
+	if err != nil {
+		return 0, err
+	}
 	var total float64
-	for li, dim := range w.layerDims() {
-		p := *plan
-		p.BytesPerVertex = int64(dim) * 4
-		fwd, err := net.RunPlan(&p)
-		if err != nil {
-			return 0, err
-		}
-		total += fwd.Time
-		if li == 0 {
-			continue
-		}
-		bwd, err := net.RunBackward(&p, true)
-		if err != nil {
-			return 0, err
-		}
-		total += bwd.Time
+	for l := range fwd {
+		total += fwd[l]
+		total += bwd[l]
 	}
 	return total, nil
 }

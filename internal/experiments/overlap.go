@@ -40,21 +40,15 @@ func Overlap(cfg Config) (*Report, error) {
 			// Per-layer comm and compute; compute split evenly per layer
 			// (dims are constant after layer 1, close enough for the bound).
 			perLayerCompute := gpu.EpochComputeTime(model, maxV, maxE) / float64(cfg.Layers)
+			fwd, bwd, err := net.EpochComm(plan, w.layerDims(), false)
+			if err != nil {
+				return nil, err
+			}
 			var sequential, pipelined float64
-			for li, dim := range w.layerDims() {
-				p := *plan
-				p.BytesPerVertex = int64(dim) * 4
-				fwd, err := net.RunPlan(&p)
-				if err != nil {
-					return nil, err
-				}
-				comm := fwd.Time
-				if li > 0 {
-					bwd, err := net.RunBackward(&p, true)
-					if err != nil {
-						return nil, err
-					}
-					comm += bwd.Time
+			for l := range fwd {
+				comm := fwd[l]
+				if l > 0 {
+					comm += bwd[l]
 				}
 				sequential += comm + perLayerCompute
 				pipelined += maxf(comm, perLayerCompute)

@@ -22,30 +22,6 @@ type Graph struct {
 	targets []int32 // len = NumEdges(); neighbors of u are targets[offsets[u]:offsets[u+1]]
 }
 
-// NewCSR wraps pre-built CSR arrays. offsets must be non-decreasing with
-// offsets[0]==0 and len(targets)==offsets[len(offsets)-1]; targets must be in
-// range. It returns an error describing the first violation found.
-func NewCSR(offsets []int64, targets []int32) (*Graph, error) {
-	if len(offsets) == 0 || offsets[0] != 0 {
-		return nil, fmt.Errorf("graph: offsets must start with 0")
-	}
-	n := len(offsets) - 1
-	for i := 0; i < n; i++ {
-		if offsets[i+1] < offsets[i] {
-			return nil, fmt.Errorf("graph: offsets decrease at vertex %d", i)
-		}
-	}
-	if int64(len(targets)) != offsets[n] {
-		return nil, fmt.Errorf("graph: len(targets)=%d but offsets end at %d", len(targets), offsets[n])
-	}
-	for i, t := range targets {
-		if t < 0 || int(t) >= n {
-			return nil, fmt.Errorf("graph: target %d at position %d out of range [0,%d)", t, i, n)
-		}
-	}
-	return &Graph{offsets: offsets, targets: targets}, nil
-}
-
 // Edge is a directed edge from Src to Dst.
 type Edge struct {
 	Src, Dst int32

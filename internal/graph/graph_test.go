@@ -6,33 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewCSRValidation(t *testing.T) {
-	tests := []struct {
-		name    string
-		offsets []int64
-		targets []int32
-		wantErr bool
-	}{
-		{"empty graph", []int64{0}, nil, false},
-		{"single vertex no edges", []int64{0, 0}, nil, false},
-		{"valid two vertices", []int64{0, 1, 2}, []int32{1, 0}, false},
-		{"no offsets", nil, nil, true},
-		{"nonzero start", []int64{1, 2}, []int32{0}, true},
-		{"decreasing offsets", []int64{0, 2, 1}, []int32{1, 0}, true},
-		{"target count mismatch", []int64{0, 2}, []int32{0}, true},
-		{"target out of range", []int64{0, 1}, []int32{5}, true},
-		{"negative target", []int64{0, 1}, []int32{-1}, true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewCSR(tc.offsets, tc.targets)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("NewCSR() err=%v, wantErr=%v", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 func TestFromEdgesBasics(t *testing.T) {
 	g := MustFromEdges(4, []Edge{{0, 1}, {0, 2}, {1, 2}, {3, 0}}, false)
 	if g.NumVertices() != 4 {

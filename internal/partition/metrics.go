@@ -32,29 +32,6 @@ func CommVolume(g *graph.Graph, p *Partition) int64 {
 	return total
 }
 
-// ReplicationHalo returns per-part halo sizes: the number of distinct remote
-// vertices each part references (its 1-hop halo), from which the 1-hop
-// replication factor follows directly.
-func ReplicationHalo(g *graph.Graph, p *Partition) []int {
-	seen := make([]map[int32]bool, p.K)
-	for d := range seen {
-		seen[d] = make(map[int32]bool)
-	}
-	for u := 0; u < g.NumVertices(); u++ {
-		du := p.Assign[u]
-		for _, v := range g.Neighbors(int32(u)) {
-			if p.Assign[v] != du {
-				seen[du][v] = true
-			}
-		}
-	}
-	out := make([]int, p.K)
-	for d := range seen {
-		out[d] = len(seen[d])
-	}
-	return out
-}
-
 // Quality bundles the metrics a partitioning is judged by.
 type Quality struct {
 	EdgeCut    int64

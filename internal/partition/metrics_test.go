@@ -29,17 +29,6 @@ func TestCommVolumeDedupsMultiEdges(t *testing.T) {
 	}
 }
 
-func TestReplicationHalo(t *testing.T) {
-	g := graph.Ring(8)
-	p := Range(g, 4)
-	halo := ReplicationHalo(g, p)
-	for d, h := range halo {
-		if h != 2 {
-			t.Fatalf("part %d halo %d want 2", d, h)
-		}
-	}
-}
-
 func TestEvaluateAndString(t *testing.T) {
 	g := graph.Grid2D(10, 10)
 	p, err := KWay(g, 4, Options{Seed: 1})

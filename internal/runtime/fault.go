@@ -16,9 +16,9 @@ import (
 // drops, delays, duplicates, or corrupts messages. It models
 // the misbehaving transports of real deployments (lossy cross-machine
 // links, contended PCIe) so the chaos tests can exercise the retry/timeout
-// machinery deterministically. The same knobs are mirrored into
-// internal/simnet (Config.Faults) so virtual-time experiments price the
-// retransmissions this wrapper forces.
+// machinery deterministically. The network simulator (internal/simnet)
+// models only the fault-free fabric; nothing prices these faults in virtual
+// time.
 
 // FaultRates are per-send probabilities in [0,1] for each fault kind.
 // Multiple faults can fire on one send (a delayed duplicate, a corrupted

@@ -37,12 +37,6 @@ type Config struct {
 	// backward pass uses atomic gradient accumulation (§6.2). 1.35 matches
 	// Table 9's shape. Ignored for forward passes.
 	AtomicFactor float64
-	// Faults, when non-nil, mirrors the runtime transport's fault knobs
-	// (runtime.FaultConfig) into virtual time: lossy links force
-	// retransmissions, priced as extra bytes on the same hops plus the
-	// retry backoff latency, so experiments can quantify what a fault rate
-	// costs end to end.
-	Faults *FaultProfile
 	// Overlap, when non-nil, prices the runtime's chunked pipelined
 	// executor (DESIGN.md §16) instead of the serial stage-by-stage one.
 	// When nil, Result.Time is the serial sum of the stage times.
@@ -62,35 +56,6 @@ type OverlapModel struct {
 	// buffering, not steady-state throughput, so it is not priced; it is
 	// carried here so reports can record the configuration they simulated.
 	Window int
-}
-
-// FaultProfile prices transport faults in virtual time. It mirrors the
-// runtime's fault-injection + retry knobs: a transfer is lost with
-// probability DropRate+CorruptRate (a corrupted copy still occupies the
-// link, then is retransmitted), retransmitted up to MaxRetries times with
-// exponential backoff from retryBackoff, and duplicated with probability
-// DuplicateRate.
-type FaultProfile struct {
-	DropRate      float64
-	CorruptRate   float64
-	DuplicateRate float64
-	// MaxRetries is the retransmission budget per transfer (default 4).
-	MaxRetries int
-}
-
-// retryBackoff is the virtual-time wait before the first retransmission, in
-// seconds; it doubles each retry.
-const retryBackoff = 200e-6
-
-func (f *FaultProfile) withDefaults() *FaultProfile {
-	if f == nil {
-		return nil
-	}
-	g := *f
-	if g.MaxRetries == 0 {
-		g.MaxRetries = 4
-	}
-	return &g
 }
 
 // DefaultConfig returns the calibrated configuration used by the experiment
@@ -115,7 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.AtomicFactor == 0 {
 		c.AtomicFactor = 1.35
 	}
-	c.Faults = c.Faults.withDefaults()
 	return c
 }
 
@@ -199,10 +163,15 @@ type Result struct {
 	NVLinkTime, OtherTime float64
 	BytesMoved            int64
 	Flows                 int
-	// Retransmissions counts the extra copies forced by Config.Faults
-	// (retried losses plus duplicates); their bytes are included in
-	// BytesMoved and their backoff waits in Time.
-	Retransmissions int
+}
+
+// addStage books one finished stage of t seconds, boundary cost included,
+// whose NVLink-only and other flows finished after nv and ot seconds.
+func (r *Result) addStage(t, nv, ot float64) {
+	r.StageTimes = append(r.StageTimes, t)
+	r.Time += t
+	r.NVLinkTime += nv
+	r.OtherTime += ot
 }
 
 // simulateStage runs one set of concurrent flows to completion with max-min
@@ -377,49 +346,15 @@ func (n *Network) planFlows(transfers []core.Transfer, bytesPerVertex int64, ove
 				nvOnly = false
 			}
 		}
-		f := &flow{
+		flows = append(flows, &flow{
 			hops:    hops,
 			bytes:   float64(b) * overhead * n.jitter(),
 			latency: n.latency[t.Src][t.Dst],
 			nvOnly:  nvOnly,
-		}
-		if extra := n.priceFaults(f); extra > 0 {
-			res.Retransmissions += extra
-			res.BytesMoved += int64(extra) * b
-		}
-		flows = append(flows, f)
+		})
 	}
 	res.Flows += len(flows)
 	return flows, nil
-}
-
-// priceFaults applies the fault profile to one flow: each lost copy (drop
-// or corrupt) occupies the flow's hops and forces a retransmission after a
-// doubling backoff; a duplicate adds one more copy. Returns the number of
-// extra copies; the flow's bytes and latency are scaled in place. Losses
-// beyond the retry budget are not priceable in virtual time (the collective
-// fails instead); the loss probability is capped so pricing terminates.
-func (n *Network) priceFaults(f *flow) int {
-	fp := n.cfg.Faults
-	if fp == nil {
-		return 0
-	}
-	lose := fp.DropRate + fp.CorruptRate
-	if lose > 0.95 {
-		lose = 0.95
-	}
-	extra := 0
-	backoff := retryBackoff
-	for i := 0; i < fp.MaxRetries && n.rng.Float64() < lose; i++ {
-		extra++
-		f.latency += backoff
-		backoff *= 2
-	}
-	if fp.DuplicateRate > 0 && n.rng.Float64() < fp.DuplicateRate {
-		extra++
-	}
-	f.bytes *= float64(1 + extra)
-	return extra
 }
 
 // stageChunks returns how many chunks the overlapped executor splits the
@@ -468,28 +403,56 @@ func (n *Network) applyOverlap(res *Result, xfer []float64, chunks []int) {
 	res.Time = t + boundaries
 }
 
-// RunPlan simulates the forward graphAllgather of a staged plan and returns
-// the virtual-time result.
-func (n *Network) RunPlan(p *core.Plan) (*Result, error) {
+// run is the one stage loop behind RunPlan, RunBackward and RunPlanTraced.
+// Each stage's sub-stages run as one concurrent flow set whose bytes are
+// scaled by overhead; a stage pays the boundary cost plus one more flag
+// round per sub-stage beyond the first. A non-nil tr records every flow on
+// the serial timeline, before any overlap rewrite of Result.Time.
+func (n *Network) run(stages [][]core.SubStage, bytesPerVertex int64, overhead float64, tr *Trace) (*Result, error) {
 	res := &Result{}
 	var xfer []float64
 	var chunks []int
-	for _, stage := range p.Stages {
-		flows, err := n.planFlows(stage, p.BytesPerVertex, 1, res)
+	for si, stage := range stages {
+		var all []core.Transfer
+		for _, sub := range stage {
+			all = append(all, sub...)
+		}
+		flows, err := n.planFlows(all, bytesPerVertex, overhead, res)
 		if err != nil {
 			return nil, err
 		}
 		t, nv, ot := n.simulateStage(flows)
+		if tr != nil {
+			tr.record(si+1, all, flows, bytesPerVertex, res.Time)
+		}
 		xfer = append(xfer, t)
-		chunks = append(chunks, stageChunks(stage, n.cfg.Overlap))
+		chunks = append(chunks, stageChunks(all, n.cfg.Overlap))
 		t += n.stageBoundaryCost()
-		res.StageTimes = append(res.StageTimes, t)
-		res.Time += t
-		res.NVLinkTime += nv
-		res.OtherTime += ot
+		if len(stage) > 1 {
+			t += float64(len(stage)-1) * decentralizedFlagCost * n.cfg.LatencyScale
+		}
+		res.addStage(t, nv, ot)
+	}
+	if tr != nil {
+		tr.TotalTime = res.Time
 	}
 	n.applyOverlap(res, xfer, chunks)
 	return res, nil
+}
+
+// forwardStages wraps each forward stage as a single sub-stage.
+func forwardStages(p *core.Plan) [][]core.SubStage {
+	out := make([][]core.SubStage, len(p.Stages))
+	for i, st := range p.Stages {
+		out[i] = []core.SubStage{st}
+	}
+	return out
+}
+
+// RunPlan simulates the forward graphAllgather of a staged plan and returns
+// the virtual-time result.
+func (n *Network) RunPlan(p *core.Plan) (*Result, error) {
+	return n.run(forwardStages(p), p.BytesPerVertex, 1, nil)
 }
 
 // RunBackward simulates the backward gradient exchange: stages reversed with
@@ -500,38 +463,43 @@ func (n *Network) RunPlan(p *core.Plan) (*Result, error) {
 // its full table within the stage under decentralized flags), so their
 // timing effect is one extra flag synchronization per additional sub-stage.
 func (n *Network) RunBackward(p *core.Plan, nonAtomic bool) (*Result, error) {
-	res := &Result{}
 	overhead := 1.0
 	if !nonAtomic {
 		overhead = n.cfg.AtomicFactor
 	}
-	var xfer []float64
-	var chunks []int
-	for _, stage := range p.BackwardSchedule(nonAtomic) {
-		// Merge the stage's sub-stages into one concurrent flow set for
-		// timing; sub-stages cost one flag round each beyond the first.
-		var all []core.Transfer
-		for _, sub := range stage {
-			all = append(all, sub...)
+	return n.run(p.BackwardSchedule(nonAtomic), p.BytesPerVertex, overhead, nil)
+}
+
+// EpochComm simulates one training epoch's communication for plan p: a
+// forward allgather per layer at that layer's input width (dims[l] float32
+// values per vertex), and a non-atomic backward gradient exchange per layer
+// after the first (the layer-0 feature gradient is discarded, so a K-layer
+// epoch runs K forward and K-1 backward exchanges). skipFirstForward leaves
+// out the layer-0 forward, whose features a cache already holds. It returns
+// per-layer times in seconds; a layer that runs no exchange in a direction
+// reports 0 there. Layers run in order, forward before backward.
+func (n *Network) EpochComm(p *core.Plan, dims []int, skipFirstForward bool) (fwd, bwd []float64, err error) {
+	fwd = make([]float64, len(dims))
+	bwd = make([]float64, len(dims))
+	for l, dim := range dims {
+		q := *p
+		q.BytesPerVertex = int64(dim) * 4
+		if !(skipFirstForward && l == 0) {
+			res, err := n.RunPlan(&q)
+			if err != nil {
+				return nil, nil, err
+			}
+			fwd[l] = res.Time
 		}
-		flows, err := n.planFlows(all, p.BytesPerVertex, overhead, res)
-		if err != nil {
-			return nil, err
+		if l > 0 {
+			res, err := n.RunBackward(&q, true)
+			if err != nil {
+				return nil, nil, err
+			}
+			bwd[l] = res.Time
 		}
-		t, nv, ot := n.simulateStage(flows)
-		xfer = append(xfer, t)
-		chunks = append(chunks, stageChunks(all, n.cfg.Overlap))
-		t += n.stageBoundaryCost()
-		if nonAtomic && len(stage) > 1 {
-			t += float64(len(stage)-1) * decentralizedFlagCost * n.cfg.LatencyScale
-		}
-		res.StageTimes = append(res.StageTimes, t)
-		res.Time += t
-		res.NVLinkTime += nv
-		res.OtherTime += ot
 	}
-	n.applyOverlap(res, xfer, chunks)
-	return res, nil
+	return fwd, bwd, nil
 }
 
 // RunSwap simulates the NeuGraph-style swap exchange: a dump phase (all GPUs
@@ -539,7 +507,9 @@ func (n *Network) RunBackward(p *core.Plan, nonAtomic bool) (*Result, error) {
 // host synchronization, and a load phase (all GPUs read their remote sets).
 func (n *Network) RunSwap(sp *baselines.SwapPlan) (*Result, error) {
 	res := &Result{}
-	mk := func(bytes []int64, toHost bool) []*flow {
+	// phase runs one host-memory phase: every GPU with bytes to move writes
+	// them to (toHost) or reads them from its host.
+	phase := func(bytes []int64, toHost bool) {
 		var flows []*flow
 		for d, b := range bytes {
 			if b == 0 || len(n.hostHops[d]) == 0 {
@@ -556,16 +526,11 @@ func (n *Network) RunSwap(sp *baselines.SwapPlan) (*Result, error) {
 			})
 			res.BytesMoved += b
 		}
-		return flows
+		t, nv, ot := n.simulateStage(flows)
+		res.addStage(t+n.stageBoundaryCost(), nv, ot)
+		res.Flows += len(flows)
 	}
-	dump := mk(sp.WriteBytes, true)
-	t, nv, ot := n.simulateStage(dump)
-	t += n.stageBoundaryCost()
-	res.StageTimes = append(res.StageTimes, t)
-	res.Time += t
-	res.NVLinkTime += nv
-	res.OtherTime += ot
-	res.Flows += len(dump)
+	phase(sp.WriteBytes, true)
 
 	var cross int64
 	for _, b := range sp.CrossBytes {
@@ -573,20 +538,10 @@ func (n *Network) RunSwap(sp *baselines.SwapPlan) (*Result, error) {
 	}
 	if cross > 0 {
 		ct := float64(cross)/topology.IB.Bandwidth() + classLatency[topology.ClassCrossMachine]*n.cfg.LatencyScale
-		res.StageTimes = append(res.StageTimes, ct)
-		res.Time += ct
-		res.OtherTime += ct
+		res.addStage(ct, 0, ct)
 		res.BytesMoved += cross
 	}
-
-	load := mk(sp.ReadBytes, false)
-	t, nv, ot = n.simulateStage(load)
-	t += n.stageBoundaryCost()
-	res.StageTimes = append(res.StageTimes, t)
-	res.Time += t
-	res.NVLinkTime += nv
-	res.OtherTime += ot
-	res.Flows += len(load)
+	phase(sp.ReadBytes, false)
 	return res, nil
 }
 

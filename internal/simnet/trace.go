@@ -30,36 +30,29 @@ type Trace struct {
 // RunPlanTraced simulates the plan like RunPlan while recording a per-flow
 // timeline.
 func (n *Network) RunPlanTraced(p *core.Plan) (*Result, *Trace, error) {
-	res := &Result{}
 	tr := &Trace{}
-	var clock float64
-	for si, stage := range p.Stages {
-		flows, err := n.planFlows(stage, p.BytesPerVertex, 1, res)
-		if err != nil {
-			return nil, nil, err
-		}
-		t, nv, ot := n.simulateStage(flows)
-		for fi, f := range flows {
-			ft := FlowTrace{
-				Stage: si + 1,
-				Src:   stage[fi].Src, Dst: stage[fi].Dst,
-				Bytes: int64(len(stage[fi].Vertices)) * p.BytesPerVertex,
-				Start: clock, End: clock + f.done,
-			}
-			if f.done > 0 && ft.Bytes > 0 {
-				ft.Bandwidth = float64(ft.Bytes) / f.done
-			}
-			tr.Flows = append(tr.Flows, ft)
-		}
-		t += n.stageBoundaryCost()
-		clock += t
-		res.StageTimes = append(res.StageTimes, t)
-		res.Time += t
-		res.NVLinkTime += nv
-		res.OtherTime += ot
+	res, err := n.run(forwardStages(p), p.BytesPerVertex, 1, tr)
+	if err != nil {
+		return nil, nil, err
 	}
-	tr.TotalTime = res.Time
 	return res, tr, nil
+}
+
+// record appends one stage's flows, started at virtual time start; flows[i]
+// carries transfers[i].
+func (t *Trace) record(stage int, transfers []core.Transfer, flows []*flow, bytesPerVertex int64, start float64) {
+	for i, f := range flows {
+		ft := FlowTrace{
+			Stage: stage,
+			Src:   transfers[i].Src, Dst: transfers[i].Dst,
+			Bytes: int64(len(transfers[i].Vertices)) * bytesPerVertex,
+			Start: start, End: start + f.done,
+		}
+		if f.done > 0 && ft.Bytes > 0 {
+			ft.Bandwidth = float64(ft.Bytes) / f.done
+		}
+		t.Flows = append(t.Flows, ft)
+	}
 }
 
 // WriteCSV emits the trace as CSV (stage,src,dst,bytes,start_us,end_us,gbps).
@@ -86,19 +79,4 @@ func (t *Trace) SlowestFlows(n int) []FlowTrace {
 		out = out[:n]
 	}
 	return out
-}
-
-// GPUBytes aggregates sent and received bytes per GPU.
-func (t *Trace) GPUBytes(k int) (sent, received []int64) {
-	sent = make([]int64, k)
-	received = make([]int64, k)
-	for _, f := range t.Flows {
-		if f.Src >= 0 && f.Src < k {
-			sent[f.Src] += f.Bytes
-		}
-		if f.Dst >= 0 && f.Dst < k {
-			received[f.Dst] += f.Bytes
-		}
-	}
-	return sent, received
 }

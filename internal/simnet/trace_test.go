@@ -103,15 +103,6 @@ func TestTraceCSVAndQueries(t *testing.T) {
 	if slow[0].End < slow[1].End || slow[1].End < slow[2].End {
 		t.Fatal("slowest flows not sorted")
 	}
-	sent, recv := tr.GPUBytes(8)
-	var s, r int64
-	for d := 0; d < 8; d++ {
-		s += sent[d]
-		r += recv[d]
-	}
-	if s != plan.TotalBytes() || r != plan.TotalBytes() {
-		t.Fatalf("per-GPU bytes don't sum: sent %d recv %d want %d", s, r, plan.TotalBytes())
-	}
 }
 
 func TestGanttRendering(t *testing.T) {

@@ -234,16 +234,6 @@ func GatherRows(a *Matrix, rows []int32) *Matrix {
 	return out
 }
 
-// ScatterAddRows adds src's i-th row into dst's rows[i]-th row.
-func ScatterAddRows(dst, src *Matrix, rows []int32) {
-	if src.Rows != len(rows) || src.Cols != dst.Cols {
-		panic(fmt.Sprintf("tensor: scatter %dx%d into %dx%d via %d rows", src.Rows, src.Cols, dst.Rows, dst.Cols, len(rows)))
-	}
-	for i, r := range rows {
-		AddTo(dst.Row(int(r)), src.Row(i))
-	}
-}
-
 // Frobenius returns the Frobenius norm.
 func Frobenius(a *Matrix) float64 {
 	return math.Sqrt(SumSquares(a.Data))

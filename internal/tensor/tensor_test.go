@@ -102,11 +102,6 @@ func TestGatherScatter(t *testing.T) {
 	if g.At(0, 0) != 5 || g.At(1, 1) != 2 {
 		t.Fatalf("gather: %v", g.Data)
 	}
-	dst := New(3, 2)
-	ScatterAddRows(dst, g, []int32{1, 1})
-	if dst.At(1, 0) != 6 || dst.At(1, 1) != 8 || dst.At(0, 0) != 0 {
-		t.Fatalf("scatter: %v", dst.Data)
-	}
 }
 
 func TestCloneIndependent(t *testing.T) {
@@ -171,9 +166,8 @@ func TestPropertyMatMulAssociative(t *testing.T) {
 	}
 }
 
-// Property: gather then scatter-add with the same index list accumulates
-// exactly the gathered rows.
-func TestPropertyGatherScatterRoundTrip(t *testing.T) {
+// Property: every gathered row is an exact copy of the indexed source row.
+func TestPropertyGatherRows(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, c := 3+rng.Intn(10), 1+rng.Intn(6)
@@ -186,17 +180,9 @@ func TestPropertyGatherScatterRoundTrip(t *testing.T) {
 			idx[i] = int32(rng.Intn(n))
 		}
 		g := GatherRows(a, idx)
-		dst := New(n, c)
-		ScatterAddRows(dst, g, idx)
-		// dst row r should equal count(r in idx) * a row r.
-		count := make([]float32, n)
-		for _, r := range idx {
-			count[r]++
-		}
-		for r := 0; r < n; r++ {
+		for i, r := range idx {
 			for j := 0; j < c; j++ {
-				want := count[r] * a.At(r, j)
-				if math.Abs(float64(dst.At(r, j)-want)) > 1e-3 {
+				if g.At(i, j) != a.At(int(r), j) {
 					return false
 				}
 			}

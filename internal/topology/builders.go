@@ -169,24 +169,3 @@ func TwoMachineEthernet() *Topology {
 	b.Connect(nic0, nic1, Ethernet)
 	return b.Build()
 }
-
-// Ring builds an n-GPU synthetic topology where GPU i connects to GPU (i+1)
-// mod n via NV1 and every GPU hangs off one shared PCIe switch; used by unit
-// tests that need simple predictable fabrics.
-func RingGPUs(n int) *Topology {
-	b := NewBuilder(fmt.Sprintf("ring%d", n))
-	cpu := b.AddNode(CPU, 0, "cpu0")
-	mem := b.AddNode(HostMem, 0, "mem")
-	b.Connect(cpu, mem, MemBus)
-	sw := b.AddNode(Switch, 0, "pcie0")
-	b.Connect(sw, cpu, PCIe)
-	gpus := make([]NodeID, n)
-	for g := 0; g < n; g++ {
-		gpus[g] = b.AddNode(GPU, 0, fmt.Sprintf("gpu%d", g))
-		b.Connect(gpus[g], sw, PCIe)
-	}
-	for g := 0; g < n; g++ {
-		b.Connect(gpus[g], gpus[(g+1)%n], NV1)
-	}
-	return b.Build()
-}

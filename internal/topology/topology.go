@@ -326,16 +326,6 @@ func (ch Channel) Bottleneck(t *Topology) float64 {
 	return b
 }
 
-// UsesNVLinkOnly reports whether every hop of the channel is NVLink.
-func (ch Channel) UsesNVLinkOnly(t *Topology) bool {
-	for _, h := range ch.Hops {
-		if !t.conns[h].Type.IsNVLink() {
-			return false
-		}
-	}
-	return len(ch.Hops) > 0
-}
-
 // DirectedHop is a physical connection traversed in a specific direction
 // (Forward means from Conn.A to Conn.B). Opposite directions of a
 // full-duplex connection are independent contention domains.

@@ -260,24 +260,6 @@ func TestAllGPUChannels(t *testing.T) {
 	}
 }
 
-func TestRingGPUs(t *testing.T) {
-	top := RingGPUs(4)
-	if top.NumGPUs() != 4 {
-		t.Fatalf("NumGPUs=%d", top.NumGPUs())
-	}
-	ch, err := top.GPUChannel(0, 1)
-	if err != nil || ch.Class != ClassNVLink {
-		t.Fatalf("ring adjacent pair should be NVLink: %+v %v", ch, err)
-	}
-	ch, err = top.GPUChannel(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Class == ClassNVLink {
-		t.Fatal("opposite ring pair should not be direct NVLink")
-	}
-}
-
 func TestEthernetConfig(t *testing.T) {
 	top := TwoMachineEthernet()
 	ch, err := top.GPUChannel(0, 8)
@@ -286,18 +268,6 @@ func TestEthernetConfig(t *testing.T) {
 	}
 	if bw := ch.Bottleneck(top); bw != Ethernet.Bandwidth() {
 		t.Fatalf("ethernet bottleneck = %v", bw)
-	}
-}
-
-func TestChannelUsesNVLinkOnly(t *testing.T) {
-	top := DGX1()
-	ch, _ := top.GPUChannel(0, 1)
-	if !ch.UsesNVLinkOnly(top) {
-		t.Fatal("NVLink channel should be NVLink-only")
-	}
-	ch, _ = top.GPUChannel(0, 5)
-	if ch.UsesNVLinkOnly(top) {
-		t.Fatal("cross-socket channel is not NVLink-only")
 	}
 }
 

@@ -10,16 +10,19 @@ import (
 	"dgcl/internal/clock"
 )
 
+// Reconnect backoff bounds: the first retry waits up to backoffInitial,
+// and the delay doubles up to backoffMax.
+const (
+	backoffInitial = 100 * time.Millisecond
+	backoffMax     = 5 * time.Second
+)
+
 // BackoffConfig bounds the exponential reconnect backoff a worker uses to
-// (re)dial the coordinator: attempt i sleeps min(Initial·2^i, Max) scaled by
-// a deterministic jitter in [0.5, 1.0) drawn from Seed, so restarted workers
-// do not stampede the coordinator in lockstep yet every test schedule is
-// reproducible. The zero value selects the defaults.
+// (re)dial the coordinator: attempt i sleeps min(backoffInitial·2^i,
+// backoffMax) scaled by a deterministic jitter in [0.5, 1.0) drawn from Seed,
+// so restarted workers do not stampede the coordinator in lockstep yet every
+// test schedule is reproducible. The zero value selects the defaults.
 type BackoffConfig struct {
-	// Initial is the first retry delay. Default 100ms.
-	Initial time.Duration
-	// Max caps the delay growth. Default 5s.
-	Max time.Duration
 	// Tries is the total connection attempts (1 = no retry). Default 1.
 	Tries int
 	// Seed drives the jitter stream; the schedule is a pure function of the
@@ -28,15 +31,6 @@ type BackoffConfig struct {
 }
 
 func (c BackoffConfig) withDefaults() BackoffConfig {
-	if c.Initial <= 0 {
-		c.Initial = 100 * time.Millisecond
-	}
-	if c.Max <= 0 {
-		c.Max = 5 * time.Second
-	}
-	if c.Max < c.Initial {
-		c.Max = c.Initial
-	}
 	if c.Tries <= 0 {
 		c.Tries = 1
 	}
@@ -58,12 +52,12 @@ func newBackoff(cfg BackoffConfig) *backoff {
 // next returns the delay before the next attempt: bounded exponential growth
 // with multiplicative jitter in [0.5, 1.0).
 func (b *backoff) next() time.Duration {
-	d := b.cfg.Initial
-	for i := 0; i < b.attempt && d < b.cfg.Max; i++ {
+	d := backoffInitial
+	for i := 0; i < b.attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > b.cfg.Max {
-		d = b.cfg.Max
+	if d > backoffMax {
+		d = backoffMax
 	}
 	b.attempt++
 	return time.Duration(float64(d) * (0.5 + b.rng.Float64()/2))

@@ -14,12 +14,12 @@ import (
 // function of the config — two iterators agree delay for delay — and every
 // delay lands in [raw/2, raw) where raw is the capped exponential.
 func TestBackoffScheduleDeterministicAndBounded(t *testing.T) {
-	cfg := BackoffConfig{Initial: 100 * time.Millisecond, Max: time.Second, Tries: 8, Seed: 7}
+	cfg := BackoffConfig{Tries: 8, Seed: 7}
 	a, b := newBackoff(cfg), newBackoff(cfg)
 	for i := 0; i < 8; i++ {
-		raw := cfg.Initial << i
-		if raw > cfg.Max {
-			raw = cfg.Max
+		raw := backoffInitial << i
+		if raw > backoffMax {
+			raw = backoffMax
 		}
 		da, db := a.next(), b.next()
 		if da != db {
@@ -32,8 +32,8 @@ func TestBackoffScheduleDeterministicAndBounded(t *testing.T) {
 }
 
 func TestBackoffDifferentSeedsDiverge(t *testing.T) {
-	a := newBackoff(BackoffConfig{Initial: time.Second, Max: time.Minute, Seed: 1})
-	b := newBackoff(BackoffConfig{Initial: time.Second, Max: time.Minute, Seed: 2})
+	a := newBackoff(BackoffConfig{Seed: 1})
+	b := newBackoff(BackoffConfig{Seed: 2})
 	same := true
 	for i := 0; i < 5; i++ {
 		if a.next() != b.next() {
@@ -47,20 +47,19 @@ func TestBackoffDifferentSeedsDiverge(t *testing.T) {
 
 func TestBackoffDefaults(t *testing.T) {
 	cfg := BackoffConfig{}.withDefaults()
-	if cfg.Initial != 100*time.Millisecond || cfg.Max != 5*time.Second || cfg.Tries != 1 {
+	if cfg.Tries != 1 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	// Max below Initial is lifted to Initial so the schedule stays sane.
-	cfg = BackoffConfig{Initial: time.Second, Max: time.Millisecond}.withDefaults()
-	if cfg.Max != time.Second {
-		t.Fatalf("Max not lifted to Initial: %+v", cfg)
+	if backoffInitial != 100*time.Millisecond || backoffMax != 5*time.Second {
+		t.Fatalf("backoff bounds %v..%v, want 100ms..5s", backoffInitial, backoffMax)
 	}
 }
 
 // TestDialBackoffSleepsOnInjectedClock proves the retry sleeps run on the
-// injected clock: with hour-long delays the dial would otherwise hang for
-// hours, but advancing the fake clock drains all three attempts in
-// milliseconds, and the give-up error names the attempt count.
+// injected clock: the two real-time sleeps would total under 300ms, yet
+// the dial is still pending after a second of an unmoved fake clock;
+// advancing the fake clock then drains all three attempts, and the give-up
+// error names the attempt count.
 func TestDialBackoffSleepsOnInjectedClock(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -73,9 +72,14 @@ func TestDialBackoffSleepsOnInjectedClock(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := dialBackoff(context.Background(), fc, addr,
-			BackoffConfig{Initial: time.Hour, Max: time.Hour, Tries: 3, Seed: 1})
+			BackoffConfig{Tries: 3, Seed: 1})
 		done <- err
 	}()
+	select {
+	case err := <-done:
+		t.Fatalf("dialBackoff returned before the fake clock moved (%v); is it sleeping on the real clock?", err)
+	case <-time.After(time.Second):
+	}
 	deadline := time.After(20 * time.Second)
 	for {
 		select {
@@ -108,7 +112,7 @@ func TestDialBackoffHonorsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := dialBackoff(ctx, fc, addr, BackoffConfig{Initial: time.Hour, Max: time.Hour, Tries: 10, Seed: 1})
+		_, err := dialBackoff(ctx, fc, addr, BackoffConfig{Tries: 10, Seed: 1})
 		done <- err
 	}()
 	// Let the first attempt fail and the sleep arm, then cancel: the dial

@@ -35,9 +35,6 @@ type SuperviseOptions struct {
 	// Heartbeat is the renewal interval workers are told to beat at.
 	// Default 500ms.
 	Heartbeat time.Duration
-	// LeaseTimeout is the per-renewal deadline; each expiry is one
-	// deadline-class strike. Default 4×Heartbeat.
-	LeaseTimeout time.Duration
 	// DownAfter is the consecutive-strike threshold before a silent worker
 	// is judged dead (0 = runtime.DefaultDownAfter). Explicit evidence (a
 	// dropped control connection) skips the strikes.
@@ -156,9 +153,6 @@ type supervisor struct {
 func (o SuperviseOptions) withDefaults() SuperviseOptions {
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = 500 * time.Millisecond
-	}
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 4 * o.Heartbeat
 	}
 	if o.DownAfter <= 0 {
 		o.DownAfter = runtime.DefaultDownAfter
@@ -495,7 +489,7 @@ func (s *supervisor) startGeneration(ctx context.Context) error {
 	for i, m := range active {
 		nodes[i] = wire.NodeSpec{Addr: m.addr, Ranks: m.ranks}
 	}
-	s.leases = newLeases(s.clock, s.opts.LeaseTimeout, s.opts.DownAfter)
+	s.leases = newLeases(s.clock, 4*s.opts.Heartbeat, s.opts.DownAfter)
 	for _, m := range active {
 		if err := m.cc.send(ctrlMsg{T: mtMesh, Gen: s.gen, Nodes: nodes, Start: resume}); err != nil {
 			return fmt.Errorf("worker: mesh member %d: %w", m.slot, err)

@@ -153,7 +153,7 @@ func TestMembershipKillRestartRejoinBitIdentical(t *testing.T) {
 			Coordinator: addr,
 			StateDir:    dir1,
 			Rejoin:      true,
-			Backoff:     BackoffConfig{Initial: 20 * time.Millisecond, Tries: 10},
+			Backoff:     BackoffConfig{Tries: 10},
 		})
 		rejoinDone <- err
 	}()
@@ -338,7 +338,7 @@ func TestMembershipDrainLeaveRejoinResumes(t *testing.T) {
 			Coordinator: addr,
 			StateDir:    dir1,
 			Rejoin:      true,
-			Backoff:     BackoffConfig{Initial: 20 * time.Millisecond, Tries: 10},
+			Backoff:     BackoffConfig{Tries: 10},
 		})
 		rejoinDone <- err
 	}()

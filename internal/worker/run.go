@@ -43,8 +43,6 @@ type WorkerOptions struct {
 	// checkpoint store catch-up resumes from. Empty disables both (the
 	// worker can still fault and rerun, but never rejoin after a restart).
 	StateDir string
-	// CheckpointEvery is the checkpoint cadence in epochs (default 1).
-	CheckpointEvery int
 	// Rejoin makes the worker present the persisted run identity from
 	// StateDir and reclaim its dead slot instead of joining fresh.
 	Rejoin bool
@@ -74,9 +72,6 @@ const epochTimeout = 2 * time.Minute
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.DataBind == "" {
 		o.DataBind = "127.0.0.1:0"
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real{}
@@ -458,7 +453,7 @@ func (s *session) train(ctx context.Context, cc *ctrlConn, mesh ctrlMsg, opts Wo
 			stopBeats()
 			return err
 		}
-		if s.store != nil && ((e+1)%opts.CheckpointEvery == 0 || e+1 == s.spec.Epochs) {
+		if s.store != nil {
 			if err := s.checkpoint(tr, e+1); err != nil {
 				stopBeats()
 				return err

@@ -181,21 +181,6 @@ const (
 	resultTimeout = 10 * time.Minute
 )
 
-func sameReport(a, b *Report) error {
-	if len(a.Losses) != len(b.Losses) {
-		return fmt.Errorf("epoch counts differ: %d vs %d", len(a.Losses), len(b.Losses))
-	}
-	for e := range a.Losses {
-		if a.Losses[e] != b.Losses[e] {
-			return fmt.Errorf("epoch %d loss %v vs %v", e, a.Losses[e], b.Losses[e])
-		}
-	}
-	if a.ModelSum != b.ModelSum {
-		return fmt.Errorf("final model digests differ: %#x vs %#x", a.ModelSum, b.ModelSum)
-	}
-	return nil
-}
-
 // clusterID names the run: it prefixes the coordinator's run ID, which in
 // turn (suffixed with the membership generation) becomes the wire cluster ID,
 // so workers handed different specs — or meshing for a stale generation —

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -228,4 +229,21 @@ func repoRoot(t *testing.T) string {
 		}
 		dir = parent
 	}
+}
+
+// sameReport compares two training reports bit for bit: every epoch loss
+// and the final model digest.
+func sameReport(a, b *Report) error {
+	if len(a.Losses) != len(b.Losses) {
+		return fmt.Errorf("epoch counts differ: %d vs %d", len(a.Losses), len(b.Losses))
+	}
+	for e := range a.Losses {
+		if a.Losses[e] != b.Losses[e] {
+			return fmt.Errorf("epoch %d loss %v vs %v", e, a.Losses[e], b.Losses[e])
+		}
+	}
+	if a.ModelSum != b.ModelSum {
+		return fmt.Errorf("final model digests differ: %#x vs %#x", a.ModelSum, b.ModelSum)
+	}
+	return nil
 }

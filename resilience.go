@@ -127,7 +127,7 @@ func (s *System) Degrade(down []int) error {
 	if err != nil {
 		return err
 	}
-	clu.NonAtomic = !s.opts.AtomicBackward
+	clu.NonAtomic = true
 	s.part, s.rel, s.locals, s.plan, s.clu = p, rel, locals, plan, clu
 	s.dtopo, s.alive = dtopo, newAlive
 	// Worker mode survives a degrade: this process's rank restriction is
@@ -179,12 +179,6 @@ type TrainOptions struct {
 	// disables checkpointing (recovery then continues from the in-memory
 	// replica state).
 	CheckpointDir string
-	// CheckpointEvery writes a checkpoint each time this many epochs
-	// complete (by absolute epoch number, so resumed and uninterrupted runs
-	// checkpoint at the same boundaries). <=0 means every epoch.
-	CheckpointEvery int
-	// CheckpointKeep bounds retained generations (<=0 = checkpoint.DefaultKeep).
-	CheckpointKeep int
 	// Resume starts from the newest intact checkpoint in CheckpointDir when
 	// one exists (a fresh start otherwise).
 	Resume bool
@@ -252,15 +246,8 @@ func (s *System) Train(ctx context.Context, model *Model, features, targets *Mat
 	s.applyRunOptions()
 
 	var store *checkpoint.Store
-	every := opts.CheckpointEvery
-	if every <= 0 {
-		every = 1
-	}
 	if opts.CheckpointDir != "" {
 		store = checkpoint.NewStore(opts.CheckpointDir)
-		if opts.CheckpointKeep > 0 {
-			store.Keep = opts.CheckpointKeep
-		}
 	}
 
 	start := 0
@@ -308,7 +295,7 @@ func (s *System) Train(ctx context.Context, model *Model, features, targets *Mat
 			s.fireEpochEnd(epoch, tr.Models[0])
 			epoch++
 			retries = 0
-			if store != nil && (epoch%every == 0 || epoch == opts.Epochs) {
+			if store != nil {
 				if _, serr := s.saveCheckpoint(store, tr, optimizers[0], epoch); serr != nil {
 					return result, serr
 				}
