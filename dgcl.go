@@ -96,6 +96,10 @@ type (
 // dead device.
 var ErrDeviceDown = runtime.ErrDeviceDown
 
+// DownDevices reads which devices a failed collective found fail-stop dead
+// (external ids, ascending); empty when the failure was not a device death.
+func DownDevices(err error) []int { return runtime.DownDevices(err) }
+
 // DefaultRetryPolicy returns the standard retry/timeout budget.
 func DefaultRetryPolicy() RetryPolicy { return runtime.DefaultRetryPolicy() }
 
@@ -356,7 +360,6 @@ func (s *System) BuildCommInfo(g *Graph, featureDim int) error {
 	if err != nil {
 		return err
 	}
-	clu.NonAtomic = true
 	s.g, s.part, s.rel, s.locals, s.plan, s.clu = g, p, rel, locals, plan, clu
 	s.featureDim = featureDim
 	s.dtopo, s.alive = nil, nil

@@ -426,8 +426,8 @@ func (n *Node) CollectiveTransport(stages [][]core.Transfer, ids []int) runtime.
 // In a worker process the set is the single local node; the loopback fabric
 // spans all of them (every client runs in-process, every cross-client
 // payload still crosses a real socket). Send serializes before returning and
-// Recv yields pooled buffers the caller owns, so it is a CopyingTransport
-// and a MessageRecycler.
+// Recv yields pooled buffers the caller owns, so it is a
+// runtime.PooledTransport.
 type meshTransport struct {
 	seq   uint64
 	nodes map[int]*Node
@@ -435,9 +435,6 @@ type meshTransport struct {
 	ids   []int
 	pool  *runtime.MatrixPool
 }
-
-// CopiesPayloads marks that Send serializes before returning.
-func (t *meshTransport) CopiesPayloads() {}
 
 // RecycleMessage takes a consumed receive buffer back into the wire pool.
 func (t *meshTransport) RecycleMessage(msg runtime.Message) {

@@ -3,8 +3,8 @@
 // decentralized, with per-peer buffers and done signals instead of a master
 // round-trip per stage. The forward graphAllgather delivers remote vertex
 // embeddings to every client (including multi-hop relays); the backward
-// allgather routes gradients down the same trees in reverse, accumulating at
-// relays, following the (non-)atomic sub-stage schedule. All data movement
+// allgather runs the same compiled program reversed, routing gradients down
+// the same trees the other way and accumulating at relays. All data movement
 // goes through the Transport interface (transport.go): the default in-memory
 // channel transport, optionally wrapped with fault injection and
 // retry/timeout decorators. The runtime is the correctness half of the
@@ -30,8 +30,6 @@ type Cluster struct {
 	Rel    *comm.Relation
 	Locals []*comm.LocalGraph
 	Plan   *core.Plan
-	// NonAtomic selects the §6.2 sub-stage schedule for backward passes.
-	NonAtomic bool
 	// Stats, when non-nil, accumulates actual per-GPU transfer counters
 	// (behind the transport, so forward and backward collectives both
 	// count).
@@ -74,15 +72,12 @@ type Cluster struct {
 	Overlap OverlapConfig
 
 	// Compiled routing programs (program.go), built lazily on first use and
-	// reused by every subsequent collective. The backward program depends on
-	// the NonAtomic setting, and both depend on the chunking granularity, so
-	// the values they were compiled for are recorded.
-	progMu       sync.Mutex
-	fwdProg      *routingProgram
-	bwdProg      *routingProgram
-	bwdNonAtomic bool
-	fwdChunk     int
-	bwdChunk     int
+	// reused by every subsequent collective. Both depend on the chunking
+	// granularity, so the value they were compiled for is recorded.
+	progMu    sync.Mutex
+	fwdProg   *routingProgram
+	bwdProg   *routingProgram
+	progChunk int
 
 	// pool recycles transfer payloads and relay arenas across collectives
 	// (pool.go): steady-state epochs allocate O(1) per transfer instead of
@@ -117,6 +112,22 @@ func (c *Cluster) eachActive(fn func(d int)) {
 	}
 }
 
+// onEachRank runs fn for every locally-executed client, one goroutine per
+// rank, and returns when all have finished. Clients block on one another
+// inside a collective, so each needs a goroutine of its own: a bounded
+// worker pool could park a receiver whose sender never gets to run.
+func (c *Cluster) onEachRank(fn func(d int)) {
+	var wg sync.WaitGroup
+	c.eachActive(func(d int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(d)
+		}()
+	})
+	wg.Wait()
+}
+
 // NewCluster validates the plan against the relation and builds the cluster.
 func NewCluster(rel *comm.Relation, locals []*comm.LocalGraph, plan *core.Plan) (*Cluster, error) {
 	if len(locals) != rel.K {
@@ -125,7 +136,7 @@ func NewCluster(rel *comm.Relation, locals []*comm.LocalGraph, plan *core.Plan) 
 	if err := plan.Validate(rel); err != nil {
 		return nil, fmt.Errorf("runtime: invalid plan: %w", err)
 	}
-	return &Cluster{K: rel.K, Rel: rel, Locals: locals, Plan: plan, NonAtomic: true}, nil
+	return &Cluster{K: rel.K, Rel: rel, Locals: locals, Plan: plan}, nil
 }
 
 // newTransport composes the transport stack for one collective: base
@@ -256,35 +267,41 @@ func (c *Cluster) Allgather(local []*tensor.Matrix) ([]*tensor.Matrix, error) {
 // AllgatherContext is Allgather bounded by a context: cancellation or a
 // deadline aborts all clients with a structured error.
 func (c *Cluster) AllgatherContext(ctx context.Context, local []*tensor.Matrix) ([]*tensor.Matrix, error) {
-	cols, err := c.validateInputs(local, false)
+	return c.collective(ctx, local, false)
+}
+
+// collective runs one allgather in either direction: every locally-executed
+// client runs its compiled program for that direction on its own goroutine
+// over one transport stack, and the collective fails as a whole with the
+// structured per-GPU errors. A dead device anywhere aborts the rest.
+func (c *Cluster) collective(ctx context.Context, in []*tensor.Matrix, backward bool) ([]*tensor.Matrix, error) {
+	cols, err := c.validateInputs(in, backward)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := c.forwardProgram()
+	prog, err := c.program(backward)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := c.collectiveContext(ctx)
 	defer cancel()
-	tp, release := c.acquireTransport(prog, true)
-	copies := transportCopies(tp)
-	full := make([]*tensor.Matrix, c.K)
-	var wg sync.WaitGroup
+	tp, release := c.acquireTransport(prog, !backward)
+	pooled := Pooled(tp)
+	op, run := "graphAllgather", c.runForwardClient
+	if backward {
+		op, run = "backward graphAllgather", c.runBackwardClient
+	}
+	out := make([]*tensor.Matrix, c.K)
 	errs := make([]error, c.K)
-	c.eachActive(func(d int) {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			full[d], errs[d] = c.runForwardClient(ctx, d, local[d], cols, tp, &prog.clients[d], copies)
-			abortOnDeviceDown(errs[d], cancel)
-		}(d)
+	c.onEachRank(func(d int) {
+		out[d], errs[d] = run(ctx, d, in[d], cols, tp, &prog.clients[d], pooled)
+		abortOnDeviceDown(errs[d], cancel)
 	})
-	wg.Wait()
 	release(anyError(errs))
-	if err := c.finishCollective("graphAllgather", errs); err != nil {
+	if err := c.finishCollective(op, errs); err != nil {
 		return nil, err
 	}
-	return full, nil
+	return out, nil
 }
 
 func anyError(errs []error) bool {
@@ -297,10 +314,10 @@ func anyError(errs []error) bool {
 }
 
 // validateInputs checks one matrix per locally-executed GPU, all non-nil
-// with a consistent column count; forward inputs must also match the
-// owned-row counts (the backward client checks its own local-graph row
-// count). In worker mode the entries of inactive ranks are ignored (they may
-// be nil — those clients run in another process).
+// with a consistent column count and one row per owned vertex (forward) or
+// per local-graph vertex (backward). In worker mode the entries of inactive
+// ranks are ignored (they may be nil — those clients run in another
+// process).
 func (c *Cluster) validateInputs(in []*tensor.Matrix, backward bool) (int, error) {
 	if len(in) != c.K {
 		return 0, fmt.Errorf("runtime: %d inputs for %d GPUs", len(in), c.K)
@@ -314,6 +331,10 @@ func (c *Cluster) validateInputs(in []*tensor.Matrix, backward bool) (int, error
 		m := in[d]
 		if m == nil {
 			verr = fmt.Errorf("runtime: GPU %d input is nil", d)
+			return
+		}
+		if lg := c.Locals[d]; backward && m.Rows != lg.NumLocal+lg.NumRemote {
+			verr = fmt.Errorf("runtime: GPU %d gradient has %d rows, local graph has %d", d, m.Rows, lg.NumLocal+lg.NumRemote)
 			return
 		}
 		if !backward && m.Rows != len(c.Rel.Local[d]) {
@@ -336,7 +357,7 @@ func (c *Cluster) validateInputs(in []*tensor.Matrix, backward bool) (int, error
 // output `full` doubles as the vertex store: owned rows are block-copied up
 // front, received rows land directly at their precomputed local-graph
 // offset, and relay-only rows live in a pooled arena.
-func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Matrix, cols int, tp Transport, cp *clientProgram, copies bool) (*tensor.Matrix, error) {
+func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Matrix, cols int, tp Transport, cp *clientProgram, pooled PooledTransport) (*tensor.Matrix, error) {
 	lg := c.Locals[d]
 	full := tensor.New(lg.NumLocal+lg.NumRemote, cols)
 	copy(full.Data[:lg.NumLocal*cols], local.Data)
@@ -348,7 +369,7 @@ func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Mat
 		}
 		return arena.Row(int(-s - 1))
 	}
-	if err := c.runClient(ctx, d, cols, tp, cp, copies, rowOf, aggregateCopy); err != nil {
+	if err := c.runClient(ctx, d, cols, tp, cp, pooled, rowOf, aggregateCopy); err != nil {
 		return nil, err
 	}
 	return full, nil
@@ -358,11 +379,11 @@ func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Mat
 // rowOf, landing each received payload with agg: pipelined when overlap is
 // on and the program's hazard analysis allows it, stage by stage otherwise.
 // The two executors produce bit-identical slots (overlap.go).
-func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, copies bool, rowOf func(int32) []float32, agg aggregateFunc) error {
+func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, pooled PooledTransport, rowOf func(int32) []float32, agg aggregateFunc) error {
 	if c.Overlap.Enabled && !cp.serialOnly {
-		return c.runClientPipelined(ctx, d, cols, tp, cp, copies, rowOf, agg)
+		return c.runClientPipelined(ctx, d, cols, tp, cp, pooled, rowOf, agg)
 	}
-	return c.runClientSerial(ctx, d, cols, tp, cp, copies, rowOf, agg)
+	return c.runClientSerial(ctx, d, cols, tp, cp, pooled, rowOf, agg)
 }
 
 // runClientSerial is the strictly-in-order executor: each stage's sends, then
@@ -373,7 +394,7 @@ func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *
 // stage deadlock-free. Send buffers come from the pool and are returned by
 // the *receiving* client once consumed (Cluster.recycle), so steady-state
 // epochs allocate no payload memory.
-func (c *Cluster) runClientSerial(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, copies bool, rowOf func(int32) []float32, agg aggregateFunc) error {
+func (c *Cluster) runClientSerial(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, pooled PooledTransport, rowOf func(int32) []float32, agg aggregateFunc) error {
 	for _, cs := range cp.stages {
 		// Send phase: fill peer buffers and set done flags.
 		for _, snd := range cs.sends {
@@ -384,8 +405,8 @@ func (c *Cluster) runClientSerial(ctx context.Context, d, cols int, tp Transport
 			if err := tp.Send(ctx, snd.key, snd.tr, c.seal(Message{Rows: buf})); err != nil {
 				return fmt.Errorf("runtime: GPU %d send: %w", d, err)
 			}
-			if copies {
-				// A copying transport serialized the payload before Send
+			if pooled != nil {
+				// A pooled transport serialized the payload before Send
 				// returned; the buffer is ours again.
 				c.pool.put(buf)
 			}
@@ -397,7 +418,7 @@ func (c *Cluster) runClientSerial(ctx context.Context, d, cols int, tp Transport
 				return fmt.Errorf("runtime: GPU %d recv: %w", d, err)
 			}
 			agg(rowOf, rcv.slots, msg.Rows)
-			c.recycle(tp, msg)
+			c.recycle(pooled, msg)
 		}
 	}
 	return nil
@@ -414,45 +435,7 @@ func (c *Cluster) BackwardAllgather(gradFull []*tensor.Matrix) ([]*tensor.Matrix
 
 // BackwardAllgatherContext is BackwardAllgather bounded by a context.
 func (c *Cluster) BackwardAllgatherContext(ctx context.Context, gradFull []*tensor.Matrix) ([]*tensor.Matrix, error) {
-	cols, err := c.validateInputs(gradFull, true)
-	if err != nil {
-		return nil, err
-	}
-	var shapeErr error
-	c.eachActive(func(d int) {
-		lg := c.Locals[d]
-		if m := gradFull[d]; shapeErr == nil && m.Rows != lg.NumLocal+lg.NumRemote {
-			shapeErr = fmt.Errorf("runtime: GPU %d gradient has %d rows, local graph has %d", d, m.Rows, lg.NumLocal+lg.NumRemote)
-		}
-	})
-	if shapeErr != nil {
-		return nil, shapeErr
-	}
-	prog, err := c.backwardProgram()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := c.collectiveContext(ctx)
-	defer cancel()
-	tp, release := c.acquireTransport(prog, false)
-	copies := transportCopies(tp)
-	out := make([]*tensor.Matrix, c.K)
-	errs := make([]error, c.K)
-	var wg sync.WaitGroup
-	c.eachActive(func(d int) {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			out[d], errs[d] = c.runBackwardClient(ctx, d, gradFull[d], cols, tp, &prog.clients[d], copies)
-			abortOnDeviceDown(errs[d], cancel)
-		}(d)
-	})
-	wg.Wait()
-	release(anyError(errs))
-	if err := c.finishCollective("backward graphAllgather", errs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.collective(ctx, gradFull, true)
 }
 
 // runBackwardClient executes one client's compiled backward program. The
@@ -463,7 +446,7 @@ func (c *Cluster) BackwardAllgatherContext(ctx context.Context, gradFull []*tens
 // (zeroed explicitly: pooled memory is dirty). Receives accumulate row i of
 // the payload into its precomputed slot in the exact legacy iteration order,
 // so results are bit-identical to the map-based path.
-func (c *Cluster) runBackwardClient(ctx context.Context, d int, gradFull *tensor.Matrix, cols int, tp Transport, cp *clientProgram, copies bool) (*tensor.Matrix, error) {
+func (c *Cluster) runBackwardClient(ctx context.Context, d int, gradFull *tensor.Matrix, cols int, tp Transport, cp *clientProgram, pooled PooledTransport) (*tensor.Matrix, error) {
 	lg := c.Locals[d]
 	own := tensor.New(lg.NumLocal, cols)
 	copy(own.Data, gradFull.Data[:lg.NumLocal*cols])
@@ -477,7 +460,7 @@ func (c *Cluster) runBackwardClient(ctx context.Context, d int, gradFull *tensor
 		}
 		return arena.Row(int(-s - 1))
 	}
-	if err := c.runClient(ctx, d, cols, tp, cp, copies, rowOf, aggregateAdd); err != nil {
+	if err := c.runClient(ctx, d, cols, tp, cp, pooled, rowOf, aggregateAdd); err != nil {
 		return nil, err
 	}
 	return own, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,6 +44,37 @@ func (e *DeviceDownError) Error() string {
 }
 
 func (e *DeviceDownError) Unwrap() error { return ErrDeviceDown }
+
+// DownDevices reads which devices a failed collective found fail-stop dead
+// (external ids, ascending): the health tracker's verdicts when it reached
+// any, otherwise every distinct DeviceDownError among the per-GPU errors. An
+// error that does not match ErrDeviceDown blames nobody — a lossy link or a
+// deadline is not a death — and an empty result means nothing to degrade.
+func DownDevices(err error) []int {
+	if err == nil || !errors.Is(err, ErrDeviceDown) {
+		return nil
+	}
+	var ce *CollectiveError
+	if !errors.As(err, &ce) {
+		var dd *DeviceDownError
+		if errors.As(err, &dd) {
+			return []int{dd.Device}
+		}
+		return nil
+	}
+	if len(ce.Down) > 0 {
+		return append([]int(nil), ce.Down...)
+	}
+	var out []int
+	for _, pe := range ce.PerGPU {
+		var dd *DeviceDownError
+		if pe != nil && errors.As(pe, &dd) && !slices.Contains(out, dd.Device) {
+			out = append(out, dd.Device)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
 
 // CrashEvent schedules one fail-stop failure: Device dies the first time any
 // transfer of epoch Epoch reaches plan stage Stage (0-based flattened stage

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -19,6 +20,33 @@ import (
 // corpse), name the dead devices in CollectiveError.Down, and leave no
 // goroutines behind. The schedule itself is a pure function of (epoch,
 // stage): replaying it yields the same down set every time.
+
+// TestDownDevices pins the one reading of "which devices died" that serve's
+// degrade path and the worker's fault blame share: health verdicts first,
+// else every distinct DeviceDownError in the per-GPU errors, ascending, and
+// nobody for an error that is not a device death.
+func TestDownDevices(t *testing.T) {
+	dropped := &TransportError{Op: "recv", Err: ErrDropped}
+	for _, tc := range []struct {
+		name string
+		err  error
+		want []int
+	}{
+		{"nil", nil, nil},
+		{"not a death", &CollectiveError{Op: "graphAllgather", PerGPU: []error{dropped, nil}}, nil},
+		{"bare DeviceDownError", &DeviceDownError{Device: 3}, []int{3}},
+		{"health verdicts", &CollectiveError{Op: "graphAllgather",
+			PerGPU: []error{&DeviceDownError{Device: 5}, nil}, Down: []int{1, 5}}, []int{1, 5}},
+		{"per-GPU deaths only", &CollectiveError{Op: "graphAllgather",
+			PerGPU: []error{&DeviceDownError{Device: 6}, nil, dropped, fmt.Errorf("send: %w", &DeviceDownError{Device: 2}), &DeviceDownError{Device: 6}}}, []int{2, 6}},
+		{"wrapped", fmt.Errorf("epoch 4: %w", &CollectiveError{Op: "backward graphAllgather",
+			PerGPU: []error{nil, &DeviceDownError{Device: 7}}}), []int{7}},
+	} {
+		if got := DownDevices(tc.err); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: DownDevices = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
 
 func TestParseCrashSchedule(t *testing.T) {
 	cfg, err := ParseCrashSchedule("2@3:1, 5@7")

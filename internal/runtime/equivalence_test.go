@@ -113,11 +113,11 @@ func legacyForwardClient(c *Cluster, d int, local *tensor.Matrix, cols int, tp T
 }
 
 // legacyBackwardAllgather runs the pre-compile backward client loops (map
-// accumulators, per-stage BackwardSchedule flattening) over a fresh channel
-// transport.
-func legacyBackwardAllgather(c *Cluster, gradFull []*tensor.Matrix) ([]*tensor.Matrix, error) {
+// accumulators, per-stage BackwardSchedule flattening, atomic or §6.2
+// non-atomic) over a fresh channel transport.
+func legacyBackwardAllgather(c *Cluster, gradFull []*tensor.Matrix, nonAtomic bool) ([]*tensor.Matrix, error) {
 	cols := gradFull[0].Cols
-	sched := c.Plan.BackwardSchedule(c.NonAtomic)
+	sched := c.Plan.BackwardSchedule(nonAtomic)
 	flat := make([][]core.Transfer, 0, len(sched))
 	for _, stage := range sched {
 		var all []core.Transfer
@@ -238,17 +238,19 @@ func TestCompiledForwardMatchesLegacyBitwise(t *testing.T) {
 	}
 }
 
-// TestCompiledBackwardMatchesLegacyBitwise is the backward half: relay
-// accumulation reorders nothing between the two implementations (same stage,
-// transfer, and vertex order), so gradients must match bit for bit even
-// though float addition is non-associative.
+// TestCompiledBackwardMatchesLegacyBitwise is the backward half, against the
+// legacy loops under both BackwardSchedule flavours: relay accumulation
+// reorders nothing between the implementations (every accumulator receives
+// its contributions in the same stage, transfer, and vertex order — the
+// non-atomic split moves a transfer's rows into later sub-stages but never
+// reorders two contributions to one row), so gradients must match bit for
+// bit even though float addition is non-associative.
 func TestCompiledBackwardMatchesLegacyBitwise(t *testing.T) {
 	for _, pc := range propertyCases() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
 			t.Parallel()
 			c, _ := buildCase(t, pc)
-			c.NonAtomic = pc.seed%2 == 0
 			gradFull := make([]*tensor.Matrix, pc.k)
 			for d := 0; d < pc.k; d++ {
 				lg := c.Locals[d]
@@ -258,13 +260,15 @@ func TestCompiledBackwardMatchesLegacyBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := legacyBackwardAllgather(c, gradFull)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for d := 0; d < pc.k; d++ {
-				if diff := tensor.MaxAbsDiff(got[d], want[d]); diff != 0 {
-					t.Fatalf("GPU %d: compiled backward differs from legacy loops by %v", d, diff)
+			for _, nonAtomic := range []bool{false, true} {
+				want, err := legacyBackwardAllgather(c, gradFull, nonAtomic)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := 0; d < pc.k; d++ {
+					if diff := tensor.MaxAbsDiff(got[d], want[d]); diff != 0 {
+						t.Fatalf("GPU %d: compiled backward differs from legacy loops (non-atomic %v) by %v", d, nonAtomic, diff)
+					}
 				}
 			}
 		})

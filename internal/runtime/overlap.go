@@ -276,9 +276,9 @@ func aggregateAdd(rowOf func(int32) []float32, slots []int32, rows *tensor.Matri
 // aggregation. The caller owns the slot storage and passes rowOf/agg; the
 // pipeline owns nothing but pooled send buffers, whose ownership protocol is
 // unchanged from serial execution: a buffer is filled, shipped, and either
-// returned immediately (copying transports) or returned by the receiving
+// returned immediately (pooled transports) or returned by the receiving
 // client through Cluster.recycle.
-func (c *Cluster) runClientPipelined(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, copies bool, rowOf func(int32) []float32, agg aggregateFunc) error {
+func (c *Cluster) runClientPipelined(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, pooled PooledTransport, rowOf func(int32) []float32, agg aggregateFunc) error {
 	window := c.Overlap.window()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -307,7 +307,7 @@ func (c *Cluster) runClientPipelined(ctx context.Context, d, cols int, tp Transp
 					ps.fail(fmt.Errorf("runtime: GPU %d send: %w", d, err), cancel)
 					return
 				}
-				if copies {
+				if pooled != nil {
 					c.pool.put(buf)
 				}
 			}
@@ -329,7 +329,7 @@ func (c *Cluster) runClientPipelined(ctx context.Context, d, cols int, tp Transp
 				break
 			}
 			agg(rowOf, rcv.slots, msg.Rows)
-			c.recycle(tp, msg)
+			c.recycle(pooled, msg)
 		}
 		if failed {
 			break

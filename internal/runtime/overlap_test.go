@@ -72,8 +72,7 @@ func TestOverlapForwardBitIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestOverlapBackwardBitIdenticalToSerial is the backward half, over both
-// backward schedules. Backward is where the WAR hazard lives (receives
+// TestOverlapBackwardBitIdenticalToSerial is the backward half. Backward is where the WAR hazard lives (receives
 // accumulate into rows later sends read), so this is the test that fails if
 // the aggDep gate is wrong.
 func TestOverlapBackwardBitIdenticalToSerial(t *testing.T) {
@@ -82,7 +81,6 @@ func TestOverlapBackwardBitIdenticalToSerial(t *testing.T) {
 		t.Run(pc.name, func(t *testing.T) {
 			t.Parallel()
 			c, _ := buildCase(t, pc)
-			c.NonAtomic = pc.seed%2 == 0
 			gradFull := make([]*tensor.Matrix, pc.k)
 			for d := 0; d < pc.k; d++ {
 				lg := c.Locals[d]
@@ -204,11 +202,11 @@ func TestCompiledDepsPipelineSafe(t *testing.T) {
 			t.Parallel()
 			c, _ := buildCase(t, pc)
 			c.Overlap = OverlapConfig{Enabled: true, ChunkRows: 4}
-			fwd, err := c.forwardProgram()
+			fwd, err := c.program(false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bwd, err := c.backwardProgram()
+			bwd, err := c.program(true)
 			if err != nil {
 				t.Fatal(err)
 			}

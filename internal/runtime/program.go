@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dgcl/internal/comm"
 	"dgcl/internal/core"
 )
 
@@ -31,10 +32,9 @@ import (
 //     contribution); rows beyond that are relay-only accumulators that start
 //     at zero.
 //
-// Programs are compiled lazily (once per plan, and per backward schedule
-// flavor) under progMu and shared by all subsequent collectives. The
-// backward program also hoists the BackwardSchedule sub-stage flattening,
-// which the legacy path redid on every call.
+// Programs are compiled lazily (once per plan and chunking granularity)
+// under progMu and shared by all subsequent collectives. Only the forward
+// program is compiled from the plan; the backward one is its reversal.
 
 // sendStep is one compiled send: the transport key, the transfer (for
 // accounting and failure attribution), and the source slot of each payload
@@ -53,7 +53,7 @@ type recvStep struct {
 	slots []int32
 }
 
-// clientStage is one client's view of one (flattened) stage.
+// clientStage is one client's view of one stage.
 type clientStage struct {
 	sends []sendStep
 	recvs []recvStep
@@ -87,37 +87,25 @@ type routingProgram struct {
 	tc      transportCache
 }
 
-// forwardProgram returns the compiled forward program, compiling it on first
-// use and recompiling when the chunking granularity changed (the chunked
-// layout determines the transport keys, so a stale program would desync from
-// peers compiled at the new granularity).
-func (c *Cluster) forwardProgram() (*routingProgram, error) {
+// program returns the compiled program for one collective direction. Both
+// directions are compiled together on first use and recompiled together when
+// the chunking granularity changed (the chunked layout determines the
+// transport keys, so a stale program would desync from peers compiled at the
+// new granularity).
+func (c *Cluster) program(backward bool) (*routingProgram, error) {
 	c.progMu.Lock()
 	defer c.progMu.Unlock()
-	if c.fwdProg == nil || c.fwdChunk != c.Overlap.chunkRows() {
-		p, err := c.compileForward()
+	if c.fwdProg == nil || c.progChunk != c.Overlap.chunkRows() {
+		fwd, err := c.compileForward()
 		if err != nil {
 			return nil, err
 		}
-		c.fwdProg, c.fwdChunk = p, c.Overlap.chunkRows()
+		c.fwdProg, c.bwdProg, c.progChunk = fwd, fwd.reversed(c.Locals), c.Overlap.chunkRows()
+	}
+	if backward {
+		return c.bwdProg, nil
 	}
 	return c.fwdProg, nil
-}
-
-// backwardProgram returns the compiled backward program for the cluster's
-// current NonAtomic setting, recompiling when the setting or the chunking
-// granularity changed since the last call.
-func (c *Cluster) backwardProgram() (*routingProgram, error) {
-	c.progMu.Lock()
-	defer c.progMu.Unlock()
-	if c.bwdProg == nil || c.bwdNonAtomic != c.NonAtomic || c.bwdChunk != c.Overlap.chunkRows() {
-		p, err := c.compileBackward(c.NonAtomic)
-		if err != nil {
-			return nil, err
-		}
-		c.bwdProg, c.bwdNonAtomic, c.bwdChunk = p, c.NonAtomic, c.Overlap.chunkRows()
-	}
-	return c.bwdProg, nil
 }
 
 // compileForward builds the forward program from c.Plan.Stages. The walk
@@ -177,68 +165,60 @@ func (c *Cluster) compileForward() (*routingProgram, error) {
 	return prog, nil
 }
 
-// compileBackward builds the backward program, flattening the (non-)atomic
-// sub-stage schedule into transport-keyed stages once instead of on every
-// collective. Sends resolve before the stage's receives register new relay
-// slots, matching the legacy send-then-receive execution order; a relay
-// vertex first seen in a send starts as a zeroed accumulator exactly as the
-// legacy grow() did.
-func (c *Cluster) compileBackward(nonAtomic bool) (*routingProgram, error) {
-	sched := c.Plan.BackwardSchedule(nonAtomic)
-	flat := make([][]core.Transfer, 0, len(sched))
-	for _, stage := range sched {
-		var all []core.Transfer
-		for _, sub := range stage {
-			all = append(all, sub...)
+// reversed derives the backward program from the compiled forward one:
+// gradients flow down the same trees the other way (§6.1), so backward stage
+// b is forward stage S-1-b with every transfer's endpoints swapped, under the
+// same transfer indices. Each client's forward sends become its receives and
+// its forward receives its sends, in the same order, and each slot moves into
+// the backward space: owned row i stays i, remote row NumLocal+i becomes
+// arena row i (seeded with the client's own gradient contribution), and
+// forward relay row r becomes arena row NumRemote+r (a zeroed accumulator).
+// Every accumulator therefore receives its contributions in plan transfer
+// order, one client at a time, which is what makes the sums bit-identical to
+// the §6.2 sub-stage schedule: that split only separates concurrent writers
+// of one row, and a client here is its rows' only writer.
+func (fwd *routingProgram) reversed(locals []*comm.LocalGraph) *routingProgram {
+	S := len(fwd.stages)
+	prog := &routingProgram{clients: make([]clientProgram, len(fwd.clients)), stages: make([][]core.Transfer, S)}
+	for si, st := range fwd.stages {
+		rs := make([]core.Transfer, len(st))
+		for ti, tr := range st {
+			rs[ti] = core.Transfer{Src: tr.Dst, Dst: tr.Src, Vertices: tr.Vertices}
 		}
-		flat = append(flat, all)
+		prog.stages[S-1-si] = rs
 	}
-	flat = chunkStages(flat, c.Overlap.chunkRows())
-	prog := &routingProgram{clients: make([]clientProgram, c.K), stages: flat}
-	for d := 0; d < c.K; d++ {
-		lg := c.Locals[d]
-		slot := make(map[int32]int32, lg.NumLocal+lg.NumRemote)
-		for i := 0; i < lg.NumLocal; i++ {
-			slot[lg.GlobalID[i]] = int32(i)
-		}
-		for i := 0; i < lg.NumRemote; i++ {
-			slot[lg.GlobalID[lg.NumLocal+i]] = int32(-(i + 1))
-		}
-		arenaRows := lg.NumRemote
-		grow := func(v int32) int32 {
-			s, ok := slot[v]
-			if !ok {
-				s = int32(-(arenaRows + 1))
-				arenaRows++
-				slot[v] = s
+	for d := range fwd.clients {
+		lg, fc, cp := locals[d], &fwd.clients[d], &prog.clients[d]
+		remap := func(fslots []int32) []int32 {
+			slots := make([]int32, len(fslots))
+			for i, s := range fslots {
+				switch {
+				case s < 0: // relay arena row r -> arena row NumRemote+r
+					s -= int32(lg.NumRemote)
+				case int(s) >= lg.NumLocal: // remote row -> arena row s-NumLocal
+					s = int32(lg.NumLocal) - s - 1
+				}
+				slots[i] = s
 			}
-			return s
+			return slots
 		}
-		cp := &prog.clients[d]
-		cp.stages = make([]clientStage, len(flat))
-		for si, st := range flat {
-			cs := &cp.stages[si]
-			for ti, tr := range st {
-				if tr.Src == d {
-					slots := make([]int32, len(tr.Vertices))
-					for i, v := range tr.Vertices {
-						slots[i] = grow(v)
-					}
-					cs.sends = append(cs.sends, sendStep{key: TransferKey{si, ti}, tr: tr, slots: slots})
-				}
-				if tr.Dst == d {
-					slots := make([]int32, len(tr.Vertices))
-					for i, v := range tr.Vertices {
-						slots[i] = grow(v)
-					}
-					cs.recvs = append(cs.recvs, recvStep{key: TransferKey{si, ti}, tr: tr, slots: slots})
-				}
+		cp.stages = make([]clientStage, S)
+		for si, fs := range fc.stages {
+			b := S - 1 - si
+			cs := &cp.stages[b]
+			for _, rcv := range fs.recvs {
+				ti := rcv.key.Index
+				cs.sends = append(cs.sends, sendStep{key: TransferKey{b, ti}, tr: prog.stages[b][ti], slots: remap(rcv.slots)})
+			}
+			for _, snd := range fs.sends {
+				ti := snd.key.Index
+				cs.recvs = append(cs.recvs, recvStep{key: TransferKey{b, ti}, tr: prog.stages[b][ti], slots: remap(snd.slots)})
 			}
 		}
-		cp.arenaRows, cp.zeroFrom = arenaRows, lg.NumRemote
+		cp.arenaRows, cp.zeroFrom = lg.NumRemote+fc.arenaRows, lg.NumRemote
 		cp.computeDeps(lg.NumLocal)
 	}
-	return prog, nil
+	return prog
 }
 
 // transportCache holds the reusable plain-stack channel transport bound to
@@ -327,11 +307,11 @@ func (c *Cluster) seal(rows Message) Message {
 // stack that is the cluster pool: after a successful Recv the per-key
 // channel is never read again, faults corrupt copies rather than originals,
 // and retransmissions re-deliver the same buffer at most once — so the
-// consumer owns the payload outright. A transport chain exposing a
-// MessageRecycler (the wire transport pools its decode buffers) takes the
-// payload back itself. Any other provider's transport may retain or replay
-// messages, so its payloads are never pooled.
-func (c *Cluster) recycle(tp Transport, msg Message) {
+// consumer owns the payload outright. A pooled transport (the wire transport
+// pools its decode buffers) takes the payload back itself. Any other
+// provider's transport may retain or replay messages, so its payloads are
+// never pooled.
+func (c *Cluster) recycle(pooled PooledTransport, msg Message) {
 	if msg.Rows == nil {
 		return
 	}
@@ -339,7 +319,7 @@ func (c *Cluster) recycle(tp Transport, msg Message) {
 		c.pool.put(msg.Rows)
 		return
 	}
-	if r := transportRecycler(tp); r != nil {
-		r.RecycleMessage(msg)
+	if pooled != nil {
+		pooled.RecycleMessage(msg)
 	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dgcl/internal/baselines"
@@ -173,8 +174,6 @@ func TestPropertyBackwardMatchesTransposeReference(t *testing.T) {
 		t.Run(pc.name, func(t *testing.T) {
 			t.Parallel()
 			c, rel := buildCase(t, pc)
-			// Exercise both backward schedules across the battery.
-			c.NonAtomic = pc.seed%2 == 0
 			gradFull := make([]*tensor.Matrix, pc.k)
 			for d := 0; d < pc.k; d++ {
 				lg := c.Locals[d]
@@ -189,6 +188,61 @@ func TestPropertyBackwardMatchesTransposeReference(t *testing.T) {
 				// Relays re-associate float32 sums; allow rounding slack only.
 				if diff := tensor.MaxAbsDiff(got[d], want[d]); diff > 1e-4 {
 					t.Fatalf("GPU %d diverges from transpose reference by %v", d, diff)
+				}
+			}
+		})
+	}
+}
+
+// TestBackwardIsForwardReversed checks the backward program's shape against
+// the forward one, client by client: backward stage b holds exactly forward
+// stage S-1-b's transfers with endpoints swapped, in the same order and under
+// the same transfer indices — forward sends become backward receives and
+// forward receives become backward sends, and nothing is split or added.
+func TestBackwardIsForwardReversed(t *testing.T) {
+	swapped := func(tr core.Transfer) core.Transfer {
+		return core.Transfer{Src: tr.Dst, Dst: tr.Src, Vertices: tr.Vertices}
+	}
+	same := func(a, b core.Transfer) bool {
+		return a.Src == b.Src && a.Dst == b.Dst && slices.Equal(a.Vertices, b.Vertices)
+	}
+	for _, pc := range propertyCases() {
+		pc := pc
+		t.Run(pc.name, func(t *testing.T) {
+			t.Parallel()
+			c, _ := buildCase(t, pc)
+			fwd, err := c.program(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bwd, err := c.program(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			S := len(fwd.stages)
+			if len(bwd.stages) != S {
+				t.Fatalf("backward has %d stages, forward %d", len(bwd.stages), S)
+			}
+			for d := range fwd.clients {
+				for b := 0; b < S; b++ {
+					f := fwd.clients[d].stages[S-1-b]
+					bs := bwd.clients[d].stages[b]
+					if len(bs.recvs) != len(f.sends) || len(bs.sends) != len(f.recvs) {
+						t.Fatalf("GPU %d backward stage %d: %d sends/%d recvs, forward stage %d has %d recvs/%d sends",
+							d, b, len(bs.sends), len(bs.recvs), S-1-b, len(f.recvs), len(f.sends))
+					}
+					for i, snd := range f.sends {
+						r := bs.recvs[i]
+						if r.key != (TransferKey{b, snd.key.Index}) || !same(r.tr, swapped(snd.tr)) {
+							t.Fatalf("GPU %d backward stage %d recv %d = %v %+v, want forward send %v reversed", d, b, i, r.key, r.tr, snd.key)
+						}
+					}
+					for i, rcv := range f.recvs {
+						s := bs.sends[i]
+						if s.key != (TransferKey{b, rcv.key.Index}) || !same(s.tr, swapped(rcv.tr)) {
+							t.Fatalf("GPU %d backward stage %d send %d = %v %+v, want forward recv %v reversed", d, b, i, s.key, s.tr, rcv.key)
+						}
+					}
 				}
 			}
 		})

@@ -153,32 +153,6 @@ func TestBackwardAllgatherSumsContributions(t *testing.T) {
 	}
 }
 
-func TestBackwardAtomicAndNonAtomicAgree(t *testing.T) {
-	g := graph.CommunityGraph(400, 12, 4, 0.8, 4)
-	c, rel := setup(t, g, 8, 4, 32)
-	cols := 4
-	gradFull := make([]*tensor.Matrix, c.K)
-	for d := 0; d < c.K; d++ {
-		lg := c.Locals[d]
-		gradFull[d] = tensor.New(lg.NumLocal+lg.NumRemote, cols).FillRandom(int64(d))
-	}
-	c.NonAtomic = true
-	a, err := c.BackwardAllgather(gradFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.NonAtomic = false
-	b, err := c.BackwardAllgather(gradFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < rel.K; d++ {
-		if diff := tensor.MaxAbsDiff(a[d], b[d]); diff > 1e-5 {
-			t.Fatalf("atomic/non-atomic diverge on GPU %d: %v", d, diff)
-		}
-	}
-}
-
 // The core correctness claim: distributed training over DGCL produces the
 // same result as single-device training, for every model kind, up to
 // float32 reassociation.

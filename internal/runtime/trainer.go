@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"dgcl/internal/collective"
 	"dgcl/internal/gnn"
@@ -127,23 +126,17 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 	// — a 2-layer epoch communicates 2 forward + 1 backward allgathers.
 	for l := numLayers - 1; l >= 0; l-- {
 		gradFull := make([]*tensor.Matrix, c.K)
-		var wg sync.WaitGroup
-		for _, d := range active {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				layer := tr.Models[d].Layers[l]
-				// Layer 0's input gradient would be discarded below; layers
-				// that support it accumulate parameter gradients only (the
-				// updates are identical, see gnn.ParamsOnlyBackward).
-				if po, ok := layer.(gnn.ParamsOnlyBackward); ok && l == 0 {
-					po.BackwardParams(tr.Aggs[d], grads[d])
-					return
-				}
-				gradFull[d] = layer.Backward(tr.Aggs[d], grads[d])
-			}(d)
-		}
-		wg.Wait()
+		c.onEachRank(func(d int) {
+			layer := tr.Models[d].Layers[l]
+			// Layer 0's input gradient would be discarded below; layers that
+			// support it accumulate parameter gradients only (the updates
+			// are identical, see gnn.ParamsOnlyBackward).
+			if po, ok := layer.(gnn.ParamsOnlyBackward); ok && l == 0 {
+				po.BackwardParams(tr.Aggs[d], grads[d])
+				return
+			}
+			gradFull[d] = layer.Backward(tr.Aggs[d], grads[d])
+		})
 		if l == 0 {
 			break
 		}
@@ -164,7 +157,6 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 // client's output rows (nil entries for clients hosted by other processes).
 func (tr *Trainer) forward(ctx context.Context) ([]*tensor.Matrix, error) {
 	c := tr.Cluster
-	active := c.ActiveRanks()
 	h := tr.Features
 	for l := range tr.Models[0].Layers {
 		var full []*tensor.Matrix
@@ -178,15 +170,9 @@ func (tr *Trainer) forward(ctx context.Context) ([]*tensor.Matrix, error) {
 			return nil, fmt.Errorf("runtime: forward allgather layer %d: %w", l, err)
 		}
 		next := make([]*tensor.Matrix, c.K)
-		var wg sync.WaitGroup
-		for _, d := range active {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				next[d] = tr.Models[d].Layers[l].Forward(tr.Aggs[d], full[d])
-			}(d)
-		}
-		wg.Wait()
+		c.onEachRank(func(d int) {
+			next[d] = tr.Models[d].Layers[l].Forward(tr.Aggs[d], full[d])
+		})
 		h = next
 	}
 	return h, nil

@@ -77,51 +77,28 @@ type TransportProvider interface {
 	CollectiveTransport(stages [][]core.Transfer, deviceIDs []int) Transport
 }
 
-// CopyingTransport marks transports whose Send serializes the payload before
-// returning (the caller regains ownership of msg.Rows as soon as Send
-// returns) and whose Recv yields buffers the caller owns outright. The
-// cluster uses the marker to return send buffers to its pool immediately
-// instead of waiting for the receiving client to recycle them.
-type CopyingTransport interface {
+// PooledTransport marks transports that own their payload memory: Send
+// serializes the payload before returning (the caller regains msg.Rows at
+// once), and Recv yields a buffer from the transport's own pool, which the
+// cluster hands back through RecycleMessage once consumed so steady-state
+// epochs stay allocation-flat over any medium.
+type PooledTransport interface {
 	Transport
-	// CopiesPayloads is a marker method; it performs no work.
-	CopiesPayloads()
-}
-
-// MessageRecycler is implemented by transports that pool their receive-side
-// buffers: the cluster hands a fully-consumed payload back through it so
-// steady-state epochs stay allocation-flat over any medium.
-type MessageRecycler interface {
 	RecycleMessage(msg Message)
 }
 
-// WrappingTransport exposes a decorator's inner transport so the marker
-// interfaces above stay discoverable under any decorator stack.
+// WrappingTransport exposes a decorator's inner transport so a pooled base
+// stays discoverable under any decorator stack.
 type WrappingTransport interface {
 	Unwrap() Transport
 }
 
-// transportCopies walks the decorator chain looking for a CopyingTransport
-// base.
-func transportCopies(tp Transport) bool {
+// Pooled walks the decorator chain down to a PooledTransport, returning nil
+// when the chain has none.
+func Pooled(tp Transport) PooledTransport {
 	for tp != nil {
-		if _, ok := tp.(CopyingTransport); ok {
-			return true
-		}
-		w, ok := tp.(WrappingTransport)
-		if !ok {
-			return false
-		}
-		tp = w.Unwrap()
-	}
-	return false
-}
-
-// transportRecycler walks the decorator chain looking for a MessageRecycler.
-func transportRecycler(tp Transport) MessageRecycler {
-	for tp != nil {
-		if r, ok := tp.(MessageRecycler); ok {
-			return r
+		if p, ok := tp.(PooledTransport); ok {
+			return p
 		}
 		w, ok := tp.(WrappingTransport)
 		if !ok {

@@ -75,21 +75,6 @@ func send(ctx context.Context, tp runtime.Transport, k runtime.TransferKey, tr c
 	}
 }
 
-// copies walks the decorator chain for the CopyingTransport marker.
-func copies(tp runtime.Transport) bool {
-	for tp != nil {
-		if _, ok := tp.(runtime.CopyingTransport); ok {
-			return true
-		}
-		w, ok := tp.(runtime.WrappingTransport)
-		if !ok {
-			return false
-		}
-		tp = w.Unwrap()
-	}
-	return false
-}
-
 // Run executes the full battery against the factory's transport.
 func Run(t *testing.T, factory Factory) {
 	st := stages()
@@ -315,8 +300,8 @@ func Run(t *testing.T, factory Factory) {
 		if err := send(ctx, tp, key(0), tr, runtime.NewMessage(m)); err != nil {
 			t.Fatal(err)
 		}
-		if copies(tp) {
-			// A copying transport serialized before Send returned: the
+		if runtime.Pooled(tp) != nil {
+			// A pooled transport serialized before Send returned: the
 			// sender is free to reuse its buffer immediately.
 			for i := range m.Data {
 				m.Data[i] = -1

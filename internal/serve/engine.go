@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
-	"sort"
 
 	"dgcl"
 )
@@ -64,36 +62,4 @@ func (e *engine) recover(down []int) error {
 		return err
 	}
 	return e.rebuild()
-}
-
-// downDevices extracts the fail-stop dead devices (external ids, ascending)
-// from a failed collective: the health tracker's verdicts when installed,
-// otherwise the DeviceDownError blames in the per-GPU errors. An empty
-// result means the failure was not a device death (nothing to degrade).
-func downDevices(err error) []int {
-	if err == nil || !errors.Is(err, dgcl.ErrDeviceDown) {
-		return nil
-	}
-	var ce *dgcl.CollectiveError
-	if !errors.As(err, &ce) {
-		var dd *dgcl.DeviceDownError
-		if errors.As(err, &dd) {
-			return []int{dd.Device}
-		}
-		return nil
-	}
-	if len(ce.Down) > 0 {
-		return append([]int(nil), ce.Down...)
-	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, pe := range ce.PerGPU {
-		var dd *dgcl.DeviceDownError
-		if pe != nil && errors.As(pe, &dd) && !seen[dd.Device] {
-			seen[dd.Device] = true
-			out = append(out, dd.Device)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

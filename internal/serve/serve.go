@@ -199,7 +199,7 @@ func (s *Server) flush(batch []request, reason flushReason) {
 	s.mu.Lock()
 	out, err := s.eng.forward(ctx)
 	if err != nil {
-		if down := downDevices(err); len(down) > 0 {
+		if down := dgcl.DownDevices(err); len(down) > 0 {
 			if rerr := s.eng.recover(down); rerr != nil {
 				err = fmt.Errorf("serve: failover after losing %v: %w", down, rerr)
 			} else {

@@ -31,8 +31,13 @@ import (
 
 // ProtoVersion is the control-plane protocol version. The join message leads
 // with it, and a coordinator speaking a different version rejects the worker
-// with a typed ProtocolError instead of a decode failure mid-handshake.
-const ProtoVersion = 2
+// with a typed ProtocolError instead of a decode failure mid-handshake. It
+// also covers the data-plane transfer layout — which transfer keys each
+// collective's frames carry — since binaries that compile the same plan into
+// different layouts would otherwise mesh and then desync at the first
+// collective whose layout differs (version 3: the backward allgather's layout
+// is the forward one reversed).
+const ProtoVersion = 3
 
 // Message types for the ctrlMsg envelope.
 const (

@@ -510,21 +510,8 @@ func (s *session) checkpoint(tr *dgcl.Trainer, epoch int) error {
 // observe the link loss and fault too, instead of deadlocking at the
 // barrier.
 func (s *session) fault(cc *ctrlConn, epoch int, cause error) error {
-	msg := ctrlMsg{T: mtFault, Gen: s.gen, Epoch: epoch, Blame: blameOf(cause)}
+	msg := ctrlMsg{T: mtFault, Gen: s.gen, Epoch: epoch, Blame: runtime.DownDevices(cause)}
 	_ = cc.send(msg) //dgclvet:ignore errwrap fault report is best-effort; a dead control link surfaces in the control loop's next read
 	s.close()
 	return fmt.Errorf("%w: epoch %d: %v", errFaulted, epoch, cause)
-}
-
-// blameOf extracts the device blame list from collective error evidence.
-func blameOf(err error) []int {
-	var ce *runtime.CollectiveError
-	if errors.As(err, &ce) && len(ce.Down) > 0 {
-		return append([]int(nil), ce.Down...)
-	}
-	var dde *runtime.DeviceDownError
-	if errors.As(err, &dde) {
-		return []int{dde.Device}
-	}
-	return nil
 }

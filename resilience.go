@@ -127,7 +127,6 @@ func (s *System) Degrade(down []int) error {
 	if err != nil {
 		return err
 	}
-	clu.NonAtomic = true
 	s.part, s.rel, s.locals, s.plan, s.clu = p, rel, locals, plan, clu
 	s.dtopo, s.alive = dtopo, newAlive
 	// Worker mode survives a degrade: this process's rank restriction is
