@@ -77,7 +77,6 @@ func main() {
 	epochs := flag.Int("epochs", 5, "training epochs")
 	adam := flag.Bool("adam", false, "use Adam instead of SGD")
 	planner := flag.String("planner", "spst", "spst | p2p | spst-noforward")
-	cache := flag.Bool("cache-features", false, "cache remote layer-0 features across epochs")
 	var ov overlapOptions
 	flag.BoolVar(&ov.on, "overlap", true, "chunked transfers + async stage pipelining (bit-identical to serial; false runs stages serially)")
 	flag.IntVar(&ov.chunkRows, "chunk-rows", 0, "rows per transfer chunk for overlapped execution (0 = default; shared by every process of a -listen run)")
@@ -106,7 +105,7 @@ func main() {
 		if *listen != "" {
 			err = coordinate(*listen, *workers, *dataset, kind, *gpus, *scale, *epochs, ov, chaos, rec, sup)
 		} else {
-			err = run(*dataset, kind, *gpus, *scale, *epochs, *adam, *planner, *cache, ov, chaos, rec)
+			err = run(*dataset, kind, *gpus, *scale, *epochs, *adam, *planner, ov, chaos, rec)
 		}
 	}
 	if err != nil {
@@ -180,7 +179,7 @@ func coordinate(addr string, workers int, dataset string, kind gnn.ModelKind, gp
 	return nil
 }
 
-func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool, planner string, cache bool, ov overlapOptions, chaos chaosOptions, rec recoveryOptions) error {
+func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool, planner string, ov overlapOptions, chaos chaosOptions, rec recoveryOptions) error {
 	ds, err := graph.DatasetByName(dataset)
 	if err != nil {
 		return err
@@ -193,7 +192,7 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 	if err != nil {
 		return err
 	}
-	sys := dgcl.Init(topo, dgcl.Options{Planner: dgcl.Planner(planner), Seed: seed, CacheFeatures: cache, Overlap: ov.dgcl()})
+	sys := dgcl.Init(topo, dgcl.Options{Planner: dgcl.Planner(planner), Seed: seed, Overlap: ov.dgcl()})
 	if err := sys.BuildCommInfo(g, ds.FeatureDim); err != nil {
 		return err
 	}
@@ -266,7 +265,9 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 	for l := 1; l < layers; l++ {
 		dims[l] = ds.HiddenDim
 	}
-	fwd, bwd, err := net.EpochComm(sys.Plan(), dims, cache)
+	// A steady epoch runs no layer-0 exchange: each trainer aggregates the
+	// features once, in its first epoch.
+	fwd, bwd, err := net.EpochComm(sys.Plan(), dims, true)
 	if err != nil {
 		return err
 	}

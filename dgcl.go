@@ -197,10 +197,6 @@ type Options struct {
 	Seed int64
 	// Plan configures the on-disk plan cache. The zero value plans uncached.
 	Plan PlanOptions
-	// CacheFeatures enables the §3 strategy (1): remote layer-0 features are
-	// allgathered once and cached across epochs, trading memory for the
-	// elimination of the widest allgather of every epoch.
-	CacheFeatures bool
 	// Overlap configures chunked transfers and async stage pipelining in
 	// the collective executor. Overlap is ON by default (the zero value
 	// chunks at DefaultChunkRows and pipelines with the default window);
@@ -650,7 +646,6 @@ func (s *System) NewTrainer(model *Model, features, targets *Matrix) (*Trainer, 
 	if err != nil {
 		return nil, err
 	}
-	tr.CacheFeatures = s.opts.CacheFeatures
 	tr.Peers = s.peers
 	return tr, nil
 }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -248,4 +249,36 @@ func TestGINRejectsMeanAggregator(t *testing.T) {
 	g := graph.Ring(4)
 	l := NewGINLayer(2, 2, 1)
 	l.Forward(NewAggregator(g, 4, true), tensor.New(4, 2))
+}
+
+// Reforward after an optimizer step must be a fresh Forward on the same
+// input with the stepped weights, bit for bit, and leave behind the state
+// that fresh Forward leaves for Backward: the trainer reruns layer 0 this
+// way every epoch after its first.
+func TestReforwardMatchesFreshForward(t *testing.T) {
+	g := graph.ErdosRenyi(30, 120, 3)
+	for _, kind := range AllModels {
+		t.Run(string(kind), func(t *testing.T) {
+			// Local-graph shape: 20 output rows over 30 input rows.
+			agg := NewAggregator(g, 20, kind.NeedsMeanAggregator())
+			h := tensor.New(30, 6).FillRandom(5)
+			gradOut := tensor.New(20, 4).FillRandom(6)
+			m := NewModel(kind, 6, 4, 1, 7)
+			first := m.Layers[0].Forward(agg, h)
+			m.Layers[0].Backward(agg, gradOut)
+			m.Step(0.05)
+
+			fresh := m.Clone()
+			got := m.Layers[0].Reforward()
+			requireSameBits(t, "Reforward", got, fresh.Layers[0].Forward(agg, h))
+			if tensor.MaxAbsDiff(got, first) == 0 {
+				t.Fatal("the step did not move the output; the test is vacuous")
+			}
+			requireSameBits(t, "input gradient after Reforward",
+				m.Layers[0].Backward(agg, gradOut), fresh.Layers[0].Backward(agg, gradOut))
+			for i, gr := range fresh.Layers[0].Grads() {
+				requireSameBits(t, fmt.Sprintf("param %d gradient after Reforward", i), m.Layers[0].Grads()[i], gr)
+			}
+		})
+	}
 }

@@ -18,6 +18,11 @@ type Layer interface {
 	InDim() int
 	OutDim() int
 	Forward(agg *Aggregator, h *tensor.Matrix) *tensor.Matrix
+	// Reforward reruns the previous Forward's dense update with the current
+	// weights over the aggregation that Forward kept for Backward, and so
+	// equals a fresh Forward on the same input bit for bit. Each Forward is
+	// its aggregation followed by Reforward. It panics before any Forward.
+	Reforward() *tensor.Matrix
 	Backward(agg *Aggregator, gradOut *tensor.Matrix) *tensor.Matrix
 	Params() []*tensor.Matrix
 	Grads() []*tensor.Matrix
@@ -76,6 +81,10 @@ func (l *GCNLayer) OutDim() int { return l.W.Cols }
 
 func (l *GCNLayer) Forward(agg *Aggregator, h *tensor.Matrix) *tensor.Matrix {
 	l.aggOut = agg.Forward(h)
+	return l.Reforward()
+}
+
+func (l *GCNLayer) Reforward() *tensor.Matrix {
 	l.pre = tensor.MatMul(l.aggOut, l.W)
 	tensor.AddBiasInPlace(l.pre, l.B)
 	return tensor.ReLU(l.pre)
@@ -128,6 +137,10 @@ func (l *CommNetLayer) OutDim() int { return l.Wself.Cols }
 func (l *CommNetLayer) Forward(agg *Aggregator, h *tensor.Matrix) *tensor.Matrix {
 	l.self = selfRows(h, agg.NumOut).Clone()
 	l.aggOut = agg.Forward(h)
+	return l.Reforward()
+}
+
+func (l *CommNetLayer) Reforward() *tensor.Matrix {
 	l.pre = tensor.MatMul(l.self, l.Wself)
 	tensor.AddInPlace(l.pre, tensor.MatMul(l.aggOut, l.Wcomm))
 	tensor.AddBiasInPlace(l.pre, l.B)
@@ -201,6 +214,11 @@ func (l *GINLayer) Forward(agg *Aggregator, h *tensor.Matrix) *tensor.Matrix {
 	}
 	l.sum = agg.Forward(h)
 	tensor.Axpy(1+l.Eps, selfRows(h, agg.NumOut).Data, l.sum.Data)
+	return l.Reforward()
+}
+
+// Reforward reuses sum, which already holds the (1+eps)·self term.
+func (l *GINLayer) Reforward() *tensor.Matrix {
 	l.pre1 = tensor.MatMul(l.sum, l.W1)
 	tensor.AddBiasInPlace(l.pre1, l.B1)
 	l.hidden = tensor.ReLU(l.pre1)

@@ -76,9 +76,11 @@ func BenchmarkAllgather(b *testing.B) {
 	}
 }
 
-// BenchmarkEpoch times one full distributed training epoch per iteration:
-// per-layer forward allgathers + layer compute, loss, backward layer compute
-// + reverse allgather, gradient allreduce, and the SGD step.
+// BenchmarkEpoch times one steady distributed training epoch per iteration:
+// layer 0's dense update over its kept aggregation, the hidden layers'
+// forward allgathers + layer compute, loss, backward layer compute + reverse
+// allgather, gradient allreduce, and the SGD step. The untimed warm-up epoch
+// is the one that aggregates the features.
 func BenchmarkEpoch(b *testing.B) {
 	benchEpoch(b, OverlapConfig{})
 }

@@ -15,25 +15,26 @@ import (
 // graphAllgather (remote embeddings in), local single-GPU layer compute, and
 // in the backward pass a reverse allgather (remote gradients out), exactly
 // the §6.3 integration. Model gradients are allreduced (summed) across
-// clients before every optimizer step so replicas stay identical.
+// clients before every optimizer step so replicas stay identical. Layer 0
+// aggregates Features once per trainer, so they must not change after the
+// first forward.
 type Trainer struct {
 	Cluster  *Cluster
 	Models   []*gnn.Model
 	Aggs     []*gnn.Aggregator
 	Features []*tensor.Matrix
 	Targets  []*tensor.Matrix
-	// CacheFeatures enables the §3 strategy (1): the layer-0 embeddings of
-	// remote vertices never change across epochs, so they are allgathered
-	// once and cached, eliminating the first (widest) allgather of every
-	// epoch at the price of storing the remote features.
-	CacheFeatures bool
 	// Peers, when non-nil, synchronizes losses and gradients with the other
 	// processes of a multi-process run (worker mode: Cluster.Ranks names the
 	// locally-executed clients). Every process keeps all K model replicas
 	// and steps them identically, so the final weights are bit-identical to
 	// an in-process run with the same seed.
-	Peers        PeerExchange
-	cachedLayer0 []*tensor.Matrix
+	Peers PeerExchange
+	// aggregated0 is set once layer 0 has aggregated the features on every
+	// active rank. Training never changes the features, so that aggregation
+	// is the same matrix every epoch (§3 strategy (1)): later forwards run
+	// no layer-0 allgather and rerun only layer 0's dense update.
+	aggregated0 bool
 }
 
 // NewTrainer shards the global features/targets across the cluster's
@@ -49,22 +50,6 @@ func NewTrainer(c *Cluster, model *gnn.Model, features, targets *tensor.Matrix) 
 		tr.Targets = append(tr.Targets, tensor.GatherRows(targets, c.Rel.Local[d]))
 	}
 	return tr, nil
-}
-
-// layer0Full returns the allgathered layer-0 embeddings, from the cache when
-// feature caching is on.
-func (tr *Trainer) layer0Full(ctx context.Context) ([]*tensor.Matrix, error) {
-	if tr.CacheFeatures && tr.cachedLayer0 != nil {
-		return tr.cachedLayer0, nil
-	}
-	full, err := tr.Cluster.AllgatherContext(ctx, tr.Features)
-	if err != nil {
-		return nil, err
-	}
-	if tr.CacheFeatures {
-		tr.cachedLayer0 = full
-	}
-	return full, nil
 }
 
 // Epoch runs one epoch with a background context; see EpochContext.
@@ -123,7 +108,8 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 	// Backward: per layer, concurrent local backward then reverse allgather.
 	// The gradient with respect to the layer-0 input features is discarded
 	// (features are not trained), so the final backward allgather is skipped
-	// — a 2-layer epoch communicates 2 forward + 1 backward allgathers.
+	// — a trainer's first 2-layer epoch communicates 2 forward + 1 backward
+	// allgathers, every later one 1 + 1 (see forward).
 	for l := numLayers - 1; l >= 0; l-- {
 		gradFull := make([]*tensor.Matrix, c.K)
 		c.onEachRank(func(d int) {
@@ -155,25 +141,33 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 // forward runs the forward passes — per layer, allgather then concurrent
 // local layer compute on every locally-executed client — and returns each
 // client's output rows (nil entries for clients hosted by other processes).
+// Once layer 0 has aggregated the features, it only reruns its dense update.
+// Every rank of every process flips aggregated0 at the same forward (each
+// generation builds new trainers everywhere), so all agree on which
+// collectives an epoch runs.
 func (tr *Trainer) forward(ctx context.Context) ([]*tensor.Matrix, error) {
 	c := tr.Cluster
 	h := tr.Features
 	for l := range tr.Models[0].Layers {
-		var full []*tensor.Matrix
-		var err error
-		if l == 0 {
-			full, err = tr.layer0Full(ctx)
-		} else {
-			full, err = c.AllgatherContext(ctx, h)
+		next := make([]*tensor.Matrix, c.K)
+		if l == 0 && tr.aggregated0 {
+			c.onEachRank(func(d int) {
+				next[d] = tr.Models[d].Layers[0].Reforward()
+			})
+			h = next
+			continue
 		}
+		full, err := c.AllgatherContext(ctx, h)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: forward allgather layer %d: %w", l, err)
 		}
-		next := make([]*tensor.Matrix, c.K)
 		c.onEachRank(func(d int) {
 			next[d] = tr.Models[d].Layers[l].Forward(tr.Aggs[d], full[d])
 		})
 		h = next
+		if l == 0 {
+			tr.aggregated0 = true
+		}
 	}
 	return h, nil
 }

@@ -475,7 +475,8 @@ func (n *Network) RunBackward(p *core.Plan, nonAtomic bool) (*Result, error) {
 // values per vertex), and a non-atomic backward gradient exchange per layer
 // after the first (the layer-0 feature gradient is discarded, so a K-layer
 // epoch runs K forward and K-1 backward exchanges). skipFirstForward leaves
-// out the layer-0 forward, whose features a cache already holds. It returns
+// out the layer-0 forward, which a trainer runs in its first epoch only (it
+// aggregates the unchanging features once). It returns
 // per-layer times in seconds; a layer that runs no exchange in a direction
 // reports 0 there. Layers run in order, forward before backward.
 func (n *Network) EpochComm(p *core.Plan, dims []int, skipFirstForward bool) (fwd, bwd []float64, err error) {

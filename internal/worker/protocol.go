@@ -36,8 +36,10 @@ import (
 // collective's frames carry — since binaries that compile the same plan into
 // different layouts would otherwise mesh and then desync at the first
 // collective whose layout differs (version 3: the backward allgather's layout
-// is the forward one reversed).
-const ProtoVersion = 3
+// is the forward one reversed). It covers, for the same reason, which
+// collectives an epoch runs (version 4: only a trainer's first epoch runs the
+// layer-0 allgather).
+const ProtoVersion = 4
 
 // Message types for the ctrlMsg envelope.
 const (
