@@ -52,26 +52,13 @@ func (a *Aggregator) Forward(h *tensor.Matrix) *tensor.Matrix {
 	}
 	out := tensor.New(a.NumOut, h.Cols)
 	// Each output row u receives its neighbours' rows one at a time in
-	// ascending neighbour order. Blocking them by four (tensor.Axpy4) loads
-	// and stores the output row once per four neighbours without changing
-	// that order, and the sum path shares the loop: 1*x == x bitwise for
-	// every float32 x. Both keep the result bit-identical to the per-edge
-	// serial loop.
+	// ascending neighbour order, duplicates in place: one GatherAxpy per row,
+	// which holds the row in registers across all its neighbours without
+	// changing that order. The sum path shares it: 1*x == x bitwise for every
+	// float32 x. Both keep the result bit-identical to the per-edge serial
+	// loop.
 	for u := 0; u < a.NumOut; u++ {
-		w := a.weight(int32(u))
-		if w == 0 {
-			continue
-		}
-		orow := out.Row(u)
-		nbrs := a.G.Neighbors(int32(u))
-		i := 0
-		for ; i+3 < len(nbrs); i += 4 {
-			tensor.Axpy4(w, w, w, w,
-				h.Row(int(nbrs[i])), h.Row(int(nbrs[i+1])), h.Row(int(nbrs[i+2])), h.Row(int(nbrs[i+3])), orow)
-		}
-		for ; i < len(nbrs); i++ {
-			tensor.Axpy(w, h.Row(int(nbrs[i])), orow)
-		}
+		tensor.GatherAxpy(a.weight(int32(u)), h.Data, a.G.Neighbors(int32(u)), out.Row(u))
 	}
 	return out
 }
@@ -86,25 +73,12 @@ func (a *Aggregator) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("gnn: aggregate grad %d rows, want %d", grad.Rows, a.NumOut))
 	}
 	out := tensor.New(a.G.NumVertices(), grad.Cols)
-	// The scaled row w·grad_u is computed once per u instead of once per edge:
-	// every neighbor then receives the identical per-element products the
-	// per-edge loop produced, in the same order.
-	scaled := make([]float32, grad.Cols)
+	// Input row v receives w_u·grad_u in ascending u and, within one u, in
+	// neighbour order: one ScatterAxpy per u, which rounds w_u·grad_u once
+	// into registers and adds those identical products the per-edge loop
+	// produced into each neighbour's row.
 	for u := 0; u < a.NumOut; u++ {
-		w := a.weight(int32(u))
-		if w == 0 {
-			continue
-		}
-		src := grad.Row(u)
-		if w != 1 {
-			for j, x := range src {
-				scaled[j] = w * x
-			}
-			src = scaled
-		}
-		for _, v := range a.G.Neighbors(int32(u)) {
-			tensor.AddTo(out.Row(int(v)), src)
-		}
+		tensor.ScatterAxpy(a.weight(int32(u)), grad.Row(u), a.G.Neighbors(int32(u)), out.Data)
 	}
 	return out
 }

@@ -122,34 +122,6 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(g.NumEdges()) / float64(n)
 }
 
-// Reverse returns the transpose graph (every edge flipped). For symmetric
-// graphs the result equals the input.
-func (g *Graph) Reverse() *Graph {
-	n := g.NumVertices()
-	deg := make([]int64, n+1)
-	for _, v := range g.targets {
-		deg[v+1]++
-	}
-	offsets := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
-	}
-	targets := make([]int32, len(g.targets))
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(int32(u)) {
-			targets[cursor[v]] = int32(u)
-			cursor[v]++
-		}
-	}
-	for u := 0; u < n; u++ {
-		nbrs := targets[offsets[u]:offsets[u+1]]
-		slices.Sort(nbrs)
-	}
-	return &Graph{offsets: offsets, targets: targets}
-}
-
 // Symmetrize returns the undirected closure: for every edge (u,v) both (u,v)
 // and (v,u) exist exactly once in the result.
 func (g *Graph) Symmetrize() *Graph {
@@ -249,50 +221,6 @@ func (g *Graph) KHopNeighborhood(seeds []int32, k int, includeSeeds bool) []int3
 	}
 	slices.Sort(out)
 	return out
-}
-
-// ConnectedComponents returns, for the undirected interpretation of g, a
-// component id per vertex and the number of components. Useful to sanity
-// check generators and partitioner inputs.
-func (g *Graph) ConnectedComponents() ([]int32, int) {
-	n := g.NumVertices()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	rev := g
-	if !g.IsSymmetric() {
-		rev = g.Reverse()
-	}
-	var id int32
-	queue := make([]int32, 0, 1024)
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = id
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, v := range g.Neighbors(u) {
-				if comp[v] < 0 {
-					comp[v] = id
-					queue = append(queue, v)
-				}
-			}
-			if rev != g {
-				for _, v := range rev.Neighbors(u) {
-					if comp[v] < 0 {
-						comp[v] = id
-						queue = append(queue, v)
-					}
-				}
-			}
-		}
-		id++
-	}
-	return comp, int(id)
 }
 
 // InducedSubgraph returns the subgraph induced by the given vertices together

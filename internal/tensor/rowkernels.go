@@ -1,24 +1,37 @@
 package tensor
 
-// Row primitives: the one inner loop under every hot float loop of an epoch
+import "fmt"
+
+// Row primitives: the inner loops under every hot float loop of an epoch
 // (the three matmuls, both aggregations, every elementwise accumulate).
 //
-// Axpy, AddTo and Axpy4 each update y[j] from x[j] alone: there is no
-// cross-element dependency, so how many elements a step handles can change
-// neither a value nor the order in which one element receives its terms. On
-// amd64 the loop bodies are packed SSE2 (rowkernels_amd64.s); everywhere
-// else, and under the race detector (which must see the row writes), they are
-// the portable loops below. On amd64 the two produce the same bits: the
-// assembly uses separate MULPS/ADDPS, so every lane rounds to float32 after
-// the multiply and after each add exactly as the scalar MULSS/ADDSS the
-// compiler emits for the portable loops — no fused multiply-add, no wider
-// intermediate. The portable loops are the specification; rowkernels_test.go
-// holds the assembly to them bit for bit.
+// Axpy and AddTo update y[j] from x[j] alone. GatherAxpy, ScatterAxpy and
+// AxpyRows each apply a list of row terms, and every element receives its
+// terms one at a time in list order, each product and each add rounded to
+// float32 on its own. Neither kind has a cross-element dependency, so how
+// many elements a step handles, and whether the running value sits in a
+// register or in memory between terms, can change neither a value nor the
+// order in which one element receives its terms. On amd64 the loop bodies
+// are packed SSE2 (rowkernels_amd64.s): the three term-list kernels sweep
+// the row 32 columns at a time, keeping those columns in registers across
+// every term. Everywhere else, and under the race detector (which must see
+// the row writes), they are the portable loops below. On amd64 the two
+// produce the same bits: the assembly uses separate MULPS/ADDPS, so every
+// lane rounds to float32 after the multiply and after each add exactly as
+// the scalar MULSS/ADDSS the compiler emits for the portable loops — no
+// fused multiply-add, no wider intermediate. The portable loops are the
+// specification; rowkernels_test.go holds the assembly to them bit for bit.
 //
-// Precondition, for all three: y must not partially overlap an x. Rows are
-// disjoint at every call site. Axpy and AddTo also accept x and y being the
-// very same slice (each element is read before it is written); Axpy4's x rows
-// may repeat one another but none may be y.
+// A matrix operand is its row-major Data; its rows have the width of the
+// row operand (len(y), or len(x) for ScatterAxpy). The wrappers check every
+// length and every index in Go, so nothing unchecked reaches a load or a
+// store. Aliasing preconditions, met at every call site: for Axpy and AddTo,
+// y must not partially overlap x (the very same slice is allowed: each
+// element is read before it is written); for GatherAxpy and AxpyRows, y must
+// not overlap x at all (y is written back only after the last term); for
+// ScatterAxpy, x must not overlap y (w·x is read once, before any row of y
+// is written). Rows of x may repeat in GatherAxpy, and rows of y in
+// ScatterAxpy (duplicate neighbours): each repeat is one more term in order.
 
 // Axpy adds a*x into y elementwise over len(y) entries. The reslice pins
 // len(x) == len(y): it is the bounds proof for the loop behind it, and it
@@ -42,19 +55,60 @@ func AddTo(y, x []float32) {
 	addToRow(y, x)
 }
 
-// Axpy4 adds a0*x0 + a1*x1 + a2*x2 + a3*x3 into y, element by element, with
-// the four contributions applied in that order (the running value is rounded
-// to float32 after each add, exactly as four successive Axpy calls would
-// round). Blocking four terms loads and stores y[j] once instead of four
-// times. Exported for the GNN aggregator, which blocks neighbours the way
-// the matmuls block k.
-func Axpy4(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
-	n := len(y)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	if n == 0 {
+// GatherAxpy adds w·(row idx[t] of x) into y for each t in order: the
+// forward aggregation of one output row over its neighbours.
+func GatherAxpy(w float32, x []float32, idx []int32, y []float32) {
+	if len(y) == 0 {
 		return
 	}
-	axpy4Row(a0, a1, a2, a3, x0, x1, x2, x3, y)
+	checkRows(idx, len(x)/len(y))
+	for b := blockTerms(len(y)); len(idx) > 0; {
+		t := min(b, len(idx))
+		gatherAxpyRow(w, x, idx[:t], y)
+		idx = idx[t:]
+	}
+}
+
+// ScatterAxpy adds w·x into row idx[t] of y for each t in order, the
+// product rounded once and reused: the backward aggregation of one source
+// row into its neighbours.
+func ScatterAxpy(w float32, x []float32, idx []int32, y []float32) {
+	if len(x) == 0 {
+		return
+	}
+	checkRows(idx, len(y)/len(x))
+	for b := blockTerms(len(x)); len(idx) > 0; {
+		t := min(b, len(idx))
+		scatterAxpyRow(w, x, idx[:t], y)
+		idx = idx[t:]
+	}
+}
+
+// AxpyRows adds ws[t]·(row t of x) into y for each t in order: one output
+// row of a matmul, t running over the inner dimension.
+func AxpyRows(ws, x, y []float32) {
+	x = x[:len(ws)*len(y)]
+	if len(y) == 0 || len(ws) == 0 {
+		return
+	}
+	axpyRowsRow(ws, x, y)
+}
+
+// blockTerms is how many terms one gather or scatter call applies to rows n
+// columns wide: the rows those terms name, 32 KB in all, then stay in L1
+// from one column block of the sweep to the next instead of being fetched
+// again per block (at 256 columns this is what keeps the sweep from losing
+// to a row-at-a-time loop). It moves no bit: between calls the running row
+// waits in memory as the float32 the register held.
+func blockTerms(n int) int { return max(1, 8192/n) }
+
+// checkRows panics unless every index names one of rows rows.
+func checkRows(idx []int32, rows int) {
+	for _, r := range idx {
+		if uint(int(r)) >= uint(rows) {
+			panic(fmt.Sprintf("tensor: row index %d out of range [0, %d)", r, rows))
+		}
+	}
 }
 
 // axpyGo is the portable Axpy loop; len(x) == len(y).
@@ -97,16 +151,27 @@ func addToGo(y, x []float32) {
 	}
 }
 
-// axpy4Go is the portable Axpy4 loop; every x has len(y) elements.
-func axpy4Go(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
+// gatherAxpyGo is the portable GatherAxpy loop.
+func gatherAxpyGo(w float32, x []float32, idx []int32, y []float32) {
 	n := len(y)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	for j := range y {
-		v := y[j]
-		v += a0 * x0[j]
-		v += a1 * x1[j]
-		v += a2 * x2[j]
-		v += a3 * x3[j]
-		y[j] = v
+	for _, r := range idx {
+		axpyGo(w, x[int(r)*n:int(r)*n+n], y)
+	}
+}
+
+// scatterAxpyGo is the portable ScatterAxpy loop. w*x[j] is the same rounded
+// product for every t, so computing it per term is computing it once.
+func scatterAxpyGo(w float32, x []float32, idx []int32, y []float32) {
+	n := len(x)
+	for _, r := range idx {
+		axpyGo(w, x, y[int(r)*n:int(r)*n+n])
+	}
+}
+
+// axpyRowsGo is the portable AxpyRows loop.
+func axpyRowsGo(ws, x, y []float32) {
+	n := len(y)
+	for t, w := range ws {
+		axpyGo(w, x[t*n:t*n+n], y)
 	}
 }

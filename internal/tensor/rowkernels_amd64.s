@@ -10,7 +10,7 @@
 // VEX encoding, no feature test. Loads and stores are unaligned (MOVUPS);
 // rows start wherever the matrix puts them.
 //
-// The Go wrappers guarantee len(x) == len(y) > 0 for every x.
+// For axpyRow and addToRow the Go wrappers guarantee len(x) == len(y) > 0.
 
 // func axpyRow(a float32, x, y []float32)
 TEXT ·axpyRow(SB), NOSPLIT, $0-56
@@ -130,103 +130,305 @@ addToTail:
 addToDone:
 	RET
 
-// func axpy4Row(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32)
+// The term-list kernels. Each sweeps its row in blocks of 32 columns, then
+// 8, then 4, then 1; a block stays in registers while every term of the list
+// is applied to it, so each element of y (or of w·x, for the scatter) is
+// loaded once and stored once per call instead of once per term. Blocks are
+// disjoint columns, so the order in which one element receives its terms is
+// the list's, as in the portable loops.
 //
-// Per element: v = y; v += a0*x0; v += a1*x1; v += a2*x2; v += a3*x3; y = v,
-// the four adds in that order. y is loaded and stored once per element.
-TEXT ·axpy4Row(SB), NOSPLIT, $0-136
-	MOVSS  a0+0(FP), X0
-	SHUFPS $0, X0, X0
-	MOVSS  a1+4(FP), X1
-	SHUFPS $0, X1, X1
-	MOVSS  a2+8(FP), X2
-	SHUFPS $0, X2, X2
-	MOVSS  a3+12(FP), X3
-	SHUFPS $0, X3, X3
-	MOVQ   x0_base+16(FP), SI
-	MOVQ   x1_base+40(FP), DI
-	MOVQ   x2_base+64(FP), R8
-	MOVQ   x3_base+88(FP), R9
-	MOVQ   y_base+112(FP), DX
-	MOVQ   y_len+120(FP), CX
-	XORQ   AX, AX
+// Registers: X8 holds w (or the current ws[t]) in every lane, X9-X15 are
+// products, R8 is the row stride in bytes, R10 walks the term list and R12
+// counts down its terms. The Go wrappers guarantee a width > 0, at least one
+// term, and every row index in range.
 
-axpy4Loop8:
+// ROW sets dst to base + idx[t]*stride for the index R10 points at.
+#define ROW(base, dst) MOVLQSX (R10), dst; IMULQ R8, dst; ADDQ base, dst
+// MULADD adds w·(16 bytes at off(p)) into acc through tmp.
+#define MULADD(p, off, tmp, acc) MOVUPS off(p), tmp; MULPS X8, tmp; ADDPS tmp, acc
+// ADDTO adds v into the 16 bytes at off(p).
+#define ADDTO(v, p, off, tmp) MOVUPS off(p), tmp; ADDPS v, tmp; MOVUPS tmp, off(p)
+#define LOAD8(p) MOVUPS (p), X0; MOVUPS 16(p), X1; MOVUPS 32(p), X2; MOVUPS 48(p), X3; MOVUPS 64(p), X4; MOVUPS 80(p), X5; MOVUPS 96(p), X6; MOVUPS 112(p), X7
+#define STORE8(p) MOVUPS X0, (p); MOVUPS X1, 16(p); MOVUPS X2, 32(p); MOVUPS X3, 48(p); MOVUPS X4, 64(p); MOVUPS X5, 80(p); MOVUPS X6, 96(p); MOVUPS X7, 112(p)
+#define MULADD8(p) MULADD(p, 0, X9, X0); MULADD(p, 16, X10, X1); MULADD(p, 32, X11, X2); MULADD(p, 48, X12, X3); MULADD(p, 64, X13, X4); MULADD(p, 80, X14, X5); MULADD(p, 96, X15, X6); MULADD(p, 112, X9, X7)
+#define ADDTO8(p) ADDTO(X0, p, 0, X9); ADDTO(X1, p, 16, X10); ADDTO(X2, p, 32, X11); ADDTO(X3, p, 48, X12); ADDTO(X4, p, 64, X13); ADDTO(X5, p, 80, X14); ADDTO(X6, p, 96, X15); ADDTO(X7, p, 112, X9)
+// TERMS restarts the term list: R10 at its first index or weight, R12 at
+// its length.
+#define TERMS MOVQ DI, R10; MOVQ BX, R12
+// NEXT advances to the next term and loops to label while terms remain.
+#define NEXT(label) ADDQ $4, R10; DECQ R12; JNZ label
+
+// func gatherAxpyRow(w float32, x []float32, idx []int32, y []float32)
+//
+// Per block of y: for t in order, block += w·(row idx[t] of x, same columns).
+TEXT ·gatherAxpyRow(SB), NOSPLIT, $0-80
+	MOVSS  w+0(FP), X8
+	SHUFPS $0, X8, X8
+	MOVQ   x_base+8(FP), SI    // x at the block's first column
+	MOVQ   idx_base+32(FP), DI
+	MOVQ   idx_len+40(FP), BX
+	MOVQ   y_base+56(FP), DX   // y at the block's first column
+	MOVQ   y_len+64(FP), CX    // columns left
+	MOVQ   CX, R8
+	SHLQ   $2, R8
+
+gather32:
+	CMPQ CX, $32
+	JB   gather8
+	LOAD8(DX)
+	TERMS
+
+gather32Term:
+	ROW(SI, R11)
+	MULADD8(R11)
+	NEXT(gather32Term)
+	STORE8(DX)
+	ADDQ $128, SI
+	ADDQ $128, DX
+	SUBQ $32, CX
+	JMP  gather32
+
+gather8:
 	CMPQ   CX, $8
-	JB     axpy4Loop4
-	MOVUPS (DX)(AX*1), X4
-	MOVUPS 16(DX)(AX*1), X5
-	MOVUPS (SI)(AX*1), X6
-	MOVUPS 16(SI)(AX*1), X7
-	MOVUPS (DI)(AX*1), X8
-	MOVUPS 16(DI)(AX*1), X9
-	MOVUPS (R8)(AX*1), X10
-	MOVUPS 16(R8)(AX*1), X11
-	MOVUPS (R9)(AX*1), X12
-	MOVUPS 16(R9)(AX*1), X13
-	MULPS  X0, X6
-	MULPS  X0, X7
-	MULPS  X1, X8
-	MULPS  X1, X9
-	MULPS  X2, X10
-	MULPS  X2, X11
-	MULPS  X3, X12
-	MULPS  X3, X13
-	ADDPS  X6, X4
-	ADDPS  X7, X5
-	ADDPS  X8, X4
-	ADDPS  X9, X5
-	ADDPS  X10, X4
-	ADDPS  X11, X5
-	ADDPS  X12, X4
-	ADDPS  X13, X5
-	MOVUPS X4, (DX)(AX*1)
-	MOVUPS X5, 16(DX)(AX*1)
-	ADDQ   $32, AX
+	JB     gather4
+	MOVUPS (DX), X0
+	MOVUPS 16(DX), X1
+	TERMS
+
+gather8Term:
+	ROW(SI, R11)
+	MULADD(R11, 0, X9, X0)
+	MULADD(R11, 16, X10, X1)
+	NEXT(gather8Term)
+	MOVUPS X0, (DX)
+	MOVUPS X1, 16(DX)
+	ADDQ   $32, SI
+	ADDQ   $32, DX
 	SUBQ   $8, CX
-	JMP    axpy4Loop8
+	JMP    gather8
 
-axpy4Loop4:
+gather4:
 	CMPQ   CX, $4
-	JB     axpy4Tail
-	MOVUPS (DX)(AX*1), X4
-	MOVUPS (SI)(AX*1), X6
-	MOVUPS (DI)(AX*1), X8
-	MOVUPS (R8)(AX*1), X10
-	MOVUPS (R9)(AX*1), X12
-	MULPS  X0, X6
-	MULPS  X1, X8
-	MULPS  X2, X10
-	MULPS  X3, X12
-	ADDPS  X6, X4
-	ADDPS  X8, X4
-	ADDPS  X10, X4
-	ADDPS  X12, X4
-	MOVUPS X4, (DX)(AX*1)
-	ADDQ   $16, AX
+	JB     gather1
+	MOVUPS (DX), X0
+	TERMS
+
+gather4Term:
+	ROW(SI, R11)
+	MULADD(R11, 0, X9, X0)
+	NEXT(gather4Term)
+	MOVUPS X0, (DX)
+	ADDQ   $16, SI
+	ADDQ   $16, DX
 	SUBQ   $4, CX
-	JMP    axpy4Loop4
+	JMP    gather4
 
-axpy4Tail:
-	TESTQ  CX, CX
-	JZ     axpy4Done
-	MOVSS  (DX)(AX*1), X4
-	MOVSS  (SI)(AX*1), X6
-	MOVSS  (DI)(AX*1), X8
-	MOVSS  (R8)(AX*1), X10
-	MOVSS  (R9)(AX*1), X12
-	MULSS  X0, X6
-	MULSS  X1, X8
-	MULSS  X2, X10
-	MULSS  X3, X12
-	ADDSS  X6, X4
-	ADDSS  X8, X4
-	ADDSS  X10, X4
-	ADDSS  X12, X4
-	MOVSS  X4, (DX)(AX*1)
-	ADDQ   $4, AX
-	DECQ   CX
-	JMP    axpy4Tail
+gather1:
+	TESTQ CX, CX
+	JZ    gatherDone
+	MOVSS (DX), X0
+	TERMS
 
-axpy4Done:
+gather1Term:
+	ROW(SI, R11)
+	MOVSS (R11), X9
+	MULSS X8, X9
+	ADDSS X9, X0
+	NEXT(gather1Term)
+	MOVSS X0, (DX)
+	ADDQ  $4, SI
+	ADDQ  $4, DX
+	DECQ  CX
+	JMP   gather1
+
+gatherDone:
+	RET
+
+// func scatterAxpyRow(w float32, x []float32, idx []int32, y []float32)
+//
+// Per block of x: p = w·block, once; then for t in order, (row idx[t] of y,
+// same columns) += p.
+TEXT ·scatterAxpyRow(SB), NOSPLIT, $0-80
+	MOVSS  w+0(FP), X8
+	SHUFPS $0, X8, X8
+	MOVQ   x_base+8(FP), SI    // x at the block's first column
+	MOVQ   x_len+16(FP), CX    // columns left
+	MOVQ   idx_base+32(FP), DI
+	MOVQ   idx_len+40(FP), BX
+	MOVQ   y_base+56(FP), DX   // y at the block's first column
+	MOVQ   CX, R8
+	SHLQ   $2, R8
+
+scatter32:
+	CMPQ  CX, $32
+	JB    scatter8
+	LOAD8(SI)
+	MULPS X8, X0
+	MULPS X8, X1
+	MULPS X8, X2
+	MULPS X8, X3
+	MULPS X8, X4
+	MULPS X8, X5
+	MULPS X8, X6
+	MULPS X8, X7
+	TERMS
+
+scatter32Term:
+	ROW(DX, R11)
+	ADDTO8(R11)
+	NEXT(scatter32Term)
+	ADDQ $128, SI
+	ADDQ $128, DX
+	SUBQ $32, CX
+	JMP  scatter32
+
+scatter8:
+	CMPQ   CX, $8
+	JB     scatter4
+	MOVUPS (SI), X0
+	MOVUPS 16(SI), X1
+	MULPS  X8, X0
+	MULPS  X8, X1
+	TERMS
+
+scatter8Term:
+	ROW(DX, R11)
+	ADDTO(X0, R11, 0, X9)
+	ADDTO(X1, R11, 16, X10)
+	NEXT(scatter8Term)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	SUBQ $8, CX
+	JMP  scatter8
+
+scatter4:
+	CMPQ   CX, $4
+	JB     scatter1
+	MOVUPS (SI), X0
+	MULPS  X8, X0
+	TERMS
+
+scatter4Term:
+	ROW(DX, R11)
+	ADDTO(X0, R11, 0, X9)
+	NEXT(scatter4Term)
+	ADDQ $16, SI
+	ADDQ $16, DX
+	SUBQ $4, CX
+	JMP  scatter4
+
+scatter1:
+	TESTQ CX, CX
+	JZ    scatterDone
+	MOVSS (SI), X0
+	MULSS X8, X0
+	TERMS
+
+scatter1Term:
+	ROW(DX, R11)
+	MOVSS (R11), X9
+	ADDSS X0, X9
+	MOVSS X9, (R11)
+	NEXT(scatter1Term)
+	ADDQ  $4, SI
+	ADDQ  $4, DX
+	DECQ  CX
+	JMP   scatter1
+
+scatterDone:
+	RET
+
+// func axpyRowsRow(ws, x, y []float32)
+//
+// Per block of y: for t in order, block += ws[t]·(row t of x, same columns).
+// R11 walks the rows of x a stride at a time.
+TEXT ·axpyRowsRow(SB), NOSPLIT, $0-72
+	MOVQ ws_base+0(FP), DI
+	MOVQ ws_len+8(FP), BX
+	MOVQ x_base+24(FP), SI     // x at the block's first column
+	MOVQ y_base+48(FP), DX     // y at the block's first column
+	MOVQ y_len+56(FP), CX      // columns left
+	MOVQ CX, R8
+	SHLQ $2, R8
+
+rows32:
+	CMPQ CX, $32
+	JB   rows8
+	LOAD8(DX)
+	TERMS
+	MOVQ SI, R11
+
+rows32Term:
+	MOVSS  (R10), X8
+	SHUFPS $0, X8, X8
+	MULADD8(R11)
+	ADDQ   R8, R11
+	NEXT(rows32Term)
+	STORE8(DX)
+	ADDQ   $128, SI
+	ADDQ   $128, DX
+	SUBQ   $32, CX
+	JMP    rows32
+
+rows8:
+	CMPQ   CX, $8
+	JB     rows4
+	MOVUPS (DX), X0
+	MOVUPS 16(DX), X1
+	TERMS
+	MOVQ   SI, R11
+
+rows8Term:
+	MOVSS  (R10), X8
+	SHUFPS $0, X8, X8
+	MULADD(R11, 0, X9, X0)
+	MULADD(R11, 16, X10, X1)
+	ADDQ   R8, R11
+	NEXT(rows8Term)
+	MOVUPS X0, (DX)
+	MOVUPS X1, 16(DX)
+	ADDQ   $32, SI
+	ADDQ   $32, DX
+	SUBQ   $8, CX
+	JMP    rows8
+
+rows4:
+	CMPQ   CX, $4
+	JB     rows1
+	MOVUPS (DX), X0
+	TERMS
+	MOVQ   SI, R11
+
+rows4Term:
+	MOVSS  (R10), X8
+	SHUFPS $0, X8, X8
+	MULADD(R11, 0, X9, X0)
+	ADDQ   R8, R11
+	NEXT(rows4Term)
+	MOVUPS X0, (DX)
+	ADDQ   $16, SI
+	ADDQ   $16, DX
+	SUBQ   $4, CX
+	JMP    rows4
+
+rows1:
+	TESTQ CX, CX
+	JZ    rowsDone
+	MOVSS (DX), X0
+	TERMS
+	MOVQ  SI, R11
+
+rows1Term:
+	MOVSS (R11), X9
+	MULSS (R10), X9
+	ADDSS X9, X0
+	ADDQ  R8, R11
+	NEXT(rows1Term)
+	MOVSS X0, (DX)
+	ADDQ  $4, SI
+	ADDQ  $4, DX
+	DECQ  CX
+	JMP   rows1
+
+rowsDone:
 	RET

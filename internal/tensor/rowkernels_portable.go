@@ -9,6 +9,8 @@ func axpyRow(a float32, x, y []float32) { axpyGo(a, x, y) }
 
 func addToRow(y, x []float32) { addToGo(y, x) }
 
-func axpy4Row(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
-	axpy4Go(a0, a1, a2, a3, x0, x1, x2, x3, y)
-}
+func gatherAxpyRow(w float32, x []float32, idx []int32, y []float32) { gatherAxpyGo(w, x, idx, y) }
+
+func scatterAxpyRow(w float32, x []float32, idx []int32, y []float32) { scatterAxpyGo(w, x, idx, y) }
+
+func axpyRowsRow(ws, x, y []float32) { axpyRowsGo(ws, x, y) }

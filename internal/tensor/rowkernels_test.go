@@ -1,16 +1,18 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// Kernel-vs-reference battery for the three row primitives. Axpy, AddTo and
-// Axpy4 are whatever the build selected (the SSE2 assembly on amd64, the
-// portable loops elsewhere and under -race); axpyGo, addToGo and axpy4Go are
-// the portable loops themselves, always compiled, and are the reference:
-// every result must carry the same bits.
+// Kernel-vs-reference battery for the row primitives. Axpy, AddTo,
+// GatherAxpy, ScatterAxpy and AxpyRows are whatever the build selected (the
+// SSE2 assembly on amd64, the portable loops elsewhere and under -race);
+// axpyGo, addToGo, gatherAxpyGo, scatterAxpyGo and axpyRowsGo are the
+// portable loops themselves, always compiled, and are the reference: every
+// result must carry the same bits.
 
 // edgeValues is the fixed operand table: both zeros, both infinities, the
 // smallest and largest denormals, the smallest normal, MaxFloat32, values
@@ -66,18 +68,18 @@ func sameBits(got, want []float32) (int, bool) {
 	return 0, true
 }
 
-// forEachRowCase runs fn over every length 0-67 (every vector-loop trip
-// count and tail the kernels have) at sub-slice start offsets 0-3 (so loads
-// and stores are 4-, 8- and 12-byte misaligned as well as aligned), with
-// random and with table operands. buf(n) returns a fresh n-element operand
-// at the case's offset inside a larger backing array.
-func forEachRowCase(t *testing.T, fn func(n int, buf func() []float32, scalar func() float32)) {
+// forEachRowCase runs fn over every length 0-67 (every block trip count and
+// tail the kernels have) at sub-slice start offsets 0-3 (so loads and stores
+// are 4-, 8- and 12-byte misaligned as well as aligned), with random and
+// with table operands. buf(rows) returns a fresh operand of rows rows of n
+// elements at the case's offset inside a larger backing array.
+func forEachRowCase(t *testing.T, fn func(n int, buf func(rows int) []float32, scalar func() float32)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(22))
 	for n := 0; n <= 67; n++ {
 		for off := 0; off < 4; off++ {
 			for _, edge := range []bool{false, true} {
-				buf := func() []float32 { return fill(rng, off+n+3, edge)[off : off+n] }
+				buf := func(rows int) []float32 { return fill(rng, off+rows*n+3, edge)[off : off+rows*n] }
 				scalar := func() float32 { return fill(rng, 1, edge)[0] }
 				for rep := 0; rep < 4; rep++ {
 					fn(n, buf, scalar)
@@ -87,9 +89,26 @@ func forEachRowCase(t *testing.T, fn func(n int, buf func() []float32, scalar fu
 	}
 }
 
+// indexRows is the row count of the matrix operand the index lists below
+// address.
+const indexRows = 4
+
+// indexLists are the term lists the gather and scatter kernels are checked
+// over: empty, single, repeated (duplicates apart and adjacent, as duplicate
+// neighbours come), all-equal, and one long enough that from 64 columns on
+// the wrapper splits it over two calls (blockTerms).
+func indexLists() [][]int32 {
+	rng := rand.New(rand.NewSource(7))
+	long := make([]int32, 130)
+	for i := range long {
+		long[i] = int32(rng.Intn(indexRows))
+	}
+	return [][]int32{{}, {2}, {3, 0, 3, 1, 1, 3}, {1, 1, 1, 1, 1}, long}
+}
+
 func TestAxpyBitIdenticalToPortable(t *testing.T) {
-	forEachRowCase(t, func(n int, buf func() []float32, scalar func() float32) {
-		a, x, y := scalar(), buf(), buf()
+	forEachRowCase(t, func(n int, buf func(int) []float32, scalar func() float32) {
+		a, x, y := scalar(), buf(1), buf(1)
 		want := append([]float32(nil), y...)
 		axpyGo(a, x, want)
 		Axpy(a, x, y)
@@ -101,8 +120,8 @@ func TestAxpyBitIdenticalToPortable(t *testing.T) {
 }
 
 func TestAddToBitIdenticalToPortable(t *testing.T) {
-	forEachRowCase(t, func(n int, buf func() []float32, _ func() float32) {
-		x, y := buf(), buf()
+	forEachRowCase(t, func(n int, buf func(int) []float32, _ func() float32) {
+		x, y := buf(1), buf(1)
 		want := append([]float32(nil), y...)
 		addToGo(want, x)
 		AddTo(y, x)
@@ -113,39 +132,57 @@ func TestAddToBitIdenticalToPortable(t *testing.T) {
 	})
 }
 
-func TestAxpy4BitIdenticalToPortable(t *testing.T) {
-	forEachRowCase(t, func(n int, buf func() []float32, scalar func() float32) {
-		a0, a1, a2, a3 := scalar(), scalar(), scalar(), scalar()
-		x0, x1, x2, x3, y := buf(), buf(), buf(), buf(), buf()
-		want := append([]float32(nil), y...)
-		axpy4Go(a0, a1, a2, a3, x0, x1, x2, x3, want)
-		Axpy4(a0, a1, a2, a3, x0, x1, x2, x3, y)
-		if i, ok := sameBits(y, want); !ok {
-			t.Fatalf("Axpy4 n=%d: y[%d] = %x, portable loop %x", n, i,
-				math.Float32bits(y[i]), math.Float32bits(want[i]))
+// TestRowKernelsGatherAxpy holds GatherAxpy to its portable loop, which is
+// one Axpy per term in list order.
+func TestRowKernelsGatherAxpy(t *testing.T) {
+	forEachRowCase(t, func(n int, buf func(int) []float32, scalar func() float32) {
+		for _, idx := range indexLists() {
+			w, x, y := scalar(), buf(indexRows), buf(1)
+			want := append([]float32(nil), y...)
+			gatherAxpyGo(w, x, idx, want)
+			GatherAxpy(w, x, idx, y)
+			if i, ok := sameBits(y, want); !ok {
+				t.Fatalf("GatherAxpy n=%d idx=%v: y[%d] = %x, portable loop %x", n, idx, i,
+					math.Float32bits(y[i]), math.Float32bits(want[i]))
+			}
 		}
 	})
 }
 
-// TestAxpy4BitIdenticalToFourAxpys pins the order the four terms land in:
-// one Axpy4 is four successive Axpy calls, which is what lets the matmuls
-// and the aggregator block by four without moving a bit. The same x row may
-// appear more than once (duplicate neighbours).
-func TestAxpy4BitIdenticalToFourAxpys(t *testing.T) {
-	forEachRowCase(t, func(n int, buf func() []float32, scalar func() float32) {
-		a0, a1, a2, a3 := scalar(), scalar(), scalar(), scalar()
-		x0, x2, y := buf(), buf(), buf()
-		want := append([]float32(nil), y...)
-		for _, term := range []struct {
-			a float32
-			x []float32
-		}{{a0, x0}, {a1, x0}, {a2, x2}, {a3, x2}} {
-			axpyGo(term.a, term.x, want)
+// TestRowKernelsScatterAxpy holds ScatterAxpy to its portable loop, which is
+// one Axpy into a row of y per term in list order.
+func TestRowKernelsScatterAxpy(t *testing.T) {
+	forEachRowCase(t, func(n int, buf func(int) []float32, scalar func() float32) {
+		for _, idx := range indexLists() {
+			w, x, y := scalar(), buf(1), buf(indexRows)
+			want := append([]float32(nil), y...)
+			scatterAxpyGo(w, x, idx, want)
+			ScatterAxpy(w, x, idx, y)
+			if i, ok := sameBits(y, want); !ok {
+				t.Fatalf("ScatterAxpy n=%d idx=%v: y[%d] = %x, portable loop %x", n, idx, i,
+					math.Float32bits(y[i]), math.Float32bits(want[i]))
+			}
 		}
-		Axpy4(a0, a1, a2, a3, x0, x0, x2, x2, y)
-		if i, ok := sameBits(y, want); !ok {
-			t.Fatalf("Axpy4 n=%d: y[%d] = %x, four Axpys %x", n, i,
-				math.Float32bits(y[i]), math.Float32bits(want[i]))
+	})
+}
+
+// TestRowKernelsAxpyRows holds AxpyRows to its portable loop, which is one
+// Axpy per row of x in row order.
+func TestRowKernelsAxpyRows(t *testing.T) {
+	forEachRowCase(t, func(n int, buf func(int) []float32, scalar func() float32) {
+		for _, terms := range []int{0, 1, 2, 5, 41} {
+			ws := make([]float32, terms)
+			for i := range ws {
+				ws[i] = scalar()
+			}
+			x, y := buf(terms), buf(1)
+			want := append([]float32(nil), y...)
+			axpyRowsGo(ws, x, want)
+			AxpyRows(ws, x, y)
+			if i, ok := sameBits(y, want); !ok {
+				t.Fatalf("AxpyRows n=%d terms=%d: y[%d] = %x, portable loop %x", n, terms, i,
+					math.Float32bits(y[i]), math.Float32bits(want[i]))
+			}
 		}
 	})
 }
@@ -154,8 +191,8 @@ func TestAxpy4BitIdenticalToFourAxpys(t *testing.T) {
 // reads its own element before writing it); only a partial overlap is
 // excluded by the precondition.
 func TestRowKernelsIdenticalSlices(t *testing.T) {
-	forEachRowCase(t, func(n int, buf func() []float32, scalar func() float32) {
-		a, y := scalar(), buf()
+	forEachRowCase(t, func(n int, buf func(int) []float32, scalar func() float32) {
+		a, y := scalar(), buf(1)
 		want := append([]float32(nil), y...)
 		axpyGo(a, want, want)
 		addToGo(want, want)
@@ -169,51 +206,60 @@ func TestRowKernelsIdenticalSlices(t *testing.T) {
 }
 
 // TestRowKernelsWriteOnlyTheirRow guards the tails: the elements either side
-// of y must come back untouched for every length and offset.
+// of y, and for the scatter the rows of y no index names, must come back
+// untouched for every length and offset.
 func TestRowKernelsWriteOnlyTheirRow(t *testing.T) {
 	const guard = 12345.5
 	for n := 0; n <= 67; n++ {
 		for off := 1; off < 5; off++ {
-			backing := make([]float32, off+n+8)
+			backing := make([]float32, off+3*n+8)
 			for i := range backing {
 				backing[i] = guard
 			}
 			y := backing[off : off+n]
-			x := New(1, n).FillRandom(int64(n)).Data
-			Axpy(2, x, y)
-			AddTo(y, x)
-			Axpy4(1, 2, 3, 4, x, x, x, x, y)
+			x := New(3, n).FillRandom(int64(n)).Data
+			Axpy(2, x[:n], y)
+			AddTo(y, x[:n])
+			GatherAxpy(3, x, []int32{2, 0, 2}, y)
+			AxpyRows([]float32{1, 2, 3}, x, y)
+			ScatterAxpy(5, x[:n], []int32{2, 0, 2}, backing[off:off+3*n])
 			for i, v := range backing {
-				if (i < off || i >= off+n) && v != guard {
-					t.Fatalf("n=%d off=%d: backing[%d] = %v, kernel wrote outside y", n, off, i, v)
+				if (i < off || i >= off+n) && (i < off+2*n || i >= off+3*n) && v != guard {
+					t.Fatalf("n=%d off=%d: backing[%d] = %v, kernel wrote outside its rows", n, off, i, v)
 				}
 			}
 		}
 	}
 }
 
-// TestRowKernelsShortOperandPanics: an x shorter than y (by capacity, the
-// slice expression's own rule) must panic in the Go wrapper; the assembly
-// must never be entered and over-read.
+// TestRowKernelsShortOperandPanics: an operand shorter than the row width
+// asks for (by capacity, the slice expression's own rule), or a row index
+// outside the matrix operand, negative included, must panic in the Go
+// wrapper before anything is written; the assembly must never be entered
+// and read or write out of bounds.
 func TestRowKernelsShortOperandPanics(t *testing.T) {
 	y := make([]float32, 8)
-	ok := make([]float32, 8)
+	ok := make([]float32, 16)
 	short := make([]float32, 5)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Fatalf("%s with a short operand did not panic", name)
+				t.Fatalf("%s did not panic", name)
 			}
 		}()
 		fn()
 	}
-	mustPanic("Axpy", func() { Axpy(1, short, y) })
-	mustPanic("AddTo", func() { AddTo(y, short) })
-	mustPanic("Axpy4 x0", func() { Axpy4(1, 1, 1, 1, short, ok, ok, ok, y) })
-	mustPanic("Axpy4 x1", func() { Axpy4(1, 1, 1, 1, ok, short, ok, ok, y) })
-	mustPanic("Axpy4 x2", func() { Axpy4(1, 1, 1, 1, ok, ok, short, ok, y) })
-	mustPanic("Axpy4 x3", func() { Axpy4(1, 1, 1, 1, ok, ok, ok, short, y) })
+	mustPanic("Axpy short x", func() { Axpy(1, short, y) })
+	mustPanic("AddTo short x", func() { AddTo(y, short) })
+	mustPanic("GatherAxpy short x", func() { GatherAxpy(1, short, []int32{0}, y) })
+	mustPanic("ScatterAxpy short y", func() { ScatterAxpy(1, y, []int32{0}, short) })
+	mustPanic("AxpyRows short x", func() { AxpyRows([]float32{1, 1, 1}, ok, y) })
+	for _, idx := range [][]int32{{2}, {-1}, {0, 1, 2}, {1, -1, 0}, {1 << 30}, {math.MinInt32}} {
+		mustPanic(fmt.Sprintf("GatherAxpy idx=%v", idx), func() { GatherAxpy(1, ok, idx, y) })
+		mustPanic(fmt.Sprintf("ScatterAxpy idx=%v", idx), func() { ScatterAxpy(1, ok[:8], idx, y) })
+		mustPanic(fmt.Sprintf("ScatterAxpy idx=%v into 2 rows", idx), func() { ScatterAxpy(1, ok[:4], idx, y) })
+	}
 	for _, v := range y {
 		if v != 0 {
 			t.Fatalf("y written before the panic: %v", y)

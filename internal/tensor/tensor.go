@@ -5,11 +5,11 @@
 // spends its time in, so they are built for speed under one fixed guarantee:
 // every output element receives its terms one at a time, in one order (the
 // serial loop's) — no reassociation, no partial sums. All of them run on
-// three row primitives (rowkernels.go) that are packed SSE2 on amd64, with
-// each product and each sum rounded to float32 on its own (no fused
+// the row primitives (rowkernels.go), packed SSE2 on amd64, with each
+// product and each sum rounded to float32 on its own (no fused
 // multiply-add), and plain Go elsewhere and under -race; the assembly is
 // bit-identical to what the compiler makes of the Go loops on amd64.
-// Blocking and row-parallelism change how fast the order is walked, never
+// Blocking and register sweeps change how fast the order is walked, never
 // the order. (Results are pinned per platform: arm64 Go fuses y += a*x.)
 package tensor
 
@@ -102,8 +102,12 @@ func MatMulATB(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulATB %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
-	matMulATBRows(a, b, out)
+	// The column scratch sits behind the result in one slab, as MatMulABT's
+	// transposed copy does, so it costs no allocation of its own.
+	n := a.Cols * b.Cols
+	slab := make([]float32, n+a.Rows)
+	out := FromData(a.Cols, b.Cols, slab[:n:n])
+	matMulATBRows(a, b, out, slab[n:])
 	return out
 }
 
@@ -131,41 +135,26 @@ func MatMulABT(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMulRows computes out = a × b with the serial i-k-j loop, k blocked by
-// four: every output element still receives its k-terms one at a time in
-// ascending k (see Axpy4), so results are bit-identical to the unblocked
-// kernel. b is a header by value so that MatMulABT's transposed copy needs no
-// heap header.
+// matMulRows computes out = a × b with the serial i-k-j loop: one AxpyRows
+// per output row, whose k-terms land one at a time in ascending k. b is a
+// header by value so that MatMulABT's transposed copy needs no heap header.
 func matMulRows(a *Matrix, b Matrix, out *Matrix) {
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		k := 0
-		for ; k+3 < len(arow); k += 4 {
-			Axpy4(arow[k], arow[k+1], arow[k+2], arow[k+3],
-				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), orow)
-		}
-		for ; k < len(arow); k++ {
-			Axpy(arow[k], b.Row(k), orow)
-		}
+		AxpyRows(a.Row(i), b.Data, out.Row(i))
 	}
 }
 
-// matMulATBRows computes out = aᵀ × b. The output-row loop k is outermost so
-// each output row is resolved once and stays hot, and every row accumulates
-// its per-i contributions in ascending i — the serial order, since iteration
-// order within one output row is all that bit-identity depends on.
-func matMulATBRows(a, b, out *Matrix) {
+// matMulATBRows computes out = aᵀ × b. The output-row loop k is outermost:
+// column k of a is copied into col (a.Rows floats), and one AxpyRows then
+// builds output row k from its per-i contributions in ascending i — the
+// serial order, since iteration order within one output row is all that
+// bit-identity depends on.
+func matMulATBRows(a, b, out *Matrix, col []float32) {
 	for k := 0; k < a.Cols; k++ {
-		orow := out.Row(k)
-		i := 0
-		for ; i+3 < a.Rows; i += 4 {
-			Axpy4(a.Data[i*a.Cols+k], a.Data[(i+1)*a.Cols+k], a.Data[(i+2)*a.Cols+k], a.Data[(i+3)*a.Cols+k],
-				b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3), orow)
+		for i := range col {
+			col[i] = a.Data[i*a.Cols+k]
 		}
-		for ; i < a.Rows; i++ {
-			Axpy(a.Data[i*a.Cols+k], b.Row(i), orow)
-		}
+		AxpyRows(col, b.Data, out.Row(k))
 	}
 }
 

@@ -257,9 +257,10 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 7}, {7, 3, 1}, {2, 9, 4}, {13, 6, 5}, {64, 17, 9}, {5, 1, 3},
 		// MatMulABT runs on the row kernel over a transposed b: k and n off
-		// the multiples of four (the k-block tail, the vector-loop tail) and
-		// rows narrower than one vector.
+		// the multiples of four and rows narrower than one vector.
 		{4, 10, 2}, {9, 7, 3}, {3, 4, 2}, {6, 18, 19}, {5, 33, 6}, {2, 3, 13},
+		// n either side of every column block of the row sweep (32, 8, 4, 1).
+		{3, 5, 31}, {4, 9, 32}, {5, 6, 33}, {2, 7, 36}, {3, 4, 65}, {2, 3, 130},
 	}
 	for _, sparse := range []bool{false, true} {
 		for si, s := range shapes {
@@ -288,9 +289,10 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 }
 
 // TestMatMulABTAllocatesLikeMatMul: the transposed copy MatMulABT computes
-// over must not show up as allocations of its own (an epoch calls it once per
-// rank per layer, and runtime.allocs_per_epoch is a tracked count), and
-// MatMul allocates nothing beyond its result's header and floats.
+// over, and the column scratch of MatMulATB, must not show up as allocations
+// of their own (an epoch calls each once per rank per layer, and
+// runtime.allocs_per_epoch is a tracked count), and MatMul allocates nothing
+// beyond its result's header and floats.
 func TestMatMulABTAllocatesLikeMatMul(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -304,6 +306,10 @@ func TestMatMulABTAllocatesLikeMatMul(t *testing.T) {
 	}
 	if abt > mm {
 		t.Fatalf("MatMulABT allocates %v times per call, MatMul %v", abt, mm)
+	}
+	g := New(50, 32).FillRandom(4)
+	if atb := testing.AllocsPerRun(50, func() { MatMulATB(a, g) }); atb != 2 {
+		t.Fatalf("MatMulATB allocates %v times per call, want 2 (the result)", atb)
 	}
 }
 
