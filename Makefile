@@ -84,11 +84,11 @@ wire:
 		./internal/comm/wire/ ./internal/runtime/ ./internal/worker/ .
 
 # Serve tier (DESIGN.md §13): the embedding-serving battery under the race
-# detector — batcher cutoffs, cache/version staleness properties, bitwise
-# equivalence with the direct forward, admission shedding, the DGS1 protocol,
-# and the mid-load device-kill failover.
+# detector — batcher cutoffs, memo version properties, bitwise equivalence
+# with the direct forward, admission shedding, the DGS1 protocol, the
+# mid-load device-kill failover, and the latency histogram it reports from.
 serve:
-	$(GO) test -race -count=1 ./internal/serve/
+	$(GO) test -race -count=1 ./internal/serve/ ./internal/obs/
 
 # Rejoin tier (DESIGN.md §15): the supervised-membership battery under the
 # race detector — lease/heartbeat/backoff timing on injected clocks, control

@@ -1,7 +1,7 @@
 // Command dgclloadgen drives an embedding server with Zipf-distributed
 // queries at one or more target QPS points and reports the latency
-// distribution (p50/p99/p999, split by cache hit vs forward path) plus the
-// cache hit rate. It can drive a remote dgclserve endpoint, or spin up a
+// distribution (p50/p99/p999, split by memo answer vs batcher path) plus the
+// share of memo answers. It can drive a remote dgclserve endpoint, or spin up a
 // complete server in-process (-selfserve) for a quick look without a second
 // terminal:
 //
@@ -48,7 +48,7 @@ func main() {
 	train := flag.Int("train", 1, "pretraining epochs (selfserve)")
 	maxBatch := flag.Int("max-batch", 32, "occupancy cutoff (selfserve)")
 	batchDelay := flag.Duration("batch-delay", 2*time.Millisecond, "latency cutoff (selfserve)")
-	cacheEntries := flag.Int("cache", 4096, "embedding cache entries (selfserve; negative disables)")
+	cacheEntries := flag.Int("cache", 4096, "selfserve: negative disables the memo (every query runs a batched forward); other values change nothing")
 	flag.Parse()
 
 	if err := run(options{

@@ -1,10 +1,11 @@
 // Command dgclserve is the online-inference frontend: it builds a training
 // run from the same deterministic spec as dgcltrain/dgclworker, optionally
 // pretrains for a few epochs, and then serves vertex embeddings over TCP —
-// batched (latency-deadline or occupancy cutoff, whichever first), cached
-// (partition-aware LRU keyed by (vertex, model-version)), admission
-// controlled (token bucket + queue-depth shed), and failover-capable (a
-// device death mid-serve degrades onto the survivors and keeps answering).
+// from one forward per model version (the version's memo; queries that find
+// none are batched by latency deadline or occupancy cutoff, whichever
+// first), admission controlled (token bucket + queue-depth shed), and
+// failover-capable (a device death under a forward degrades onto the
+// survivors and keeps answering).
 //
 //	dgclserve -listen :7100 -dataset Web-Google -gpus 4 -train 3
 //	dgclloadgen -connect host:7100 -qps 200 -requests 5000
@@ -44,7 +45,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 32, "occupancy cutoff: requests per batched forward")
 	batchDelay := flag.Duration("batch-delay", 2*time.Millisecond, "latency cutoff: max wait before a partial batch flushes")
 	queueDepth := flag.Int("queue", 256, "queued-miss shed threshold")
-	cacheEntries := flag.Int("cache", 4096, "embedding cache entries (negative disables)")
+	cacheEntries := flag.Int("cache", 4096, "negative disables the memo (every query runs a batched forward); other values change nothing")
 	rate := flag.Float64("rate", 0, "admitted queries per second (0 = unlimited)")
 	burst := flag.Int("burst", 64, "token-bucket burst")
 	flag.Parse()
@@ -99,8 +100,8 @@ func run(listen string, spec worker.Spec, epochs int, lr float64, cfg serve.Conf
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving %d vertex embeddings on %s (max-batch %d, delay %v, cache %d)\n",
-		srv.NumVertices(), ln.Addr(), cfg.MaxBatch, cfg.BatchDelay, cfg.CacheEntries)
+	fmt.Printf("serving %d vertex embeddings on %s (max-batch %d, delay %v, memo %v)\n",
+		srv.NumVertices(), ln.Addr(), cfg.MaxBatch, cfg.BatchDelay, cfg.CacheEntries >= 0)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

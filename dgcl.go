@@ -276,7 +276,7 @@ type System struct {
 	peers PeerExchange
 
 	// Epoch-boundary hooks (see OnEpochEnd): the serving layer's
-	// cache-invalidation seam.
+	// model-refresh seam.
 	epochHooks []func(epoch int, model *Model)
 }
 
@@ -548,8 +548,8 @@ func (s *System) SetWorkerMode(ranks []int, peers PeerExchange) error {
 // of the last epoch reflected in the weights (-1 when a recovery restarted
 // from scratch) and replica 0's live model. Hooks that retain the model must
 // Clone it; Train mutates it on the next step. The serving layer
-// (internal/serve) registers its model-version bump and wholesale embedding
-// cache invalidation here, which makes epoch boundaries the safe
+// (internal/serve) registers its weight copy and model-version bump here,
+// which makes epoch boundaries the safe
 // interleaving point between training and serving on one System: hooks run
 // with no collective in flight.
 func (s *System) OnEpochEnd(fn func(epoch int, model *Model)) {

@@ -17,12 +17,14 @@ import (
 
 // TestServeSurvivesDeviceKillMidLoad is the chaos half of the battery: with
 // the loopback TCP fabric as the base transport, one device's sockets die
-// for real while a query load is in flight. The server must detect the
-// death from the failed batched forward, degrade onto the survivors via
-// System.Degrade, invalidate the cache, record the transition in its stats,
-// and keep answering — bitwise identical to a direct forward on the degraded
-// cluster and within a tight band of the pre-kill embeddings — without a
-// restart, a leak, or a race.
+// for real while a query load is in flight. Until the next model version the
+// memo answers every query without a collective, so the kill fails nothing
+// and the answers stay the pre-kill rows. A model refresh mid-load then
+// forces a forward: the server must detect the death from it, degrade onto
+// the survivors via System.Degrade, mint a new version, record the
+// transition in its stats, and keep answering — bitwise identical to a
+// direct forward on the degraded cluster and within a tight band of the
+// pre-kill embeddings — without a restart, a leak, or a race.
 func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 	base := testutil.Goroutines()
 	sys, model, features, targets := buildFixture(t, 11)
@@ -40,14 +42,10 @@ func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The cache holds only a quarter of the vertices, so the background
-	// load keeps missing — keeping forwards, and therefore collectives, in
-	// flight for the kill to land in.
 	srv, err := New(sys, model, features, Config{
-		MaxBatch:     32,
-		BatchDelay:   time.Millisecond,
-		QueueDepth:   1024,
-		CacheEntries: n / 4,
+		MaxBatch:   32,
+		BatchDelay: time.Millisecond,
+		QueueDepth: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +59,16 @@ func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 		}
 	}
 
-	// Background load over the whole vertex range: most queries miss the
-	// quarter-sized cache and go through batched forwards.
-	var failed atomic.Int64
+	// Background load over the whole vertex range. phase is 0 before the
+	// kill, 1 from the kill until the refresh starts, 2 after. A query that
+	// starts and ends in phase 1 must be answered at version 0 with the
+	// pre-kill row; so must any answer labelled version 0.
+	var phase atomic.Int32
+	var failed, betweenAnswers, betweenWrong, staleWrong atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	stopLoad := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopLoad() // a t.Fatalf below still stops the load
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -77,11 +80,23 @@ func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 					return
 				default:
 				}
+				v := rng.Intn(n)
+				before := phase.Load()
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				_, err := srv.Query(ctx, rng.Intn(n))
+				res, err := srv.Query(ctx, v)
 				cancel()
 				if err != nil {
 					failed.Add(1)
+					continue
+				}
+				if res.Version == 0 && !rowsEqualBitwise(res.Row, preRows[v]) {
+					staleWrong.Add(1)
+				}
+				if before == 1 && phase.Load() == 1 {
+					betweenAnswers.Add(1)
+					if res.Version != 0 {
+						betweenWrong.Add(1)
+					}
 				}
 			}
 		}(int64(w))
@@ -89,23 +104,27 @@ func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 
 	// Let the load establish itself, then node 1's sockets die for real.
 	time.Sleep(20 * time.Millisecond)
+	phase.Store(1)
 	fab.Kill(1)
+	waitFor(t, "answers between the kill and the refresh", func() bool { return betweenAnswers.Load() >= 100 })
 
-	// The next forward that touches device 1 must trip the failover.
-	deadline := time.Now().Add(30 * time.Second)
-	for len(srv.Stats().Transitions) == 0 {
-		if time.Now().After(deadline) {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("no failover transition within 30s (load failures: %d)", failed.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The refresh retires the version-0 memo; the next miss runs a forward
+	// that touches device 1 and must trip the failover.
+	phase.Store(2)
+	if err := srv.UpdateModel(model); err != nil {
+		t.Fatalf("UpdateModel after the kill: %v", err)
 	}
+	waitFor(t, "a failover transition", func() bool { return len(srv.Stats().Transitions) > 0 })
 	// Keep serving a beat on the degraded fabric before stopping the load.
 	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
+	stopLoad()
 
+	if got := betweenWrong.Load(); got != 0 {
+		t.Fatalf("%d answers between the kill and the refresh carried a version other than 0", got)
+	}
+	if got := staleWrong.Load(); got != 0 {
+		t.Fatalf("%d version-0 answers differ from the pre-kill rows", got)
+	}
 	st := srv.Stats()
 	if len(st.Transitions) != 1 {
 		t.Fatalf("transitions = %+v, want exactly one", st.Transitions)
@@ -124,7 +143,7 @@ func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 		t.Fatalf("alive devices = %v, want [0 2 3]", sys.AliveDevices())
 	}
 	if got := failed.Load(); got != 0 {
-		t.Fatalf("%d queries failed across the failover; the flush-level retry should answer all of them", got)
+		t.Fatalf("%d queries failed across the kill and the failover; the memo and the flush-level retry should answer all of them", got)
 	}
 
 	// Post-kill answers come from the degraded replica: bitwise identical
@@ -162,5 +181,17 @@ func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 	fab.Close()
 	if !testutil.GoroutinesSettleTo(base, 5*time.Second) {
 		t.Fatalf("goroutines leaked across the kill: %d before, %d after", base, testutil.Goroutines())
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 30s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s within 30s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -15,8 +15,7 @@ import (
 
 // The load generator drives a server with a Zipf-distributed query stream at
 // a target QPS — the skewed access pattern real vertex-serving workloads see
-// (a hot head of popular vertices, a long cold tail), which is exactly what
-// exercises the LRU: the head hits, the tail misses. It can drive a Server
+// (a hot head of popular vertices, a long cold tail). It can drive a Server
 // in-process (direct mode) or a dgclserve endpoint over TCP.
 
 // LoadOptions configures one load run. Exactly one of Server and Addr must
@@ -55,9 +54,11 @@ type LoadReport struct {
 	Elapsed     time.Duration `json:"elapsed"`
 	AchievedQPS float64       `json:"achieved_qps"`
 
+	// Latency quantiles are bucket upper bounds, at most 1/8 above the
+	// exact nearest-rank value (obs.Histogram).
 	P50, P99, P999             time.Duration // all successful queries
-	HitP50, HitP99, HitP999    time.Duration // cache hits
-	MissP50, MissP99, MissP999 time.Duration // forward-path queries
+	HitP50, HitP99, HitP999    time.Duration // memo answers
+	MissP50, MissP99, MissP999 time.Duration // batcher-path answers
 
 	HitRate float64 `json:"hit_rate"` // cached / ok
 }
@@ -97,15 +98,10 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 		vertices[i] = perm[int(zipf.Uint64())]
 	}
 
-	type sample struct {
-		d      time.Duration
-		cached bool
-	}
+	rep := &LoadReport{QPS: opts.QPS, Requests: opts.Requests}
 	var (
-		mu      sync.Mutex
-		samples []sample
-		shed    int
-		failed  int
+		lat latencies
+		mu  sync.Mutex // guards rep's counts
 	)
 
 	jobs := make(chan int)
@@ -119,11 +115,15 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 			mu.Lock()
 			switch {
 			case err == nil:
-				samples = append(samples, sample{d: d, cached: cached})
+				lat.observe(d, cached)
+				rep.OK++
+				if cached {
+					rep.Cached++
+				}
 			case errors.Is(err, ErrOverload) || strings.Contains(err.Error(), "overloaded"):
-				shed++
+				rep.Shed++
 			default:
-				failed++
+				rep.Failed++
 			}
 			mu.Unlock()
 		}
@@ -173,34 +173,13 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := &LoadReport{
-		QPS:      opts.QPS,
-		Requests: opts.Requests,
-		OK:       len(samples),
-		Shed:     shed,
-		Failed:   failed,
-		Elapsed:  elapsed,
+	rep.Elapsed = time.Since(start)
+	if rep.Elapsed > 0 {
+		rep.AchievedQPS = float64(rep.OK+rep.Shed+rep.Failed) / rep.Elapsed.Seconds()
 	}
-	if elapsed > 0 {
-		rep.AchievedQPS = float64(len(samples)+shed+failed) / elapsed.Seconds()
-	}
-	all := make([]time.Duration, 0, len(samples))
-	hits := make([]time.Duration, 0, len(samples))
-	misses := make([]time.Duration, 0, len(samples))
-	for _, s := range samples {
-		all = append(all, s.d)
-		if s.cached {
-			rep.Cached++
-			hits = append(hits, s.d)
-		} else {
-			misses = append(misses, s.d)
-		}
-	}
-	rep.P50, rep.P99, rep.P999 = quantiles(all)
-	rep.HitP50, rep.HitP99, rep.HitP999 = quantiles(hits)
-	rep.MissP50, rep.MissP99, rep.MissP999 = quantiles(misses)
+	rep.P50, rep.P99, rep.P999 = quantiles(&lat.all)
+	rep.HitP50, rep.HitP99, rep.HitP999 = quantiles(&lat.hit)
+	rep.MissP50, rep.MissP99, rep.MissP999 = quantiles(&lat.miss)
 	if rep.OK > 0 {
 		rep.HitRate = float64(rep.Cached) / float64(rep.OK)
 	}

@@ -1,17 +1,20 @@
 // Package serve is the online-inference frontend over a trained dgcl.System:
-// a long-running embedding server that batches concurrent vertex queries into
-// one distributed forward per flush, caches embeddings in a partition-aware
-// LRU keyed by (vertex, model-version), sheds load past a token-bucket rate
-// or a queue-depth threshold with ErrOverload, and fails over onto survivors
-// via System.Degrade when a device dies mid-serve.
+// a long-running embedding server that runs one distributed forward per
+// model version and answers every query of that version from its output.
+// The forward's whole output matrix is the version's memo. A query whose
+// version has a memo reads its row there, with no batch, lock or
+// allocation. A query that finds none enters the batcher, whose flush runs
+// the version's forward (or finds the memo a previous flush just made). The
+// server sheds load past a token-bucket rate or a queue-depth threshold with
+// ErrOverload, and fails over onto survivors via System.Degrade when a
+// device dies under a forward.
 //
 // Interleaving constraint: concurrent collectives on one System are
 // unsupported, so serving and training must not overlap collectives. The
 // supported pattern is phase-separated — train, then serve — with
 // System.OnEpochEnd(server.EpochHook) bridging the two: the hook runs at
-// epoch boundaries (no collective in flight), swaps in the freshly stepped
-// weights, bumps the model version, and invalidates the embedding cache
-// wholesale.
+// epoch boundaries (no collective in flight), copies in the freshly stepped
+// weights, and bumps the model version, which retires the memo.
 package serve
 
 import (
@@ -34,10 +37,12 @@ var ErrOverload = errors.New("serve: overloaded")
 // Result is one answered embedding query.
 type Result struct {
 	// Row is the vertex's embedding under Version. It is shared with the
-	// cache: callers must not modify it.
+	// version's memo: callers must not modify it.
 	Row     []float32
 	Version uint64
-	Cached  bool
+	// Cached reports that the query was answered from the current version's
+	// memo without entering the batcher.
+	Cached bool
 }
 
 // Config tunes the server. The zero value gets sensible defaults.
@@ -51,8 +56,10 @@ type Config struct {
 	// QueueDepth is the shed threshold: requests beyond this many queued
 	// misses are rejected with ErrOverload. Default 256.
 	QueueDepth int
-	// CacheEntries bounds the embedding cache; 0 means default (4096),
-	// negative disables caching.
+	// CacheEntries, when negative, disables the memo: every query then goes
+	// through a batched forward. Zero and positive values enable it and bound
+	// nothing, since the memo is the output matrix a forward materialises
+	// anyway.
 	CacheEntries int
 	// RateLimit admits at most this many queries per second (token bucket,
 	// capacity RateBurst). 0 disables rate limiting.
@@ -84,11 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 4096
-	} else if c.CacheEntries < 0 {
-		c.CacheEntries = 0
-	}
 	return c
 }
 
@@ -96,23 +98,35 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	sys         *dgcl.System
 	numVertices int
+	// useMemo is false when Config.CacheEntries is negative.
+	useMemo bool
 
 	// version is the model version: bumped by UpdateModel/EpochHook and by
-	// failover. Cache entries are keyed by it; a bump invalidates them all.
+	// failover, under mu.
 	version atomic.Uint64
+	// memo is the last successful forward's output with the version it was
+	// computed under; it answers queries while that version is current.
+	memo atomic.Pointer[memo]
 
-	// mu serializes batched forwards against model swaps and failover — only
-	// one collective runs on the system at a time, and version/engine writes
+	// mu serializes forwards against model swaps and failover — only one
+	// collective runs on the system at a time, and version/engine writes
 	// happen under it.
 	mu  sync.Mutex
 	eng *engine
 
-	cache   *cache
 	limiter *tokenBucket
 	stats   serverStats
 	batcher *batcher
 
 	closeOnce sync.Once
+}
+
+// memo is one forward's output under one model version. out is never
+// written after the forward returns it, so its rows are shared with every
+// caller.
+type memo struct {
+	version uint64
+	out     *dgcl.Matrix
 }
 
 // New builds a server over sys serving embeddings of model applied to
@@ -133,12 +147,9 @@ func New(sys *dgcl.System, model *dgcl.Model, features *dgcl.Matrix, cfg Config)
 	s := &Server{
 		sys:         sys,
 		numVertices: features.Rows,
+		useMemo:     cfg.CacheEntries >= 0,
 		eng:         eng,
 		limiter:     newTokenBucket(cfg.RateLimit, cfg.RateBurst, time.Now()),
-	}
-	if cfg.CacheEntries > 0 {
-		assign := append([]int32(nil), sys.PartitionAssignment()...)
-		s.cache = newCache(cfg.CacheEntries, assign, sys.NumGPUs())
 	}
 	s.batcher = newBatcher(cfg.MaxBatch, cfg.BatchDelay, cfg.QueueDepth, clock.Real{}, s.flush)
 	return s, nil
@@ -147,10 +158,10 @@ func New(sys *dgcl.System, model *dgcl.Model, features *dgcl.Matrix, cfg Config)
 // NumVertices is the valid query range: vertices are [0, NumVertices).
 func (s *Server) NumVertices() int { return s.numVertices }
 
-// Query answers one vertex-embedding query: from the cache when a fresh
-// (current model-version) entry exists, otherwise through the batcher and one
-// batched forward. It returns ErrOverload when shed by admission control and
-// ctx.Err when the caller gives up first.
+// Query answers one vertex-embedding query: from the memo when it holds the
+// current model version, otherwise through the batcher. It returns
+// ErrOverload when shed by admission control and ctx.Err when the caller
+// gives up first.
 func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 	s.stats.requests.Add(1)
 	if vertex < 0 || vertex >= s.numVertices {
@@ -162,13 +173,12 @@ func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 		s.stats.shedRate.Add(1)
 		return Result{}, ErrOverload
 	}
-	v := int32(vertex)
-	if row, ok := s.cache.get(v, s.version.Load()); ok {
+	if m := s.current(); m != nil {
 		s.stats.hits.Add(1)
-		s.stats.observe(time.Since(start), true)
-		return Result{Row: row, Version: s.version.Load(), Cached: true}, nil
+		s.stats.lat.observe(time.Since(start), true)
+		return Result{Row: m.out.Row(vertex), Version: m.version, Cached: true}, nil
 	}
-	req := request{vertex: v, ch: make(chan response, 1)}
+	req := request{vertex: int32(vertex), ch: make(chan response, 1)}
 	if !s.batcher.submit(req) {
 		s.stats.shedQueue.Add(1)
 		return Result{}, ErrOverload
@@ -180,7 +190,7 @@ func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 			s.stats.errors.Add(1)
 			return Result{}, resp.err
 		}
-		s.stats.observe(time.Since(start), false)
+		s.stats.lat.observe(time.Since(start), false)
 		return Result{Row: resp.row, Version: resp.version}, nil
 	case <-ctx.Done():
 		s.stats.errors.Add(1)
@@ -188,35 +198,22 @@ func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 	}
 }
 
-// flush executes one batch: a single distributed forward answers every
-// request, deduplicated by vertex. On a device-death failure it degrades the system onto the survivors, invalidates the cache,
-// records the transition, and retries once on the degraded replica.
+// current returns the memo if it holds the current model version. The memo
+// answers for its own version even if one is minted after this check, so a
+// row is never labelled with a version it was not computed under.
+func (s *Server) current() *memo {
+	if m := s.memo.Load(); m != nil && m.version == s.version.Load() {
+		return m
+	}
+	return nil
+}
+
+// flush answers one batch from the current version's output.
 func (s *Server) flush(batch []request, reason flushReason) {
 	s.stats.noteFlush(len(batch), reason)
-	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
-	defer cancel()
-
 	s.mu.Lock()
-	out, err := s.eng.forward(ctx)
-	if err != nil {
-		if down := dgcl.DownDevices(err); len(down) > 0 {
-			if rerr := s.eng.recover(down); rerr != nil {
-				err = fmt.Errorf("serve: failover after losing %v: %w", down, rerr)
-			} else {
-				v := s.version.Add(1)
-				s.cache.invalidateAll()
-				s.stats.noteTransition(Transition{
-					Down:      down,
-					Survivors: s.sys.AliveDevices(),
-					Version:   v,
-				})
-				out, err = s.eng.forward(ctx)
-			}
-		}
-	}
-	ver := s.version.Load()
+	m, err := s.output()
 	s.mu.Unlock()
-
 	if err != nil {
 		err = fmt.Errorf("serve: batched forward (%s, %d requests): %w", reason, len(batch), err)
 		for _, r := range batch {
@@ -224,20 +221,50 @@ func (s *Server) flush(batch []request, reason flushReason) {
 		}
 		return
 	}
-	rows := make(map[int32][]float32, len(batch))
 	for _, r := range batch {
-		row, ok := rows[r.vertex]
-		if !ok {
-			row = append([]float32(nil), out.Row(int(r.vertex))...)
-			rows[r.vertex] = row
-			s.cache.put(r.vertex, ver, row)
-		}
-		r.ch <- response{row: row, version: ver}
+		r.ch <- response{row: m.out.Row(int(r.vertex)), version: m.version}
 	}
 }
 
-// UpdateModel swaps in new weights (cloned), bumps the model version, and
-// invalidates the cache. It must not run while a training collective is in
+// output returns the current version's memo, running the version's forward
+// when there is none yet. The caller holds s.mu and the batcher flushes
+// serially, so the forward is single-flight: misses queued behind a
+// version's forward find its memo on their flush. On a device-death failure
+// output degrades the system onto the survivors, mints a version for the
+// degraded replica, records the transition, and retries once.
+func (s *Server) output() (*memo, error) {
+	if m := s.current(); m != nil {
+		return m, nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
+	defer cancel()
+	out, err := s.eng.forward(ctx)
+	if down := dgcl.DownDevices(err); len(down) > 0 {
+		if derr := s.sys.Degrade(down); derr != nil {
+			return nil, fmt.Errorf("serve: failover after losing %v: %w", down, derr)
+		}
+		v := s.version.Add(1)
+		s.stats.noteTransition(Transition{
+			Down:      down,
+			Survivors: s.sys.AliveDevices(),
+			Version:   v,
+		})
+		out, err = s.eng.forward(ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	m := &memo{version: s.version.Load(), out: out}
+	if s.useMemo {
+		s.memo.Store(m)
+	}
+	return m, nil
+}
+
+// UpdateModel copies in new weights and bumps the model version, which
+// retires the memo. m must have the served model's kind, depth and parameter
+// shapes; otherwise it returns an error and the served version and answers
+// stay as they were. It must not run while a training collective is in
 // flight on the same system.
 func (s *Server) UpdateModel(m *dgcl.Model) error {
 	s.mu.Lock()
@@ -246,28 +273,30 @@ func (s *Server) UpdateModel(m *dgcl.Model) error {
 		return fmt.Errorf("serve: swapping model: %w", err)
 	}
 	s.version.Add(1)
-	s.cache.invalidateAll()
 	return nil
 }
 
 // EpochHook adapts UpdateModel to System.OnEpochEnd: register with
 // sys.OnEpochEnd(srv.EpochHook) and every completed epoch (and every
-// crash-recovery rebuild) refreshes the served weights and drops the now
-// stale cache wholesale.
+// crash-recovery rebuild) refreshes the served weights under a new version.
 func (s *Server) EpochHook(epoch int, m *dgcl.Model) {
 	if err := s.UpdateModel(m); err != nil {
-		// The swap failed (e.g. the cluster is mid-rebuild); keep serving the
-		// old weights but make sure no stale cache entry survives.
+		// The swap failed; keep serving the old weights, but from a fresh
+		// forward under a new version rather than a memo from before the
+		// epoch boundary.
 		s.mu.Lock()
 		s.version.Add(1)
-		s.cache.invalidateAll()
 		s.mu.Unlock()
 	}
 }
 
 // Stats snapshots the serving counters.
 func (s *Server) Stats() Stats {
-	return s.stats.snapshot(s.version.Load(), s.cache.len())
+	rows := 0
+	if m := s.current(); m != nil {
+		rows = m.out.Rows
+	}
+	return s.stats.snapshot(s.version.Load(), rows)
 }
 
 // Close drains the batcher (pending requests are answered) and stops the

@@ -74,7 +74,7 @@ func buildFixture(t *testing.T, seed int64) (*dgcl.System, *dgcl.Model, *dgcl.Ma
 	return sys, model, features, targets
 }
 
-// directForward computes the uncached ground truth: a fresh trainer over the
+// directForward computes the ground truth: a fresh trainer over the
 // same system, one full forward.
 func directForward(t *testing.T, sys *dgcl.System, model *dgcl.Model, features, targets *dgcl.Matrix) *dgcl.Matrix {
 	t.Helper()
@@ -129,9 +129,10 @@ func rowsEqualBitwise(a []float32, b []float32) bool {
 }
 
 // TestServedEmbeddingsBitwiseEqualDirectForward is the first property of the
-// battery: for every vertex, the served embedding — through the batcher, the
-// flush, and the cache — is bitwise identical to a direct uncached forward
-// pass, both on the miss path and on the subsequent hit path.
+// battery: for every vertex, the served embedding — through the batcher and
+// the flush, or from the version's memo — is bitwise identical to a direct
+// forward pass on a fresh trainer, both on the miss path and on the
+// subsequent hit path.
 func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
 	for _, seed := range []int64{11, 23} {
 		base := testutil.Goroutines()
@@ -149,7 +150,8 @@ func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Miss path: every vertex through batched forwards.
+		// Miss path: the first queries enter the batcher; the version's one
+		// forward answers them (later ones may already read its memo).
 		rows, versions := queryAll(t, srv, n)
 		for v := 0; v < n; v++ {
 			if versions[v] != 0 {
@@ -160,12 +162,12 @@ func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
 			}
 		}
 
-		// Hit path: the same queries again must come from the cache, bitwise
+		// Hit path: the same queries again must come from the memo, bitwise
 		// unchanged.
 		for v := 0; v < n; v++ {
 			res, err := srv.Query(context.Background(), v)
 			if err != nil {
-				t.Fatalf("seed %d: cached Query(%d): %v", seed, v, err)
+				t.Fatalf("seed %d: memo Query(%d): %v", seed, v, err)
 			}
 			if !res.Cached {
 				t.Fatalf("seed %d: vertex %d missed on the second pass", seed, v)
@@ -177,7 +179,7 @@ func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
 
 		st := srv.Stats()
 		if st.Hits < uint64(n) {
-			t.Fatalf("seed %d: %d hits after a full cached pass, want >= %d", seed, st.Hits, n)
+			t.Fatalf("seed %d: %d hits after a full memo pass, want >= %d", seed, st.Hits, n)
 		}
 		if st.Flushes == 0 || st.AvgBatch < 1 {
 			t.Fatalf("seed %d: implausible flush stats %+v", seed, st)
@@ -190,7 +192,7 @@ func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
 }
 
 // TestEpochInvalidationNoStaleEmbeddings is the second property: after an
-// epoch-boundary invalidation (System.OnEpochEnd -> Server.EpochHook), no
+// epoch-boundary refresh (System.OnEpochEnd -> Server.EpochHook), no
 // embedding computed under the old model version is ever returned — every
 // post-epoch answer carries the new version and is bitwise identical to a
 // direct forward with the newly trained weights.
@@ -210,7 +212,7 @@ func TestEpochInvalidationNoStaleEmbeddings(t *testing.T) {
 	}
 	sys.OnEpochEnd(srv.EpochHook)
 
-	// Warm the cache under version 0.
+	// Make the version-0 memo.
 	oldRows, oldVersions := queryAll(t, srv, n)
 	for v := 0; v < n; v++ {
 		if oldVersions[v] != 0 {
@@ -218,11 +220,11 @@ func TestEpochInvalidationNoStaleEmbeddings(t *testing.T) {
 		}
 	}
 	if got := srv.Stats().CacheEntries; got != n {
-		t.Fatalf("cache holds %d entries after warmup, want %d", got, n)
+		t.Fatalf("memo holds %d rows after warmup, want %d", got, n)
 	}
 
-	// One training epoch; the epoch-end hook swaps the weights and
-	// invalidates the cache wholesale. (Training and serving collectives
+	// One training epoch; the epoch-end hook copies the weights in and bumps
+	// the version, which retires the memo. (Training and serving collectives
 	// must not overlap — the hook runs at the epoch boundary with none in
 	// flight, which is exactly the seam this test exercises.)
 	res, err := sys.Train(context.Background(), model, features, targets, dgcl.TrainOptions{Epochs: 1})
@@ -336,10 +338,9 @@ func TestLoadgenDirectSmoke(t *testing.T) {
 	if rep.HitRate < 0 || rep.HitRate > 1 {
 		t.Fatalf("hit rate %v outside [0,1]", rep.HitRate)
 	}
-	// Zipf load on a warm cache must produce some hits: the head of the
-	// distribution repeats.
+	// After the version's first forward, queries read the memo.
 	if rep.Cached == 0 {
-		t.Fatal("no cache hits under Zipf load")
+		t.Fatal("no memo answers under load")
 	}
 	srv.Close()
 	if !testutil.GoroutinesSettleTo(base, 5*time.Second) {

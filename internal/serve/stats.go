@@ -1,18 +1,16 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dgcl/internal/obs"
 )
 
-// maxLatencySamples bounds the latency reservoir; once full, further samples
-// update counters but not quantiles (Stats.DroppedSamples reports how many).
-const maxLatencySamples = 1 << 20
-
-// serverStats is the server's internal accumulator. Counters are atomics
-// (hot path); the latency reservoir and the transition log are mutex'd.
+// serverStats is the server's internal accumulator. Counters and latency
+// histograms are atomic (hot path); the batch maximum and the transition log
+// are mutex'd.
 type serverStats struct {
 	requests  atomic.Uint64
 	hits      atomic.Uint64
@@ -26,22 +24,34 @@ type serverStats struct {
 	flushDrain    atomic.Uint64
 	batchSum      atomic.Uint64
 
+	lat latencies
+
 	mu          sync.Mutex
 	batchMax    int
-	lat         []latSample
-	dropped     uint64
 	transitions []Transition
 }
 
-type latSample struct {
-	d   time.Duration
-	hit bool
+// latencies splits answered queries' latencies three ways: all of them, the
+// memo answers (hits) and the batcher answers (misses).
+type latencies struct{ all, hit, miss obs.Histogram }
+
+func (l *latencies) observe(d time.Duration, hit bool) {
+	l.all.Observe(d)
+	if hit {
+		l.hit.Observe(d)
+	} else {
+		l.miss.Observe(d)
+	}
+}
+
+// quantiles returns h's p50/p99/p999 (zeros when empty).
+func quantiles(h *obs.Histogram) (p50, p99, p999 time.Duration) {
+	return h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
 }
 
 // Transition records one serve-path failover: the devices that died, the
 // survivors now answering, and the model version minted for the degraded
-// replica (all previously cached embeddings are invalid from this version
-// on).
+// replica (the memo of any earlier version no longer answers).
 type Transition struct {
 	Down      []int
 	Survivors []int
@@ -51,26 +61,30 @@ type Transition struct {
 // Stats is a point-in-time snapshot of the serving counters.
 type Stats struct {
 	Requests  uint64 // admitted or shed, including out-of-range errors
-	Hits      uint64 // served from the embedding cache
-	Misses    uint64 // served through a batched forward
+	Hits      uint64 // answered from the current version's memo
+	Misses    uint64 // answered through the batcher
 	ShedRate  uint64 // rejected by the token bucket
 	ShedQueue uint64 // rejected at the queue-depth threshold
 	Errors    uint64 // failed after admission (forward errors, cancellations)
 
-	Flushes       uint64 // total batched forwards
+	Flushes       uint64 // total batcher flushes (a forward each, unless the memo was current)
 	FlushFull     uint64 // occupancy-cutoff flushes
 	FlushDeadline uint64 // deadline-cutoff flushes
 	FlushDrain    uint64 // shutdown-drain flushes
 	AvgBatch      float64
 	MaxBatch      int
 
+	// Latency quantiles are bucket upper bounds, at most 1/8 above the
+	// exact nearest-rank value (obs.Histogram).
 	P50, P99, P999             time.Duration // all served queries
-	HitP50, HitP99, HitP999    time.Duration // cache hits only
-	MissP50, MissP99, MissP999 time.Duration // batched-forward path only
+	HitP50, HitP99, HitP999    time.Duration // memo answers only
+	MissP50, MissP99, MissP999 time.Duration // batcher path only
 
-	ModelVersion   uint64
-	CacheEntries   int
-	DroppedSamples uint64
+	ModelVersion uint64
+	// CacheEntries is the row count of the current version's memo: every
+	// vertex once a forward has run under ModelVersion, 0 before that or
+	// with the memo disabled.
+	CacheEntries int
 
 	// Transitions lists completed serve-path failovers, oldest first.
 	Transitions []Transition
@@ -93,23 +107,13 @@ func (s *serverStats) noteFlush(size int, reason flushReason) {
 	s.mu.Unlock()
 }
 
-func (s *serverStats) observe(d time.Duration, hit bool) {
-	s.mu.Lock()
-	if len(s.lat) < maxLatencySamples {
-		s.lat = append(s.lat, latSample{d: d, hit: hit})
-	} else {
-		s.dropped++
-	}
-	s.mu.Unlock()
-}
-
 func (s *serverStats) noteTransition(t Transition) {
 	s.mu.Lock()
 	s.transitions = append(s.transitions, t)
 	s.mu.Unlock()
 }
 
-// snapshot assembles a Stats under the reservoir lock.
+// snapshot assembles a Stats.
 func (s *serverStats) snapshot(version uint64, cacheEntries int) Stats {
 	out := Stats{
 		Requests:      s.requests.Load(),
@@ -128,50 +132,12 @@ func (s *serverStats) snapshot(version uint64, cacheEntries int) Stats {
 	if out.Flushes > 0 {
 		out.AvgBatch = float64(s.batchSum.Load()) / float64(out.Flushes)
 	}
+	out.P50, out.P99, out.P999 = quantiles(&s.lat.all)
+	out.HitP50, out.HitP99, out.HitP999 = quantiles(&s.lat.hit)
+	out.MissP50, out.MissP99, out.MissP999 = quantiles(&s.lat.miss)
 	s.mu.Lock()
 	out.MaxBatch = s.batchMax
-	out.DroppedSamples = s.dropped
 	out.Transitions = append([]Transition(nil), s.transitions...)
-	all := make([]time.Duration, 0, len(s.lat))
-	hits := make([]time.Duration, 0, len(s.lat))
-	misses := make([]time.Duration, 0, len(s.lat))
-	for _, l := range s.lat {
-		all = append(all, l.d)
-		if l.hit {
-			hits = append(hits, l.d)
-		} else {
-			misses = append(misses, l.d)
-		}
-	}
 	s.mu.Unlock()
-	out.P50, out.P99, out.P999 = quantiles(all)
-	out.HitP50, out.HitP99, out.HitP999 = quantiles(hits)
-	out.MissP50, out.MissP99, out.MissP999 = quantiles(misses)
 	return out
-}
-
-// quantiles returns the p50/p99/p999 of the samples (zeros when empty).
-// It sorts a copy; callers own their slices.
-func quantiles(d []time.Duration) (p50, p99, p999 time.Duration) {
-	if len(d) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]time.Duration(nil), d...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return quantile(sorted, 0.50), quantile(sorted, 0.99), quantile(sorted, 0.999)
-}
-
-// quantile picks the nearest-rank quantile from an ascending slice.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
