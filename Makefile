@@ -84,11 +84,14 @@ wire:
 		./internal/comm/wire/ ./internal/runtime/ ./internal/worker/ .
 
 # Serve tier (DESIGN.md §13): the embedding-serving battery under the race
-# detector — batcher cutoffs, memo version properties, bitwise equivalence
-# with the direct forward, admission shedding, the DGS1 protocol, the
-# mid-load device-kill failover, and the latency histogram it reports from.
+# detector — single-flight waiters, the waiter bound and Close, memo version
+# properties, bitwise equivalence with the direct forward, admission
+# shedding, the DGS1 protocol and listener shutdown, the mid-load
+# device-kill failover, and the latency histogram it reports from. The
+# interleaving tests then run five more times, for more than one schedule.
 serve:
 	$(GO) test -race -count=1 ./internal/serve/ ./internal/obs/
+	$(GO) test -race -count=5 -run 'Version|Flight|Waiter|Close' ./internal/serve/
 
 # Rejoin tier (DESIGN.md §15): the supervised-membership battery under the
 # race detector — lease/heartbeat/backoff timing on injected clocks, control

@@ -1,6 +1,6 @@
 // Command dgclloadgen drives an embedding server with Zipf-distributed
 // queries at one or more target QPS points and reports the latency
-// distribution (p50/p99/p999, split by memo answer vs batcher path) plus the
+// distribution (p50/p99/p999, split by memo answer vs forward answer) plus the
 // share of memo answers. It can drive a remote dgclserve endpoint, or spin up a
 // complete server in-process (-selfserve) for a quick look without a second
 // terminal:
@@ -46,9 +46,7 @@ func main() {
 	hidden := flag.Int("hidden", 8, "hidden layer width (selfserve)")
 	layers := flag.Int("layers", 2, "GNN depth (selfserve)")
 	train := flag.Int("train", 1, "pretraining epochs (selfserve)")
-	maxBatch := flag.Int("max-batch", 32, "occupancy cutoff (selfserve)")
-	batchDelay := flag.Duration("batch-delay", 2*time.Millisecond, "latency cutoff (selfserve)")
-	cacheEntries := flag.Int("cache", 4096, "selfserve: negative disables the memo (every query runs a batched forward); other values change nothing")
+	cacheEntries := flag.Int("cache", 4096, "selfserve: negative disables the memo (every miss runs a forward); other values change nothing")
 	flag.Parse()
 
 	if err := run(options{
@@ -60,11 +58,7 @@ func main() {
 			FeatureDim: *featureDim, Hidden: *hidden, Layers: *layers, Seed: *seed,
 		},
 		train: *train,
-		cfg: serve.Config{
-			MaxBatch:     *maxBatch,
-			BatchDelay:   *batchDelay,
-			CacheEntries: *cacheEntries,
-		},
+		cfg:   serve.Config{CacheEntries: *cacheEntries},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "dgclloadgen:", err)
 		os.Exit(1)

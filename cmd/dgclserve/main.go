@@ -1,16 +1,16 @@
 // Command dgclserve is the online-inference frontend: it builds a training
 // run from the same deterministic spec as dgcltrain/dgclworker, optionally
 // pretrains for a few epochs, and then serves vertex embeddings over TCP —
-// from one forward per model version (the version's memo; queries that find
-// none are batched by latency deadline or occupancy cutoff, whichever
-// first), admission controlled (token bucket + queue-depth shed), and
-// failover-capable (a device death under a forward degrades onto the
-// survivors and keeps answering).
+// from one forward per model version (the version's memo; concurrent queries
+// that find none share one forward), admission controlled (token bucket +
+// a bound on the misses waiting for a forward), and failover-capable (a
+// device death under a forward degrades onto the survivors and keeps
+// answering).
 //
 //	dgclserve -listen :7100 -dataset Web-Google -gpus 4 -train 3
 //	dgclloadgen -connect host:7100 -qps 200 -requests 5000
 //
-// SIGINT/SIGTERM close the listener, drain in-flight batches, and print the
+// SIGINT/SIGTERM close the listener, finish in-flight replies, and print the
 // final serve stats.
 package main
 
@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"dgcl"
 	"dgcl/internal/serve"
@@ -42,10 +41,8 @@ func main() {
 	train := flag.Int("train", 1, "pretraining epochs before serving")
 	lr := flag.Float64("lr", 0.01, "pretraining learning rate")
 
-	maxBatch := flag.Int("max-batch", 32, "occupancy cutoff: requests per batched forward")
-	batchDelay := flag.Duration("batch-delay", 2*time.Millisecond, "latency cutoff: max wait before a partial batch flushes")
-	queueDepth := flag.Int("queue", 256, "queued-miss shed threshold")
-	cacheEntries := flag.Int("cache", 4096, "negative disables the memo (every query runs a batched forward); other values change nothing")
+	queueDepth := flag.Int("queue", 256, "shed threshold: misses waiting for a forward")
+	cacheEntries := flag.Int("cache", 4096, "negative disables the memo (every miss runs a forward); other values change nothing")
 	rate := flag.Float64("rate", 0, "admitted queries per second (0 = unlimited)")
 	burst := flag.Int("burst", 64, "token-bucket burst")
 	flag.Parse()
@@ -60,8 +57,6 @@ func main() {
 		Layers:     *layers,
 		Seed:       *seed,
 	}, *train, *lr, serve.Config{
-		MaxBatch:     *maxBatch,
-		BatchDelay:   *batchDelay,
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		RateLimit:    *rate,
@@ -100,20 +95,11 @@ func run(listen string, spec worker.Spec, epochs int, lr float64, cfg serve.Conf
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving %d vertex embeddings on %s (max-batch %d, delay %v, memo %v)\n",
-		srv.NumVertices(), ln.Addr(), cfg.MaxBatch, cfg.BatchDelay, cfg.CacheEntries >= 0)
+	fmt.Printf("serving %d vertex embeddings on %s (memo %v)\n", srv.NumVertices(), ln.Addr(), cfg.CacheEntries >= 0)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-sig:
-			ln.Close()
-		case <-done:
-		}
-	}()
+	stopping, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(stopping, func() { ln.Close() })
 
 	if err := srv.ServeListener(ln); err != nil {
 		return err
@@ -126,8 +112,7 @@ func run(listen string, spec worker.Spec, epochs int, lr float64, cfg serve.Conf
 func printStats(st serve.Stats) {
 	fmt.Printf("served %d requests: %d hits, %d misses, %d shed (rate %d, queue %d), %d errors\n",
 		st.Requests, st.Hits, st.Misses, st.ShedRate+st.ShedQueue, st.ShedRate, st.ShedQueue, st.Errors)
-	fmt.Printf("flushes %d (full %d, deadline %d, drain %d), avg batch %.1f, max %d\n",
-		st.Flushes, st.FlushFull, st.FlushDeadline, st.FlushDrain, st.AvgBatch, st.MaxBatch)
+	fmt.Printf("forwards %d\n", st.Flushes)
 	fmt.Printf("latency p50 %v p99 %v p999 %v (hit p99 %v, miss p99 %v)\n",
 		st.P50, st.P99, st.P999, st.HitP99, st.MissP99)
 	for _, t := range st.Transitions {

@@ -56,8 +56,8 @@ func (s *server) selectUnderLock(done chan struct{}) {
 	}
 }
 
-// defaultSelectUnderLock is non-blocking and legal (the batcher's submit
-// shape).
+// defaultSelectUnderLock is non-blocking and legal (a non-blocking queue
+// submit).
 func (s *server) defaultSelectUnderLock(v int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,9 +1,8 @@
 // Package clock is the module's one time seam. Everything that waits on a
-// timer whose firing a test must control — the serve batcher's flush deadline
-// and admission refill, the coordinator's leases and wakeups, worker
-// heartbeats and reconnect backoff — takes a Clock; production passes Real,
-// tests pass a Fake and advance it by hand, so cutoff order, lease expiry and
-// backoff schedules are exact rather than wall-clock races.
+// timer whose firing a test must control — the coordinator's leases and
+// wakeups, worker heartbeats and reconnect backoff — takes a Clock;
+// production passes Real, tests pass a Fake and advance it by hand, so lease
+// expiry and backoff schedules are exact rather than wall-clock races.
 package clock
 
 import (

@@ -43,8 +43,6 @@ func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 	}
 
 	srv, err := New(sys, model, features, Config{
-		MaxBatch:   32,
-		BatchDelay: time.Millisecond,
 		QueueDepth: 1024,
 	})
 	if err != nil {
@@ -143,7 +141,7 @@ func TestServeSurvivesDeviceKillMidLoad(t *testing.T) {
 		t.Fatalf("alive devices = %v, want [0 2 3]", sys.AliveDevices())
 	}
 	if got := failed.Load(); got != 0 {
-		t.Fatalf("%d queries failed across the kill and the failover; the memo and the flush-level retry should answer all of them", got)
+		t.Fatalf("%d queries failed across the kill and the failover; the memo and the failover retry should answer all of them", got)
 	}
 
 	// Post-kill answers come from the degraded replica: bitwise identical

@@ -10,13 +10,16 @@ import (
 )
 
 // ServeListener accepts connections on ln and answers DGS1 requests until the
-// listener is closed. It returns after every in-flight connection handler has
-// exited, so callers can close the listener and then the server without
-// leaking goroutines. A closed listener returns nil; any other accept error
-// is returned as-is.
+// listener is closed. It then closes the read side of every open connection,
+// so idle handlers return at once while a reply already being computed is
+// still written, and returns after every handler has exited: callers can
+// close the listener and then the server without leaking goroutines. A
+// closed listener returns nil; any other accept error is returned as-is.
 func (s *Server) ServeListener(ln net.Listener) error {
+	closing, stop := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	defer stop()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -28,9 +31,22 @@ func (s *Server) ServeListener(ln net.Listener) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			unregister := context.AfterFunc(closing, func() { closeRead(conn) })
+			defer unregister()
 			s.serveConn(conn)
 		}()
 	}
+}
+
+// closeRead ends conn's reads but not its writes, so its handler sees EOF at
+// its next ReadRequest however the read deadline is set. A connection with
+// no read side to close (neither TCP nor Unix) is closed outright.
+func closeRead(conn net.Conn) {
+	if c, ok := conn.(interface{ CloseRead() error }); ok {
+		c.CloseRead()
+		return
+	}
+	conn.Close()
 }
 
 // serveConn answers one connection's requests in order. Any read, decode, or
@@ -57,9 +73,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handleQuery fans one request's vertices out as concurrent Query calls — the
-// batcher coalesces them into shared flushes — and replies with one slot per
-// vertex in request order.
+// handleQuery fans one request's vertices out as concurrent Query calls —
+// concurrent misses share one flight — and replies with one slot per vertex in
+// request order.
 func (s *Server) handleQuery(conn net.Conn, req *Request) error {
 	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()

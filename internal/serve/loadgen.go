@@ -58,7 +58,7 @@ type LoadReport struct {
 	// exact nearest-rank value (obs.Histogram).
 	P50, P99, P999             time.Duration // all successful queries
 	HitP50, HitP99, HitP999    time.Duration // memo answers
-	MissP50, MissP99, MissP999 time.Duration // batcher-path answers
+	MissP50, MissP99, MissP999 time.Duration // forward answers
 
 	HitRate float64 `json:"hit_rate"` // cached / ok
 }

@@ -29,6 +29,8 @@ func perturbed(m *dgcl.Model) *dgcl.Model {
 // version names the weights its row was computed with: one goroutine
 // alternates UpdateModel between models A and B while four query, and every
 // answer must be bitwise equal to the direct forward of its version's model.
+// No answer may be older than the last UpdateModel that returned before its
+// query was issued: a miss must never join a flight whose version is retired.
 func TestVersionLabelMatchesRowUnderConcurrentUpdates(t *testing.T) {
 	base := testutil.Goroutines()
 	sys, modelA, features, targets := buildFixture(t, 17)
@@ -42,8 +44,6 @@ func TestVersionLabelMatchesRowUnderConcurrentUpdates(t *testing.T) {
 		t.Fatal("models A and B forward to the same embeddings; the test is vacuous")
 	}
 	srv, err := New(sys, modelA, features, Config{
-		MaxBatch:   16,
-		BatchDelay: 200 * time.Microsecond,
 		QueueDepth: 1024,
 	})
 	if err != nil {
@@ -53,7 +53,8 @@ func TestVersionLabelMatchesRowUnderConcurrentUpdates(t *testing.T) {
 	// Version k serves model A for even k, B for odd k: New starts at 0
 	// with A, and update i (from 1) installs B for odd i, A for even i.
 	const updates = 40
-	var answers, wrong, failed atomic.Int64
+	var answers, wrong, failed, older atomic.Int64
+	var updated atomic.Uint64 // the version of the last UpdateModel that returned
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -68,6 +69,7 @@ func TestVersionLabelMatchesRowUnderConcurrentUpdates(t *testing.T) {
 				default:
 				}
 				v := rng.Intn(n)
+				floor := updated.Load()
 				res, err := srv.Query(context.Background(), v)
 				if err != nil {
 					failed.Add(1)
@@ -76,6 +78,9 @@ func TestVersionLabelMatchesRowUnderConcurrentUpdates(t *testing.T) {
 				answers.Add(1)
 				if !rowsEqualBitwise(res.Row, want[res.Version%2].Row(v)) {
 					wrong.Add(1)
+				}
+				if res.Version < floor {
+					older.Add(1)
 				}
 			}
 		}(int64(w))
@@ -86,6 +91,7 @@ func TestVersionLabelMatchesRowUnderConcurrentUpdates(t *testing.T) {
 			t.Errorf("UpdateModel %d: %v", i, err)
 			break
 		}
+		updated.Store(uint64(i))
 		time.Sleep(time.Millisecond) // let each version answer some queries
 	}
 	close(done)
@@ -93,6 +99,9 @@ func TestVersionLabelMatchesRowUnderConcurrentUpdates(t *testing.T) {
 
 	if got := wrong.Load(); got != 0 {
 		t.Fatalf("%d of %d answers differ from the direct forward of the model their version names", got, answers.Load())
+	}
+	if got := older.Load(); got != 0 {
+		t.Fatalf("%d of %d answers carry a version older than an UpdateModel that returned before their query", got, answers.Load())
 	}
 	if got := failed.Load(); got != 0 {
 		t.Fatalf("%d queries failed", got)
@@ -114,7 +123,7 @@ func TestUpdateModelRejectsOtherShape(t *testing.T) {
 	sys, model, features, targets := buildFixture(t, 19)
 	n := features.Rows
 	want := directForward(t, sys, model, features, targets)
-	srv, err := New(sys, model, features, Config{MaxBatch: 64, BatchDelay: time.Millisecond, QueueDepth: n + 16})
+	srv, err := New(sys, model, features, Config{QueueDepth: n + 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +177,7 @@ func TestServeAfterTrainCrashRebuilds(t *testing.T) {
 	base := testutil.Goroutines()
 	sys, model, features, targets := buildFixture(t, 29)
 	n := features.Rows
-	srv, err := New(sys, model, features, Config{MaxBatch: 64, BatchDelay: time.Millisecond, QueueDepth: n + 16})
+	srv, err := New(sys, model, features, Config{QueueDepth: n + 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,16 +241,16 @@ func TestMemoQueryAllocatesNothing(t *testing.T) {
 }
 
 // TestMemoDisabledForwardsEveryQuery: CacheEntries < 0 sends every query
-// through a batched forward, still bit-identical to the direct forward.
+// through a forward, still bit-identical to the direct forward.
 func TestMemoDisabledForwardsEveryQuery(t *testing.T) {
 	sys, model, features, targets := buildFixture(t, 13)
 	want := directForward(t, sys, model, features, targets)
-	srv, err := New(sys, model, features, Config{BatchDelay: 100 * time.Microsecond, CacheEntries: -1})
+	srv, err := New(sys, model, features, Config{CacheEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	var flushes uint64
+	var forwards uint64
 	for i, v := range []int{0, 1, 0, features.Rows - 1, 1} {
 		res, err := srv.Query(context.Background(), v)
 		if err != nil {
@@ -251,9 +260,9 @@ func TestMemoDisabledForwardsEveryQuery(t *testing.T) {
 			t.Fatalf("query %d (vertex %d): cached %v, or row differs from the direct forward", i, v, res.Cached)
 		}
 		st := srv.Stats()
-		if st.Flushes <= flushes || st.Hits != 0 || st.CacheEntries != 0 {
-			t.Fatalf("query %d: flushes %d (was %d), hits %d, memo rows %d", i, st.Flushes, flushes, st.Hits, st.CacheEntries)
+		if st.Flushes != forwards+1 || st.Hits != 0 || st.CacheEntries != 0 {
+			t.Fatalf("query %d: forwards %d (was %d), hits %d, memo rows %d", i, st.Flushes, forwards, st.Hits, st.CacheEntries)
 		}
-		flushes = st.Flushes
+		forwards = st.Flushes
 	}
 }

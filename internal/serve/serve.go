@@ -2,12 +2,12 @@
 // a long-running embedding server that runs one distributed forward per
 // model version and answers every query of that version from its output.
 // The forward's whole output matrix is the version's memo. A query whose
-// version has a memo reads its row there, with no batch, lock or
-// allocation. A query that finds none enters the batcher, whose flush runs
-// the version's forward (or finds the memo a previous flush just made). The
-// server sheds load past a token-bucket rate or a queue-depth threshold with
-// ErrOverload, and fails over onto survivors via System.Degrade when a
-// device dies under a forward.
+// version has a memo reads its row there, with no lock or allocation. A
+// query that finds none joins the one forward in flight, or runs it on its
+// own goroutine when none is; concurrent misses share that flight. The
+// server sheds load past a token-bucket rate or a bound on the misses
+// waiting for a forward with ErrOverload, and fails over onto survivors via
+// System.Degrade when a device dies under a forward.
 //
 // Interleaving constraint: concurrent collectives on one System are
 // unsupported, so serving and training must not overlap collectives. The
@@ -26,11 +26,11 @@ import (
 	"time"
 
 	"dgcl"
-	"dgcl/internal/clock"
 )
 
 // ErrOverload is returned by Query when admission control sheds the request:
-// the token bucket is empty or the batcher queue is at the shed threshold.
+// the token bucket is empty, QueueDepth misses already wait for a forward, or
+// the server is closed.
 // Clients should back off and retry; the server is healthy, just saturated.
 var ErrOverload = errors.New("serve: overloaded")
 
@@ -41,23 +41,17 @@ type Result struct {
 	Row     []float32
 	Version uint64
 	// Cached reports that the query was answered from the current version's
-	// memo without entering the batcher.
+	// memo without waiting for a forward.
 	Cached bool
 }
 
 // Config tunes the server. The zero value gets sensible defaults.
 type Config struct {
-	// MaxBatch is the occupancy cutoff: a batch with this many requests
-	// flushes immediately. Default 32.
-	MaxBatch int
-	// BatchDelay is the latency cutoff: a batch flushes this long after its
-	// first request even if not full. Default 2ms.
-	BatchDelay time.Duration
-	// QueueDepth is the shed threshold: requests beyond this many queued
-	// misses are rejected with ErrOverload. Default 256.
+	// QueueDepth is the shed threshold: a miss beyond this many misses
+	// waiting for a forward is rejected with ErrOverload. Default 256.
 	QueueDepth int
-	// CacheEntries, when negative, disables the memo: every query then goes
-	// through a batched forward. Zero and positive values enable it and bound
+	// CacheEntries, when negative, disables the memo: every query then waits
+	// for a forward. Zero and positive values enable it and bound
 	// nothing, since the memo is the output matrix a forward materialises
 	// anyway.
 	CacheEntries int
@@ -69,7 +63,7 @@ type Config struct {
 }
 
 const (
-	// forwardTimeout bounds one batched forward.
+	// forwardTimeout bounds one forward.
 	forwardTimeout = 30 * time.Second
 	// idleTimeout bounds how long a network connection may sit between
 	// requests.
@@ -82,12 +76,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = 2 * time.Millisecond
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
@@ -116,9 +104,26 @@ type Server struct {
 
 	limiter *tokenBucket
 	stats   serverStats
-	batcher *batcher
 
-	closeOnce sync.Once
+	// queueDepth bounds waiting, the misses waiting for a forward. waiting
+	// goes up under flightMu, as a miss joins a flight, and down as it
+	// leaves.
+	queueDepth int64
+	waiting    atomic.Int64
+
+	// flightMu guards flight, the forward misses currently wait for, and
+	// closed. It is taken under mu, never the other way round.
+	flightMu sync.Mutex
+	flight   *flight
+	closed   bool
+}
+
+// flight is one forward shared by every miss that joins it before it ends.
+// m and err are written once, before done closes.
+type flight struct {
+	done chan struct{}
+	m    *memo
+	err  error
 }
 
 // memo is one forward's output under one model version. out is never
@@ -150,8 +155,8 @@ func New(sys *dgcl.System, model *dgcl.Model, features *dgcl.Matrix, cfg Config)
 		useMemo:     cfg.CacheEntries >= 0,
 		eng:         eng,
 		limiter:     newTokenBucket(cfg.RateLimit, cfg.RateBurst, time.Now()),
+		queueDepth:  int64(cfg.QueueDepth),
 	}
-	s.batcher = newBatcher(cfg.MaxBatch, cfg.BatchDelay, cfg.QueueDepth, clock.Real{}, s.flush)
 	return s, nil
 }
 
@@ -159,7 +164,7 @@ func New(sys *dgcl.System, model *dgcl.Model, features *dgcl.Matrix, cfg Config)
 func (s *Server) NumVertices() int { return s.numVertices }
 
 // Query answers one vertex-embedding query: from the memo when it holds the
-// current model version, otherwise through the batcher. It returns
+// current model version, otherwise from the forward in flight. It returns
 // ErrOverload when shed by admission control and ctx.Err when the caller
 // gives up first.
 func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
@@ -178,24 +183,18 @@ func (s *Server) Query(ctx context.Context, vertex int) (Result, error) {
 		s.stats.lat.observe(time.Since(start), true)
 		return Result{Row: m.out.Row(vertex), Version: m.version, Cached: true}, nil
 	}
-	req := request{vertex: int32(vertex), ch: make(chan response, 1)}
-	if !s.batcher.submit(req) {
+	m, err := s.await(ctx)
+	switch {
+	case errors.Is(err, ErrOverload):
 		s.stats.shedQueue.Add(1)
-		return Result{}, ErrOverload
+		return Result{}, err
+	case err != nil:
+		s.stats.errors.Add(1)
+		return Result{}, err
 	}
 	s.stats.misses.Add(1)
-	select {
-	case resp := <-req.ch:
-		if resp.err != nil {
-			s.stats.errors.Add(1)
-			return Result{}, resp.err
-		}
-		s.stats.lat.observe(time.Since(start), false)
-		return Result{Row: resp.row, Version: resp.version}, nil
-	case <-ctx.Done():
-		s.stats.errors.Add(1)
-		return Result{}, ctx.Err()
-	}
+	s.stats.lat.observe(time.Since(start), false)
+	return Result{Row: m.out.Row(vertex), Version: m.version}, nil
 }
 
 // current returns the memo if it holds the current model version. The memo
@@ -208,34 +207,65 @@ func (s *Server) current() *memo {
 	return nil
 }
 
-// flush answers one batch from the current version's output.
-func (s *Server) flush(batch []request, reason flushReason) {
-	s.stats.noteFlush(len(batch), reason)
-	s.mu.Lock()
-	m, err := s.output()
-	s.mu.Unlock()
-	if err != nil {
-		err = fmt.Errorf("serve: batched forward (%s, %d requests): %w", reason, len(batch), err)
-		for _, r := range batch {
-			r.ch <- response{err: err}
-		}
-		return
+// await returns the current version's memo from the forward in flight. The
+// first miss to find none starts the flight and runs it on its own
+// goroutine, whatever happens to its ctx meanwhile; every later miss waits
+// for it or for its own ctx. It returns ErrOverload past QueueDepth waiting
+// misses and after Close.
+func (s *Server) await(ctx context.Context) (*memo, error) {
+	s.flightMu.Lock()
+	if s.closed || s.waiting.Load() >= s.queueDepth {
+		s.flightMu.Unlock()
+		return nil, ErrOverload
 	}
-	for _, r := range batch {
-		r.ch <- response{row: m.out.Row(int(r.vertex)), version: m.version}
+	s.waiting.Add(1)
+	defer s.waiting.Add(-1)
+	f := s.flight
+	if f == nil {
+		f = &flight{done: make(chan struct{})}
+		s.flight = f
+		s.flightMu.Unlock()
+		s.fly(f)
+		return f.m, f.err
+	}
+	s.flightMu.Unlock()
+	select {
+	case <-f.done:
+		return f.m, f.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
+// fly runs flight f and answers its waiters.
+func (s *Server) fly(f *flight) {
+	s.mu.Lock()
+	f.m, f.err = s.output()
+	if f.err != nil {
+		f.err = fmt.Errorf("serve: forward: %w", f.err)
+	}
+	// f leaves s.flight before s.mu is released. Once mu is free an
+	// UpdateModel can retire f's version, and a miss issued after that
+	// update returns must start a new flight, not join this finished one
+	// and be answered at the retired version.
+	s.flightMu.Lock()
+	s.flight = nil
+	s.flightMu.Unlock()
+	s.mu.Unlock()
+	close(f.done)
+}
+
 // output returns the current version's memo, running the version's forward
-// when there is none yet. The caller holds s.mu and the batcher flushes
-// serially, so the forward is single-flight: misses queued behind a
-// version's forward find its memo on their flush. On a device-death failure
-// output degrades the system onto the survivors, mints a version for the
-// degraded replica, records the transition, and retries once.
+// when there is none yet. The caller holds s.mu, so forwards run one at a
+// time, and a flight that starts after a version's forward finds its memo.
+// On a device-death failure output degrades the system onto the survivors,
+// mints a version for the degraded replica, records the transition, and
+// retries once.
 func (s *Server) output() (*memo, error) {
 	if m := s.current(); m != nil {
 		return m, nil
 	}
+	s.stats.forwards.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 	defer cancel()
 	out, err := s.eng.forward(ctx)
@@ -299,8 +329,14 @@ func (s *Server) Stats() Stats {
 	return s.stats.snapshot(s.version.Load(), rows)
 }
 
-// Close drains the batcher (pending requests are answered) and stops the
-// coalescing goroutine. Queries after Close shed with ErrOverload.
+// Close sheds every later miss with ErrOverload and waits out the forward in
+// flight, whose waiters are answered. Memo answers go on as before.
 func (s *Server) Close() {
-	s.closeOnce.Do(s.batcher.close)
+	s.flightMu.Lock()
+	s.closed = true
+	f := s.flight
+	s.flightMu.Unlock()
+	if f != nil {
+		<-f.done
+	}
 }

@@ -89,8 +89,8 @@ func directForward(t *testing.T, sys *dgcl.System, model *dgcl.Model, features, 
 	return out
 }
 
-// queryAll fans every vertex through the server concurrently (so the batcher
-// coalesces) and returns the rows and versions indexed by vertex.
+// queryAll fans every vertex through the server concurrently (so misses
+// share a flight) and returns the rows and versions indexed by vertex.
 func queryAll(t *testing.T, srv *Server, n int) ([][]float32, []uint64) {
 	t.Helper()
 	rows := make([][]float32, n)
@@ -129,8 +129,8 @@ func rowsEqualBitwise(a []float32, b []float32) bool {
 }
 
 // TestServedEmbeddingsBitwiseEqualDirectForward is the first property of the
-// battery: for every vertex, the served embedding — through the batcher and
-// the flush, or from the version's memo — is bitwise identical to a direct
+// battery: for every vertex, the served embedding — from the version's one
+// forward, or from its memo — is bitwise identical to a direct
 // forward pass on a fresh trainer, both on the miss path and on the
 // subsequent hit path.
 func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
@@ -141,8 +141,6 @@ func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
 		n := features.Rows
 
 		srv, err := New(sys, model, features, Config{
-			MaxBatch:     64,
-			BatchDelay:   time.Millisecond,
 			QueueDepth:   n + 16,
 			CacheEntries: n,
 		})
@@ -150,7 +148,7 @@ func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Miss path: the first queries enter the batcher; the version's one
+		// Miss path: the first queries wait for the version's one
 		// forward answers them (later ones may already read its memo).
 		rows, versions := queryAll(t, srv, n)
 		for v := 0; v < n; v++ {
@@ -181,8 +179,8 @@ func TestServedEmbeddingsBitwiseEqualDirectForward(t *testing.T) {
 		if st.Hits < uint64(n) {
 			t.Fatalf("seed %d: %d hits after a full memo pass, want >= %d", seed, st.Hits, n)
 		}
-		if st.Flushes == 0 || st.AvgBatch < 1 {
-			t.Fatalf("seed %d: implausible flush stats %+v", seed, st)
+		if st.Flushes != 1 || st.Hits+st.Misses != uint64(2*n) {
+			t.Fatalf("seed %d: %d forwards (want 1), %d hits + %d misses (want %d)", seed, st.Flushes, st.Hits, st.Misses, 2*n)
 		}
 		srv.Close()
 		if !testutil.GoroutinesSettleTo(base, 5*time.Second) {
@@ -202,8 +200,6 @@ func TestEpochInvalidationNoStaleEmbeddings(t *testing.T) {
 	n := features.Rows
 
 	srv, err := New(sys, model, features, Config{
-		MaxBatch:     64,
-		BatchDelay:   time.Millisecond,
 		QueueDepth:   n + 16,
 		CacheEntries: n,
 	})
@@ -308,8 +304,6 @@ func TestLoadgenDirectSmoke(t *testing.T) {
 	base := testutil.Goroutines()
 	sys, model, features, _ := buildFixture(t, 7)
 	srv, err := New(sys, model, features, Config{
-		MaxBatch:     64,
-		BatchDelay:   time.Millisecond,
 		QueueDepth:   1024,
 		CacheEntries: features.Rows,
 	})
@@ -355,8 +349,6 @@ func TestServeOverTCP(t *testing.T) {
 	sys, model, features, targets := buildFixture(t, 13)
 	want := directForward(t, sys, model, features, targets)
 	srv, err := New(sys, model, features, Config{
-		MaxBatch:     16,
-		BatchDelay:   time.Millisecond,
 		CacheEntries: features.Rows,
 	})
 	if err != nil {

@@ -9,8 +9,7 @@ import (
 )
 
 // serverStats is the server's internal accumulator. Counters and latency
-// histograms are atomic (hot path); the batch maximum and the transition log
-// are mutex'd.
+// histograms are atomic (hot path); the transition log is mutex'd.
 type serverStats struct {
 	requests  atomic.Uint64
 	hits      atomic.Uint64
@@ -18,21 +17,16 @@ type serverStats struct {
 	shedRate  atomic.Uint64
 	shedQueue atomic.Uint64
 	errors    atomic.Uint64
-
-	flushFull     atomic.Uint64
-	flushDeadline atomic.Uint64
-	flushDrain    atomic.Uint64
-	batchSum      atomic.Uint64
+	forwards  atomic.Uint64
 
 	lat latencies
 
 	mu          sync.Mutex
-	batchMax    int
 	transitions []Transition
 }
 
 // latencies splits answered queries' latencies three ways: all of them, the
-// memo answers (hits) and the batcher answers (misses).
+// memo answers (hits) and the forward answers (misses).
 type latencies struct{ all, hit, miss obs.Histogram }
 
 func (l *latencies) observe(d time.Duration, hit bool) {
@@ -62,23 +56,21 @@ type Transition struct {
 type Stats struct {
 	Requests  uint64 // admitted or shed, including out-of-range errors
 	Hits      uint64 // answered from the current version's memo
-	Misses    uint64 // answered through the batcher
+	Misses    uint64 // answered by a forward
 	ShedRate  uint64 // rejected by the token bucket
-	ShedQueue uint64 // rejected at the queue-depth threshold
+	ShedQueue uint64 // rejected past QueueDepth waiting misses, or after Close
 	Errors    uint64 // failed after admission (forward errors, cancellations)
 
-	Flushes       uint64 // total batcher flushes (a forward each, unless the memo was current)
-	FlushFull     uint64 // occupancy-cutoff flushes
-	FlushDeadline uint64 // deadline-cutoff flushes
-	FlushDrain    uint64 // shutdown-drain flushes
-	AvgBatch      float64
-	MaxBatch      int
+	Flushes uint64 // forwards run
+	// FlushFull is always 0; kept because cmd/dgclperf compiles against it
+	// (ROADMAP 1(c)).
+	FlushFull uint64
 
 	// Latency quantiles are bucket upper bounds, at most 1/8 above the
 	// exact nearest-rank value (obs.Histogram).
 	P50, P99, P999             time.Duration // all served queries
 	HitP50, HitP99, HitP999    time.Duration // memo answers only
-	MissP50, MissP99, MissP999 time.Duration // batcher path only
+	MissP50, MissP99, MissP999 time.Duration // forward answers only
 
 	ModelVersion uint64
 	// CacheEntries is the row count of the current version's memo: every
@@ -90,23 +82,6 @@ type Stats struct {
 	Transitions []Transition
 }
 
-func (s *serverStats) noteFlush(size int, reason flushReason) {
-	switch reason {
-	case flushFull:
-		s.flushFull.Add(1)
-	case flushDeadline:
-		s.flushDeadline.Add(1)
-	case flushDrain:
-		s.flushDrain.Add(1)
-	}
-	s.batchSum.Add(uint64(size))
-	s.mu.Lock()
-	if size > s.batchMax {
-		s.batchMax = size
-	}
-	s.mu.Unlock()
-}
-
 func (s *serverStats) noteTransition(t Transition) {
 	s.mu.Lock()
 	s.transitions = append(s.transitions, t)
@@ -116,27 +91,20 @@ func (s *serverStats) noteTransition(t Transition) {
 // snapshot assembles a Stats.
 func (s *serverStats) snapshot(version uint64, cacheEntries int) Stats {
 	out := Stats{
-		Requests:      s.requests.Load(),
-		Hits:          s.hits.Load(),
-		Misses:        s.misses.Load(),
-		ShedRate:      s.shedRate.Load(),
-		ShedQueue:     s.shedQueue.Load(),
-		Errors:        s.errors.Load(),
-		FlushFull:     s.flushFull.Load(),
-		FlushDeadline: s.flushDeadline.Load(),
-		FlushDrain:    s.flushDrain.Load(),
-		ModelVersion:  version,
-		CacheEntries:  cacheEntries,
-	}
-	out.Flushes = out.FlushFull + out.FlushDeadline + out.FlushDrain
-	if out.Flushes > 0 {
-		out.AvgBatch = float64(s.batchSum.Load()) / float64(out.Flushes)
+		Requests:     s.requests.Load(),
+		Hits:         s.hits.Load(),
+		Misses:       s.misses.Load(),
+		ShedRate:     s.shedRate.Load(),
+		ShedQueue:    s.shedQueue.Load(),
+		Errors:       s.errors.Load(),
+		Flushes:      s.forwards.Load(),
+		ModelVersion: version,
+		CacheEntries: cacheEntries,
 	}
 	out.P50, out.P99, out.P999 = quantiles(&s.lat.all)
 	out.HitP50, out.HitP99, out.HitP999 = quantiles(&s.lat.hit)
 	out.MissP50, out.MissP99, out.MissP999 = quantiles(&s.lat.miss)
 	s.mu.Lock()
-	out.MaxBatch = s.batchMax
 	out.Transitions = append([]Transition(nil), s.transitions...)
 	s.mu.Unlock()
 	return out
