@@ -101,7 +101,3 @@ func BenchmarkAblationsReport(b *testing.B) { runExperiment(b, "ablations") }
 // BenchmarkScalingBeyondPaper projects GCN/Reddit scaling onto 1-4
 // IB-switched machines (8-32 GPUs).
 func BenchmarkScalingBeyondPaper(b *testing.B) { runExperiment(b, "scaling") }
-
-// BenchmarkOverlapStudy bounds the gain of NeuGraph-style transfer-compute
-// pipelining on top of DGCL's plans.
-func BenchmarkOverlapStudy(b *testing.B) { runExperiment(b, "overlap") }

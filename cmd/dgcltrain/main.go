@@ -50,17 +50,6 @@ type recoveryOptions struct {
 	crash  string
 }
 
-// overlapOptions bundles the overlapped-execution flags (DESIGN.md §16).
-type overlapOptions struct {
-	on        bool
-	chunkRows int
-	window    int
-}
-
-func (o overlapOptions) dgcl() dgcl.OverlapOptions {
-	return dgcl.OverlapOptions{Disabled: !o.on, ChunkRows: o.chunkRows, Window: o.window}
-}
-
 // Training settings every run shares: model depth, the seed behind the
 // graph, partition, plan, weights and features, and the learning rate.
 const (
@@ -77,10 +66,6 @@ func main() {
 	epochs := flag.Int("epochs", 5, "training epochs")
 	adam := flag.Bool("adam", false, "use Adam instead of SGD")
 	planner := flag.String("planner", "spst", "spst | p2p | spst-noforward")
-	var ov overlapOptions
-	flag.BoolVar(&ov.on, "overlap", true, "chunked transfers + async stage pipelining (bit-identical to serial; false runs stages serially)")
-	flag.IntVar(&ov.chunkRows, "chunk-rows", 0, "rows per transfer chunk for overlapped execution (0 = default; shared by every process of a -listen run)")
-	flag.IntVar(&ov.window, "overlap-window", 0, "stages the send pipeline may run ahead of aggregation (0 = default)")
 	var chaos chaosOptions
 	flag.Float64Var(&chaos.drop, "fault-drop", 0, "transport drop probability per message (chaos)")
 	flag.Float64Var(&chaos.corrupt, "fault-corrupt", 0, "transport corruption probability per message (chaos)")
@@ -103,9 +88,9 @@ func main() {
 	kind, err := gnn.ParseModelKind(*model)
 	if err == nil {
 		if *listen != "" {
-			err = coordinate(*listen, *workers, *dataset, kind, *gpus, *scale, *epochs, ov, chaos, rec, sup)
+			err = coordinate(*listen, *workers, *dataset, kind, *gpus, *scale, *epochs, chaos, rec, sup)
 		} else {
-			err = run(*dataset, kind, *gpus, *scale, *epochs, *adam, *planner, ov, chaos, rec)
+			err = run(*dataset, kind, *gpus, *scale, *epochs, *adam, *planner, chaos, rec)
 		}
 	}
 	if err != nil {
@@ -125,12 +110,9 @@ type supervisionOptions struct {
 // lifting — graph build, planning, training — happens in the dgclworker
 // processes; this side is pure control plane, supervising the membership
 // (heartbeats, rejoin, degrade-onto-survivors).
-func coordinate(addr string, workers int, dataset string, kind gnn.ModelKind, gpus, scale, epochs int, ov overlapOptions, chaos chaosOptions, rec recoveryOptions, sup supervisionOptions) error {
+func coordinate(addr string, workers int, dataset string, kind gnn.ModelKind, gpus, scale, epochs int, chaos chaosOptions, rec recoveryOptions, sup supervisionOptions) error {
 	if chaos.enabled() || rec.crash != "" || rec.dir != "" {
 		return fmt.Errorf("-listen coordinates real processes; the chaos and checkpoint flags apply to single-process runs only")
-	}
-	if !ov.on || ov.window > 0 {
-		return fmt.Errorf("-overlap and -overlap-window are per-process policy: set them on each dgclworker (-chunk-rows distributes through the spec)")
 	}
 	ds, err := graph.DatasetByName(dataset)
 	if err != nil {
@@ -146,8 +128,6 @@ func coordinate(addr string, workers int, dataset string, kind gnn.ModelKind, gp
 		Epochs:  epochs,
 		Seed:    seed,
 		LR:      lr,
-
-		ChunkRows: ov.chunkRows,
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -179,7 +159,7 @@ func coordinate(addr string, workers int, dataset string, kind gnn.ModelKind, gp
 	return nil
 }
 
-func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool, planner string, ov overlapOptions, chaos chaosOptions, rec recoveryOptions) error {
+func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool, planner string, chaos chaosOptions, rec recoveryOptions) error {
 	ds, err := graph.DatasetByName(dataset)
 	if err != nil {
 		return err
@@ -192,15 +172,12 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 	if err != nil {
 		return err
 	}
-	sys := dgcl.Init(topo, dgcl.Options{Planner: dgcl.Planner(planner), Seed: seed, Overlap: ov.dgcl()})
+	sys := dgcl.Init(topo, dgcl.Options{Planner: dgcl.Planner(planner), Seed: seed})
 	if err := sys.BuildCommInfo(g, ds.FeatureDim); err != nil {
 		return err
 	}
 	fmt.Printf("plan: %s, %d stages, modeled comm %.3f ms per allgather\n",
 		sys.Plan().Algorithm, sys.Plan().NumStages(), sys.PlannedCost()*1e3)
-	if ov.on {
-		fmt.Printf("overlap: pipelined execution, %d-row chunks\n", sys.OverlapChunkRows())
-	}
 
 	// Fault injection: the runtime transport retries real losses; the
 	// simulated timing stays the fault-free model. A -crash schedule
@@ -252,11 +229,7 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 	// Simulated per-epoch timing: compute (device model) + communication
 	// (network simulator over the plan).
 	gpu := device.V100()
-	simCfg := simnet.DefaultConfig(seed)
-	if ov.on {
-		simCfg.Overlap = &simnet.OverlapModel{ChunkRows: sys.OverlapChunkRows(), Window: ov.window}
-	}
-	net, err := simnet.New(topo, simCfg)
+	net, err := simnet.New(topo, simnet.DefaultConfig(seed))
 	if err != nil {
 		return err
 	}

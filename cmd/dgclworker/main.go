@@ -39,8 +39,6 @@ func main() {
 	rejoin := flag.Bool("rejoin", false, "rejoin the run persisted under -state instead of joining fresh")
 	dialTries := flag.Int("dial-tries", 1, "coordinator dial attempts before giving up")
 	timeout := flag.Duration("timeout", 15*time.Minute, "overall deadline for the run")
-	overlap := flag.Bool("overlap", true, "pipelined chunked execution for this process's ranks (bit-identical either way)")
-	overlapWindow := flag.Int("overlap-window", 0, "stages the send pipeline may run ahead of aggregation (0 = default)")
 	flag.Parse()
 	if *connect == "" {
 		fmt.Fprintln(os.Stderr, "dgclworker: -connect is required")
@@ -67,14 +65,12 @@ func main() {
 	defer signal.Stop(sigs)
 
 	report, err := worker.Run(ctx, worker.WorkerOptions{
-		Coordinator:   *connect,
-		DataBind:      *data,
-		StateDir:      *state,
-		Rejoin:        *rejoin,
-		Backoff:       worker.BackoffConfig{Tries: *dialTries},
-		Drain:         drain,
-		OverlapOff:    !*overlap,
-		OverlapWindow: *overlapWindow,
+		Coordinator: *connect,
+		DataBind:    *data,
+		StateDir:    *state,
+		Rejoin:      *rejoin,
+		Backoff:     worker.BackoffConfig{Tries: *dialTries},
+		Drain:       drain,
 	})
 	if errors.Is(err, worker.ErrDrained) {
 		fmt.Println("drained")

@@ -197,49 +197,17 @@ type Options struct {
 	Seed int64
 	// Plan configures the on-disk plan cache. The zero value plans uncached.
 	Plan PlanOptions
-	// Overlap configures chunked transfers and async stage pipelining in
-	// the collective executor. Overlap is ON by default (the zero value
-	// chunks at DefaultChunkRows and pipelines with the default window);
-	// results are bit-identical to serial execution at any setting.
+	// Overlap is ignored; the transfer layout is runtime.ChunkRows. Kept
+	// because cmd/dgclperf compiles against it (ROADMAP 1(c)).
 	Overlap OverlapOptions
 }
 
-// DefaultChunkRows is the transfer-chunking granularity used when
-// OverlapOptions does not choose one: transfers wider than this many rows
-// are split so receivers aggregate rows as chunks land.
-const DefaultChunkRows = 256
-
-// OverlapOptions configures the overlapped epoch executor (DESIGN.md §16):
-// large per-stage transfers are split into fixed-size row chunks and each
-// client's sends run concurrently with its aggregation, bounded by an
-// in-flight stage window. The chunking granularity determines the
-// wire-visible transfer keys, so every process of a multi-process run must
-// agree on ChunkRows (the worker layer folds it into the wire plan digest);
-// Disabled and Window are purely local execution policy — a Disabled
-// process executes the same chunked layout strictly in order and stays
-// bit-compatible with pipelined peers.
+// OverlapOptions is ignored: every collective runs its stages in order over
+// transfers chunked at runtime.ChunkRows rows. Kept because cmd/dgclperf
+// compiles against it (ROADMAP 1(c)).
 type OverlapOptions struct {
-	// Disabled falls back to the serial stage-by-stage executor.
-	Disabled bool
-	// ChunkRows is the maximum rows per transfer chunk (<= 0 means
-	// DefaultChunkRows).
+	// ChunkRows is ignored; the layout is runtime.ChunkRows.
 	ChunkRows int
-	// Window bounds how many stages a client's sender may run ahead of its
-	// aggregator (<= 0 means runtime.DefaultOverlapWindow).
-	Window int
-}
-
-// chunkRows returns the effective chunking granularity.
-func (o OverlapOptions) chunkRows() int {
-	if o.ChunkRows > 0 {
-		return o.ChunkRows
-	}
-	return DefaultChunkRows
-}
-
-// runtimeConfig lowers the options onto the cluster executor.
-func (o OverlapOptions) runtimeConfig() runtime.OverlapConfig {
-	return runtime.OverlapConfig{Enabled: !o.Disabled, ChunkRows: o.chunkRows(), Window: o.Window}
 }
 
 // System is an initialized DGCL instance bound to a topology, matching the
@@ -301,24 +269,9 @@ func Init(topo *Topology, opts Options) *System {
 // NumGPUs returns the number of workers.
 func (s *System) NumGPUs() int { return s.topo.NumGPUs() }
 
-// OverlapChunkRows returns the effective transfer-chunking granularity —
-// the layout-affecting half of the overlap configuration. Peers of a
-// multi-process run must agree on it for their wire transfer keys to match;
-// the worker layer folds it into the wire plan digest so a mismatch is
-// rejected at the handshake.
-func (s *System) OverlapChunkRows() int { return s.opts.Overlap.chunkRows() }
-
-// SetOverlapPolicy overrides the local half of the overlap configuration —
-// whether the pipelined executor runs, and how many stages its sender may
-// run ahead (window <= 0 keeps the default). The chunked layout (ChunkRows)
-// is untouched, so the override is always safe to differ per process:
-// results are bit-identical either way. Takes effect from the next
-// collective and survives degraded rebuilds.
-func (s *System) SetOverlapPolicy(disabled bool, window int) {
-	s.opts.Overlap.Disabled = disabled
-	s.opts.Overlap.Window = window
-	s.applyRunOptions()
-}
+// SetOverlapPolicy is a no-op: there is one executor. Kept because
+// cmd/dgclperf/trace.go:373 compiles against it (ROADMAP 1(c)).
+func (s *System) SetOverlapPolicy(disabled bool, window int) {}
 
 // BuildCommInfo partitions the graph onto the GPUs (hierarchically when the
 // topology spans machines), builds the communication relation and runs the
@@ -500,7 +453,6 @@ func (s *System) applyRunOptions() {
 	if s.clu == nil {
 		return
 	}
-	s.clu.Overlap = s.opts.Overlap.runtimeConfig()
 	if s.runOpts != nil {
 		opts := s.runOpts
 		s.clu.Timeout = opts.Timeout

@@ -28,9 +28,9 @@
 // a bug worth a look).
 //
 // Function literals are flow-checked as independent functions with a fresh
-// state: a closure that runs on its own goroutine (the pipelined sender of
-// runtime/overlap.go) owns the buffers it acquires, so its acquire/release
-// discipline is checked like any function body, while a captured outer
+// state: a closure that runs on its own goroutine (a sender loop, say) owns
+// the buffers it acquires, so its acquire/release discipline is checked
+// like any function body, while a captured outer
 // handle crossing into the closure is ownership transfer (like a channel
 // send) and stays legal.
 package poolown

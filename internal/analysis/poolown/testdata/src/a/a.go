@@ -134,7 +134,7 @@ func storeInLocalStruct(pool *BufPool) message {
 	return m
 }
 
-// senderGoroutineOwnership is the pipelined-sender shape: the goroutine
+// senderGoroutineOwnership is the sender-goroutine shape: the goroutine
 // body is its own flow and keeps the loop-body acquire/release discipline.
 func senderGoroutineOwnership(pool *BufPool, n int) {
 	go func() {

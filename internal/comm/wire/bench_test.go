@@ -90,21 +90,9 @@ func BenchmarkWireAllgather(b *testing.B) {
 // BenchmarkWireEpoch times one full distributed training epoch per
 // iteration with all inter-device traffic on sockets.
 func BenchmarkWireEpoch(b *testing.B) {
-	benchWireEpoch(b, runtime.OverlapConfig{})
-}
-
-// BenchmarkWireEpochOverlap is BenchmarkWireEpoch with the chunked
-// pipelined executor on: chunking keeps frames inside the credit window
-// while aggregation overlaps the in-flight sends of later stages.
-func BenchmarkWireEpochOverlap(b *testing.B) {
-	benchWireEpoch(b, runtime.OverlapConfig{Enabled: true, ChunkRows: 256, Window: 4})
-}
-
-func benchWireEpoch(b *testing.B, ov runtime.OverlapConfig) {
 	for _, bc := range benchCases() {
 		b.Run(bc.name(), func(b *testing.B) {
 			c, _ := buildBenchFabric(b, bc)
-			c.Overlap = ov
 			hidden := bc.cols / 2
 			model := gnn.NewModel(gnn.GCN, bc.cols, hidden, 2, 7)
 			features := tensor.New(bc.verts, bc.cols).FillRandom(11)

@@ -316,7 +316,7 @@ func PlanDigest(p *core.Plan) uint64 {
 }
 
 // DigestWithChunking folds the transfer-chunking granularity into a plan
-// digest. Chunking (runtime overlap, DESIGN.md §16) splits plan transfers
+// digest. Chunking (runtime.ChunkRows, DESIGN.md §16) splits plan transfers
 // into sub-transfers at compile time, which changes the wire-visible
 // transfer keys — two peers compiled at different granularities would route
 // each other's frames to the wrong collective slots. Folding the

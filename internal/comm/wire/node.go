@@ -397,9 +397,9 @@ func (n *Node) await(ctx context.Context, seq uint64, k entryKey, down <-chan st
 			}
 			// A killed node has both its own closed channel and its sheared
 			// links ready, and select picks among ready cases at random —
-			// re-check self first so the blame stays deterministic (the
-			// pipelined executor parks aggregators here mid-kill, where a
-			// random remote blame would convict a healthy device).
+			// re-check self first so the blame stays deterministic (a
+			// receiving client parks here mid-kill, where a random remote
+			// blame would convict a healthy device).
 			select {
 			case <-n.closed:
 				return Frame{}, &runtime.DeviceDownError{Device: int(selfDev)}

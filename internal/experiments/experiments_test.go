@@ -429,26 +429,6 @@ func TestScalingShapes(t *testing.T) {
 	}
 }
 
-func TestOverlapBounds(t *testing.T) {
-	r, err := Overlap(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 12 {
-		t.Fatalf("rows=%d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		seq := parseMS(t, row[2])
-		pipe := parseMS(t, row[3])
-		if pipe > seq {
-			t.Errorf("%s/%s: pipelined %.3f exceeds sequential %.3f", row[0], row[1], pipe, seq)
-		}
-		if pipe < seq/2-1e-9 {
-			t.Errorf("%s/%s: pipelined %.3f below the max(comm,compute) bound of seq/2", row[0], row[1], pipe)
-		}
-	}
-}
-
 func TestMarkdownRendering(t *testing.T) {
 	r := &Report{ID: "x", Title: "t", Header: []string{"a", "b"},
 		Rows: [][]string{{"1", "2"}}, Notes: []string{"n"}}

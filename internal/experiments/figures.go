@@ -282,7 +282,7 @@ func Figure11(cfg Config) (*Report, error) {
 // All lists every experiment id in paper order.
 func All() []string {
 	return []string{"table1", "fig2", "table2", "table3", "table4", "fig4", "fig7", "fig8", "fig9",
-		"table5", "table6", "fig10", "table7", "table8", "fig11", "table9", "ablations", "scaling", "overlap"}
+		"table5", "table6", "fig10", "table7", "table8", "fig11", "table9", "ablations", "scaling"}
 }
 
 // Run executes one experiment by id.
@@ -324,8 +324,6 @@ func Run(id string, cfg Config) (*Report, error) {
 		return Ablations(cfg)
 	case "scaling":
 		return Scaling(cfg)
-	case "overlap":
-		return Overlap(cfg)
 	}
 	ids := All()
 	sort.Strings(ids)

@@ -82,23 +82,12 @@ func BenchmarkAllgather(b *testing.B) {
 // allgather, gradient allreduce, and the SGD step. The untimed warm-up epoch
 // is the one that aggregates the features.
 func BenchmarkEpoch(b *testing.B) {
-	benchEpoch(b, OverlapConfig{})
-}
-
-// BenchmarkEpochOverlap is BenchmarkEpoch with the chunked pipelined
-// executor on — the same math (bit-identical results), overlapped schedule.
-func BenchmarkEpochOverlap(b *testing.B) {
-	benchEpoch(b, OverlapConfig{Enabled: true, ChunkRows: 256, Window: 4})
-}
-
-func benchEpoch(b *testing.B, ov OverlapConfig) {
 	for _, bc := range []benchCase{
 		{k: 4, verts: 1200, cols: 32},
 		{k: 8, verts: 3000, cols: 64},
 	} {
 		b.Run(bc.name(), func(b *testing.B) {
 			c, _ := buildBenchCluster(b, bc)
-			c.Overlap = ov
 			hidden := bc.cols / 2
 			model := gnn.NewModel(gnn.GCN, bc.cols, hidden, 2, 7)
 			features := tensor.New(bc.verts, bc.cols).FillRandom(11)

@@ -1,14 +1,16 @@
 // Package runtime executes communication plans with real data movement: one
 // goroutine per DGCL client (GPU), coordinated the way §6.1 describes —
 // decentralized, with per-peer buffers and done signals instead of a master
-// round-trip per stage. The forward graphAllgather delivers remote vertex
-// embeddings to every client (including multi-hop relays); the backward
-// allgather runs the same compiled program reversed, routing gradients down
-// the same trees the other way and accumulating at relays. All data movement
-// goes through the Transport interface (transport.go): the default in-memory
-// channel transport, optionally wrapped with fault injection and
-// retry/timeout decorators. The runtime is the correctness half of the
-// reproduction; timing comes from package simnet.
+// round-trip per stage. Each client runs its compiled program stage by
+// stage: its sends, then its receives. The forward graphAllgather delivers
+// remote vertex embeddings to every client (including multi-hop relays); the
+// backward allgather runs the same compiled program reversed, routing
+// gradients down the same trees the other way and accumulating at relays.
+// Transfers wider than ChunkRows rows travel as consecutive row chunks. All
+// data movement goes through the Transport interface (transport.go): the
+// default in-memory channel transport, optionally wrapped with fault
+// injection and retry/timeout decorators. The runtime is the correctness
+// half of the reproduction; timing comes from package simnet.
 package runtime
 
 import (
@@ -66,18 +68,12 @@ type Cluster struct {
 	// identity mapping; a degraded cluster rebuilt over survivors sets it so
 	// crash schedules and down verdicts keep using the original numbering.
 	DeviceIDs []int
-	// Overlap configures chunked, pipelined execution of the compiled
-	// routing programs (overlap.go). The zero value keeps the serial
-	// executor and the unchunked layout.
-	Overlap OverlapConfig
 
 	// Compiled routing programs (program.go), built lazily on first use and
-	// reused by every subsequent collective. Both depend on the chunking
-	// granularity, so the value they were compiled for is recorded.
-	progMu    sync.Mutex
-	fwdProg   *routingProgram
-	bwdProg   *routingProgram
-	progChunk int
+	// reused by every subsequent collective.
+	progMu  sync.Mutex
+	fwdProg *routingProgram
+	bwdProg *routingProgram
 
 	// pool recycles transfer payloads and relay arenas across collectives
 	// (pool.go): steady-state epochs allocate O(1) per transfer instead of
@@ -375,26 +371,35 @@ func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Mat
 	return full, nil
 }
 
-// runClient runs one client's compiled program over the slot storage behind
-// rowOf, landing each received payload with agg: pipelined when overlap is
-// on and the program's hazard analysis allows it, stage by stage otherwise.
-// The two executors produce bit-identical slots (overlap.go).
-func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, pooled PooledTransport, rowOf func(int32) []float32, agg aggregateFunc) error {
-	if c.Overlap.Enabled && !cp.serialOnly {
-		return c.runClientPipelined(ctx, d, cols, tp, cp, pooled, rowOf, agg)
+// aggregateFunc lands one received payload at its compiled slots.
+type aggregateFunc func(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix)
+
+// aggregateCopy lands a received payload at its compiled slots (forward:
+// pure row copies).
+func aggregateCopy(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix) {
+	for i, s := range slots {
+		copy(rowOf(s), rows.Row(i))
 	}
-	return c.runClientSerial(ctx, d, cols, tp, cp, pooled, rowOf, agg)
 }
 
-// runClientSerial is the strictly-in-order executor: each stage's sends, then
-// its receives. Sending first is safe in both directions — a stage's sends
-// only carry rows settled in earlier stages, never data arriving in this
-// stage's receives (forward: tree edges at depth k ship rows received at
-// depth k-1; backward: the same edges reversed) — and it is what keeps the
-// stage deadlock-free. Send buffers come from the pool and are returned by
-// the *receiving* client once consumed (Cluster.recycle), so steady-state
-// epochs allocate no payload memory.
-func (c *Cluster) runClientSerial(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, pooled PooledTransport, rowOf func(int32) []float32, agg aggregateFunc) error {
+// aggregateAdd accumulates a received payload into its compiled slots
+// (backward), each destination row's floats added in row-local order.
+func aggregateAdd(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix) {
+	for i, s := range slots {
+		tensor.AddTo(rowOf(s), rows.Row(i))
+	}
+}
+
+// runClient runs one client's compiled program over the slot storage behind
+// rowOf, landing each received payload with agg, strictly in order: each
+// stage's sends, then its receives. Sending first is safe in both
+// directions — a stage's sends only carry rows settled in earlier stages,
+// never data arriving in this stage's receives (forward: tree edges at depth
+// k ship rows received at depth k-1; backward: the same edges reversed) —
+// and it is what keeps the stage deadlock-free. Send buffers come from the
+// pool and are returned by the *receiving* client once consumed
+// (Cluster.recycle), so steady-state epochs allocate no payload memory.
+func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, pooled PooledTransport, rowOf func(int32) []float32, agg aggregateFunc) error {
 	for _, cs := range cp.stages {
 		// Send phase: fill peer buffers and set done flags.
 		for _, snd := range cs.sends {

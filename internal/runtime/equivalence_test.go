@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,19 +14,19 @@ import (
 	"dgcl/internal/testutil"
 )
 
-// Equivalence battery for the compiled hot path (ISSUE 5, DESIGN.md §11).
-// Three claims are checked:
+// Equivalence battery for the compiled hot path (DESIGN.md §11, §16).
+// Two claims are checked:
 //
-//  1. The compiled routing programs are bit-identical to the legacy
-//     map-based client loops they replaced. The legacy loops are preserved
-//     below as test-local reference implementations and both paths run over
-//     the full 50-triple property battery, forward and backward, with a
-//     required diff of exactly zero — compilation reorders nothing, so not
-//     even float32 rounding may differ.
-//  2. Training epochs are bit-identical at any kernel worker count (the
-//     one-writer-per-row argument), checked across 20 seeded configurations
-//     with W=1 vs W=4: losses and final weights must match bit for bit.
-//  3. Steady-state collectives allocate O(1) per client, never per vertex:
+//  1. The compiled routing programs, chunked at ChunkRows, are bit-identical
+//     to the legacy map-based client loops over the unchunked plan. The
+//     legacy loops are preserved below as test-local reference
+//     implementations and both paths run over the property battery, forward
+//     and backward, with a required diff of exactly zero — compilation and
+//     chunking reorder nothing, so not even float32 rounding may differ.
+//     Each case runs twice on one cluster, so the second run works in the
+//     dirty pooled buffers the first left behind, and every client must
+//     move rows in the legacy loops' order.
+//  2. Steady-state collectives allocate O(1) per client, never per vertex:
 //     after one warm-up (program compile + buffer-pool fill), allocations
 //     per operation stay far below the vertex count.
 
@@ -207,10 +208,53 @@ func legacyBackwardClient(c *Cluster, d int, gradFull *tensor.Matrix, cols int, 
 	return own, nil
 }
 
+// movedRows lists, per stage of a transfer layout, the vertices client d
+// sends and the vertices it receives, transfers taken in index order: the
+// order the legacy loops move rows over the plan's stages, and the order a
+// compiled program moves them over its own (chunked) layout.
+func movedRows(stages [][]core.Transfer, d int) (sends, recvs [][]int32) {
+	for _, st := range stages {
+		var snd, rcv []int32
+		for _, tr := range st {
+			if tr.Src == d {
+				snd = append(snd, tr.Vertices...)
+			}
+			if tr.Dst == d {
+				rcv = append(rcv, tr.Vertices...)
+			}
+		}
+		sends, recvs = append(sends, snd), append(recvs, rcv)
+	}
+	return sends, recvs
+}
+
+// checkLegacyRowOrder requires the compiled layout for one direction to move
+// every client's rows in the order the unchunked stages do. Values alone
+// cannot show this — a row lands at its own slot whichever chunk carries
+// it — but the bit-identity argument rests on it: chunking preserves row
+// order.
+func checkLegacyRowOrder(t *testing.T, c *Cluster, backward bool, unchunked [][]core.Transfer) {
+	t.Helper()
+	prog, err := c.program(backward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < c.K; d++ {
+		gotS, gotR := movedRows(prog.stages, d)
+		wantS, wantR := movedRows(unchunked, d)
+		for si := range wantS {
+			if !slices.Equal(gotS[si], wantS[si]) || !slices.Equal(gotR[si], wantR[si]) {
+				t.Fatalf("GPU %d stage %d (backward %v): compiled layout moves rows out of the legacy order", d, si, backward)
+			}
+		}
+	}
+}
+
 // TestCompiledForwardMatchesLegacyBitwise runs the compiled forward path and
-// the legacy map-based loops over the 50-triple battery and requires exactly
-// zero difference: the compile walk mirrors the legacy execution order, so
-// the outputs must be the same bits, not merely close.
+// the legacy map-based loops over the battery and requires exactly zero
+// difference: the compile walk mirrors the legacy execution order, so the
+// outputs must be the same bits, not merely close. The second run on the
+// same cluster reuses the first run's pooled arenas and payload buffers.
 func TestCompiledForwardMatchesLegacyBitwise(t *testing.T) {
 	for _, pc := range propertyCases() {
 		pc := pc
@@ -221,19 +265,22 @@ func TestCompiledForwardMatchesLegacyBitwise(t *testing.T) {
 			for d := 0; d < pc.k; d++ {
 				local[d] = tensor.New(len(rel.Local[d]), pc.cols).FillRandom(pc.seed + int64(d))
 			}
-			got, err := c.Allgather(local)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want, err := legacyForwardAllgather(c, local)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for d := 0; d < pc.k; d++ {
-				if diff := tensor.MaxAbsDiff(got[d], want[d]); diff != 0 {
-					t.Fatalf("GPU %d: compiled forward differs from legacy loops by %v", d, diff)
+			for run := 1; run <= 2; run++ {
+				got, err := c.Allgather(local)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := 0; d < pc.k; d++ {
+					if diff := tensor.MaxAbsDiff(got[d], want[d]); diff != 0 {
+						t.Fatalf("run %d, GPU %d: compiled forward differs from legacy loops by %v", run, d, diff)
+					}
 				}
 			}
+			checkLegacyRowOrder(t, c, false, c.Plan.Stages)
 		})
 	}
 }
@@ -244,7 +291,9 @@ func TestCompiledForwardMatchesLegacyBitwise(t *testing.T) {
 // its contributions in the same stage, transfer, and vertex order — the
 // non-atomic split moves a transfer's rows into later sub-stages but never
 // reorders two contributions to one row), so gradients must match bit for
-// bit even though float addition is non-associative.
+// bit even though float addition is non-associative. The second run on the
+// same cluster starts from dirty pooled arenas, so a relay accumulator left
+// unzeroed shows up as a difference.
 func TestCompiledBackwardMatchesLegacyBitwise(t *testing.T) {
 	for _, pc := range propertyCases() {
 		pc := pc
@@ -256,62 +305,34 @@ func TestCompiledBackwardMatchesLegacyBitwise(t *testing.T) {
 				lg := c.Locals[d]
 				gradFull[d] = tensor.New(lg.NumLocal+lg.NumRemote, pc.cols).FillRandom(pc.seed + 100 + int64(d))
 			}
-			got, err := c.BackwardAllgather(gradFull)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, nonAtomic := range []bool{false, true} {
+			var wants [2][]*tensor.Matrix
+			for i, nonAtomic := range []bool{false, true} {
 				want, err := legacyBackwardAllgather(c, gradFull, nonAtomic)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for d := 0; d < pc.k; d++ {
-					if diff := tensor.MaxAbsDiff(got[d], want[d]); diff != 0 {
-						t.Fatalf("GPU %d: compiled backward differs from legacy loops (non-atomic %v) by %v", d, nonAtomic, diff)
+				wants[i] = want
+			}
+			for run := 1; run <= 2; run++ {
+				got, err := c.BackwardAllgather(gradFull)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, want := range wants {
+					for d := 0; d < pc.k; d++ {
+						if diff := tensor.MaxAbsDiff(got[d], want[d]); diff != 0 {
+							t.Fatalf("run %d, GPU %d: compiled backward differs from legacy loops (non-atomic %v) by %v", run, d, i == 1, diff)
+						}
 					}
 				}
 			}
+			var unchunked [][]core.Transfer
+			for _, stage := range c.Plan.BackwardSchedule(false) {
+				unchunked = append(unchunked, stage[0])
+			}
+			checkLegacyRowOrder(t, c, true, unchunked)
 		})
 	}
-}
-
-// runSeededTraining builds a fresh trainer for one seed under the given
-// execution policy and runs three epochs, returning the per-epoch losses and
-// the final replica-0 model. The overlapped-executor bit-identity battery
-// (overlap_test.go) reruns the same seeds under chunked, pipelined execution.
-func runSeededTraining(t *testing.T, seed int64, ov OverlapConfig) ([]float64, *gnn.Model) {
-	t.Helper()
-	ks := []int{2, 3, 4, 6, 8}
-	k := ks[seed%int64(len(ks))]
-	cols := 8
-	pc := propertyCase{
-		name:    fmt.Sprintf("train/seed%d", seed),
-		g:       graph.CommunityGraph(150+10*int(seed%7), 6, 3, 0.8, seed),
-		k:       k,
-		seed:    seed,
-		planner: "spst",
-		cols:    cols,
-	}
-	c, _ := buildCase(t, pc)
-	c.Overlap = ov
-	verts := pc.g.NumVertices()
-	model := gnn.NewModel(gnn.GCN, cols, cols/2, 2, seed)
-	features := tensor.New(verts, cols).FillRandom(seed + 1)
-	targets := tensor.New(verts, cols/2).FillRandom(seed + 2)
-	tr, err := NewTrainer(c, model, features, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var losses []float64
-	for e := 0; e < 3; e++ {
-		loss, err := tr.Epoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.Step(0.05)
-		losses = append(losses, loss)
-	}
-	return losses, tr.Models[0]
 }
 
 // allocCluster builds the k=4 benchmark workload used by the allocation

@@ -32,9 +32,51 @@ import (
 //     contribution); rows beyond that are relay-only accumulators that start
 //     at zero.
 //
-// Programs are compiled lazily (once per plan and chunking granularity)
-// under progMu and shared by all subsequent collectives. Only the forward
-// program is compiled from the plan; the backward one is its reversal.
+// Programs are compiled lazily (once per plan) under progMu and shared by
+// all subsequent collectives. Only the forward program is compiled from the
+// plan; the backward one is its reversal.
+
+// ChunkRows bounds the rows of one transfer: compile splits every wider plan
+// transfer into consecutive sub-transfers of at most this many rows within
+// its stage. The bound keeps every wire frame well under the frame size
+// limit, and because the chunked layout determines the transfer keys, every
+// process of a multi-process run compiles the same one (the worker layer
+// folds ChunkRows into the handshake's plan digest).
+const ChunkRows = 256
+
+// chunkStages splits every transfer wider than chunkRows rows into
+// consecutive sub-transfers sharing its stage. Byte totals, row order, and
+// stage membership are preserved — only the transfer granularity changes —
+// so stats, crash schedules (stage-keyed), and plan validation (which ran on
+// the unchunked plan) are all unaffected, and a client lands every row in
+// the order the unchunked plan lists it: results are bit-identical to the
+// unchunked layout. chunkRows <= 0 returns stages unchanged.
+func chunkStages(stages [][]core.Transfer, chunkRows int) [][]core.Transfer {
+	if chunkRows <= 0 {
+		return stages
+	}
+	out := make([][]core.Transfer, len(stages))
+	for si, st := range stages {
+		cs := make([]core.Transfer, 0, len(st))
+		for _, tr := range st {
+			if len(tr.Vertices) <= chunkRows {
+				cs = append(cs, tr)
+				continue
+			}
+			for lo := 0; lo < len(tr.Vertices); lo += chunkRows {
+				hi := lo + chunkRows
+				if hi > len(tr.Vertices) {
+					hi = len(tr.Vertices)
+				}
+				sub := tr
+				sub.Vertices = tr.Vertices[lo:hi]
+				cs = append(cs, sub)
+			}
+		}
+		out[si] = cs
+	}
+	return out
+}
 
 // sendStep is one compiled send: the transport key, the transfer (for
 // accounting and failure attribution), and the source slot of each payload
@@ -69,13 +111,6 @@ type clientProgram struct {
 	// programs set it to arenaRows: every forward arena row is fully
 	// overwritten by a receive before anything reads it.
 	zeroFrom int
-	// Pipeline hazard gates (overlap.go): sendDep[s]/aggDep[s] are the
-	// stages the sender/aggregator must respectively wait for before
-	// touching stage s; serialOnly forces the serial executor when the
-	// compiled dependencies would not pipeline safely.
-	sendDep    []int
-	aggDep     []int
-	serialOnly bool
 }
 
 // routingProgram is the compiled form of one collective direction: per-client
@@ -88,19 +123,16 @@ type routingProgram struct {
 }
 
 // program returns the compiled program for one collective direction. Both
-// directions are compiled together on first use and recompiled together when
-// the chunking granularity changed (the chunked layout determines the
-// transport keys, so a stale program would desync from peers compiled at the
-// new granularity).
+// directions are compiled together on first use.
 func (c *Cluster) program(backward bool) (*routingProgram, error) {
 	c.progMu.Lock()
 	defer c.progMu.Unlock()
-	if c.fwdProg == nil || c.progChunk != c.Overlap.chunkRows() {
+	if c.fwdProg == nil {
 		fwd, err := c.compileForward()
 		if err != nil {
 			return nil, err
 		}
-		c.fwdProg, c.bwdProg, c.progChunk = fwd, fwd.reversed(c.Locals), c.Overlap.chunkRows()
+		c.fwdProg, c.bwdProg = fwd, fwd.reversed(c.Locals)
 	}
 	if backward {
 		return c.bwdProg, nil
@@ -108,13 +140,13 @@ func (c *Cluster) program(backward bool) (*routingProgram, error) {
 	return c.fwdProg, nil
 }
 
-// compileForward builds the forward program from c.Plan.Stages. The walk
-// mirrors execution order exactly — stages in order, transfers in index
-// order, sends resolved against pre-stage state — so the availability check
-// the legacy loop made per row ("GPU d lacks vertex v at stage s") moves to
-// compile time.
+// compileForward builds the forward program from c.Plan.Stages, chunked at
+// ChunkRows. The walk mirrors execution order exactly — stages in order,
+// transfers in index order, sends resolved against pre-stage state — so the
+// availability check the legacy loop made per row ("GPU d lacks vertex v at
+// stage s") moves to compile time.
 func (c *Cluster) compileForward() (*routingProgram, error) {
-	stages := chunkStages(c.Plan.Stages, c.Overlap.chunkRows())
+	stages := chunkStages(c.Plan.Stages, ChunkRows)
 	prog := &routingProgram{clients: make([]clientProgram, c.K), stages: stages}
 	for d := 0; d < c.K; d++ {
 		lg := c.Locals[d]
@@ -160,7 +192,6 @@ func (c *Cluster) compileForward() (*routingProgram, error) {
 			}
 		}
 		cp.arenaRows, cp.zeroFrom = relay, relay
-		cp.computeDeps(lg.NumLocal + lg.NumRemote)
 	}
 	return prog, nil
 }
@@ -216,7 +247,6 @@ func (fwd *routingProgram) reversed(locals []*comm.LocalGraph) *routingProgram {
 			}
 		}
 		cp.arenaRows, cp.zeroFrom = lg.NumRemote+fc.arenaRows, lg.NumRemote
-		cp.computeDeps(lg.NumLocal)
 	}
 	return prog
 }

@@ -84,7 +84,9 @@ type propertyCase struct {
 }
 
 // propertyCases enumerates the battery: 5 graph families x 5 GPU counts x 2
-// planners = 50 triples, each with its own partition seed.
+// planners = 50 triples, each with its own partition seed, plus one wide
+// 2-GPU case whose transfers span several ChunkRows chunks (the triples'
+// transfers all fit in one).
 func propertyCases() []propertyCase {
 	gens := []struct {
 		name string
@@ -114,7 +116,14 @@ func propertyCases() []propertyCase {
 			}
 		}
 	}
-	return cases
+	return append(cases, propertyCase{
+		name:    fmt.Sprintf("wide/k2/spst/seed%d", seed),
+		g:       graph.ErdosRenyi(1800, 9000, seed),
+		k:       2,
+		seed:    seed,
+		planner: "spst",
+		cols:    2,
+	})
 }
 
 func buildCase(t *testing.T, pc propertyCase) (*Cluster, *comm.Relation) {
@@ -246,5 +255,23 @@ func TestBackwardIsForwardReversed(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWidePropertyCaseIsChunked keeps the battery's wide case wide: its
+// widest transfer must span at least three ChunkRows chunks, or the
+// equivalence battery would stop comparing a chunked layout against the
+// unchunked legacy loops.
+func TestWidePropertyCaseIsChunked(t *testing.T) {
+	cases := propertyCases()
+	c, _ := buildCase(t, cases[len(cases)-1])
+	widest := 0
+	for _, st := range c.Plan.Stages {
+		for _, tr := range st {
+			widest = max(widest, len(tr.Vertices))
+		}
+	}
+	if widest <= 2*ChunkRows {
+		t.Fatalf("widest transfer of the wide case has %d rows, want more than %d", widest, 2*ChunkRows)
 	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"dgcl/internal/baselines"
@@ -337,4 +338,99 @@ func TestMultiHopForwardingDeliversData(t *testing.T) {
 	if got := grads[0].At(0, 0); got != 12 {
 		t.Fatalf("relayed gradient sum = %v want 12", got)
 	}
+}
+
+// TestChunkStagesPreservesRowsAndStages checks the chunk splitter's
+// invariants directly: stage count unchanged, per-stage vertex sequences
+// unchanged (concatenating chunk vertex lists reproduces the originals in
+// order), every chunk within the size bound, and endpoints preserved.
+func TestChunkStagesPreservesRowsAndStages(t *testing.T) {
+	stages := [][]core.Transfer{
+		{{Src: 0, Dst: 1, Vertices: []int32{1, 2, 3, 4, 5, 6, 7}}},
+		{{Src: 1, Dst: 2, Vertices: []int32{8, 9}}, {Src: 2, Dst: 0, Vertices: []int32{10, 11, 12}}},
+		{},
+	}
+	chunked := chunkStages(stages, 3)
+	if len(chunked) != len(stages) {
+		t.Fatalf("stage count changed: %d -> %d", len(stages), len(chunked))
+	}
+	for si, st := range stages {
+		var got []int32
+		for _, tr := range chunked[si] {
+			if len(tr.Vertices) > 3 {
+				t.Fatalf("stage %d: chunk of %d rows exceeds bound", si, len(tr.Vertices))
+			}
+			got = append(got, tr.Vertices...)
+		}
+		var want []int32
+		for _, tr := range st {
+			want = append(want, tr.Vertices...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("stage %d: %d rows after chunking, want %d", si, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("stage %d row %d: vertex %d, want %d", si, i, got[i], want[i])
+			}
+		}
+	}
+	// Endpoint check: every chunk of stage 1 keeps its parent's src/dst.
+	for _, tr := range chunked[1] {
+		if (tr.Src != 1 || tr.Dst != 2) && (tr.Src != 2 || tr.Dst != 0) {
+			t.Fatalf("stage 1 chunk has foreign endpoints %d->%d", tr.Src, tr.Dst)
+		}
+	}
+	if got := chunkStages(stages, 0); &got[0] != &stages[0] {
+		t.Fatal("chunkRows 0 should return the input unchanged")
+	}
+}
+
+// TestTransportCacheConcurrentAcquireRelease hammers the program transport
+// cache from many goroutines, with a deterministic sprinkling of failed
+// releases: the cache must stay race-clean, never hand the same base
+// transport to two holders at once, and evict a transport released as
+// failed instead of reusing it. The cache admits concurrent collectives on
+// one cluster (a second one runs over an uncached transport), and the
+// collective tests never make two of them contend, so this path needs its
+// own coverage.
+func TestTransportCacheConcurrentAcquireRelease(t *testing.T) {
+	stages := [][]core.Transfer{{{Src: 0, Dst: 1, Vertices: []int32{1, 2}}}}
+	tc := &transportCache{}
+	var mu sync.Mutex
+	held := make(map[Transport]bool)
+	failedOnce := make(map[Transport]bool)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				b := tc.acquire(stages)
+				mu.Lock()
+				if held[b] {
+					mu.Unlock()
+					t.Error("transport handed to two concurrent holders")
+					return
+				}
+				if failedOnce[b] {
+					mu.Unlock()
+					t.Error("failed-released transport reused")
+					return
+				}
+				held[b] = true
+				mu.Unlock()
+				fail := (g+i)%13 == 0
+				mu.Lock()
+				delete(held, b)
+				if fail {
+					failedOnce[b] = true
+				}
+				mu.Unlock()
+				tc.release(b, fail)
+			}
+		}()
+	}
+	wg.Wait()
 }

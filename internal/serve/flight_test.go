@@ -146,6 +146,58 @@ func TestFlightConcurrentMissesShareOneForward(t *testing.T) {
 	}
 }
 
+// TestFlightLeavesBeforeServerMutexIsReleased pins the order of fly's last
+// steps: a finished flight leaves s.flight before s.mu is released, so no
+// UpdateModel can retire the flight's version while a later miss could
+// still join it. The test parks fly between its forward and that clear by
+// holding flightMu: UpdateModel must then stay blocked on s.mu. Once fly is
+// let go, a miss issued after UpdateModel returns runs a new flight and
+// carries the new version.
+func TestFlightLeavesBeforeServerMutexIsReleased(t *testing.T) {
+	sys, model, features, _ := buildFixture(t, 9)
+	srv, err := New(sys, model, features, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close) // cleanups run last-in first-out: after the unlocks
+	srv.mu.Lock()
+	unlockMu := sync.OnceFunc(srv.mu.Unlock)
+	t.Cleanup(unlockMu)
+	out := make(chan answer, 1)
+	missAsync(context.Background(), srv, 3, out)
+	waitFor(t, "flight started by the miss", func() bool {
+		srv.flightMu.Lock()
+		defer srv.flightMu.Unlock()
+		return srv.flight != nil
+	})
+	srv.flightMu.Lock()
+	unlockFlight := sync.OnceFunc(srv.flightMu.Unlock)
+	t.Cleanup(unlockFlight)
+	unlockMu()
+	waitFor(t, "memo published by the forward", func() bool { return srv.memo.Load() != nil })
+	updated := make(chan error, 1)
+	go func() { updated <- srv.UpdateModel(perturbed(model)) }()
+	select {
+	case err := <-updated:
+		t.Fatalf("UpdateModel returned (err %v) while the finished flight was still in s.flight: fly released s.mu before leaving it", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	unlockFlight()
+	if a := <-out; a.err != nil || a.res.Version != 0 {
+		t.Fatalf("the blocked miss answered version %d, err %v; want version 0", a.res.Version, a.err)
+	}
+	if err := <-updated; err != nil {
+		t.Fatal(err)
+	}
+	res, err := srv.Query(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Version != 1 || res.Cached {
+		t.Fatalf("a miss after UpdateModel answered version %d (cached %v), want a new forward at version 1", res.Version, res.Cached)
+	}
+}
+
 // TestFlightCloseAnswersWaitersThenSheds: Close during a blocked forward
 // waits for it, its waiters are answered, a miss after Close sheds, and no
 // goroutine is left behind.

@@ -37,25 +37,6 @@ type Config struct {
 	// backward pass uses atomic gradient accumulation (§6.2). 1.35 matches
 	// Table 9's shape. Ignored for forward passes.
 	AtomicFactor float64
-	// Overlap, when non-nil, prices the runtime's chunked pipelined
-	// executor (DESIGN.md §16) instead of the serial stage-by-stage one.
-	// When nil, Result.Time is the serial sum of the stage times.
-	Overlap *OverlapModel
-}
-
-// OverlapModel describes the overlapped executor to the simulator. Chunking
-// turns the staged plan from store-and-forward into wormhole routing: a
-// relayed row can leave for stage s+1 as soon as its chunk lands in stage s,
-// so the epoch makespan collapses from the sum of the stage times to the
-// bottleneck stage plus every other stage's chunk fill time.
-type OverlapModel struct {
-	// ChunkRows is the transfer chunking granularity in rows; <= 0 means
-	// unchunked, which makes the overlapped makespan equal the serial one.
-	ChunkRows int
-	// Window is the in-flight stage window of the executor. It bounds
-	// buffering, not steady-state throughput, so it is not priced; it is
-	// carried here so reports can record the configuration they simulated.
-	Window int
 }
 
 // DefaultConfig returns the calibrated configuration used by the experiment
@@ -357,61 +338,13 @@ func (n *Network) planFlows(transfers []core.Transfer, bytesPerVertex int64, ove
 	return flows, nil
 }
 
-// stageChunks returns how many chunks the overlapped executor splits the
-// stage's largest transfer into (1 when overlap pricing is off).
-func stageChunks(stage []core.Transfer, o *OverlapModel) int {
-	if o == nil || o.ChunkRows <= 0 {
-		return 1
-	}
-	c := 1
-	for _, t := range stage {
-		if k := (len(t.Vertices) + o.ChunkRows - 1) / o.ChunkRows; k > c {
-			c = k
-		}
-	}
-	return c
-}
-
-// applyOverlap rewrites res.Time from the serial stage sum to the pipelined
-// makespan when Config.Overlap is set. First-order wormhole model: the
-// bottleneck stage's transfer runs in full, every other stage contributes
-// only its fill time (its transfer time divided by its chunk count), and
-// every stage still pays its boundary cost. xfer holds the pure per-stage
-// transfer times (boundary costs excluded); their boundary/flag overhead is
-// recovered as res.Time minus the transfer sum. With chunk counts of 1 the
-// rewrite is exact identity, so a disabled or unchunked model prices serial.
-func (n *Network) applyOverlap(res *Result, xfer []float64, chunks []int) {
-	if n.cfg.Overlap == nil || len(xfer) == 0 {
-		return
-	}
-	boundaries := res.Time
-	for _, t := range xfer {
-		boundaries -= t
-	}
-	bi := 0
-	for s, t := range xfer {
-		if t > xfer[bi] {
-			bi = s
-		}
-	}
-	t := xfer[bi]
-	for s, x := range xfer {
-		if s != bi {
-			t += x / float64(chunks[s])
-		}
-	}
-	res.Time = t + boundaries
-}
-
 // run is the one stage loop behind RunPlan, RunBackward and RunPlanTraced.
 // Each stage's sub-stages run as one concurrent flow set whose bytes are
 // scaled by overhead; a stage pays the boundary cost plus one more flag
 // round per sub-stage beyond the first. A non-nil tr records every flow on
-// the serial timeline, before any overlap rewrite of Result.Time.
+// the stage timeline.
 func (n *Network) run(stages [][]core.SubStage, bytesPerVertex int64, overhead float64, tr *Trace) (*Result, error) {
 	res := &Result{}
-	var xfer []float64
-	var chunks []int
 	for si, stage := range stages {
 		var all []core.Transfer
 		for _, sub := range stage {
@@ -425,8 +358,6 @@ func (n *Network) run(stages [][]core.SubStage, bytesPerVertex int64, overhead f
 		if tr != nil {
 			tr.record(si+1, all, flows, bytesPerVertex, res.Time)
 		}
-		xfer = append(xfer, t)
-		chunks = append(chunks, stageChunks(all, n.cfg.Overlap))
 		t += n.stageBoundaryCost()
 		if len(stage) > 1 {
 			t += float64(len(stage)-1) * decentralizedFlagCost * n.cfg.LatencyScale
@@ -436,7 +367,6 @@ func (n *Network) run(stages [][]core.SubStage, bytesPerVertex int64, overhead f
 	if tr != nil {
 		tr.TotalTime = res.Time
 	}
-	n.applyOverlap(res, xfer, chunks)
 	return res, nil
 }
 

@@ -55,14 +55,6 @@ type WorkerOptions struct {
 	// readable: polled at epoch boundaries (cmd/dgclworker closes it on
 	// SIGTERM/SIGINT).
 	Drain <-chan struct{}
-	// OverlapOff disables the pipelined overlap executor locally. The
-	// spec's chunked layout still applies (it determines the wire transfer
-	// keys), so an overlap-off worker interoperates bit-identically with
-	// pipelined peers.
-	OverlapOff bool
-	// OverlapWindow overrides the in-flight stage window locally (0 keeps
-	// the default).
-	OverlapWindow int
 }
 
 // epochTimeout bounds each epoch's collectives so a stalled peer surfaces as
@@ -305,9 +297,6 @@ func prepare(msg ctrlMsg, opts WorkerOptions) (*session, error) {
 			return nil, err
 		}
 	}
-	if opts.OverlapOff || opts.OverlapWindow > 0 {
-		sys.SetOverlapPolicy(opts.OverlapOff, opts.OverlapWindow)
-	}
 	alive := sys.AliveDevices()
 	compactOf := make(map[int]int, len(alive))
 	for i, id := range alive {
@@ -336,7 +325,7 @@ func prepare(msg ctrlMsg, opts WorkerOptions) (*session, error) {
 		model:    model,
 		features: features,
 		targets:  targets,
-		planSum:  wire.DigestWithChunking(wire.PlanDigest(sys.Plan()), sys.OverlapChunkRows()),
+		planSum:  wire.DigestWithChunking(wire.PlanDigest(sys.Plan()), runtime.ChunkRows),
 		beat:     time.Duration(msg.Beat),
 		ln:       ln,
 	}

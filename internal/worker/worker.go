@@ -46,11 +46,8 @@ type Spec struct {
 	Epochs     int
 	Seed       int64
 	LR         float64
-	// ChunkRows is the overlap transfer-chunking granularity (0 means
-	// dgcl.DefaultChunkRows). It determines the wire-visible transfer keys,
-	// so it lives in the spec: every process of a run must compile the same
-	// chunked layout, and the wire plan digest folds it in so a mismatch is
-	// rejected at the handshake.
+	// ChunkRows is ignored; the transfer layout is runtime.ChunkRows. Kept
+	// because cmd/dgclperf/setup.go compiles against it (ROADMAP 1(c)).
 	ChunkRows int
 }
 
@@ -105,10 +102,7 @@ func Build(spec Spec) (*dgcl.System, *dgcl.Model, *dgcl.Matrix, *dgcl.Matrix, er
 	if featDim <= 0 {
 		featDim = ds.FeatureDim
 	}
-	sys := dgcl.Init(topo, dgcl.Options{
-		Seed:    spec.Seed,
-		Overlap: dgcl.OverlapOptions{ChunkRows: spec.ChunkRows},
-	})
+	sys := dgcl.Init(topo, dgcl.Options{Seed: spec.Seed})
 	if err := sys.BuildCommInfo(g, featDim); err != nil {
 		return nil, nil, nil, nil, err
 	}
