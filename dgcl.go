@@ -422,8 +422,8 @@ type RunOptions struct {
 	// Transport, when non-nil, supplies the base transport for every
 	// collective instead of the in-memory channels — the seam the wire
 	// transport (internal/comm/wire) plugs into. Providers route by
-	// external device id, so they survive degraded rebuilds. Fault, crash,
-	// and retry decorators stack on top unchanged.
+	// external device id, so they survive degraded rebuilds. Fault and
+	// retry decorators stack on top unchanged.
 	Transport runtime.TransportProvider
 }
 
@@ -517,8 +517,8 @@ func (s *System) fireEpochEnd(epoch int, model *Model) {
 }
 
 // ensureResilience installs the crash tracker and health tracker (detection
-// threshold downAfter; 0 = default) that the resilient loop and the crash
-// transport share. Idempotent.
+// threshold downAfter; 0 = default) that the resilient loop and the
+// runtime's stage loop share, plus the stats recovery reports. Idempotent.
 func (s *System) ensureResilience(downAfter int) {
 	if s.crash == nil {
 		s.crash = runtime.NewCrashTracker(runtime.CrashConfig{})

@@ -8,9 +8,11 @@
 // gradients down the same trees the other way and accumulating at relays.
 // Transfers wider than ChunkRows rows travel as consecutive row chunks. All
 // data movement goes through the Transport interface (transport.go): the
-// default in-memory channel transport, optionally wrapped with fault
-// injection and retry/timeout decorators. The runtime is the correctness
-// half of the reproduction; timing comes from package simnet.
+// default in-memory channel transport or a provider's (the wire transport),
+// optionally wrapped with fault injection and retry/timeout decorators. The
+// stage loop itself checks endpoints against the crash tracker's down set
+// and counts transfers into CommStats. The runtime is the correctness half
+// of the reproduction; timing comes from package simnet.
 package runtime
 
 import (
@@ -33,8 +35,8 @@ type Cluster struct {
 	Locals []*comm.LocalGraph
 	Plan   *core.Plan
 	// Stats, when non-nil, accumulates actual per-GPU transfer counters
-	// (behind the transport, so forward and backward collectives both
-	// count).
+	// (counted by every client's stage loop, so forward and backward
+	// collectives over any transport both count).
 	Stats *CommStats
 	// Provider, when non-nil, supplies the base transport (default:
 	// in-memory channels). Providers keep long-lived state across
@@ -57,8 +59,9 @@ type Cluster struct {
 	// a context deadline when the caller's context has none).
 	Timeout time.Duration
 	// Crash, when non-nil, injects/propagates fail-stop device failures:
-	// transfers touching a down device fail fast with ErrDeviceDown and the
-	// collective aborts instead of running out its deadline.
+	// the stage loop fails transfers touching a down device fast with
+	// ErrDeviceDown and the collective aborts instead of running out its
+	// deadline.
 	Crash *CrashTracker
 	// Health, when non-nil, grades every collective and converts repeated
 	// deadline failures or explicit down evidence into per-device verdicts
@@ -135,29 +138,15 @@ func NewCluster(rel *comm.Relation, locals []*comm.LocalGraph, plan *core.Plan) 
 	return &Cluster{K: rel.K, Rel: rel, Locals: locals, Plan: plan}, nil
 }
 
-// newTransport composes the transport stack for one collective: base
-// (channels) -> fault injection -> fail-stop crash -> retry/timeout -> stats
-// accounting. Crash sits below retry so ErrDeviceDown (not retryable) cuts
-// straight through to the client, and above faults so dead links stop
-// rolling message faults.
-func (c *Cluster) newTransport(stages [][]core.Transfer, relayAware bool) Transport {
-	var t Transport
-	if c.Provider != nil {
-		t = c.Provider.CollectiveTransport(stages, c.DeviceIDs)
-	} else {
-		t = NewChanTransport(stages)
-	}
+// newTransport composes the transport stack for one collective over its
+// base (channels or a provider's): base -> fault injection -> retry/timeout.
+func (c *Cluster) newTransport(base Transport) Transport {
+	t := base
 	if c.Faults != nil {
 		t = NewFaultTransport(t, *c.Faults)
 	}
-	if c.Crash != nil {
-		t = NewCrashTransport(t, c.Crash, c.DeviceIDs)
-	}
 	if c.Retry != nil {
 		t = NewRetryTransport(t, *c.Retry, c.Stats)
-	}
-	if c.Stats != nil {
-		t = NewStatsTransport(t, c.Stats, c.Rel.Owner, relayAware)
 	}
 	return t
 }
@@ -281,8 +270,7 @@ func (c *Cluster) collective(ctx context.Context, in []*tensor.Matrix, backward 
 	}
 	ctx, cancel := c.collectiveContext(ctx)
 	defer cancel()
-	tp, release := c.acquireTransport(prog, !backward)
-	pooled := Pooled(tp)
+	tp, pooled, release := c.acquireTransport(prog)
 	op, run := "graphAllgather", c.runForwardClient
 	if backward {
 		op, run = "backward graphAllgather", c.runBackwardClient
@@ -399,17 +387,41 @@ func aggregateAdd(rowOf func(int32) []float32, slots []int32, rows *tensor.Matri
 // and it is what keeps the stage deadlock-free. Send buffers come from the
 // pool and are returned by the *receiving* client once consumed
 // (Cluster.recycle), so steady-state epochs allocate no payload memory.
+//
+// The loop also applies the two per-transfer policies. With a crash tracker
+// installed it advances the tracker once per stage in which the client has a
+// transfer, fails any send or receive touching a down device with its
+// *DeviceDownError, and names the dead device after any failed transfer
+// whose endpoint died meanwhile (a receiver blocked on a dead sender is
+// unblocked by abortOnDeviceDown, since that sender's own client fails).
+// With Stats installed it counts each successful transfer and adds the
+// tally in when the program ends, failed or not.
 func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, pooled PooledTransport, rowOf func(int32) []float32, agg aggregateFunc) error {
-	for _, cs := range cp.stages {
+	var n clientCounts
+	if c.Stats != nil {
+		defer c.Stats.add(d, &n)
+	}
+	for si, cs := range cp.stages {
+		if c.Crash != nil && len(cs.sends)+len(cs.recvs) > 0 {
+			c.Crash.advance(si)
+		}
 		// Send phase: fill peer buffers and set done flags.
 		for _, snd := range cs.sends {
+			if err := c.deviceDown(snd.tr); err != nil {
+				return fmt.Errorf("runtime: GPU %d send: %w", d, err)
+			}
 			buf := c.pool.get(len(snd.slots), cols)
 			for i, s := range snd.slots {
 				copy(buf.Row(i), rowOf(s))
 			}
 			if err := tp.Send(ctx, snd.key, snd.tr, c.seal(Message{Rows: buf})); err != nil {
-				return fmt.Errorf("runtime: GPU %d send: %w", d, err)
+				return fmt.Errorf("runtime: GPU %d send: %w", d, c.blame(snd.tr, err))
 			}
+			// Once Send returns the receiver may already have recycled buf:
+			// count from the step, not the payload.
+			n.sentBytes += int64(len(snd.slots) * cols * 4)
+			n.sentMsgs++
+			n.relayedBytes += int64(snd.relayRows * cols * 4)
 			if pooled != nil {
 				// A pooled transport serialized the payload before Send
 				// returned; the buffer is ours again.
@@ -418,15 +430,46 @@ func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *
 		}
 		// Receive phase: wait for each peer's done flag and retrieve.
 		for _, rcv := range cs.recvs {
-			msg, err := tp.Recv(ctx, rcv.key, rcv.tr)
-			if err != nil {
+			if err := c.deviceDown(rcv.tr); err != nil {
 				return fmt.Errorf("runtime: GPU %d recv: %w", d, err)
 			}
+			msg, err := tp.Recv(ctx, rcv.key, rcv.tr)
+			if err != nil {
+				return fmt.Errorf("runtime: GPU %d recv: %w", d, c.blame(rcv.tr, err))
+			}
+			n.recvBytes += int64(len(msg.Rows.Data) * 4)
+			n.recvMsgs++
 			agg(rowOf, rcv.slots, msg.Rows)
 			c.recycle(pooled, msg)
 		}
 	}
 	return nil
+}
+
+// deviceDown returns the *DeviceDownError of the first endpoint of tr (in
+// external ids) the crash tracker has down, or nil.
+func (c *Cluster) deviceDown(tr core.Transfer) error {
+	if c.Crash == nil {
+		return nil
+	}
+	return c.Crash.downEndpoint(c.deviceID(tr.Src), c.deviceID(tr.Dst))
+}
+
+// blame replaces a failed transfer's error with the *DeviceDownError of an
+// endpoint that died while it was in flight.
+func (c *Cluster) blame(tr core.Transfer, err error) error {
+	if derr := c.deviceDown(tr); derr != nil {
+		return derr
+	}
+	return err
+}
+
+// deviceID maps a client index to its external device id.
+func (c *Cluster) deviceID(i int) int {
+	if c.DeviceIDs == nil {
+		return i
+	}
+	return c.DeviceIDs[i]
 }
 
 // BackwardAllgather routes gradients back along the plan's trees: gradFull[d]

@@ -12,7 +12,7 @@ import (
 
 // TestTransportConformance runs the shared battery against every Transport
 // implementation in the tree from one table: the in-memory channel
-// transport, the fault/retry/stats decorators, and the TCP wire transport.
+// transport, the fault and retry decorators, and the TCP wire transport.
 // A transfer's semantics must not depend on whether its bytes cross a
 // channel or a socket.
 func TestTransportConformance(t *testing.T) {
@@ -38,10 +38,6 @@ func TestTransportConformance(t *testing.T) {
 			policy := runtime.DefaultRetryPolicy()
 			policy.BaseBackoff = 20 * time.Microsecond
 			return runtime.NewRetryTransport(faulty, policy, nil), transporttest.Caps{}
-		}},
-		{"stats", func(t testing.TB, st [][]core.Transfer) (runtime.Transport, transporttest.Caps) {
-			inner, _ := chanFactory(t, st)
-			return runtime.NewStatsTransport(inner, runtime.NewCommStats(4), nil, false), transporttest.Caps{}
 		}},
 		{"wire", func(t testing.TB, st [][]core.Transfer) (runtime.Transport, transporttest.Caps) {
 			k := 0

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -9,8 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"dgcl/internal/core"
+	"sync/atomic"
 )
 
 // Fail-stop crash injection. Message-level faults (fault.go) model lossy
@@ -18,10 +16,10 @@ import (
 // dominates long multi-machine GNN jobs: a whole device dying mid-epoch and
 // never coming back. A CrashConfig is a seeded-free, fully deterministic
 // schedule ("device d dies at epoch E, stage S"); the CrashTracker turns it
-// into a monotone per-device down set, and the crash transport wrapper makes
-// every send or receive touching a crashed device fail fast with
-// ErrDeviceDown — which is NOT retryable, so it cuts through the retry
-// decorator and surfaces to the client immediately. Callers distinguish
+// into a monotone per-device down set, and each client's stage loop
+// (Cluster.runClient) fails every send or receive touching a crashed device
+// fast with a DeviceDownError, above the retry decorator, so no retry budget
+// is spent on it. Callers distinguish
 // "lossy link, retry" (TransportError wrapping ErrDropped & co.) from "peer
 // is gone, recover" (DeviceDownError) and react by replanning over the
 // survivors (see dgcl.System.Degrade).
@@ -133,37 +131,28 @@ func ParseCrashSchedule(s string) (*CrashConfig, error) {
 }
 
 // CrashTracker executes a CrashConfig: it tracks the current epoch, fires
-// scheduled events as transfers reach their stage, and exposes the monotone
-// down set. One tracker outlives cluster rebuilds, so devices that died
-// before a degraded replan stay dead in the rebuilt world. All methods are
-// safe for concurrent use by the client goroutines of a collective.
+// scheduled events as each client's stage loop reaches their stage, and
+// exposes the monotone down set. One tracker outlives cluster rebuilds, so
+// devices that died before a degraded replan stay dead in the rebuilt world.
+// All methods are safe for concurrent use by the client goroutines of a
+// collective; the two the stage loop calls per transfer or stage (Down and
+// advance) take no lock unless an event of the current epoch is pending.
 type CrashTracker struct {
-	mu       sync.Mutex
-	pending  []CrashEvent
-	epoch    int
-	down     map[int]bool
-	watchers map[int]crashWatch
-	nextID   int
-}
-
-// crashWatch is one receiver waiting on a transfer: if either watched device
-// is marked down, cancel unblocks it.
-type crashWatch struct {
-	devices [2]int
-	cancel  context.CancelFunc
+	mu      sync.Mutex
+	pending []CrashEvent
+	epoch   int
+	// armed is set while a pending event belongs to the current epoch.
+	armed atomic.Bool
+	// down is the ascending down set. Writers replace it under mu and never
+	// mutate a published slice, so readers load it without the lock.
+	down atomic.Pointer[[]int]
 }
 
 // NewCrashTracker builds a tracker for the schedule. A nil-safe empty
 // config yields a tracker that never fires (but MarkDown still works, so the
 // health tracker can feed verdicts into it).
 func NewCrashTracker(cfg CrashConfig) *CrashTracker {
-	t := &CrashTracker{
-		pending:  append([]CrashEvent(nil), cfg.Events...),
-		epoch:    -1,
-		down:     make(map[int]bool),
-		watchers: make(map[int]crashWatch),
-	}
-	return t
+	return &CrashTracker{pending: slices.Clone(cfg.Events), epoch: -1}
 }
 
 // BeginEpoch advances the tracker's epoch clock. The trainer calls it before
@@ -177,42 +166,47 @@ func (t *CrashTracker) BeginEpoch(epoch int) {
 }
 
 // advance fires every pending event of the current epoch whose stage has
-// been reached. Called by the crash transport on every send/receive with the
-// transfer's stage, so the down decision is a pure function of (epoch,
-// stage) rather than of goroutine scheduling.
+// been reached. A client's stage loop calls it once per stage in which the
+// client has a transfer, before that stage's first send or receive, so the
+// down decision is a pure function of (epoch, stage) rather than of
+// goroutine scheduling.
 func (t *CrashTracker) advance(stage int) {
+	if !t.armed.Load() {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.fireLocked(func(e CrashEvent) bool { return e.Epoch == t.epoch && e.Stage <= stage })
 }
 
-// fireLocked marks down every pending event matching the predicate and wakes
-// watchers of those devices. Caller holds t.mu.
+// fireLocked marks down every pending event matching the predicate and
+// re-arms advance for what is left of the current epoch. Caller holds t.mu.
 func (t *CrashTracker) fireLocked(match func(CrashEvent) bool) {
+	armed := false
 	kept := t.pending[:0]
 	for _, e := range t.pending {
 		if match(e) {
 			t.markDownLocked(e.Device)
 		} else {
 			kept = append(kept, e)
+			armed = armed || e.Epoch == t.epoch
 		}
 	}
 	t.pending = kept
+	t.armed.Store(armed)
 }
 
 func (t *CrashTracker) markDownLocked(dev int) {
-	if t.down[dev] {
+	var down []int
+	if p := t.down.Load(); p != nil {
+		down = *p
+	}
+	i, found := slices.BinarySearch(down, dev)
+	if found {
 		return
 	}
-	t.down[dev] = true
-	// Wake every receiver blocked on a transfer touching the dead device.
-	// Cancel order does not matter: each watcher independently observes the
-	// same monotone down set when it wakes.
-	for _, w := range t.watchers {
-		if w.devices[0] == dev || w.devices[1] == dev {
-			w.cancel()
-		}
-	}
+	down = slices.Insert(slices.Clip(down), i, dev)
+	t.down.Store(&down)
 }
 
 // MarkDown records an externally detected failure (e.g. a health-tracker
@@ -225,103 +219,27 @@ func (t *CrashTracker) MarkDown(dev int) {
 
 // Down reports whether the device has failed.
 func (t *CrashTracker) Down(dev int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.down[dev]
+	p := t.down.Load()
+	return p != nil && slices.Contains(*p, dev)
 }
 
 // DownDevices returns every failed device, ascending.
 func (t *CrashTracker) DownDevices() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]int, 0, len(t.down))
-	for d := range t.down {
-		out = append(out, d)
+	out := []int{}
+	if p := t.down.Load(); p != nil {
+		out = append(out, *p...)
 	}
-	sort.Ints(out)
 	return out
 }
 
-// watch registers a cancellation hook fired if either device goes down;
-// the returned func unregisters it. Used by crash-transport receives so a
-// receiver blocked on a dead sender unblocks immediately instead of running
-// out its receive deadline.
-func (t *CrashTracker) watch(a, b int, cancel context.CancelFunc) func() {
-	t.mu.Lock()
-	id := t.nextID
-	t.nextID++
-	t.watchers[id] = crashWatch{devices: [2]int{a, b}, cancel: cancel}
-	t.mu.Unlock()
-	return func() {
-		t.mu.Lock()
-		delete(t.watchers, id)
-		t.mu.Unlock()
+// downEndpoint returns a *DeviceDownError naming the first of src, dst
+// (external ids) that is down, or nil when both are alive.
+func (t *CrashTracker) downEndpoint(src, dst int) error {
+	if t.Down(src) {
+		return &DeviceDownError{Device: src}
 	}
-}
-
-// crashTransport fails every transfer touching a crashed device. It sits
-// directly below the retry decorator (above fault injection, so dead links
-// stop rolling message faults): ErrDeviceDown is not retryable, so the retry
-// decorator passes it through to the client unmodified.
-type crashTransport struct {
-	inner   Transport
-	tracker *CrashTracker
-	ids     []int // client index -> external device id; nil = identity
-}
-
-// NewCrashTransport wraps inner with fail-stop crash injection/propagation.
-// ids maps the cluster's client indices to external device ids (the original
-// GPU numbering); nil means the identity mapping.
-func NewCrashTransport(inner Transport, tracker *CrashTracker, ids []int) Transport {
-	return &crashTransport{inner: inner, tracker: tracker, ids: ids}
-}
-
-// Unwrap exposes the decorated transport (see WrappingTransport).
-func (t *crashTransport) Unwrap() Transport { return t.inner }
-
-func (t *crashTransport) dev(i int) int {
-	if t.ids == nil {
-		return i
+	if t.Down(dst) {
+		return &DeviceDownError{Device: dst}
 	}
-	return t.ids[i]
-}
-
-// downEndpoint returns the external id of a crashed endpoint of tr, or -1.
-func (t *crashTransport) downEndpoint(tr core.Transfer) int {
-	if src := t.dev(tr.Src); t.tracker.Down(src) {
-		return src
-	}
-	if dst := t.dev(tr.Dst); t.tracker.Down(dst) {
-		return dst
-	}
-	return -1
-}
-
-func (t *crashTransport) Send(ctx context.Context, key TransferKey, tr core.Transfer, msg Message) error {
-	t.tracker.advance(key.Stage)
-	if dev := t.downEndpoint(tr); dev >= 0 {
-		return &DeviceDownError{Device: dev}
-	}
-	return t.inner.Send(ctx, key, tr, msg)
-}
-
-func (t *crashTransport) Recv(ctx context.Context, key TransferKey, tr core.Transfer) (Message, error) {
-	t.tracker.advance(key.Stage)
-	if dev := t.downEndpoint(tr); dev >= 0 {
-		return Message{}, &DeviceDownError{Device: dev}
-	}
-	// A dead sender never delivers: watch the endpoints so this receive
-	// unblocks the moment either dies, instead of burning its full receive
-	// deadline per transfer.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	unwatch := t.tracker.watch(t.dev(tr.Src), t.dev(tr.Dst), cancel)
-	defer unwatch()
-	msg, err := t.inner.Recv(ctx, key, tr)
-	if err != nil {
-		if dev := t.downEndpoint(tr); dev >= 0 {
-			return Message{}, &DeviceDownError{Device: dev}
-		}
-	}
-	return msg, err
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"dgcl/internal/core"
 	"dgcl/internal/graph"
 	"dgcl/internal/tensor"
 	"dgcl/internal/testutil"
@@ -102,26 +101,49 @@ func TestCrashTrackerFiresAsPureFunctionOfEpochAndStage(t *testing.T) {
 }
 
 func TestCrashTrackerOutlivesRebuildAndMapsExternalIDs(t *testing.T) {
-	tr := NewCrashTracker(CrashConfig{})
-	tr.MarkDown(2)
-	// A degraded cluster renumbers survivors compactly; ids maps compact
-	// client index -> external device id. Transfers between survivors pass,
-	// transfers addressed (in external terms) to the dead device fail even
-	// though its compact index has been reused.
-	ct := &crashTransport{inner: nil, tracker: tr, ids: []int{0, 1, 3}}
-	if got := ct.dev(2); got != 3 {
-		t.Fatalf("compact index 2 maps to %d, want external 3", got)
+	// A degraded cluster renumbers survivors compactly: three clients whose
+	// DeviceIDs are the external devices 0, 1 and 3, with external device 2
+	// dead since before the rebuild.
+	g := graph.CommunityGraph(300, 10, 3, 0.8, 42)
+	c, rel := setup(t, g, 3, 42, 64)
+	local := make([]*tensor.Matrix, 3)
+	for d := range local {
+		local[d] = tensor.New(len(rel.Local[d]), 3).FillRandom(int64(d))
 	}
-	if tr.Down(3) {
-		t.Fatal("external device 3 should be alive")
+	c.Crash = NewCrashTracker(CrashConfig{})
+	c.Crash.MarkDown(2)
+	c.Crash.BeginEpoch(0)
+	c.DeviceIDs = []int{0, 1, 3}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// Compact client 2 is external device 3, which is alive: transfers
+	// between survivors pass although compact index 2 names the dead device.
+	if _, err := c.AllgatherContext(ctx, local); err != nil {
+		t.Fatalf("collective over survivors failed: %v", err)
 	}
-	if !tr.Down(2) {
-		t.Fatal("external device 2 should stay dead across the rebuild")
+	if !c.Crash.Down(2) || c.Crash.Down(3) {
+		t.Fatalf("down set %v, want external device 2 only", c.Crash.DownDevices())
+	}
+	// Once external device 3 dies, compact client 2's transfers fail naming
+	// it by its external id.
+	c.Crash.MarkDown(3)
+	_, err := c.AllgatherContext(ctx, local)
+	var dde *DeviceDownError
+	if !errors.As(err, &dde) || dde.Device != 3 {
+		t.Fatalf("error %v, want a DeviceDownError naming external device 3", err)
 	}
 }
 
+// trainStack installs what dgcl.System.Train wires on every cluster: stats,
+// a crash tracker over cfg and a health tracker feeding it.
+func trainStack(c *Cluster, cfg CrashConfig) {
+	c.Stats = NewCommStats(c.K)
+	c.Crash = NewCrashTracker(cfg)
+	c.Health = NewHealthTracker(0, c.Crash)
+}
+
 // crashedCluster builds a 4-GPU cluster with a crash tracker, health tracker
-// and stats wired the way dgcl.System does.
+// and stats wired the way dgcl.System does, and a collective deadline.
 func crashedCluster(t *testing.T, cfg CrashConfig) (*Cluster, []*tensor.Matrix) {
 	t.Helper()
 	g := graph.CommunityGraph(300, 10, 4, 0.8, 42)
@@ -131,11 +153,44 @@ func crashedCluster(t *testing.T, cfg CrashConfig) (*Cluster, []*tensor.Matrix) 
 	for d := 0; d < 4; d++ {
 		local[d] = tensor.New(len(rel.Local[d]), cols).FillRandom(int64(d))
 	}
-	c.Stats = NewCommStats(c.K)
-	c.Crash = NewCrashTracker(cfg)
-	c.Health = NewHealthTracker(0, c.Crash)
+	trainStack(c, cfg)
 	c.Timeout = 30 * time.Second
 	return c, local
+}
+
+// crashedGradients returns backward-collective inputs shaped for c's local
+// graphs, at the width crashedCluster's forward inputs use.
+func crashedGradients(c *Cluster) []*tensor.Matrix {
+	grad := make([]*tensor.Matrix, c.K)
+	for d, lg := range c.Locals {
+		grad[d] = tensor.New(lg.NumLocal+lg.NumRemote, 3).FillRandom(int64(d) + 10)
+	}
+	return grad
+}
+
+// runCollective runs one collective on c in the given direction.
+func runCollective(ctx context.Context, c *Cluster, backward bool, local, grad []*tensor.Matrix) error {
+	var err error
+	if backward {
+		_, err = c.BackwardAllgatherContext(ctx, grad)
+	} else {
+		_, err = c.AllgatherContext(ctx, local)
+	}
+	return err
+}
+
+// requireDeviceDown fails unless err is a *CollectiveError whose chain names
+// dev in a *DeviceDownError and whose Down list is exactly [dev].
+func requireDeviceDown(t *testing.T, err error, dev int) {
+	t.Helper()
+	var dde *DeviceDownError
+	if !errors.As(err, &dde) || dde.Device != dev {
+		t.Fatalf("error %v, want a DeviceDownError naming device %d", err, dev)
+	}
+	var ce *CollectiveError
+	if !errors.As(err, &ce) || !reflect.DeepEqual(ce.Down, []int{dev}) {
+		t.Fatalf("error %v, want a CollectiveError with Down [%d]", err, dev)
+	}
 }
 
 func TestCrashAbortsCollectiveStructuredAndLeakFree(t *testing.T) {
@@ -149,8 +204,8 @@ func TestCrashAbortsCollectiveStructuredAndLeakFree(t *testing.T) {
 	if err == nil {
 		t.Fatal("allgather succeeded with device 2 dead from stage 0")
 	}
-	// The watch/cancel path must abort the collective immediately — far
-	// inside any receive deadline — rather than timing every transfer out.
+	// The stage loop's crash checks must abort the collective immediately —
+	// far inside any receive deadline — rather than timing every transfer out.
 	if elapsed > 5*time.Second {
 		t.Fatalf("abort took %v; dead-device detection should not wait out deadlines", elapsed)
 	}
@@ -188,50 +243,70 @@ func TestCrashBeforeScheduledEpochIsHarmless(t *testing.T) {
 }
 
 func TestCrashTransportFastFailsBothDirections(t *testing.T) {
-	tr := NewCrashTracker(CrashConfig{})
-	tr.BeginEpoch(0)
-	tr.MarkDown(1)
-	toDead := core.Transfer{Src: 0, Dst: 1, Vertices: []int32{0}}
-	fromDead := core.Transfer{Src: 1, Dst: 0, Vertices: []int32{0}}
-	alive := core.Transfer{Src: 0, Dst: 2, Vertices: []int32{0}}
-	ct := NewCrashTransport(NewChanTransport([][]core.Transfer{{toDead, fromDead, alive}}), tr, nil)
-
-	if err := ct.Send(context.Background(), TransferKey{0, 0}, toDead, payload(1)); !errors.Is(err, ErrDeviceDown) {
-		t.Fatalf("send to dead device: %v, want ErrDeviceDown", err)
-	}
-	if _, err := ct.Recv(context.Background(), TransferKey{0, 1}, fromDead); !errors.Is(err, ErrDeviceDown) {
-		t.Fatalf("recv from dead device: %v, want ErrDeviceDown", err)
-	}
-	// Transfers between live devices pass through untouched.
-	if err := ct.Send(context.Background(), TransferKey{0, 2}, alive, payload(1)); err != nil {
-		t.Fatalf("send between live devices: %v", err)
-	}
-	if _, err := ct.Recv(context.Background(), TransferKey{0, 2}, alive); err != nil {
-		t.Fatalf("recv between live devices: %v", err)
+	c, local := crashedCluster(t, CrashConfig{})
+	c.Crash.BeginEpoch(0)
+	c.Crash.MarkDown(1)
+	grad := crashedGradients(c)
+	for _, backward := range []bool{false, true} {
+		start := time.Now()
+		err := runCollective(context.Background(), c, backward, local, grad)
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("backward=%v: failing took %v; a known-dead device should fail fast", backward, elapsed)
+		}
+		requireDeviceDown(t, err, 1)
 	}
 }
 
+// TestCrashWatcherUnblocksPendingRecv schedules each device's death at each
+// stage where it has a transfer, in both directions, with no collective
+// deadline: only the stage loop's crash checks and abortOnDeviceDown can end
+// a receive blocked on the dead device, so a hang here is a missed abort. A
+// single-attempt retry policy (no receive deadline) makes every other
+// failure a *TransportError naming its endpoints, so a transfer with the
+// dead device that failed for any reason must have been blamed on it.
 func TestCrashWatcherUnblocksPendingRecv(t *testing.T) {
-	tr := NewCrashTracker(CrashConfig{})
-	tr.BeginEpoch(0)
-	pending := core.Transfer{Src: 1, Dst: 0, Vertices: []int32{0}}
-	ct := NewCrashTransport(NewChanTransport([][]core.Transfer{{pending}}), tr, nil)
-
-	errCh := make(chan error, 1)
-	go func() {
-		// No deadline on the context: only the crash watcher can end this.
-		_, err := ct.Recv(context.Background(), TransferKey{0, 0}, pending)
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the receive block
-	tr.MarkDown(1)
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrDeviceDown) {
-			t.Fatalf("unblocked recv returned %v, want ErrDeviceDown", err)
+	probe, _ := crashedCluster(t, CrashConfig{})
+	for _, backward := range []bool{false, true} {
+		prog, err := probe.program(backward)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("recv still blocked 2s after its sender was marked down")
+		for stage, st := range prog.stages {
+			touched := map[int]bool{}
+			for _, tr := range st {
+				touched[tr.Src], touched[tr.Dst] = true, true
+			}
+			for dev := 0; dev < probe.K; dev++ {
+				if !touched[dev] {
+					continue
+				}
+				t.Run(fmt.Sprintf("backward=%v/stage%d/dev%d", backward, stage, dev), func(t *testing.T) {
+					c, local := crashedCluster(t, CrashConfig{Events: []CrashEvent{{Device: dev, Epoch: 0, Stage: stage}}})
+					c.Timeout = 0
+					c.Retry = &RetryPolicy{}
+					c.Crash.BeginEpoch(0)
+					grad := crashedGradients(c)
+					before := testutil.Goroutines()
+					done := make(chan error, 1)
+					go func() { done <- runCollective(context.Background(), c, backward, local, grad) }()
+					select {
+					case err := <-done:
+						requireDeviceDown(t, err, dev)
+						for _, pe := range err.(*CollectiveError).PerGPU {
+							var te *TransportError
+							if errors.As(pe, &te) && (te.Src == dev || te.Dst == dev) {
+								t.Fatalf("failed transfer with dead device %d not blamed on it: %v", dev, pe)
+							}
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatal("collective still blocked 5s after its scheduled crash")
+					}
+					if !testutil.GoroutinesSettleTo(before, 2*time.Second) {
+						t.Fatalf("goroutines leaked: %d before, %d after settling window", before, testutil.Goroutines())
+					}
+				})
+			}
+		}
 	}
 }
 

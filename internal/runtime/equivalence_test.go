@@ -355,52 +355,63 @@ func allocCluster(t *testing.T) (*Cluster, []*tensor.Matrix, []*tensor.Matrix) {
 	return c, local, gradFull
 }
 
-// TestAllgatherSteadyStateAllocs pins the steady-state allocation budget of
-// the forward collective: after one warm-up collective (program compile,
-// transport cache, buffer-pool fill), each Allgather allocates a small
-// per-client constant — the result matrices, goroutines, and context
-// plumbing — and nothing per vertex or per transfer row.
-func TestAllgatherSteadyStateAllocs(t *testing.T) {
-	c, local, _ := allocCluster(t)
-	if _, err := c.Allgather(local); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := c.Allgather(local); err != nil {
+// checkSteadyStateAllocs pins the steady-state allocation budget of one
+// collective direction on two stacks over allocCluster: the plain cluster,
+// and the one dgcl.System.Train wires (stats, crash and health trackers, no
+// crash scheduled). After one warm-up collective (program compile, transport
+// cache, buffer-pool fill), each collective allocates a small per-client
+// constant — the result matrices, goroutines, and context plumbing — and
+// nothing per vertex or per transfer row; the Train stack adds at most a
+// small per-collective constant (health grading) on top, nothing per
+// transfer.
+func checkSteadyStateAllocs(t *testing.T, name string, run func(c *Cluster, local, gradFull []*tensor.Matrix) error) {
+	t.Helper()
+	measure := func(train bool) float64 {
+		c, local, gradFull := allocCluster(t)
+		if train {
+			trainStack(c, CrashConfig{})
+			c.Crash.BeginEpoch(0)
+		}
+		if err := run(c, local, gradFull); err != nil {
 			t.Fatal(err)
 		}
-	})
+		return testing.AllocsPerRun(10, func() {
+			if err := run(c, local, gradFull); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, train := measure(false), measure(true)
 	// The race tier still exercises the steady-state path above, but race
 	// instrumentation allocates shadow state so the count is asserted only
 	// in plain builds.
 	if testutil.RaceEnabled {
-		t.Skipf("allocation count (%.0f with -race instrumentation) asserted in non-race builds only", allocs)
+		t.Skipf("allocation counts (%.0f plain, %.0f Train stack, with -race instrumentation) asserted in non-race builds only", plain, train)
 	}
-	// The steady state measures ~25 allocs; 200 leaves headroom for runtime
+	// The plain stack measures ~25 allocs; 200 leaves headroom for runtime
 	// noise while staying two orders of magnitude under one-per-vertex.
-	if allocs > 200 {
-		t.Fatalf("forward allgather allocates %.0f objects per op in steady state (budget 200)", allocs)
+	if plain > 200 {
+		t.Fatalf("%s allocates %.0f objects per op in steady state (budget 200)", name, plain)
 	}
+	if train > plain+8 {
+		t.Fatalf("%s allocates %.0f objects per op on the Train stack, %.0f on the plain one (budget plain+8)", name, train, plain)
+	}
+}
+
+func TestAllgatherSteadyStateAllocs(t *testing.T) {
+	checkSteadyStateAllocs(t, "forward allgather", func(c *Cluster, local, _ []*tensor.Matrix) error {
+		_, err := c.Allgather(local)
+		return err
+	})
 }
 
 // TestBackwardAllgatherSteadyStateAllocs is the backward twin of the
 // forward budget test.
 func TestBackwardAllgatherSteadyStateAllocs(t *testing.T) {
-	c, _, gradFull := allocCluster(t)
-	if _, err := c.BackwardAllgather(gradFull); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := c.BackwardAllgather(gradFull); err != nil {
-			t.Fatal(err)
-		}
+	checkSteadyStateAllocs(t, "backward allgather", func(c *Cluster, _, gradFull []*tensor.Matrix) error {
+		_, err := c.BackwardAllgather(gradFull)
+		return err
 	})
-	if testutil.RaceEnabled {
-		t.Skipf("allocation count (%.0f with -race instrumentation) asserted in non-race builds only", allocs)
-	}
-	if allocs > 200 {
-		t.Fatalf("backward allgather allocates %.0f objects per op in steady state (budget 200)", allocs)
-	}
 }
 
 // TestEpochSteadyStateAllocs bounds the whole training epoch: layer

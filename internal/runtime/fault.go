@@ -74,9 +74,6 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) Transport {
 
 // roll draws the fault decisions for one send under the mutex so concurrent
 // clients keep the sequence deterministic per (seed, arrival order).
-// Unwrap exposes the decorated transport (see WrappingTransport).
-func (t *faultTransport) Unwrap() Transport { return t.inner }
-
 func (t *faultTransport) roll(r FaultRates) (drop, dup, corrupt bool, delay time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

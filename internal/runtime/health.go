@@ -7,15 +7,15 @@ import (
 	"sync"
 )
 
-// Failure detection. The crash transport makes transfers touching a *known*
-// dead device fail fast, but a real fail-stop failure first shows up as
+// Failure detection. The stage loop makes transfers touching a *known* dead
+// device fail fast, but a real fail-stop failure first shows up as
 // repeated receive deadlines: the peer simply stops answering. The
 // HealthTracker is the cluster's failure detector — it grades each client's
 // collective outcome, converts explicit DeviceDownError evidence into an
 // immediate verdict, and converts DownAfter consecutive deadline-class
 // failures blamed on the same peer into a suspicion verdict. Verdicts are
-// fed back into the CrashTracker (so the crash transport starts fast-failing
-// the device) and surfaced to callers via CollectiveError.Down, which is
+// fed back into the CrashTracker (so the stage loop starts fast-failing the
+// device) and surfaced to callers via CollectiveError.Down, which is
 // what the resilient training loop keys recovery on.
 
 // DefaultDownAfter is the consecutive deadline-strike threshold before a
@@ -36,7 +36,7 @@ type HealthTracker struct {
 }
 
 // NewHealthTracker builds a detector that reports verdicts into crash (may
-// be nil) so the transport layer fast-fails confirmed-dead devices.
+// be nil) so the stage loop fast-fails confirmed-dead devices.
 func NewHealthTracker(downAfter int, crash *CrashTracker) *HealthTracker {
 	if downAfter <= 0 {
 		downAfter = DefaultDownAfter
@@ -100,7 +100,7 @@ func (h *HealthTracker) ObserveCollective(errs []error, ids []int) []int {
 }
 
 // verdictLocked records a down verdict and tells the crash tracker so the
-// transport fast-fails the device from now on.
+// stage loop fast-fails the device from now on.
 func (h *HealthTracker) verdictLocked(dev int) {
 	if h.verdicts[dev] {
 		return

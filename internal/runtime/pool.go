@@ -28,8 +28,9 @@ import (
 // (sends, forward arenas) or explicitly zeroes accumulator rows (backward
 // relay arenas).
 type bufPool struct {
-	mu   sync.Mutex
-	free map[int][]*tensor.Matrix
+	mu sync.Mutex
+	// free[cl] holds the buffers of capacity 1<<cl.
+	free [64][]*tensor.Matrix
 }
 
 // get returns a rows×cols matrix backed by pooled (dirty) memory,
@@ -75,9 +76,6 @@ func (p *bufPool) put(m *tensor.Matrix) {
 	}
 	cl := bits.Len(uint(c)) - 1 // floor(log2(cap))
 	p.mu.Lock()
-	if p.free == nil {
-		p.free = make(map[int][]*tensor.Matrix)
-	}
 	p.free[cl] = append(p.free[cl], m)
 	p.mu.Unlock()
 }

@@ -79,12 +79,15 @@ func chunkStages(stages [][]core.Transfer, chunkRows int) [][]core.Transfer {
 }
 
 // sendStep is one compiled send: the transport key, the transfer (for
-// accounting and failure attribution), and the source slot of each payload
-// row.
+// accounting and failure attribution), the source slot of each payload row,
+// and how many of those rows the sender relays for another owner (forward
+// only; backward senders almost never own the gradients they forward, so
+// the notion does not apply there).
 type sendStep struct {
-	key   TransferKey
-	tr    core.Transfer
-	slots []int32
+	key       TransferKey
+	tr        core.Transfer
+	slots     []int32
+	relayRows int
 }
 
 // recvStep is one compiled receive: the destination slot of each incoming
@@ -115,7 +118,7 @@ type clientProgram struct {
 
 // routingProgram is the compiled form of one collective direction: per-client
 // programs, the flattened transport stage layout they are keyed against, and
-// the reusable plain-stack transport bound to that layout.
+// the reusable channel transport bound to that layout.
 type routingProgram struct {
 	clients []clientProgram
 	stages  [][]core.Transfer
@@ -165,14 +168,18 @@ func (c *Cluster) compileForward() (*routingProgram, error) {
 			for ti, tr := range st {
 				if tr.Src == d {
 					slots := make([]int32, len(tr.Vertices))
+					relayRows := 0
 					for i, v := range tr.Vertices {
 						s, ok := slot[v]
 						if !ok {
 							return nil, fmt.Errorf("runtime: GPU %d lacks vertex %d at stage %d", d, v, si+1)
 						}
 						slots[i] = s
+						if int(c.Rel.Owner[v]) != d {
+							relayRows++
+						}
 					}
-					cs.sends = append(cs.sends, sendStep{key: TransferKey{si, ti}, tr: tr, slots: slots})
+					cs.sends = append(cs.sends, sendStep{key: TransferKey{si, ti}, tr: tr, slots: slots, relayRows: relayRows})
 				}
 				if tr.Dst == d {
 					slots := make([]int32, len(tr.Vertices))
@@ -251,14 +258,15 @@ func (fwd *routingProgram) reversed(locals []*comm.LocalGraph) *routingProgram {
 	return prog
 }
 
-// transportCache holds the reusable plain-stack channel transport bound to
-// one compiled program's stage layout. Channel construction is O(transfers)
-// per collective; on the undecorated stack (no faults, crashes, retries, or
-// provider base) a successful collective provably drains every channel — each
-// key is sent exactly once and received exactly once — so the transport can
-// carry the next collective as-is. Any client error (timeout, cancellation)
-// may strand messages in channels, so a failed collective discards the
-// cached transport instead of handing stale payloads to the next epoch.
+// transportCache holds the reusable channel transport bound to one compiled
+// program's stage layout. Channel construction is O(transfers) per
+// collective; with no fault injection a successful collective provably
+// drains every channel — each key is sent exactly once and received exactly
+// once, and the retry decorator only retransmits what faults reject — so
+// the transport can carry the next collective as-is. Any client error
+// (timeout, cancellation, dead device) may strand messages in channels, so a
+// failed collective discards the cached transport instead of handing stale
+// payloads to the next epoch.
 type transportCache struct {
 	mu    sync.Mutex
 	base  Transport
@@ -303,21 +311,23 @@ func (tc *transportCache) release(b Transport, failed bool) {
 	}
 }
 
-// acquireTransport composes the transport stack for one collective over the
-// program's stage layout. Decorated stacks (fault injection, crash, retry,
-// provider base) are rebuilt per collective — their correctness depends on
-// per-collective state. The plain stack reuses the program's cached channel
-// transport, re-wrapping only the cheap stats accounting layer.
-func (c *Cluster) acquireTransport(prog *routingProgram, relayAware bool) (Transport, func(failed bool)) {
-	if c.Provider != nil || c.Faults != nil || c.Crash != nil || c.Retry != nil {
-		return c.newTransport(prog.stages, relayAware), func(bool) {}
+// acquireTransport returns the transport stack for one collective over the
+// program's stage layout, the pooled base under it (nil unless the provider
+// built one), and the release to call when the collective ends. The base is
+// the program's cached channel transport whenever it is the in-memory
+// channels and no faults are injected; a provider base or a faulty stack is
+// built per collective.
+func (c *Cluster) acquireTransport(prog *routingProgram) (Transport, PooledTransport, func(failed bool)) {
+	switch {
+	case c.Provider != nil:
+		base := c.Provider.CollectiveTransport(prog.stages, c.DeviceIDs)
+		pooled, _ := base.(PooledTransport)
+		return c.newTransport(base), pooled, func(bool) {}
+	case c.Faults != nil:
+		return c.newTransport(NewChanTransport(prog.stages)), nil, func(bool) {}
 	}
 	base := prog.tc.acquire(prog.stages)
-	tp := base
-	if c.Stats != nil {
-		tp = NewStatsTransport(tp, c.Stats, c.Rel.Owner, relayAware)
-	}
-	return tp, func(failed bool) { prog.tc.release(base, failed) }
+	return c.newTransport(base), nil, func(failed bool) { prog.tc.release(base, failed) }
 }
 
 // seal wraps a payload for transmission. Checksums exist so the one layer

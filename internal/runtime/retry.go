@@ -61,9 +61,6 @@ func NewRetryTransport(inner Transport, policy RetryPolicy, stats *CommStats) Tr
 	return &retryTransport{inner: inner, policy: policy, stats: stats}
 }
 
-// Unwrap exposes the decorated transport (see WrappingTransport).
-func (t *retryTransport) Unwrap() Transport { return t.inner }
-
 func (t *retryTransport) Send(ctx context.Context, key TransferKey, tr core.Transfer, msg Message) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {

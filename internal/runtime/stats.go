@@ -1,19 +1,16 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
-
-	"dgcl/internal/core"
 )
 
 // CommStats counts actual data movement performed by the runtime, per GPU.
 // Counters are updated atomically so concurrent clients can report while
-// running; they accumulate across allgathers until Reset. The counters live
-// behind the transport layer (see statsTransport): send/receive sites in the
-// clients no longer touch them, so every transport path — forward, backward,
-// retried, faulty — is accounted uniformly.
+// running; they accumulate across allgathers until Reset. Every client's
+// stage loop counts its own successful transfers and adds them in when its
+// program ends, so every transport path — forward, backward, retried,
+// faulty, wire — is accounted uniformly.
 type CommStats struct {
 	k            int
 	sentBytes    []atomic.Int64
@@ -111,63 +108,21 @@ func (s *CommStats) String() string {
 	return out
 }
 
-// statsTransport accounts successful sends and receives into CommStats. It
-// wraps the outermost transport so a logical transfer is counted once, no
-// matter how many retransmissions or duplicates the layers below produced —
-// the retry layer reports those separately via the retry/timeout counters.
-type statsTransport struct {
-	inner Transport
-	stats *CommStats
-	// owner maps global vertex id -> owning GPU for relay accounting;
-	// relayAware is false for backward collectives, where the sender almost
-	// never owns the gradients it forwards and the forward-relay notion
-	// does not apply.
-	owner      []int32
-	relayAware bool
+// clientCounts is one client's tally of its successful transfers in one
+// collective: plain integers the stage loop (Cluster.runClient) bumps per
+// transfer and folds into CommStats once, when the client's program ends. A
+// logical transfer counts once, however many retransmissions or duplicates
+// the transport produced — the retry layer reports those separately via the
+// retry/timeout counters.
+type clientCounts struct {
+	sentBytes, sentMsgs, relayedBytes, recvBytes, recvMsgs int64
 }
 
-// NewStatsTransport wraps inner with per-GPU transfer accounting. Exported
-// for the transport conformance battery; production composition happens in
-// Cluster.newTransport.
-func NewStatsTransport(inner Transport, stats *CommStats, owner []int32, relayAware bool) Transport {
-	return &statsTransport{inner: inner, stats: stats, owner: owner, relayAware: relayAware}
-}
-
-// Unwrap exposes the decorated transport (see WrappingTransport).
-func (t *statsTransport) Unwrap() Transport { return t.inner }
-
-func (t *statsTransport) Send(ctx context.Context, key TransferKey, tr core.Transfer, msg Message) error {
-	// Size the payload before handing it to the inner transport: once Send
-	// returns, the receiver may already have consumed the message and
-	// recycled its buffer into the cluster pool, so the sender must not
-	// touch msg afterwards.
-	bytes := int64(len(msg.Rows.Data)) * 4
-	if err := t.inner.Send(ctx, key, tr, msg); err != nil {
-		return err
-	}
-	t.stats.sentBytes[tr.Src].Add(bytes)
-	t.stats.sentMsgs[tr.Src].Add(1)
-	if t.relayAware && len(tr.Vertices) > 0 {
-		perVertex := bytes / int64(len(tr.Vertices))
-		var relayed int64
-		for _, v := range tr.Vertices {
-			if int(t.owner[v]) != tr.Src {
-				relayed += perVertex
-			}
-		}
-		if relayed > 0 {
-			t.stats.relayedBytes[tr.Src].Add(relayed)
-		}
-	}
-	return nil
-}
-
-func (t *statsTransport) Recv(ctx context.Context, key TransferKey, tr core.Transfer) (Message, error) {
-	msg, err := t.inner.Recv(ctx, key, tr)
-	if err != nil {
-		return Message{}, err
-	}
-	t.stats.recvBytes[tr.Dst].Add(int64(len(msg.Rows.Data)) * 4)
-	t.stats.recvMsgs[tr.Dst].Add(1)
-	return msg, nil
+// add folds client d's tally into the counters.
+func (s *CommStats) add(d int, n *clientCounts) {
+	s.sentBytes[d].Add(n.sentBytes)
+	s.sentMsgs[d].Add(n.sentMsgs)
+	s.relayedBytes[d].Add(n.relayedBytes)
+	s.recvBytes[d].Add(n.recvBytes)
+	s.recvMsgs[d].Add(n.recvMsgs)
 }

@@ -13,10 +13,12 @@ import (
 
 // The transport layer abstracts the per-transfer peer buffers + done flags of
 // §6.1 behind an interface so the runtime can run over different media: the
-// default in-memory channel transport, a fault-injecting wrapper for chaos
-// testing, and a retry/timeout decorator that turns lost messages into
-// structured per-GPU errors instead of hung clients. Later networking
-// backends (TCP/RPC multi-process execution) plug in at the same seam.
+// default in-memory channel transport or the TCP wire transport
+// (internal/comm/wire, plugged in through TransportProvider), optionally
+// under a fault-injecting wrapper for chaos testing and a retry/timeout
+// decorator that turns lost messages into structured per-GPU errors instead
+// of hung clients. Crash checks and transfer counting are not transport
+// layers: each client's stage loop does them (Cluster.runClient).
 
 // TransferKey addresses one transfer of one (flattened) stage within a
 // single collective. Stage indexes the flattened stage list the transport
@@ -85,28 +87,6 @@ type TransportProvider interface {
 type PooledTransport interface {
 	Transport
 	RecycleMessage(msg Message)
-}
-
-// WrappingTransport exposes a decorator's inner transport so a pooled base
-// stays discoverable under any decorator stack.
-type WrappingTransport interface {
-	Unwrap() Transport
-}
-
-// Pooled walks the decorator chain down to a PooledTransport, returning nil
-// when the chain has none.
-func Pooled(tp Transport) PooledTransport {
-	for tp != nil {
-		if p, ok := tp.(PooledTransport); ok {
-			return p
-		}
-		w, ok := tp.(WrappingTransport)
-		if !ok {
-			return nil
-		}
-		tp = w.Unwrap()
-	}
-	return nil
 }
 
 // PeerExchange synchronizes per-rank values across the processes of a

@@ -2,10 +2,11 @@
 // implementation must pass: delivery fidelity, per-key FIFO ordering, context
 // cancellation and deadline behavior, fail-fast Recv after the remote
 // endpoint closes, and buffer-ownership discipline on both sides of a
-// transfer. The in-memory channel transport, every decorator, and the wire
-// transport all run the same table (see the conformance tests in the runtime
-// and wire packages), so a new transport implementation starts by passing
-// this battery. Production code must not import it.
+// transfer. The in-memory channel transport, the fault and retry
+// decorators, and the wire transport all run the same table (see the
+// conformance tests in the runtime and wire packages), so a new transport
+// implementation starts by passing this battery. Production code must not
+// import it.
 package transporttest
 
 import (
@@ -300,7 +301,7 @@ func Run(t *testing.T, factory Factory) {
 		if err := send(ctx, tp, key(0), tr, runtime.NewMessage(m)); err != nil {
 			t.Fatal(err)
 		}
-		if runtime.Pooled(tp) != nil {
+		if _, pooled := tp.(runtime.PooledTransport); pooled {
 			// A pooled transport serialized before Send returned: the
 			// sender is free to reuse its buffer immediately.
 			for i := range m.Data {
