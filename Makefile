@@ -76,11 +76,12 @@ chaos:
 		./internal/runtime/ ./internal/checkpoint/ ./internal/topology/ ./internal/gnn/ .
 
 # Wire tier: the transport conformance battery (one table over channels,
-# decorators, and sockets), the socket chaos/crash suite, and the
-# multi-process worker protocol, all under the race detector.
+# decorators, and sockets), the socket chaos/crash suite, the credit window
+# refilling once links go idle, and the multi-process worker protocol, all
+# under the race detector.
 wire:
 	$(GO) test -race -count=1 \
-		-run 'Conformance|Fabric|Frame|PlanDigest|Handshake|Exchanges|SteadyState|Wire|Distributed|SplitRanks|Coordinator|OSProcesses' \
+		-run 'Conformance|Fabric|Frame|PlanDigest|Handshake|Exchanges|SteadyState|Wire|Credit|Distributed|SplitRanks|Coordinator|OSProcesses' \
 		./internal/comm/wire/ ./internal/runtime/ ./internal/worker/ .
 
 # Serve tier (DESIGN.md §13): the embedding-serving battery under the race

@@ -38,46 +38,27 @@ func RingAllreduce(bufs []*tensor.Matrix) error {
 	start := func(c int) int { return c * n / k }
 	// Phase 1: reduce-scatter. In step s, worker w sends chunk (w-s) to
 	// worker w+1, which accumulates. After k-1 steps, worker w holds the
-	// full sum of chunk (w+1).
+	// full sum of chunk (w+1). Each step folds in place: within one step
+	// every chunk has one sender and one receiver, and no worker reads a
+	// chunk another writes in that step, so the synchronous ring needs no
+	// snapshot of what is sent.
 	for s := 0; s < k-1; s++ {
-		// Simultaneous ring step: compute all sends from a snapshot to model
-		// the synchronous ring (avoids order dependence).
-		type msg struct {
-			dst, chunk int
-			data       []float32
-		}
-		msgs := make([]msg, 0, k)
 		for w := 0; w < k; w++ {
 			c := ((w-s)%k + k) % k
 			lo, hi := start(c), start(c+1)
-			data := make([]float32, hi-lo)
-			copy(data, bufs[w].Data[lo:hi])
-			msgs = append(msgs, msg{dst: (w + 1) % k, chunk: c, data: data})
-		}
-		for _, m := range msgs {
-			lo := start(m.chunk)
-			for i, v := range m.data {
-				bufs[m.dst].Data[lo+i] += v
+			dst := bufs[(w+1)%k].Data[lo:hi]
+			for i, v := range bufs[w].Data[lo:hi] {
+				dst[i] += v
 			}
 		}
 	}
-	// Phase 2: allgather. Worker w owns the reduced chunk (w+1); circulate.
+	// Phase 2: allgather. Worker w owns the reduced chunk (w+1); circulate,
+	// in place for the same reason.
 	for s := 0; s < k-1; s++ {
-		type msg struct {
-			dst, chunk int
-			data       []float32
-		}
-		msgs := make([]msg, 0, k)
 		for w := 0; w < k; w++ {
 			c := ((w+1-s)%k + k) % k
 			lo, hi := start(c), start(c+1)
-			data := make([]float32, hi-lo)
-			copy(data, bufs[w].Data[lo:hi])
-			msgs = append(msgs, msg{dst: (w + 1) % k, chunk: c, data: data})
-		}
-		for _, m := range msgs {
-			lo := start(m.chunk)
-			copy(bufs[m.dst].Data[lo:lo+len(m.data)], m.data)
+			copy(bufs[(w+1)%k].Data[lo:hi], bufs[w].Data[lo:hi])
 		}
 	}
 	return nil

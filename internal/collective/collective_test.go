@@ -89,3 +89,98 @@ func TestFullAllgatherBytesOvershoot(t *testing.T) {
 		t.Fatalf("got %d", got)
 	}
 }
+
+// snapshotRingAllreduce is RingAllreduce as it was before the ring folded in
+// place: every ring step copies each sent chunk into a fresh slice first,
+// then delivers. Kept as the reference the in-place ring must match bit for
+// bit.
+func snapshotRingAllreduce(bufs []*tensor.Matrix) {
+	k, n := len(bufs), len(bufs[0].Data)
+	start := func(c int) int { return c * n / k }
+	type msg struct {
+		dst, chunk int
+		data       []float32
+	}
+	for s := 0; s < k-1; s++ {
+		msgs := make([]msg, 0, k)
+		for w := 0; w < k; w++ {
+			c := ((w-s)%k + k) % k
+			lo, hi := start(c), start(c+1)
+			data := make([]float32, hi-lo)
+			copy(data, bufs[w].Data[lo:hi])
+			msgs = append(msgs, msg{dst: (w + 1) % k, chunk: c, data: data})
+		}
+		for _, m := range msgs {
+			lo := start(m.chunk)
+			for i, v := range m.data {
+				bufs[m.dst].Data[lo+i] += v
+			}
+		}
+	}
+	for s := 0; s < k-1; s++ {
+		msgs := make([]msg, 0, k)
+		for w := 0; w < k; w++ {
+			c := ((w+1-s)%k + k) % k
+			lo, hi := start(c), start(c+1)
+			data := make([]float32, hi-lo)
+			copy(data, bufs[w].Data[lo:hi])
+			msgs = append(msgs, msg{dst: (w + 1) % k, chunk: c, data: data})
+		}
+		for _, m := range msgs {
+			lo := start(m.chunk)
+			copy(bufs[m.dst].Data[lo:lo+len(m.data)], m.data)
+		}
+	}
+}
+
+// TestRingAllreduceInPlaceMatchesSnapshotRing pins the in-place ring to the
+// snapshot ring bit for bit over a random table: K 2-8, odd lengths (some
+// shorter than K, so some chunks are empty), and values whose magnitudes
+// span 1e-4 to 1e3, so every rounding the additions make shows.
+func TestRingAllreduceInPlaceMatchesSnapshotRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for tc := 0; tc < 300; tc++ {
+		k := 2 + rng.Intn(7)
+		n := 1 + 2*rng.Intn(150)
+		got := make([]*tensor.Matrix, k)
+		want := make([]*tensor.Matrix, k)
+		for w := range got {
+			got[w] = tensor.New(1, n)
+			for i := range got[w].Data {
+				mag := math.Pow(10, -4+7*rng.Float64())
+				if rng.Intn(2) == 0 {
+					mag = -mag
+				}
+				got[w].Data[i] = float32(mag)
+			}
+			want[w] = got[w].Clone()
+		}
+		if err := RingAllreduce(got); err != nil {
+			t.Fatal(err)
+		}
+		snapshotRingAllreduce(want)
+		for w := range got {
+			for i := range got[w].Data {
+				if math.Float32bits(got[w].Data[i]) != math.Float32bits(want[w].Data[i]) {
+					t.Fatalf("case %d (k=%d n=%d) worker %d elem %d: in-place %v, snapshot ring %v", tc, k, n, w, i, got[w].Data[i], want[w].Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRingAllreduceAllocatesNothing: folding in place, the ring allocates
+// nothing per call (the snapshot ring made 126 allocations at K = 8).
+func TestRingAllreduceAllocatesNothing(t *testing.T) {
+	bufs := make([]*tensor.Matrix, 8)
+	for w := range bufs {
+		bufs[w] = tensor.New(1, 264).FillRandom(int64(w))
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := RingAllreduce(bufs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("RingAllreduce allocates %.0f objects per call at K = 8, want 0", allocs)
+	}
+}

@@ -82,6 +82,11 @@ type Frame struct {
 	F64    []float64
 	// Payload of data frames and kindF32 exchanges.
 	Rows *tensor.Matrix
+	// Msg is a data frame's payload to encode when Rows is nil: the
+	// sender's message as the stage loop handed it over (for an in-place
+	// message, rows read straight from the sender's slot storage). Decoding
+	// always fills Rows.
+	Msg runtime.Message
 	// Credit frames.
 	Credits uint32
 }
@@ -111,10 +116,16 @@ func encodeFrame(buf []byte, f *Frame) []byte {
 		buf = appendI32(buf, f.Src)
 		buf = appendI32(buf, f.Dst)
 		buf = appendU64(buf, f.MsgSum)
-		buf = appendI32(buf, int32(f.Rows.Rows))
-		buf = appendI32(buf, int32(f.Rows.Cols))
-		for _, x := range f.Rows.Data {
-			buf = appendU32(buf, math.Float32bits(x))
+		msg := f.Msg
+		if f.Rows != nil {
+			msg = runtime.Message{Rows: f.Rows}
+		}
+		buf = appendI32(buf, int32(msg.NumRows()))
+		buf = appendI32(buf, int32(msg.Cols()))
+		for i := 0; i < msg.NumRows(); i++ {
+			for _, x := range msg.Row(i) {
+				buf = appendU32(buf, math.Float32bits(x))
+			}
 		}
 	case frameExchange:
 		buf = appendU64(buf, f.Seq)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -36,16 +37,26 @@ const (
 )
 
 // creditWindow is the per-link in-flight frame window: a sender holds one
-// credit per unrouted frame and blocks (cancellably) when the window is
-// exhausted; the receiver returns a credit as each frame is routed.
+// credit per unreturned frame and blocks (cancellably) when the window is
+// exhausted. The receiver owes a credit for each frame it routes and pays
+// them back in one credit frame carrying the count: when creditWindow/2 are
+// owed, and whenever its read buffer runs dry, before it can block on the
+// socket. That cannot deadlock: a sender blocks only with creditWindow
+// frames unreturned, all of them already written whole, and the reader
+// routes every one and pays for them before it waits for more.
 const creditWindow = 64
+
+// readBufSize is a link's read buffer: one socket read serves as many
+// frame headers and bodies as have arrived.
+const readBufSize = 64 << 10
 
 // bytePool recycles frame serialization and body scratch buffers, binned by
 // power-of-two capacity like the runtime matrix pool (and like it,
 // deliberately not a sync.Pool, for deterministic allocation counts).
 type bytePool struct {
-	mu   sync.Mutex
-	free map[int][][]byte
+	mu sync.Mutex
+	// free[cl] holds the buffers of capacity 1<<cl.
+	free [64][][]byte
 }
 
 func (p *bytePool) get(n int) []byte {
@@ -71,9 +82,6 @@ func (p *bytePool) put(b []byte) {
 	}
 	cl := bits.Len(uint(c)) - 1
 	p.mu.Lock()
-	if p.free == nil {
-		p.free = make(map[int][][]byte)
-	}
 	p.free[cl] = append(p.free[cl], b[:0])
 	p.mu.Unlock()
 }
@@ -87,6 +95,11 @@ type link struct {
 	conn    net.Conn
 	credits chan struct{}
 
+	// The reader goroutine's own: the buffered socket reader, and the
+	// credits owed to the peer for frames routed but not yet paid back.
+	rd   *bufio.Reader
+	owed uint32
+
 	wmu sync.Mutex // serializes frame writes
 
 	closed    chan struct{}
@@ -95,7 +108,7 @@ type link struct {
 }
 
 func newLink(n *Node, peer int, conn net.Conn) *link {
-	l := &link{node: n, peer: peer, conn: conn, closed: make(chan struct{})}
+	l := &link{node: n, peer: peer, conn: conn, rd: bufio.NewReaderSize(conn, readBufSize), closed: make(chan struct{})}
 	l.credits = make(chan struct{}, creditWindow)
 	for i := 0; i < creditWindow; i++ {
 		l.credits <- struct{}{} //dgclvet:ignore ctxbound filling a fresh channel to its exact capacity; cannot block
@@ -124,21 +137,27 @@ func (l *link) isClosed() bool {
 	}
 }
 
-// readFull fills p from the socket under armed read deadlines. With idleOK,
+// readFull fills p from the buffered socket reader. A read the buffer
+// cannot serve goes to the socket, and only then: first the owed credits go
+// back (the reader may be about to block, and a sender waiting on credits
+// must not wait on it), then the read deadline is armed. With idleOK,
 // timeouts while no byte of the next frame has arrived simply re-arm (links
 // idle between collectives); once a frame has started, a stall longer than
 // ioTimeout is a peer failure.
 func (l *link) readFull(p []byte, idleOK bool) error {
 	got := 0
 	for got < len(p) {
-		d := ioTimeout
-		if idleOK && got == 0 {
-			d = idleTimeout
+		if l.rd.Buffered() == 0 {
+			l.returnCredits()
+			d := ioTimeout
+			if idleOK && got == 0 {
+				d = idleTimeout
+			}
+			if err := l.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
+				return err
+			}
 		}
-		if err := l.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
-			return err
-		}
-		n, err := l.conn.Read(p[got:])
+		n, err := l.rd.Read(p[got:])
 		got += n
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && idleOK && got == 0 && !l.isClosed() {
@@ -186,12 +205,15 @@ func (l *link) sendFrame(ctx context.Context, buf []byte) error {
 	return l.writeFrame(ctx, buf)
 }
 
-// returnCredit hands one window credit back to the peer after routing one of
-// its frames. Credit frames themselves bypass the window (they are what
-// refills it).
-func (l *link) returnCredit() {
+// returnCredits pays the owed credits back to the peer in one credit frame.
+// Credit frames themselves bypass the window (they are what refills it).
+func (l *link) returnCredits() {
+	if l.owed == 0 {
+		return
+	}
 	buf := l.node.bytes.get(headerSize + 4)[:0]
-	buf = encodeFrame(buf, &Frame{Type: frameCredit, Credits: 1})
+	buf = encodeFrame(buf, &Frame{Type: frameCredit, Credits: l.owed})
+	l.owed = 0
 	err := l.writeFrame(context.Background(), buf)
 	l.node.bytes.put(buf)
 	_ = err // a failed credit write already sheared the link down
@@ -258,7 +280,9 @@ func (l *link) readLoop() {
 			l.release(f.Credits)
 		default:
 			l.node.route(f)
-			l.returnCredit()
+			if l.owed++; l.owed >= creditWindow/2 {
+				l.returnCredits()
+			}
 		}
 	}
 }

@@ -425,8 +425,9 @@ func (n *Node) CollectiveTransport(stages [][]core.Transfer, ids []int) runtime.
 // meshTransport routes one collective's transfers over a set of wire nodes.
 // In a worker process the set is the single local node; the loopback fabric
 // spans all of them (every client runs in-process, every cross-client
-// payload still crosses a real socket). Send serializes before returning and
-// Recv yields pooled buffers the caller owns, so it is a
+// payload still crosses a real socket). Send encodes the message straight
+// from its rows (for an in-place message, the sender's own storage) before
+// returning, and Recv yields pooled buffers the caller owns, so it is a
 // runtime.PooledTransport.
 type meshTransport struct {
 	seq   uint64
@@ -463,11 +464,14 @@ func (t *meshTransport) Send(ctx context.Context, key runtime.TransferKey, tr co
 	if !ok {
 		return fmt.Errorf("wire: %s: dst device %d not in the rank table", key, dstDev)
 	}
+	rows, cols := msg.NumRows(), msg.Cols()
 	if dstOwner == srcNode.id {
 		// Same-node transfer: copy into a pooled buffer and route locally
 		// (identical ownership semantics to the socket path).
-		buf := t.pool.Get(msg.Rows.Rows, msg.Rows.Cols)
-		copy(buf.Data, msg.Rows.Data)
+		buf := t.pool.Get(rows, cols)
+		for i := 0; i < rows; i++ {
+			copy(buf.Data[i*cols:], msg.Row(i))
+		}
 		srcNode.route(Frame{Type: frameData, Seq: t.seq, Key: key, Src: srcDev, Dst: dstDev, MsgSum: msg.Checksum, Rows: buf})
 		return nil
 	}
@@ -475,9 +479,9 @@ func (t *meshTransport) Send(ctx context.Context, key runtime.TransferKey, tr co
 	if lk == nil {
 		return fmt.Errorf("wire: %s: no link from node %d to node %d", key, srcNode.id, dstOwner)
 	}
-	need := headerSize + dataHeaderSize + 4*len(msg.Rows.Data)
+	need := headerSize + dataHeaderSize + 4*rows*cols
 	scratch := srcNode.bytes.get(need)[:0]
-	scratch = encodeFrame(scratch, &Frame{Type: frameData, Seq: t.seq, Key: key, Src: srcDev, Dst: dstDev, MsgSum: msg.Checksum, Rows: msg.Rows})
+	scratch = encodeFrame(scratch, &Frame{Type: frameData, Seq: t.seq, Key: key, Src: srcDev, Dst: dstDev, MsgSum: msg.Checksum, Msg: msg})
 	err := lk.sendFrame(ctx, scratch)
 	srcNode.bytes.put(scratch)
 	if err != nil {

@@ -458,3 +458,45 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state wire collective allocates %v times, budget 2000", largeAllocs)
 	}
 }
+
+// TestFabricCreditWindowRefillsWhenIdle: a reader pays its owed credits back
+// whenever its read buffer runs dry, not only at half-window, so once the
+// collectives over a 2-node fabric go idle every link's window is full
+// again. A reader that paid only at half-window would keep up to
+// creditWindow/2-1 credits per link for good, and its peer would run every
+// later collective on a shrunken window.
+func TestFabricCreditWindowRefillsWhenIdle(t *testing.T) {
+	c, rel := buildCluster(t, 2, 1)
+	f := newFabric(t, c)
+	c.Provider = f
+	local := randomLocals(rel, 2, 4)
+	if _, err := c.Allgather(local); err != nil {
+		t.Fatal(err)
+	}
+	gradFull := make([]*tensor.Matrix, 2)
+	for d := range gradFull {
+		lg := c.Locals[d]
+		gradFull[d] = tensor.New(lg.NumLocal+lg.NumRemote, 4).FillRandom(int64(d) + 9)
+	}
+	if _, err := c.BackwardAllgather(gradFull); err != nil {
+		t.Fatal(err)
+	}
+	// Credit frames travel after the collective returns; wait for them,
+	// bounded.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		short := 0
+		for _, n := range f.nodes {
+			for _, l := range n.links {
+				short += creditWindow - len(l.credits)
+			}
+		}
+		if short == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d credits still unreturned across the fabric's links after the collectives went idle", short)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -73,15 +73,11 @@ type Cluster struct {
 	DeviceIDs []int
 
 	// Compiled routing programs (program.go), built lazily on first use and
-	// reused by every subsequent collective.
+	// reused by every subsequent collective, each with the channels and
+	// relay arenas its collectives run in.
 	progMu  sync.Mutex
 	fwdProg *routingProgram
 	bwdProg *routingProgram
-
-	// pool recycles transfer payloads and relay arenas across collectives
-	// (pool.go): steady-state epochs allocate O(1) per transfer instead of
-	// O(vertices).
-	pool bufPool
 }
 
 // ActiveRanks returns the client indices this cluster executes locally: all
@@ -270,17 +266,21 @@ func (c *Cluster) collective(ctx context.Context, in []*tensor.Matrix, backward 
 	}
 	ctx, cancel := c.collectiveContext(ctx)
 	defer cancel()
-	tp, pooled, release := c.acquireTransport(prog)
+	tx, st, release := c.acquireStack(prog)
 	op, run := "graphAllgather", c.runForwardClient
 	if backward {
 		op, run = "backward graphAllgather", c.runBackwardClient
 	}
+	c.eachActive(func(d int) { st.bind(d, cols, prog.clients[d].arenaRows) })
 	out := make([]*tensor.Matrix, c.K)
 	errs := make([]error, c.K)
 	c.onEachRank(func(d int) {
-		out[d], errs[d] = run(ctx, d, in[d], cols, tp, &prog.clients[d], pooled)
+		out[d], errs[d] = run(ctx, d, in[d], tx, &prog.clients[d], &st.slots[d])
 		abortOnDeviceDown(errs[d], cancel)
 	})
+	// Every reader is done: drop the state's hold on this collective's
+	// outputs, which are the caller's now.
+	clear(st.slots)
 	release(anyError(errs))
 	if err := c.finishCollective(op, errs); err != nil {
 		return nil, err
@@ -340,53 +340,72 @@ func (c *Cluster) validateInputs(in []*tensor.Matrix, backward bool) (int, error
 // runForwardClient executes one client's compiled forward program. The
 // output `full` doubles as the vertex store: owned rows are block-copied up
 // front, received rows land directly at their precomputed local-graph
-// offset, and relay-only rows live in a pooled arena.
-func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Matrix, cols int, tp Transport, cp *clientProgram, pooled PooledTransport) (*tensor.Matrix, error) {
+// offset, and relay-only rows live in the program's arena.
+func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Matrix, tx stack, cp *clientProgram, sr *slotRows) (*tensor.Matrix, error) {
 	lg := c.Locals[d]
-	full := tensor.New(lg.NumLocal+lg.NumRemote, cols)
-	copy(full.Data[:lg.NumLocal*cols], local.Data)
-	arena := c.pool.get(cp.arenaRows, cols)
-	defer c.pool.put(arena)
-	rowOf := func(s int32) []float32 {
-		if s >= 0 {
-			return full.Row(int(s))
-		}
-		return arena.Row(int(-s - 1))
-	}
-	if err := c.runClient(ctx, d, cols, tp, cp, pooled, rowOf, aggregateCopy); err != nil {
+	full := tensor.New(lg.NumLocal+lg.NumRemote, sr.cols)
+	copy(full.Data[:lg.NumLocal*sr.cols], local.Data)
+	sr.own = full.Data
+	if err := c.runClient(ctx, d, tx, cp, sr, false); err != nil {
 		return nil, err
 	}
 	return full, nil
 }
 
-// aggregateFunc lands one received payload at its compiled slots.
-type aggregateFunc func(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix)
+// slotRows is one client's slot storage for one collective, under
+// program.go's slot encoding: slot s >= 0 is row s of own, s < 0 is row
+// -s-1 of arena. An in-place message points at its sender's.
+type slotRows struct {
+	own, arena []float32
+	cols       int
+}
 
-// aggregateCopy lands a received payload at its compiled slots (forward:
-// pure row copies).
-func aggregateCopy(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix) {
+// row returns the storage of slot s.
+func (sr *slotRows) row(s int32) []float32 {
+	c := sr.cols
+	if s >= 0 {
+		o := int(s) * c
+		return sr.own[o : o+c]
+	}
+	o := int(-s-1) * c
+	return sr.arena[o : o+c]
+}
+
+// gather copies the rows of slots into a fresh matrix: the materialised
+// form of an in-place message.
+func (sr *slotRows) gather(slots []int32) *tensor.Matrix {
+	m := tensor.New(len(slots), sr.cols)
 	for i, s := range slots {
-		copy(rowOf(s), rows.Row(i))
+		copy(m.Data[i*sr.cols:], sr.row(s))
+	}
+	return m
+}
+
+// land copies (forward) or adds (backward) payload row i into slots[i],
+// reading an in-place message straight from its sender's storage. Backward
+// adds each destination row's floats in row-local order.
+func (sr *slotRows) land(slots []int32, msg Message, add bool) {
+	for i, s := range slots {
+		src := msg.Row(i)
+		if add {
+			tensor.AddTo(sr.row(s), src)
+		} else {
+			copy(sr.row(s), src)
+		}
 	}
 }
 
-// aggregateAdd accumulates a received payload into its compiled slots
-// (backward), each destination row's floats added in row-local order.
-func aggregateAdd(rowOf func(int32) []float32, slots []int32, rows *tensor.Matrix) {
-	for i, s := range slots {
-		tensor.AddTo(rowOf(s), rows.Row(i))
-	}
-}
-
-// runClient runs one client's compiled program over the slot storage behind
-// rowOf, landing each received payload with agg, strictly in order: each
-// stage's sends, then its receives. Sending first is safe in both
-// directions — a stage's sends only carry rows settled in earlier stages,
-// never data arriving in this stage's receives (forward: tree edges at depth
-// k ship rows received at depth k-1; backward: the same edges reversed) —
-// and it is what keeps the stage deadlock-free. Send buffers come from the
-// pool and are returned by the *receiving* client once consumed
-// (Cluster.recycle), so steady-state epochs allocate no payload memory.
+// runClient runs one client's compiled program over its slot storage,
+// landing each received payload (adding it when add is set, copying it
+// otherwise), strictly in order: each stage's sends, then its receives.
+// Sending first is safe in both directions — a stage's sends only carry
+// rows settled in earlier stages, never data arriving in this stage's
+// receives (forward: tree edges at depth k ship rows received at depth k-1;
+// backward: the same edges reversed) — and it is what keeps the stage
+// deadlock-free. A send hands over the sender's rows in place when the
+// stack allows it (program.go says why no row changes until its readers are
+// done), and a materialised copy otherwise; so the channel path moves each
+// row once, from the sender's storage into the receiver's.
 //
 // The loop also applies the two per-transfer policies. With a crash tracker
 // installed it advances the tracker once per stage in which the client has a
@@ -396,51 +415,47 @@ func aggregateAdd(rowOf func(int32) []float32, slots []int32, rows *tensor.Matri
 // unblocked by abortOnDeviceDown, since that sender's own client fails).
 // With Stats installed it counts each successful transfer and adds the
 // tally in when the program ends, failed or not.
-func (c *Cluster) runClient(ctx context.Context, d, cols int, tp Transport, cp *clientProgram, pooled PooledTransport, rowOf func(int32) []float32, agg aggregateFunc) error {
+func (c *Cluster) runClient(ctx context.Context, d int, tx stack, cp *clientProgram, sr *slotRows, add bool) error {
 	var n clientCounts
 	if c.Stats != nil {
 		defer c.Stats.add(d, &n)
 	}
+	rowBytes := int64(sr.cols * 4)
 	for si, cs := range cp.stages {
 		if c.Crash != nil && len(cs.sends)+len(cs.recvs) > 0 {
 			c.Crash.advance(si)
 		}
-		// Send phase: fill peer buffers and set done flags.
+		// Send phase: hand over the rows and set done flags.
 		for _, snd := range cs.sends {
 			if err := c.deviceDown(snd.tr); err != nil {
 				return fmt.Errorf("runtime: GPU %d send: %w", d, err)
 			}
-			buf := c.pool.get(len(snd.slots), cols)
-			for i, s := range snd.slots {
-				copy(buf.Row(i), rowOf(s))
+			msg := Message{from: sr, slots: snd.slots}
+			if !tx.inPlace {
+				msg = c.seal(Message{Rows: sr.gather(snd.slots)})
 			}
-			if err := tp.Send(ctx, snd.key, snd.tr, c.seal(Message{Rows: buf})); err != nil {
+			if err := tx.tp.Send(ctx, snd.key, snd.tr, msg); err != nil {
 				return fmt.Errorf("runtime: GPU %d send: %w", d, c.blame(snd.tr, err))
 			}
-			// Once Send returns the receiver may already have recycled buf:
-			// count from the step, not the payload.
-			n.sentBytes += int64(len(snd.slots) * cols * 4)
+			n.sentBytes += int64(len(snd.slots)) * rowBytes
 			n.sentMsgs++
-			n.relayedBytes += int64(snd.relayRows * cols * 4)
-			if pooled != nil {
-				// A pooled transport serialized the payload before Send
-				// returned; the buffer is ours again.
-				c.pool.put(buf)
-			}
+			n.relayedBytes += int64(snd.relayRows) * rowBytes
 		}
 		// Receive phase: wait for each peer's done flag and retrieve.
 		for _, rcv := range cs.recvs {
 			if err := c.deviceDown(rcv.tr); err != nil {
 				return fmt.Errorf("runtime: GPU %d recv: %w", d, err)
 			}
-			msg, err := tp.Recv(ctx, rcv.key, rcv.tr)
+			msg, err := tx.tp.Recv(ctx, rcv.key, rcv.tr)
 			if err != nil {
 				return fmt.Errorf("runtime: GPU %d recv: %w", d, c.blame(rcv.tr, err))
 			}
-			n.recvBytes += int64(len(msg.Rows.Data) * 4)
+			n.recvBytes += int64(len(rcv.slots)) * rowBytes
 			n.recvMsgs++
-			agg(rowOf, rcv.slots, msg.Rows)
-			c.recycle(pooled, msg)
+			sr.land(rcv.slots, msg, add)
+			if tx.pooled != nil {
+				tx.pooled.RecycleMessage(msg)
+			}
 		}
 	}
 	return nil
@@ -488,27 +503,22 @@ func (c *Cluster) BackwardAllgatherContext(ctx context.Context, gradFull []*tens
 
 // runBackwardClient executes one client's compiled backward program. The
 // owned-gradient accumulator starts from the local rows of gradFull; the
-// pooled arena holds the running gradient for every non-owned vertex this
+// program's arena holds the running gradient for every non-owned vertex this
 // client touches — rows [0, NumRemote) start as the remote rows of gradFull
 // (this client's own consumer contribution), relay-only rows start at zero
-// (zeroed explicitly: pooled memory is dirty). Receives accumulate row i of
-// the payload into its precomputed slot in the exact legacy iteration order,
-// so results are bit-identical to the map-based path.
-func (c *Cluster) runBackwardClient(ctx context.Context, d int, gradFull *tensor.Matrix, cols int, tp Transport, cp *clientProgram, pooled PooledTransport) (*tensor.Matrix, error) {
+// (zeroed explicitly: the arena still holds the last collective's sums).
+// Receives accumulate row i of the payload into its precomputed slot in the
+// exact legacy iteration order, so results are bit-identical to the
+// map-based path.
+func (c *Cluster) runBackwardClient(ctx context.Context, d int, gradFull *tensor.Matrix, tx stack, cp *clientProgram, sr *slotRows) (*tensor.Matrix, error) {
 	lg := c.Locals[d]
+	cols := sr.cols
 	own := tensor.New(lg.NumLocal, cols)
 	copy(own.Data, gradFull.Data[:lg.NumLocal*cols])
-	arena := c.pool.get(cp.arenaRows, cols)
-	defer c.pool.put(arena)
-	copy(arena.Data[:lg.NumRemote*cols], gradFull.Data[lg.NumLocal*cols:])
-	clear(arena.Data[cp.zeroFrom*cols:])
-	rowOf := func(s int32) []float32 {
-		if s >= 0 {
-			return own.Row(int(s))
-		}
-		return arena.Row(int(-s - 1))
-	}
-	if err := c.runClient(ctx, d, cols, tp, cp, pooled, rowOf, aggregateAdd); err != nil {
+	sr.own = own.Data
+	copy(sr.arena[:lg.NumRemote*cols], gradFull.Data[lg.NumLocal*cols:])
+	clear(sr.arena[cp.zeroFrom*cols:])
+	if err := c.runClient(ctx, d, tx, cp, sr, true); err != nil {
 		return nil, err
 	}
 	return own, nil

@@ -7,26 +7,27 @@ import (
 	"dgcl/internal/tensor"
 )
 
-// bufPool is the cluster-owned, size-classed free list for transfer payloads
-// and relay arenas. Every steady-state buffer the hot path needs cycles
-// through here: a send buffer is filled, shipped, consumed by the receiving
-// client, and returned (see Cluster.recycle), so after the first collective
-// warms the pool an epoch performs no per-transfer data allocations.
+// bufPool is the size-classed free list behind MatrixPool, the wire
+// transport's decode buffers: a frame is decoded into a pooled matrix, the
+// receiving client lands its rows, and the stage loop hands it back through
+// PooledTransport.RecycleMessage, so after the first collective warms the
+// pool an epoch over sockets performs no per-frame data allocations. The
+// in-process path takes nothing from it: a channel send hands over the
+// sender's rows in place, and relay arenas are exact-size and owned by the
+// compiled program (program.go).
 //
 // This is deliberately NOT a sync.Pool: sync.Pool is emptied by GC at
 // arbitrary points, which would make steady-state allocation counts (and the
 // testing.AllocsPerRun regression tests that pin them) nondeterministic. A
-// plain mutex-guarded free list keeps buffers alive for the cluster's
-// lifetime — bounded, since the working set is one collective's transfers.
+// plain mutex-guarded free list keeps buffers alive for the pool's lifetime
+// — bounded, since the working set is one collective's frames.
 //
 // Buffers are binned by power-of-two capacity: get rounds the requested
 // element count up to the next power of two (so a 100-row buffer can later
-// serve a 97-row transfer of the same shape class), put bins by the
-// capacity's floor class. All pooled buffers are allocated here with exact
-// power-of-two capacity, so the round trip is exact. Pooled memory is dirty
-// by contract: every consumer either fully overwrites the rows it uses
-// (sends, forward arenas) or explicitly zeroes accumulator rows (backward
-// relay arenas).
+// serve a 97-row frame of the same shape class), put bins by the capacity's
+// floor class. All pooled buffers are allocated here with exact power-of-two
+// capacity, so the round trip is exact. Pooled memory is dirty by contract:
+// the decoder fully overwrites every row it hands out.
 type bufPool struct {
 	mu sync.Mutex
 	// free[cl] holds the buffers of capacity 1<<cl.
@@ -55,10 +56,11 @@ func (p *bufPool) get(rows, cols int) *tensor.Matrix {
 }
 
 // MatrixPool is the exported face of the size-classed free list, for
-// transports that manage their own receive/serialization buffers (the wire
-// transport decodes frames into pooled matrices and takes them back through
-// Cluster.recycle). Like bufPool it is deliberately not a sync.Pool, so
-// AllocsPerRun regression tests over the wire path stay deterministic.
+// transports that manage their own receive buffers (the wire transport
+// decodes frames into pooled matrices and takes them back through
+// PooledTransport.RecycleMessage). Like bufPool it is deliberately not a
+// sync.Pool, so AllocsPerRun regression tests over the wire path stay
+// deterministic.
 type MatrixPool struct{ p bufPool }
 
 // Get returns a rows×cols matrix backed by pooled (dirty) memory.

@@ -35,6 +35,26 @@ import (
 // Programs are compiled lazily (once per plan) under progMu and shared by
 // all subsequent collectives. Only the forward program is compiled from the
 // plan; the backward one is its reversal.
+//
+// In-place transfers. A send hands its receiver the sender's rows themselves
+// (an in-place Message: the sender's slot storage and the send's slot list),
+// and the receiver copies or adds each row straight out of the sender's
+// `full`/`own` matrix or relay arena. So no row may be written while a
+// receiver can still read it, and that holds by construction:
+//
+//   - forward: owned rows are read-only, and each relay row (a remote row of
+//     `full`, or an arena row) is written by exactly one receive, in an
+//     earlier stage than any of its sends;
+//   - backward (the reversed program): a relay row takes all its adds before
+//     its one send, and nothing writes a row after sending it;
+//   - across collectives: the relay arenas belong to the program (execState,
+//     exact-size, one per client per column width) and are written again
+//     only by the next collective that acquires the same state. That
+//     collective starts after onEachRank's barrier has seen every client —
+//     so every reader — finish; a concurrent collective runs on a fresh
+//     state. A rank-resident epoch without that barrier (ROADMAP item 4)
+//     must replace it with a done flag per arena: a client may not rewrite
+//     its arena until its readers have signalled they are done.
 
 // ChunkRows bounds the rows of one transfer: compile splits every wider plan
 // transfer into consecutive sub-transfers of at most this many rows within
@@ -110,19 +130,20 @@ type clientProgram struct {
 	stages    []clientStage
 	arenaRows int
 	// zeroFrom is the first arena row that must be zeroed before use
-	// (backward relay accumulators; pooled arena memory is dirty). Forward
-	// programs set it to arenaRows: every forward arena row is fully
-	// overwritten by a receive before anything reads it.
+	// (backward relay accumulators; a program's arena still holds its last
+	// collective's rows). Forward programs set it to arenaRows: every
+	// forward arena row is fully overwritten by a receive before anything
+	// reads it.
 	zeroFrom int
 }
 
 // routingProgram is the compiled form of one collective direction: per-client
 // programs, the flattened transport stage layout they are keyed against, and
-// the reusable channel transport bound to that layout.
+// the cached state (channels, relay arenas) its collectives run in.
 type routingProgram struct {
 	clients []clientProgram
 	stages  [][]core.Transfer
-	tc      transportCache
+	cache   stateCache
 }
 
 // program returns the compiled program for one collective direction. Both
@@ -258,76 +279,117 @@ func (fwd *routingProgram) reversed(locals []*comm.LocalGraph) *routingProgram {
 	return prog
 }
 
-// transportCache holds the reusable channel transport bound to one compiled
-// program's stage layout. Channel construction is O(transfers) per
-// collective; with no fault injection a successful collective provably
-// drains every channel — each key is sent exactly once and received exactly
-// once, and the retry decorator only retransmits what faults reject — so
-// the transport can carry the next collective as-is. Any client error
-// (timeout, cancellation, dead device) may strand messages in channels, so a
-// failed collective discards the cached transport instead of handing stale
-// payloads to the next epoch.
-type transportCache struct {
+// execState is what one collective borrows from its program besides the
+// compiled steps: the channel transport over the program's stage layout
+// (built by the first collective that runs on the channels), each client's
+// relay arena at every column width the program has run at, exact-size, and
+// each client's slot storage, which its in-place messages point at.
+type execState struct {
+	chans  Transport
+	arenas map[int][][]float32
+	slots  []slotRows
+}
+
+func newExecState(k int) *execState {
+	return &execState{arenas: make(map[int][][]float32), slots: make([]slotRows, k)}
+}
+
+// bind points client d's slot storage at its relay arena for width cols,
+// allocating the arena (arenaRows×cols, exact) on the program's first
+// collective at that width. The client sets its own rows. Call it before the
+// clients start: the arena map takes no lock.
+func (st *execState) bind(d, cols, arenaRows int) {
+	set := st.arenas[cols]
+	if set == nil {
+		set = make([][]float32, len(st.slots))
+		st.arenas[cols] = set
+	}
+	if set[d] == nil {
+		set[d] = make([]float32, arenaRows*cols)
+	}
+	st.slots[d] = slotRows{arena: set[d], cols: cols}
+}
+
+// stateCache holds one program's reusable execState under a single in-use
+// flag. Reusing it is safe on two counts. With no fault injection a
+// successful collective drains every channel: each key is sent exactly once
+// and received exactly once, and the retry decorator only retransmits what
+// faults reject. And every client, so every reader of an arena, has
+// finished when the collective returns (the arena rules at the top of this
+// file). Any client error (timeout, cancellation, dead device) may strand
+// messages in channels, so a failed collective discards the state instead of
+// handing stale payloads to the next epoch. A collective that finds the
+// state in use runs on a fresh one, so two concurrent collectives on one
+// cluster never share an arena.
+type stateCache struct {
 	mu    sync.Mutex
-	base  Transport
+	st    *execState
 	inUse bool
 }
 
-// acquire returns the cached transport when it is free, building (and, when
-// the slot is empty, adopting) a fresh one otherwise. A transport built
-// while the slot is busy simply runs uncached.
-func (tc *transportCache) acquire(stages [][]core.Transfer) Transport {
-	tc.mu.Lock()
-	if tc.base != nil && !tc.inUse {
-		tc.inUse = true
-		b := tc.base
-		tc.mu.Unlock()
-		return b
+// acquire returns the cached state when it is free, and a fresh one
+// otherwise; a fresh state built while the slot is empty is adopted.
+func (sc *stateCache) acquire(k int) *execState {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.st != nil && sc.inUse {
+		return newExecState(k)
 	}
-	busy := tc.base != nil
-	tc.mu.Unlock()
-	b := NewChanTransport(stages)
-	if !busy {
-		tc.mu.Lock()
-		if tc.base == nil {
-			tc.base, tc.inUse = b, true
-		}
-		tc.mu.Unlock()
+	if sc.st == nil {
+		sc.st = newExecState(k)
 	}
-	return b
+	sc.inUse = true
+	return sc.st
 }
 
-// release frees the cached transport after a collective; a failed collective
-// drops it so the next acquire rebuilds clean channels.
-func (tc *transportCache) release(b Transport, failed bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if tc.base != b {
+// release frees the cached state after a collective; a failed collective
+// drops it so the next acquire starts clean.
+func (sc *stateCache) release(st *execState, failed bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.st != st {
 		return
 	}
-	tc.inUse = false
+	sc.inUse = false
 	if failed {
-		tc.base = nil
+		sc.st = nil
 	}
 }
 
-// acquireTransport returns the transport stack for one collective over the
-// program's stage layout, the pooled base under it (nil unless the provider
-// built one), and the release to call when the collective ends. The base is
-// the program's cached channel transport whenever it is the in-memory
-// channels and no faults are injected; a provider base or a faulty stack is
-// built per collective.
-func (c *Cluster) acquireTransport(prog *routingProgram) (Transport, PooledTransport, func(failed bool)) {
+// stack is one collective's transport stack and how the stage loop uses it.
+type stack struct {
+	tp Transport
+	// pooled is the provider's base when it pools its payloads (nil
+	// otherwise): consumed receives go back to it.
+	pooled PooledTransport
+	// inPlace: sends hand over the sender's rows (in-place messages). It
+	// holds on the channels and on a PooledTransport, which reads a message
+	// before Send returns. Fault injection corrupts and duplicates payloads
+	// and any other provider may keep them, so those get a materialised copy.
+	inPlace bool
+}
+
+// acquireStack returns the transport stack for one collective over the
+// program's stage layout, the program state it runs in, and the release to
+// call when the collective ends. The base is the state's channel transport
+// whenever it is the in-memory channels and no faults are injected; a
+// provider base or a faulty stack is built per collective.
+func (c *Cluster) acquireStack(prog *routingProgram) (stack, *execState, func(failed bool)) {
+	st := prog.cache.acquire(c.K)
+	release := func(failed bool) { prog.cache.release(st, failed) }
 	switch {
 	case c.Provider != nil:
 		base := c.Provider.CollectiveTransport(prog.stages, c.DeviceIDs)
 		pooled, _ := base.(PooledTransport)
-		return c.newTransport(base), pooled, func(bool) {}
+		return stack{tp: c.newTransport(base), pooled: pooled, inPlace: pooled != nil && c.Faults == nil}, st, release
 	case c.Faults != nil:
-		return c.newTransport(NewChanTransport(prog.stages)), nil, func(bool) {}
+		return stack{tp: c.newTransport(NewChanTransport(prog.stages))}, st, release
 	}
-	base := prog.tc.acquire(prog.stages)
-	return c.newTransport(base), nil, func(failed bool) { prog.tc.release(base, failed) }
+	if st.chans == nil {
+		// Fault-free, each transfer is sent exactly once: one slot each.
+		st.chans = newChanTransport(prog.stages, 1)
+	}
+	return stack{tp: c.newTransport(st.chans), inPlace: true}, st, release
 }
 
 // seal wraps a payload for transmission. Checksums exist so the one layer
@@ -341,25 +403,4 @@ func (c *Cluster) seal(rows Message) Message {
 		rows.Checksum = payloadChecksum(rows.Rows)
 	}
 	return rows
-}
-
-// recycle returns a consumed receive buffer to its pool. On the built-in
-// stack that is the cluster pool: after a successful Recv the per-key
-// channel is never read again, faults corrupt copies rather than originals,
-// and retransmissions re-deliver the same buffer at most once — so the
-// consumer owns the payload outright. A pooled transport (the wire transport
-// pools its decode buffers) takes the payload back itself. Any other
-// provider's transport may retain or replay messages, so its payloads are
-// never pooled.
-func (c *Cluster) recycle(pooled PooledTransport, msg Message) {
-	if msg.Rows == nil {
-		return
-	}
-	if c.Provider == nil {
-		c.pool.put(msg.Rows)
-		return
-	}
-	if pooled != nil {
-		pooled.RecycleMessage(msg)
-	}
 }

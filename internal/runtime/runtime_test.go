@@ -386,20 +386,19 @@ func TestChunkStagesPreservesRowsAndStages(t *testing.T) {
 	}
 }
 
-// TestTransportCacheConcurrentAcquireRelease hammers the program transport
-// cache from many goroutines, with a deterministic sprinkling of failed
-// releases: the cache must stay race-clean, never hand the same base
-// transport to two holders at once, and evict a transport released as
-// failed instead of reusing it. The cache admits concurrent collectives on
-// one cluster (a second one runs over an uncached transport), and the
-// collective tests never make two of them contend, so this path needs its
-// own coverage.
+// TestTransportCacheConcurrentAcquireRelease hammers the program state
+// cache (channel transport and relay arenas under one in-use flag) from
+// many goroutines, with a deterministic sprinkling of failed releases: the
+// cache must stay race-clean, never hand the same state to two holders at
+// once, and evict a state released as failed instead of reusing it. The
+// cache admits concurrent collectives on one cluster (a second one runs on a
+// fresh state), and TestConcurrentCollectivesMatchSerial drives that through
+// whole collectives; this test covers the cache alone.
 func TestTransportCacheConcurrentAcquireRelease(t *testing.T) {
-	stages := [][]core.Transfer{{{Src: 0, Dst: 1, Vertices: []int32{1, 2}}}}
-	tc := &transportCache{}
+	sc := &stateCache{}
 	var mu sync.Mutex
-	held := make(map[Transport]bool)
-	failedOnce := make(map[Transport]bool)
+	held := make(map[*execState]bool)
+	failedOnce := make(map[*execState]bool)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -407,16 +406,16 @@ func TestTransportCacheConcurrentAcquireRelease(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b := tc.acquire(stages)
+				b := sc.acquire(2)
 				mu.Lock()
 				if held[b] {
 					mu.Unlock()
-					t.Error("transport handed to two concurrent holders")
+					t.Error("state handed to two concurrent holders")
 					return
 				}
 				if failedOnce[b] {
 					mu.Unlock()
-					t.Error("failed-released transport reused")
+					t.Error("failed-released state reused")
 					return
 				}
 				held[b] = true
@@ -428,7 +427,7 @@ func TestTransportCacheConcurrentAcquireRelease(t *testing.T) {
 					failedOnce[b] = true
 				}
 				mu.Unlock()
-				tc.release(b, fail)
+				sc.release(b, fail)
 			}
 		}()
 	}

@@ -30,11 +30,52 @@ type TransferKey struct {
 func (k TransferKey) String() string { return fmt.Sprintf("stage %d transfer %d", k.Stage+1, k.Index) }
 
 // Message is one transfer's payload: the embedding (or gradient) rows for
-// the transfer's vertex list, in list order, plus a checksum so transports
-// that can corrupt data are detectable end to end.
+// the transfer's vertex list, in list order. It takes one of two forms.
+//
+// A materialised message carries the rows in Rows, plus a checksum so
+// transports that can corrupt data are detectable end to end. Transports
+// deliver this form, and NewMessage builds it.
+//
+// An in-place message (Rows nil) hands over the sender's rows themselves:
+// the sender's slot storage and the send's compiled slot list, so the
+// receiver copies or adds each row straight from where the sender keeps it
+// — §6.1's receiver reading the sender's buffer once the done flag is set.
+// Only the stage loop makes them, and only for the in-memory channels and a
+// PooledTransport's Send, which reads the rows before it returns; the rules
+// that keep a sent row unchanged until its last reader is done are in
+// program.go. NumRows, Cols and Row read either form.
 type Message struct {
 	Rows     *tensor.Matrix
 	Checksum uint64
+
+	from  *slotRows
+	slots []int32
+}
+
+// NumRows returns the number of payload rows.
+func (m Message) NumRows() int {
+	if m.Rows != nil {
+		return m.Rows.Rows
+	}
+	return len(m.slots)
+}
+
+// Cols returns the payload's row width.
+func (m Message) Cols() int {
+	if m.Rows != nil {
+		return m.Rows.Cols
+	}
+	return m.from.cols
+}
+
+// Row returns payload row i. For an in-place message it aliases the
+// sender's storage: read it, never write it or keep it.
+func (m Message) Row(i int) []float32 {
+	if m.Rows != nil {
+		c := m.Rows.Cols
+		return m.Rows.Data[i*c : i*c+c]
+	}
+	return m.from.row(m.slots[i])
 }
 
 // NewMessage seals a payload with its checksum.
@@ -80,10 +121,13 @@ type TransportProvider interface {
 }
 
 // PooledTransport marks transports that own their payload memory: Send
-// serializes the payload before returning (the caller regains msg.Rows at
-// once), and Recv yields a buffer from the transport's own pool, which the
-// cluster hands back through RecycleMessage once consumed so steady-state
-// epochs stay allocation-flat over any medium.
+// serializes the payload before returning, so the stage loop hands it
+// in-place messages (the sender may write those rows again once Send
+// returns), and Recv yields a buffer from the transport's own pool, which
+// the cluster hands back through RecycleMessage once consumed so
+// steady-state epochs stay allocation-flat over any medium. A provider's
+// transport that is not a PooledTransport gets materialised messages it
+// may keep.
 type PooledTransport interface {
 	Transport
 	RecycleMessage(msg Message)
@@ -142,7 +186,9 @@ func (e *TransportError) Unwrap() error { return e.Err }
 // fault-free transfer delivers exactly once, but fault injection can add
 // duplicates and retransmissions; a deep-enough buffer keeps Send
 // non-blocking (overflow is reported as ErrBackpressure and handled like a
-// drop, never a deadlock).
+// drop, never a deadlock). A program's cached channels carry only
+// fault-free collectives, so they hold one message per transfer
+// (acquireStack).
 const chanBuffer = 8
 
 // chanTransport is the default in-memory transport: one buffered channel
@@ -156,11 +202,17 @@ type chanTransport struct {
 // NewChanTransport builds the in-memory channel transport for a stage
 // layout.
 func NewChanTransport(stages [][]core.Transfer) Transport {
+	return newChanTransport(stages, chanBuffer)
+}
+
+// newChanTransport builds the channel transport with depth slots per
+// transfer.
+func newChanTransport(stages [][]core.Transfer, depth int) Transport {
 	t := &chanTransport{chans: make([][]chan Message, len(stages))}
 	for si, st := range stages {
 		t.chans[si] = make([]chan Message, len(st))
 		for ti := range st {
-			t.chans[si][ti] = make(chan Message, chanBuffer)
+			t.chans[si][ti] = make(chan Message, depth)
 		}
 	}
 	return t
