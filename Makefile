@@ -13,13 +13,15 @@ build:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/gnn/
 
-# The second and third lines run the partitioner's micro-benchmarks and the
-# planner's on setup-orkut16's shape once each (ungated) so the ones
-# DESIGN.md §17.3 cites keep compiling and running.
+# The second to fourth lines run the partitioner's micro-benchmarks, the
+# planner's on setup-orkut16's shape and the ablation set once each
+# (ungated) so the ones DESIGN.md §5 and §17.3 cite keep compiling and
+# running.
 test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench 'Coarsen|Hierarchical16|KWay8' -benchtime 1x ./internal/partition/
 	$(GO) test -run '^$$' -bench 'PlanSPST/orkut-dual16' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'Ablation' -benchtime 1x .
 
 # Race tier: the runtime is one goroutine per GPU over shared transports,
 # so every test also runs under the race detector. The set-up path's

@@ -198,35 +198,23 @@ func BenchmarkAblationFeatureCaching(b *testing.B) {
 		b.Fatal(err)
 	}
 	featureBytes := int64(graph.Reddit.FeatureDim) * 4
-	hiddenBytes := int64(graph.Reddit.HiddenDim) * 4
 	plan, _, err := core.PlanSPST(rel, topo, featureBytes, core.SPSTOptions{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Forward layer 0 (features) unless cached, forward layer 1 (hidden),
+	// backward layer 1 (hidden): the epoch dgcltrain prices.
+	dims := []int{graph.Reddit.FeatureDim, graph.Reddit.HiddenDim}
 	epochComm := func(cacheLayer0 bool) float64 {
+		fwd, bwd, err := net.EpochComm(plan, dims, cacheLayer0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var t float64
-		// Forward layer 0 (features) unless cached, forward layer 1
-		// (hidden), backward layer 1 (hidden).
-		if !cacheLayer0 {
-			p := *plan
-			p.BytesPerVertex = featureBytes
-			res, err := net.RunPlan(&p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			t += res.Time
+		for l := range fwd {
+			t += fwd[l] + bwd[l]
 		}
-		p := *plan
-		p.BytesPerVertex = hiddenBytes
-		fwd, err := net.RunPlan(&p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bwd, err := net.RunBackward(&p, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return t + fwd.Time + bwd.Time
+		return t
 	}
 	for _, cached := range []bool{false, true} {
 		name := "uncached"

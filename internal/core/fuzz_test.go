@@ -24,7 +24,7 @@ func FuzzReadPlanJSON(f *testing.F) {
 		_ = p.TotalBytes()
 		_ = p.TableMemoryBytes()
 		_ = p.ComputeStats(nil)
-		_ = p.BackwardSchedule(true)
+		_ = p.BackwardSchedule()
 	})
 }
 

@@ -2,8 +2,8 @@
 // planning for distributed GNN training. It defines the staged communication
 // plan representation (§6.1's (di, dj, k, Ts, Tr) tuples), the stage-based
 // cost model of §5.1, and the shortest path spanning tree (SPST) planning
-// algorithm of §5.2, including the non-atomic backward sub-stage split of
-// §6.2 and the ablation switches called out in DESIGN.md.
+// algorithm of §5.2, the reversed backward schedule of §6.1 and the ablation
+// switches called out in DESIGN.md.
 package core
 
 import (
@@ -177,66 +177,20 @@ func (p *Plan) Validate(rel *comm.Relation) error {
 	return nil
 }
 
-// SubStage is one non-atomic backward sub-stage: the set of reversed
-// transfers that may run concurrently without two senders delivering
-// gradients to the same receiver (hence no atomic reduction is needed).
-type SubStage []Transfer
-
-// BackwardSchedule returns the backward-pass schedule: stages in reverse
-// order with send/receive roles swapped (gradients flow opposite to
-// embeddings, §6.1). With nonAtomic=true each backward stage's receive
-// tables are partitioned into sub-stages such that any (receiver, vertex)
-// pair receives a gradient from at most one GPU per sub-stage (§6.2): every
-// GPU pair stays active in every sub-stage with a slice of its table, so the
-// split removes write conflicts without serializing independent transfers.
-// With nonAtomic=false each stage is a single sub-stage and the runtime must
-// use atomic accumulation.
-func (p *Plan) BackwardSchedule(nonAtomic bool) [][]SubStage {
-	out := make([][]SubStage, 0, len(p.Stages))
+// BackwardSchedule returns the backward-pass schedule: the forward stages in
+// reverse order with send and receive roles swapped (gradients flow opposite
+// to embeddings, §6.1). It is the one backward schedule: each client is the
+// only writer of its rows, so a receiver that gets several gradients for one
+// vertex in a stage adds them serially and needs neither atomic adds nor
+// §6.2's sub-stage split.
+func (p *Plan) BackwardSchedule() [][]Transfer {
+	out := make([][]Transfer, 0, len(p.Stages))
 	for si := len(p.Stages) - 1; si >= 0; si-- {
 		reversed := make([]Transfer, len(p.Stages[si]))
 		for i, t := range p.Stages[si] {
 			reversed[i] = Transfer{Src: t.Dst, Dst: t.Src, Vertices: t.Vertices}
 		}
-		if !nonAtomic {
-			out = append(out, []SubStage{reversed})
-			continue
-		}
-		// slot[(dst, v)] counts how many senders already deliver v's gradient
-		// to dst; the next sender goes to the next sub-stage.
-		type key struct {
-			dst int
-			v   int32
-		}
-		slot := make(map[key]int)
-		// subVerts[l][pairIdx] collects the vertex slice of reversed[pairIdx]
-		// that runs in sub-stage l.
-		var subVerts []map[int][]int32
-		for ti, t := range reversed {
-			for _, v := range t.Vertices {
-				k := key{t.Dst, v}
-				l := slot[k]
-				slot[k] = l + 1
-				for len(subVerts) <= l {
-					subVerts = append(subVerts, make(map[int][]int32))
-				}
-				subVerts[l][ti] = append(subVerts[l][ti], v)
-			}
-		}
-		subs := make([]SubStage, 0, len(subVerts))
-		for _, m := range subVerts {
-			var sub SubStage
-			for ti := 0; ti < len(reversed); ti++ {
-				if vs := m[ti]; len(vs) > 0 {
-					sub = append(sub, Transfer{Src: reversed[ti].Src, Dst: reversed[ti].Dst, Vertices: vs})
-				}
-			}
-			subs = append(subs, sub)
-		}
-		if len(subs) == 0 {
-			subs = []SubStage{nil}
-		}
-		out = append(out, subs)
+		out = append(out, reversed)
 	}
 	return out
 }

@@ -106,78 +106,18 @@ func TestBackwardScheduleReversesStages(t *testing.T) {
 		{{Src: 0, Dst: 1, Vertices: []int32{1}}},
 		{{Src: 1, Dst: 2, Vertices: []int32{1}}},
 	}
-	sched := p.BackwardSchedule(false)
+	sched := p.BackwardSchedule()
 	if len(sched) != 2 {
 		t.Fatalf("backward stages=%d", len(sched))
 	}
 	// First backward stage is the reverse of the last forward stage.
-	first := sched[0][0][0]
+	first := sched[0][0]
 	if first.Src != 2 || first.Dst != 1 {
 		t.Fatalf("first backward transfer = %+v, want 2->1", first)
 	}
-	last := sched[1][0][0]
+	last := sched[1][0]
 	if last.Src != 1 || last.Dst != 0 {
 		t.Fatalf("last backward transfer = %+v, want 1->0", last)
-	}
-}
-
-func TestBackwardNonAtomicNoReceiverConflicts(t *testing.T) {
-	// Stage with three transfers into GPU0 and one into GPU1: non-atomic
-	// split must put the three GPU0 deliveries into different sub-stages.
-	p := NewPlan(4, 8, "t")
-	p.Stages = [][]Transfer{{
-		{Src: 0, Dst: 1, Vertices: []int32{1}},
-		{Src: 0, Dst: 2, Vertices: []int32{1}},
-		{Src: 0, Dst: 3, Vertices: []int32{1}},
-		{Src: 1, Dst: 2, Vertices: []int32{5}},
-	}}
-	sched := p.BackwardSchedule(true)
-	if len(sched) != 1 {
-		t.Fatalf("stages=%d", len(sched))
-	}
-	subs := sched[0]
-	if len(subs) != 3 {
-		t.Fatalf("expected 3 sub-stages for 3-way per-vertex fan-in, got %d", len(subs))
-	}
-	// No (receiver, vertex) pair may appear twice within a sub-stage.
-	for _, sub := range subs {
-		seen := map[[2]int32]bool{}
-		for _, tr := range sub {
-			for _, v := range tr.Vertices {
-				key := [2]int32{int32(tr.Dst), v}
-				if seen[key] {
-					t.Fatalf("vertex %d delivered to %d twice in one sub-stage", v, tr.Dst)
-				}
-				seen[key] = true
-			}
-		}
-	}
-	// Independent transfers (1->0 vertex 1 and 2->1 vertex 5) stay in the
-	// first sub-stage: the split must not serialize non-conflicting pairs.
-	if len(subs[0]) != 2 {
-		t.Fatalf("first sub-stage should keep 2 parallel transfers, got %d", len(subs[0]))
-	}
-	// All vertex deliveries preserved.
-	total := 0
-	for _, sub := range subs {
-		for _, tr := range sub {
-			total += len(tr.Vertices)
-		}
-	}
-	if total != 4 {
-		t.Fatalf("vertex deliveries lost in split: %d", total)
-	}
-}
-
-func TestBackwardAtomicSingleSubStage(t *testing.T) {
-	p := NewPlan(4, 8, "t")
-	p.Stages = [][]Transfer{{
-		{Src: 0, Dst: 1, Vertices: []int32{1}},
-		{Src: 2, Dst: 1, Vertices: []int32{9}},
-	}}
-	sched := p.BackwardSchedule(false)
-	if len(sched[0]) != 1 {
-		t.Fatalf("atomic mode must keep one sub-stage, got %d", len(sched[0]))
 	}
 }
 

@@ -324,7 +324,10 @@ func Table8(cfg Config) (*Report, error) {
 	return r, nil
 }
 
-// Table9 compares atomic vs non-atomic backward graphAllgather.
+// Table9 compares atomic vs non-atomic backward graphAllgather. Both rows
+// price the same reversed forward stages; the non-atomic row is the
+// single-writer schedule the runtime runs, the atomic row pays
+// simnet.Config.AtomicFactor on every byte.
 func Table9(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	r := &Report{ID: "table9", Title: "Backward graphAllgather time (ms, full-size), hidden 128, 8 GPUs",
@@ -356,7 +359,7 @@ func Table9(cfg Config) (*Report, error) {
 		nonAtomicRow = append(nonAtomicRow, fullMS(n.Time, cfg.Scale))
 	}
 	r.Rows = append(r.Rows, append([]string{"Atomic"}, atomicRow...))
-	r.Rows = append(r.Rows, append([]string{"Non-atomic"}, nonAtomicRow...))
+	r.Rows = append(r.Rows, append([]string{"Non-atomic (single writer)"}, nonAtomicRow...))
 	r.Notes = append(r.Notes, "paper: non-atomic reduces backward allgather by ~25-35%")
 	return r, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"dgcl/internal/core"
 	"dgcl/internal/gnn"
 	"dgcl/internal/graph"
 	"dgcl/internal/tensor"
@@ -89,10 +88,7 @@ func TestOverlapBackwardBitIdenticalToSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var unchunked [][]core.Transfer
-			for _, stage := range c.Plan.BackwardSchedule(false) {
-				unchunked = append(unchunked, stage[0])
-			}
+			unchunked := c.Plan.BackwardSchedule()
 			for _, rows := range chunkVariants {
 				v := rechunked(c, rows)
 				got, err := v.BackwardAllgather(gradFull)

@@ -114,19 +114,11 @@ func legacyForwardClient(c *Cluster, d int, local *tensor.Matrix, cols int, tp T
 }
 
 // legacyBackwardAllgather runs the pre-compile backward client loops (map
-// accumulators, per-stage BackwardSchedule flattening, atomic or §6.2
-// non-atomic) over a fresh channel transport.
-func legacyBackwardAllgather(c *Cluster, gradFull []*tensor.Matrix, nonAtomic bool) ([]*tensor.Matrix, error) {
+// accumulators over the plan's BackwardSchedule) over a fresh channel
+// transport.
+func legacyBackwardAllgather(c *Cluster, gradFull []*tensor.Matrix) ([]*tensor.Matrix, error) {
 	cols := gradFull[0].Cols
-	sched := c.Plan.BackwardSchedule(nonAtomic)
-	flat := make([][]core.Transfer, 0, len(sched))
-	for _, stage := range sched {
-		var all []core.Transfer
-		for _, sub := range stage {
-			all = append(all, sub...)
-		}
-		flat = append(flat, all)
-	}
+	flat := c.Plan.BackwardSchedule()
 	tp := NewChanTransport(flat)
 	out := make([]*tensor.Matrix, c.K)
 	errs := make([]error, c.K)
@@ -286,14 +278,12 @@ func TestCompiledForwardMatchesLegacyBitwise(t *testing.T) {
 }
 
 // TestCompiledBackwardMatchesLegacyBitwise is the backward half, against the
-// legacy loops under both BackwardSchedule flavours: relay accumulation
-// reorders nothing between the implementations (every accumulator receives
-// its contributions in the same stage, transfer, and vertex order — the
-// non-atomic split moves a transfer's rows into later sub-stages but never
-// reorders two contributions to one row), so gradients must match bit for
-// bit even though float addition is non-associative. The second run on the
-// same cluster starts from dirty pooled arenas, so a relay accumulator left
-// unzeroed shows up as a difference.
+// legacy loops over BackwardSchedule: relay accumulation reorders nothing
+// between the implementations (every accumulator receives its contributions
+// in the same stage, transfer, and vertex order), so gradients must match
+// bit for bit even though float addition is non-associative. The second run
+// on the same cluster starts from dirty pooled arenas, so a relay
+// accumulator left unzeroed shows up as a difference.
 func TestCompiledBackwardMatchesLegacyBitwise(t *testing.T) {
 	for _, pc := range propertyCases() {
 		pc := pc
@@ -305,32 +295,22 @@ func TestCompiledBackwardMatchesLegacyBitwise(t *testing.T) {
 				lg := c.Locals[d]
 				gradFull[d] = tensor.New(lg.NumLocal+lg.NumRemote, pc.cols).FillRandom(pc.seed + 100 + int64(d))
 			}
-			var wants [2][]*tensor.Matrix
-			for i, nonAtomic := range []bool{false, true} {
-				want, err := legacyBackwardAllgather(c, gradFull, nonAtomic)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wants[i] = want
+			want, err := legacyBackwardAllgather(c, gradFull)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for run := 1; run <= 2; run++ {
 				got, err := c.BackwardAllgather(gradFull)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, want := range wants {
-					for d := 0; d < pc.k; d++ {
-						if diff := tensor.MaxAbsDiff(got[d], want[d]); diff != 0 {
-							t.Fatalf("run %d, GPU %d: compiled backward differs from legacy loops (non-atomic %v) by %v", run, d, i == 1, diff)
-						}
+				for d := 0; d < pc.k; d++ {
+					if diff := tensor.MaxAbsDiff(got[d], want[d]); diff != 0 {
+						t.Fatalf("run %d, GPU %d: compiled backward differs from legacy loops by %v", run, d, diff)
 					}
 				}
 			}
-			var unchunked [][]core.Transfer
-			for _, stage := range c.Plan.BackwardSchedule(false) {
-				unchunked = append(unchunked, stage[0])
-			}
-			checkLegacyRowOrder(t, c, true, unchunked)
+			checkLegacyRowOrder(t, c, true, c.Plan.BackwardSchedule())
 		})
 	}
 }

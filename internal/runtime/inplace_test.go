@@ -114,7 +114,7 @@ func TestInPlaceRowsStayPutUntilCollectiveEnds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantBwd, err := legacyBackwardAllgather(c, gradFull, false)
+			wantBwd, err := legacyBackwardAllgather(c, gradFull)
 			if err != nil {
 				t.Fatal(err)
 			}

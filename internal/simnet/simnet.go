@@ -4,7 +4,7 @@
 // flows of each stage with max-min fair bandwidth sharing on every physical
 // hop, contention efficiency calibrated to Table 3 of the paper, per-channel
 // message latency, and optional jitter. Its reported times are the
-// "measured" communication times of every experiment in EXPERIMENTS.md.
+// simulated communication times of every experiment in EXPERIMENTS.md.
 package simnet
 
 import (
@@ -34,8 +34,9 @@ type Config struct {
 	// (expensive, per-stage straggler wait), for the ablation.
 	Centralized bool
 	// AtomicFactor is the slowdown of receive-side processing when the
-	// backward pass uses atomic gradient accumulation (§6.2). 1.35 matches
-	// Table 9's shape. Ignored for forward passes.
+	// backward pass uses atomic gradient accumulation (§6.2), priced only by
+	// RunBackward(p, false). 1.35 matches Table 9's shape. Ignored for
+	// forward passes.
 	AtomicFactor float64
 }
 
@@ -138,7 +139,7 @@ type flow struct {
 // Result reports the outcome of simulating one plan execution.
 type Result struct {
 	Time       float64   // total virtual seconds
-	StageTimes []float64 // per (sub)stage
+	StageTimes []float64 // per stage
 	// NVLinkTime and OtherTime decompose each stage into the completion time
 	// of NVLink-only flows versus flows touching slower links (Tables 2, 7).
 	NVLinkTime, OtherTime float64
@@ -339,30 +340,21 @@ func (n *Network) planFlows(transfers []core.Transfer, bytesPerVertex int64, ove
 }
 
 // run is the one stage loop behind RunPlan, RunBackward and RunPlanTraced.
-// Each stage's sub-stages run as one concurrent flow set whose bytes are
-// scaled by overhead; a stage pays the boundary cost plus one more flag
-// round per sub-stage beyond the first. A non-nil tr records every flow on
-// the stage timeline.
-func (n *Network) run(stages [][]core.SubStage, bytesPerVertex int64, overhead float64, tr *Trace) (*Result, error) {
+// Each stage runs as one concurrent flow set whose bytes are scaled by
+// overhead and pays the stage boundary cost. A non-nil tr records every flow
+// on the stage timeline.
+func (n *Network) run(stages [][]core.Transfer, bytesPerVertex int64, overhead float64, tr *Trace) (*Result, error) {
 	res := &Result{}
 	for si, stage := range stages {
-		var all []core.Transfer
-		for _, sub := range stage {
-			all = append(all, sub...)
-		}
-		flows, err := n.planFlows(all, bytesPerVertex, overhead, res)
+		flows, err := n.planFlows(stage, bytesPerVertex, overhead, res)
 		if err != nil {
 			return nil, err
 		}
 		t, nv, ot := n.simulateStage(flows)
 		if tr != nil {
-			tr.record(si+1, all, flows, bytesPerVertex, res.Time)
+			tr.record(si+1, stage, flows, bytesPerVertex, res.Time)
 		}
-		t += n.stageBoundaryCost()
-		if len(stage) > 1 {
-			t += float64(len(stage)-1) * decentralizedFlagCost * n.cfg.LatencyScale
-		}
-		res.addStage(t, nv, ot)
+		res.addStage(t+n.stageBoundaryCost(), nv, ot)
 	}
 	if tr != nil {
 		tr.TotalTime = res.Time
@@ -370,45 +362,36 @@ func (n *Network) run(stages [][]core.SubStage, bytesPerVertex int64, overhead f
 	return res, nil
 }
 
-// forwardStages wraps each forward stage as a single sub-stage.
-func forwardStages(p *core.Plan) [][]core.SubStage {
-	out := make([][]core.SubStage, len(p.Stages))
-	for i, st := range p.Stages {
-		out[i] = []core.SubStage{st}
-	}
-	return out
-}
-
 // RunPlan simulates the forward graphAllgather of a staged plan and returns
 // the virtual-time result.
 func (n *Network) RunPlan(p *core.Plan) (*Result, error) {
-	return n.run(forwardStages(p), p.BytesPerVertex, 1, nil)
+	return n.run(p.Stages, p.BytesPerVertex, 1, nil)
 }
 
-// RunBackward simulates the backward gradient exchange: stages reversed with
-// roles swapped. With atomic accumulation every received byte pays the
-// atomic-reduction overhead factor. With the non-atomic sub-stage schedule
-// of §6.2 the overhead disappears: the sub-stages only sequence the
-// *per-receiver* writes of a pair's receive table (each pair still streams
-// its full table within the stage under decentralized flags), so their
-// timing effect is one extra flag synchronization per additional sub-stage.
+// RunBackward simulates the backward gradient exchange over
+// p.BackwardSchedule(), the forward stages reversed with roles swapped.
+// nonAtomic=true prices the single-writer schedule the runtime runs: each
+// receiver adds its gradients serially, at no extra cost. nonAtomic=false
+// prices the same stages with atomic accumulation, every byte scaled by
+// Config.AtomicFactor (Table 9's "Atomic" row).
 func (n *Network) RunBackward(p *core.Plan, nonAtomic bool) (*Result, error) {
 	overhead := 1.0
 	if !nonAtomic {
 		overhead = n.cfg.AtomicFactor
 	}
-	return n.run(p.BackwardSchedule(nonAtomic), p.BytesPerVertex, overhead, nil)
+	return n.run(p.BackwardSchedule(), p.BytesPerVertex, overhead, nil)
 }
 
 // EpochComm simulates one training epoch's communication for plan p: a
 // forward allgather per layer at that layer's input width (dims[l] float32
-// values per vertex), and a non-atomic backward gradient exchange per layer
-// after the first (the layer-0 feature gradient is discarded, so a K-layer
-// epoch runs K forward and K-1 backward exchanges). skipFirstForward leaves
-// out the layer-0 forward, which a trainer runs in its first epoch only (it
-// aggregates the unchanging features once). It returns
-// per-layer times in seconds; a layer that runs no exchange in a direction
-// reports 0 there. Layers run in order, forward before backward.
+// values per vertex), and a backward gradient exchange per layer after the
+// first, priced as the single-writer schedule the runtime runs (the layer-0
+// feature gradient is discarded, so a K-layer epoch runs K forward and K-1
+// backward exchanges). skipFirstForward leaves out the layer-0 forward,
+// which a trainer runs in its first epoch only (it aggregates the
+// unchanging features once). It returns per-layer times in seconds; a layer
+// that runs no exchange in a direction reports 0 there. Layers run in
+// order, forward before backward.
 func (n *Network) EpochComm(p *core.Plan, dims []int, skipFirstForward bool) (fwd, bwd []float64, err error) {
 	fwd = make([]float64, len(dims))
 	bwd = make([]float64, len(dims))

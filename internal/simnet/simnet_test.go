@@ -199,6 +199,42 @@ func TestBackwardAtomicSlowerThanNonAtomic(t *testing.T) {
 	}
 }
 
+// TestBackwardPricesTheReversedForward pins that backward is priced as the
+// schedule the runtime runs: the forward stages reversed and unsplit, even
+// where three senders return one vertex's gradient to GPU 0 (the fan-in
+// §6.2's sub-stage split would serialize). The atomic flavour differs only
+// by AtomicFactor on the bytes.
+func TestBackwardPricesTheReversedForward(t *testing.T) {
+	n, err := New(topology.DGX1(), Config{Seed: 1, Jitter: 0, ContentionExponent: 0.95, LatencyScale: 1, AtomicFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewPlan(4, 4096, "t")
+	p.Stages = [][]core.Transfer{{
+		{Src: 0, Dst: 1, Vertices: []int32{1}}, {Src: 0, Dst: 2, Vertices: []int32{1}},
+		{Src: 0, Dst: 3, Vertices: []int32{1}}, {Src: 1, Dst: 2, Vertices: []int32{5}},
+	}}
+	for _, c := range []struct {
+		nonAtomic bool
+		factor    int64
+	}{{true, 1}, {false, 2}} {
+		q := *p
+		q.Stages, q.BytesPerVertex = p.BackwardSchedule(), c.factor*p.BytesPerVertex
+		want, err := n.RunPlan(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := n.RunBackward(p, c.nonAtomic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Time != want.Time || got.BytesMoved*c.factor != want.BytesMoved || got.Flows != want.Flows {
+			t.Errorf("non-atomic %v: RunBackward = {%.6g s, %d B, %d flows}, reversed forward at x%d bytes = {%.6g s, %d B, %d flows}",
+				c.nonAtomic, got.Time, got.BytesMoved, got.Flows, c.factor, want.Time, want.BytesMoved, want.Flows)
+		}
+	}
+}
+
 func TestCentralizedCoordinationSlower(t *testing.T) {
 	g := graph.CommunityGraph(400, 10, 4, 0.8, 4)
 	p, _ := partition.KWay(g, 8, partition.Options{Seed: 4})

@@ -31,7 +31,7 @@ type Trace struct {
 // timeline.
 func (n *Network) RunPlanTraced(p *core.Plan) (*Result, *Trace, error) {
 	tr := &Trace{}
-	res, err := n.run(forwardStages(p), p.BytesPerVertex, 1, tr)
+	res, err := n.run(p.Stages, p.BytesPerVertex, 1, tr)
 	if err != nil {
 		return nil, nil, err
 	}
