@@ -72,7 +72,7 @@ func main() {
 	flag.Float64Var(&chaos.dup, "fault-dup", 0, "transport duplication probability per message (chaos)")
 	flag.Int64Var(&chaos.seed, "fault-seed", 1, "fault injection seed")
 	flag.IntVar(&chaos.retries, "retries", 8, "retransmission budget per transfer when faults are on")
-	flag.DurationVar(&chaos.timeout, "comm-timeout", 30*time.Second, "end-to-end deadline per collective when faults are on")
+	flag.DurationVar(&chaos.timeout, "comm-timeout", 30*time.Second, "end-to-end deadline per collective when faults or a crash schedule are on; the only bound on a receive")
 	var rec recoveryOptions
 	flag.StringVar(&rec.dir, "checkpoint-dir", "", "directory for durable epoch checkpoints (empty = disabled)")
 	flag.BoolVar(&rec.resume, "resume", false, "resume from the newest intact checkpoint in -checkpoint-dir")

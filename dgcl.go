@@ -64,7 +64,7 @@ type (
 	Relation = comm.Relation
 	// CommStats holds per-GPU transfer, retry and timeout counters.
 	CommStats = runtime.CommStats
-	// RetryPolicy configures the transport retry/timeout decorator.
+	// RetryPolicy configures the transport retry decorator.
 	RetryPolicy = runtime.RetryPolicy
 	// FaultConfig configures transport fault injection (chaos testing).
 	FaultConfig = runtime.FaultConfig
@@ -74,7 +74,8 @@ type (
 	FaultStats = runtime.FaultStats
 	// CollectiveError is the structured per-GPU failure of a collective.
 	CollectiveError = runtime.CollectiveError
-	// TransportError is one transfer's retry/timeout failure.
+	// TransportError is one transfer's failure: a send past its retry
+	// budget, or a receive the collective's deadline ended.
 	TransportError = runtime.TransportError
 	// CrashConfig is a deterministic fail-stop failure schedule.
 	CrashConfig = runtime.CrashConfig
@@ -100,7 +101,7 @@ var ErrDeviceDown = runtime.ErrDeviceDown
 // (external ids, ascending); empty when the failure was not a device death.
 func DownDevices(err error) []int { return runtime.DownDevices(err) }
 
-// DefaultRetryPolicy returns the standard retry/timeout budget.
+// DefaultRetryPolicy returns the standard retransmission budget.
 func DefaultRetryPolicy() RetryPolicy { return runtime.DefaultRetryPolicy() }
 
 // ParseCrashSchedule parses "dev@epoch[:stage],..." into a CrashConfig (see
@@ -398,10 +399,11 @@ type RunOptions struct {
 	// Timeout bounds each collective end to end; 0 means unbounded (the
 	// context passed to the *Context variants still applies).
 	Timeout time.Duration
-	// Retry, when non-nil, installs the retry/timeout transport decorator:
-	// lost messages are retransmitted with backoff and surface as
-	// structured per-GPU errors within the policy's deadlines instead of
-	// hanging the allgather.
+	// Retry, when non-nil, installs the retry transport decorator: dropped
+	// and corrupted messages are retransmitted with backoff, and a send that
+	// exhausts the budget surfaces as a structured per-GPU error. It sets no
+	// receive timer: Timeout (or the caller's deadline) bounds every
+	// receive, with or without a policy.
 	Retry *RetryPolicy
 	// Faults, when non-nil, injects seeded transport faults
 	// (drop/delay/duplicate/corrupt) at the same rates on every link. Pair

@@ -216,7 +216,6 @@ func TestFabricChaosExhaustedBudgetFailsStructuredAndLeakFree(t *testing.T) {
 		MaxRetries:  2,
 		BaseBackoff: 20 * time.Microsecond,
 		MaxBackoff:  100 * time.Microsecond,
-		RecvTimeout: 150 * time.Millisecond,
 	}
 	const deadline = 5 * time.Second
 	c.Timeout = deadline

@@ -9,10 +9,11 @@
 // Transfers wider than ChunkRows rows travel as consecutive row chunks. All
 // data movement goes through the Transport interface (transport.go): the
 // default in-memory channel transport or a provider's (the wire transport),
-// optionally wrapped with fault injection and retry/timeout decorators. The
-// stage loop itself checks endpoints against the crash tracker's down set
-// and counts transfers into CommStats. The runtime is the correctness half
-// of the reproduction; timing comes from package simnet.
+// optionally wrapped with fault injection and retry decorators. The stage
+// loop itself checks endpoints against the crash tracker's down set, reports
+// a receive the collective's deadline ended, and counts transfers into
+// CommStats. The runtime is the correctness half of the reproduction; timing
+// comes from package simnet.
 package runtime
 
 import (
@@ -51,12 +52,13 @@ type Cluster struct {
 	// Faults, when non-nil, wraps the base transport with seeded fault
 	// injection. Pair it with Retry so injected failures are retried.
 	Faults *FaultConfig
-	// Retry, when non-nil, wraps the transport with the retry/timeout
-	// decorator: lost messages surface as structured per-GPU errors within
-	// the policy's deadlines instead of hanging the collective.
+	// Retry, when non-nil, wraps the transport with the retry decorator:
+	// dropped and corrupted messages are retransmitted, and a send that
+	// exhausts the budget surfaces as a structured per-GPU error.
 	Retry *RetryPolicy
 	// Timeout, when positive, bounds each collective end to end (applied as
-	// a context deadline when the caller's context has none).
+	// a context deadline when the caller's context has none); that deadline
+	// is the one bound on a receive.
 	Timeout time.Duration
 	// Crash, when non-nil, injects/propagates fail-stop device failures:
 	// the stage loop fails transfers touching a down device fast with
@@ -135,7 +137,7 @@ func NewCluster(rel *comm.Relation, locals []*comm.LocalGraph, plan *core.Plan) 
 }
 
 // newTransport composes the transport stack for one collective over its
-// base (channels or a provider's): base -> fault injection -> retry/timeout.
+// base (channels or a provider's): base -> fault injection -> retry.
 func (c *Cluster) newTransport(base Transport) Transport {
 	t := base
 	if c.Faults != nil {
@@ -407,14 +409,16 @@ func (sr *slotRows) land(slots []int32, msg Message, add bool) {
 // done), and a materialised copy otherwise; so the channel path moves each
 // row once, from the sender's storage into the receiver's.
 //
-// The loop also applies the two per-transfer policies. With a crash tracker
+// The loop also applies the per-transfer policies. With a crash tracker
 // installed it advances the tracker once per stage in which the client has a
 // transfer, fails any send or receive touching a down device with its
 // *DeviceDownError, and names the dead device after any failed transfer
 // whose endpoint died meanwhile (a receiver blocked on a dead sender is
-// unblocked by abortOnDeviceDown, since that sender's own client fails).
-// With Stats installed it counts each successful transfer and adds the
-// tally in when the program ends, failed or not.
+// unblocked by abortOnDeviceDown, since that sender's own client fails). A
+// receive the collective's context ended otherwise becomes a recv
+// *TransportError naming its sender, the health tracker's strike. With Stats
+// installed it counts each successful transfer and each receive the deadline
+// (not a cancel) ended, and adds the tally in when the program ends.
 func (c *Cluster) runClient(ctx context.Context, d int, tx stack, cp *clientProgram, sr *slotRows, add bool) error {
 	var n clientCounts
 	if c.Stats != nil {
@@ -432,7 +436,7 @@ func (c *Cluster) runClient(ctx context.Context, d int, tx stack, cp *clientProg
 			}
 			msg := Message{from: sr, slots: snd.slots}
 			if !tx.inPlace {
-				msg = c.seal(Message{Rows: sr.gather(snd.slots)})
+				msg = Message{Rows: sr.gather(snd.slots)}
 			}
 			if err := tx.tp.Send(ctx, snd.key, snd.tr, msg); err != nil {
 				return fmt.Errorf("runtime: GPU %d send: %w", d, c.blame(snd.tr, err))
@@ -448,7 +452,14 @@ func (c *Cluster) runClient(ctx context.Context, d int, tx stack, cp *clientProg
 			}
 			msg, err := tx.tp.Recv(ctx, rcv.key, rcv.tr)
 			if err != nil {
-				return fmt.Errorf("runtime: GPU %d recv: %w", d, c.blame(rcv.tr, err))
+				err = c.blame(rcv.tr, err)
+				if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+					if errors.Is(err, context.DeadlineExceeded) {
+						n.timeouts++
+					}
+					err = &TransportError{Op: "recv", Key: rcv.key, Src: rcv.tr.Src, Dst: rcv.tr.Dst, Attempts: 1, Err: err}
+				}
+				return fmt.Errorf("runtime: GPU %d recv: %w", d, err)
 			}
 			n.recvBytes += int64(len(rcv.slots)) * rowBytes
 			n.recvMsgs++

@@ -45,23 +45,24 @@ func (e *DeviceDownError) Unwrap() error { return ErrDeviceDown }
 
 // DownDevices reads which devices a failed collective found fail-stop dead
 // (external ids, ascending): the health tracker's verdicts when it reached
-// any, otherwise every distinct DeviceDownError among the per-GPU errors. An
-// error that does not match ErrDeviceDown blames nobody — a lossy link or a
-// deadline is not a death — and an empty result means nothing to degrade.
+// any (from explicit evidence or from deadline strikes), otherwise every
+// distinct DeviceDownError among the per-GPU errors. Otherwise an error
+// blames nobody — a lossy link or a lone deadline is not a death — and an
+// empty result means nothing to degrade.
 func DownDevices(err error) []int {
-	if err == nil || !errors.Is(err, ErrDeviceDown) {
+	var ce *CollectiveError
+	if errors.As(err, &ce) && len(ce.Down) > 0 {
+		return append([]int(nil), ce.Down...)
+	}
+	if !errors.Is(err, ErrDeviceDown) {
 		return nil
 	}
-	var ce *CollectiveError
-	if !errors.As(err, &ce) {
+	if ce == nil {
 		var dd *DeviceDownError
 		if errors.As(err, &dd) {
 			return []int{dd.Device}
 		}
 		return nil
-	}
-	if len(ce.Down) > 0 {
-		return append([]int(nil), ce.Down...)
 	}
 	var out []int
 	for _, pe := range ce.PerGPU {

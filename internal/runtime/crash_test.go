@@ -36,6 +36,8 @@ func TestDownDevices(t *testing.T) {
 		{"bare DeviceDownError", &DeviceDownError{Device: 3}, []int{3}},
 		{"health verdicts", &CollectiveError{Op: "graphAllgather",
 			PerGPU: []error{&DeviceDownError{Device: 5}, nil}, Down: []int{1, 5}}, []int{1, 5}},
+		{"strike verdicts only", &CollectiveError{Op: "graphAllgather",
+			PerGPU: []error{&TransportError{Op: "recv", Src: 3, Dst: 0, Attempts: 1, Err: context.DeadlineExceeded}, nil}, Down: []int{3}}, []int{3}},
 		{"per-GPU deaths only", &CollectiveError{Op: "graphAllgather",
 			PerGPU: []error{&DeviceDownError{Device: 6}, nil, dropped, fmt.Errorf("send: %w", &DeviceDownError{Device: 2}), &DeviceDownError{Device: 6}}}, []int{2, 6}},
 		{"wrapped", fmt.Errorf("epoch 4: %w", &CollectiveError{Op: "backward graphAllgather",
@@ -260,10 +262,10 @@ func TestCrashTransportFastFailsBothDirections(t *testing.T) {
 // TestCrashWatcherUnblocksPendingRecv schedules each device's death at each
 // stage where it has a transfer, in both directions, with no collective
 // deadline: only the stage loop's crash checks and abortOnDeviceDown can end
-// a receive blocked on the dead device, so a hang here is a missed abort. A
-// single-attempt retry policy (no receive deadline) makes every other
-// failure a *TransportError naming its endpoints, so a transfer with the
-// dead device that failed for any reason must have been blamed on it.
+// a receive blocked on the dead device, so a hang here is a missed abort.
+// The stage loop makes a receive the abort ended a *TransportError naming
+// its endpoints, so a transfer with the dead device that failed for any
+// reason must have been blamed on it.
 func TestCrashWatcherUnblocksPendingRecv(t *testing.T) {
 	probe, _ := crashedCluster(t, CrashConfig{})
 	for _, backward := range []bool{false, true} {
@@ -283,7 +285,6 @@ func TestCrashWatcherUnblocksPendingRecv(t *testing.T) {
 				t.Run(fmt.Sprintf("backward=%v/stage%d/dev%d", backward, stage, dev), func(t *testing.T) {
 					c, local := crashedCluster(t, CrashConfig{Events: []CrashEvent{{Device: dev, Epoch: 0, Stage: stage}}})
 					c.Timeout = 0
-					c.Retry = &RetryPolicy{}
 					c.Crash.BeginEpoch(0)
 					grad := crashedGradients(c)
 					before := testutil.Goroutines()

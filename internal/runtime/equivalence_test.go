@@ -336,21 +336,22 @@ func allocCluster(t *testing.T) (*Cluster, []*tensor.Matrix, []*tensor.Matrix) {
 }
 
 // checkSteadyStateAllocs pins the steady-state allocation budget of one
-// collective direction on two stacks over allocCluster: the plain cluster,
-// and the one dgcl.System.Train wires (stats, crash and health trackers, no
-// crash scheduled). After one warm-up collective (program compile, transport
-// cache, buffer-pool fill), each collective allocates a small per-client
-// constant — the result matrices, goroutines, and context plumbing — and
-// nothing per vertex or per transfer row; the Train stack adds at most a
-// small per-collective constant (health grading) on top, nothing per
-// transfer.
+// collective direction on three stacks over allocCluster: the plain cluster,
+// the one dgcl.System.Train wires (stats, crash and health trackers, no
+// crash scheduled), and the plain one under DefaultRetryPolicy with no
+// faults. After one warm-up collective (program compile, transport cache,
+// buffer-pool fill), each collective allocates a small per-client constant —
+// the result matrices, goroutines, and context plumbing — and nothing per
+// vertex or per transfer row; the Train stack adds at most a small
+// per-collective constant (health grading) on top, and the retry stack one
+// decorator, nothing per receive: the collective's deadline is the only
+// timer.
 func checkSteadyStateAllocs(t *testing.T, name string, run func(c *Cluster, local, gradFull []*tensor.Matrix) error) {
 	t.Helper()
-	measure := func(train bool) float64 {
+	measure := func(install func(c *Cluster)) float64 {
 		c, local, gradFull := allocCluster(t)
-		if train {
-			trainStack(c, CrashConfig{})
-			c.Crash.BeginEpoch(0)
+		if install != nil {
+			install(c)
 		}
 		if err := run(c, local, gradFull); err != nil {
 			t.Fatal(err)
@@ -361,12 +362,20 @@ func checkSteadyStateAllocs(t *testing.T, name string, run func(c *Cluster, loca
 			}
 		})
 	}
-	plain, train := measure(false), measure(true)
+	plain := measure(nil)
+	train := measure(func(c *Cluster) {
+		trainStack(c, CrashConfig{})
+		c.Crash.BeginEpoch(0)
+	})
+	retry := measure(func(c *Cluster) {
+		p := DefaultRetryPolicy()
+		c.Retry = &p
+	})
 	// The race tier still exercises the steady-state path above, but race
 	// instrumentation allocates shadow state so the count is asserted only
 	// in plain builds.
 	if testutil.RaceEnabled {
-		t.Skipf("allocation counts (%.0f plain, %.0f Train stack, with -race instrumentation) asserted in non-race builds only", plain, train)
+		t.Skipf("allocation counts (%.0f plain, %.0f Train stack, %.0f retry stack, with -race instrumentation) asserted in non-race builds only", plain, train, retry)
 	}
 	// The plain stack measures ~25 allocs; 200 leaves headroom for runtime
 	// noise while staying two orders of magnitude under one-per-vertex.
@@ -375,6 +384,9 @@ func checkSteadyStateAllocs(t *testing.T, name string, run func(c *Cluster, loca
 	}
 	if train > plain+8 {
 		t.Fatalf("%s allocates %.0f objects per op on the Train stack, %.0f on the plain one (budget plain+8)", name, train, plain)
+	}
+	if retry > plain+8 {
+		t.Fatalf("%s allocates %.0f objects per op on the retry stack, %.0f on the plain one (budget plain+8)", name, retry, plain)
 	}
 }
 

@@ -13,12 +13,11 @@ import (
 )
 
 // Fault injection: a Transport wrapper that, with seeded probabilities,
-// drops, delays, duplicates, or corrupts messages. It models
-// the misbehaving transports of real deployments (lossy cross-machine
-// links, contended PCIe) so the chaos tests can exercise the retry/timeout
-// machinery deterministically. The network simulator (internal/simnet)
-// models only the fault-free fabric; nothing prices these faults in virtual
-// time.
+// drops, delays, duplicates, or corrupts messages. It models the misbehaving
+// transports of real deployments (lossy cross-machine links, contended PCIe)
+// so the chaos tests can exercise the retry machinery deterministically. The
+// network simulator (internal/simnet) models only the fault-free fabric;
+// nothing prices these faults in virtual time.
 
 // FaultRates are per-send probabilities in [0,1] for each fault kind.
 // Multiple faults can fire on one send (a delayed duplicate, a corrupted
@@ -89,6 +88,7 @@ func (t *faultTransport) roll(r FaultRates) (drop, dup, corrupt bool, delay time
 }
 
 func (t *faultTransport) Send(ctx context.Context, key TransferKey, tr core.Transfer, msg Message) error {
+	msg.Checksum = msg.sum() // the seal Recv verifies; in-place rows are only read
 	rates := t.cfg.Default
 	if rates.zero() {
 		return t.inner.Send(ctx, key, tr, msg)
@@ -146,11 +146,14 @@ func (t *faultTransport) count(sel func(*FaultStats) *atomic.Int64) {
 	}
 }
 
-// corruptCopy flips one float's bits in a copy of the payload, leaving the
-// original (which the retry decorator will retransmit) intact.
+// corruptCopy flips one float's bits in a materialised copy of the payload
+// (either form), leaving the original, which the retry decorator will
+// retransmit, intact.
 func corruptCopy(msg Message) Message {
-	rows := tensor.New(msg.Rows.Rows, msg.Rows.Cols)
-	copy(rows.Data, msg.Rows.Data)
+	rows := tensor.New(msg.NumRows(), msg.Cols())
+	for i := range rows.Rows {
+		copy(rows.Data[i*rows.Cols:], msg.Row(i))
+	}
 	if len(rows.Data) > 0 {
 		bits := math.Float32bits(rows.Data[0]) ^ 0xDEADBEEF
 		rows.Data[0] = math.Float32frombits(bits)

@@ -232,10 +232,9 @@ func (c *Cluster) compileForward() (*routingProgram, error) {
 // the backward space: owned row i stays i, remote row NumLocal+i becomes
 // arena row i (seeded with the client's own gradient contribution), and
 // forward relay row r becomes arena row NumRemote+r (a zeroed accumulator).
-// Every accumulator therefore receives its contributions in plan transfer
-// order, one client at a time, which is what makes the sums bit-identical to
-// the §6.2 sub-stage schedule: that split only separates concurrent writers
-// of one row, and a client here is its rows' only writer.
+// Every accumulator therefore takes its sums in plan transfer order, added
+// by the one client that owns it: a client is its rows' only writer, so no
+// two adds to a row ever race and the sums are deterministic.
 func (fwd *routingProgram) reversed(locals []*comm.LocalGraph) *routingProgram {
 	S := len(fwd.stages)
 	prog := &routingProgram{clients: make([]clientProgram, len(fwd.clients)), stages: make([][]core.Transfer, S)}
@@ -364,8 +363,10 @@ type stack struct {
 	pooled PooledTransport
 	// inPlace: sends hand over the sender's rows (in-place messages). It
 	// holds on the channels and on a PooledTransport, which reads a message
-	// before Send returns. Fault injection corrupts and duplicates payloads
-	// and any other provider may keep them, so those get a materialised copy.
+	// before Send returns, with or without fault injection (which seals and
+	// corrupts through Message.Row, never writing the sender's rows). Only a
+	// provider whose transport is not a PooledTransport may keep a payload,
+	// so it alone gets a materialised copy.
 	inPlace bool
 }
 
@@ -381,26 +382,13 @@ func (c *Cluster) acquireStack(prog *routingProgram) (stack, *execState, func(fa
 	case c.Provider != nil:
 		base := c.Provider.CollectiveTransport(prog.stages, c.DeviceIDs)
 		pooled, _ := base.(PooledTransport)
-		return stack{tp: c.newTransport(base), pooled: pooled, inPlace: pooled != nil && c.Faults == nil}, st, release
+		return stack{tp: c.newTransport(base), pooled: pooled, inPlace: pooled != nil}, st, release
 	case c.Faults != nil:
-		return stack{tp: c.newTransport(NewChanTransport(prog.stages))}, st, release
+		return stack{tp: c.newTransport(NewChanTransport(prog.stages)), inPlace: true}, st, release
 	}
 	if st.chans == nil {
 		// Fault-free, each transfer is sent exactly once: one slot each.
 		st.chans = newChanTransport(prog.stages, 1)
 	}
 	return stack{tp: c.newTransport(st.chans), inPlace: true}, st, release
-}
-
-// seal wraps a payload for transmission. Checksums exist so the one layer
-// that can corrupt data (fault injection) is detectable end to end; without
-// it nothing ever calls Valid — the channel stack never corrupts and the
-// wire guards its frames with their own checksum — so sealing would burn a
-// hash of every payload float for a field nobody reads. Profiling put that
-// hash at ~21% of epoch CPU.
-func (c *Cluster) seal(rows Message) Message {
-	if c.Faults != nil {
-		rows.Checksum = payloadChecksum(rows.Rows)
-	}
-	return rows
 }

@@ -8,11 +8,13 @@ import (
 	"dgcl/internal/core"
 )
 
-// RetryPolicy configures the retry/timeout transport decorator: how many
-// retransmissions a sender may attempt, how it backs off between attempts,
-// and how long a receiver waits before declaring a transfer lost. With a
-// policy installed, a dropped or corrupted message becomes a structured
-// *TransportError within a bounded time instead of a hung allgather.
+// RetryPolicy configures the retry decorator: how many retransmissions a
+// sender may attempt and how it backs off between them. With a policy
+// installed, a dropped or corrupted message is retransmitted, and one that
+// exhausts the budget becomes a structured *TransportError instead of a
+// hung allgather. A receive has no timer of its own: the collective's
+// deadline (Cluster.Timeout or the caller's context) is its one bound, and
+// the stage loop reports a receive it ends.
 type RetryPolicy struct {
 	// MaxRetries is the retransmission budget per transfer (0 = a single
 	// attempt, no retries).
@@ -21,19 +23,15 @@ type RetryPolicy struct {
 	// each retry up to MaxBackoff.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// RecvTimeout bounds each receive. 0 means no per-receive deadline
-	// (the collective's context deadline still applies).
-	RecvTimeout time.Duration
 }
 
 // DefaultRetryPolicy is a sane starting point: 4 retransmissions with
-// 200µs..5ms exponential backoff, 2s receive deadline.
+// 200µs..5ms exponential backoff.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxRetries:  4,
 		BaseBackoff: 200 * time.Microsecond,
 		MaxBackoff:  5 * time.Millisecond,
-		RecvTimeout: 2 * time.Second,
 	}
 }
 
@@ -51,12 +49,11 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 type retryTransport struct {
 	inner  Transport
 	policy RetryPolicy
-	stats  *CommStats // optional: retry/timeout counters
+	stats  *CommStats // optional: retry counters
 }
 
-// NewRetryTransport decorates inner with the retry/timeout policy. stats,
-// when non-nil, accumulates per-GPU retry and timeout counters (retries
-// attributed to the sender, timeouts to the receiver).
+// NewRetryTransport decorates inner with the retry policy. stats, when
+// non-nil, accumulates per-GPU retry counters, attributed to the sender.
 func NewRetryTransport(inner Transport, policy RetryPolicy, stats *CommStats) Transport {
 	return &retryTransport{inner: inner, policy: policy, stats: stats}
 }
@@ -93,32 +90,13 @@ func (t *retryTransport) Send(ctx context.Context, key TransferKey, tr core.Tran
 	}
 }
 
+// Recv is the receive half of reliable delivery: it discards a damaged copy
+// (the sender was NACKed and retransmits) and waits for the next one.
 func (t *retryTransport) Recv(ctx context.Context, key TransferKey, tr core.Transfer) (Message, error) {
-	attempts := 0
-	deadline := ctx
-	cancel := func() {}
-	if t.policy.RecvTimeout > 0 {
-		deadline, cancel = context.WithTimeout(ctx, t.policy.RecvTimeout)
-	}
-	defer cancel()
 	for {
-		attempts++
-		msg, err := t.inner.Recv(deadline, key, tr)
-		if err == nil {
-			return msg, nil
+		msg, err := t.inner.Recv(ctx, key, tr)
+		if !errors.Is(err, ErrCorrupt) {
+			return msg, err
 		}
-		if errors.Is(err, ErrCorrupt) {
-			// A damaged copy was consumed; the sender was NACKed and will
-			// retransmit — keep waiting within the deadline.
-			continue
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			if t.stats != nil {
-				t.stats.timeouts[tr.Dst].Add(1)
-			}
-			return Message{}, &TransportError{Op: "recv", Key: key, Src: tr.Src, Dst: tr.Dst,
-				Attempts: attempts, Err: err}
-		}
-		return Message{}, err
 	}
 }

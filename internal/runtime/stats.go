@@ -108,14 +108,14 @@ func (s *CommStats) String() string {
 	return out
 }
 
-// clientCounts is one client's tally of its successful transfers in one
-// collective: plain integers the stage loop (Cluster.runClient) bumps per
-// transfer and folds into CommStats once, when the client's program ends. A
-// logical transfer counts once, however many retransmissions or duplicates
-// the transport produced — the retry layer reports those separately via the
-// retry/timeout counters.
+// clientCounts is one client's tally of its successful transfers and its
+// timed-out receives in one collective: plain integers the stage loop
+// (Cluster.runClient) bumps and folds into CommStats once, when the
+// client's program ends. A logical transfer counts once, however many
+// retransmissions or duplicates the transport produced — the retry layer
+// counts retries itself.
 type clientCounts struct {
-	sentBytes, sentMsgs, relayedBytes, recvBytes, recvMsgs int64
+	sentBytes, sentMsgs, relayedBytes, recvBytes, recvMsgs, timeouts int64
 }
 
 // add folds client d's tally into the counters.
@@ -125,4 +125,5 @@ func (s *CommStats) add(d int, n *clientCounts) {
 	s.relayedBytes[d].Add(n.relayedBytes)
 	s.recvBytes[d].Add(n.recvBytes)
 	s.recvMsgs[d].Add(n.recvMsgs)
+	s.timeouts[d].Add(n.timeouts)
 }

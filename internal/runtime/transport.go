@@ -15,10 +15,11 @@ import (
 // §6.1 behind an interface so the runtime can run over different media: the
 // default in-memory channel transport or the TCP wire transport
 // (internal/comm/wire, plugged in through TransportProvider), optionally
-// under a fault-injecting wrapper for chaos testing and a retry/timeout
-// decorator that turns lost messages into structured per-GPU errors instead
-// of hung clients. Crash checks and transfer counting are not transport
-// layers: each client's stage loop does them (Cluster.runClient).
+// under a fault-injecting wrapper for chaos testing (which seals and
+// verifies its own checksums) and a retry decorator that retransmits what it
+// drops or damages. Crash checks, the receive the collective's deadline
+// ends, and transfer counting are not transport layers: each client's stage
+// loop handles them (Cluster.runClient).
 
 // TransferKey addresses one transfer of one (flattened) stage within a
 // single collective. Stage indexes the flattened stage list the transport
@@ -32,9 +33,8 @@ func (k TransferKey) String() string { return fmt.Sprintf("stage %d transfer %d"
 // Message is one transfer's payload: the embedding (or gradient) rows for
 // the transfer's vertex list, in list order. It takes one of two forms.
 //
-// A materialised message carries the rows in Rows, plus a checksum so
-// transports that can corrupt data are detectable end to end. Transports
-// deliver this form, and NewMessage builds it.
+// A materialised message carries the rows in Rows. Transports deliver this
+// form, and NewMessage builds it.
 //
 // An in-place message (Rows nil) hands over the sender's rows themselves:
 // the sender's slot storage and the send's compiled slot list, so the
@@ -44,6 +44,8 @@ func (k TransferKey) String() string { return fmt.Sprintf("stage %d transfer %d"
 // PooledTransport's Send, which reads the rows before it returns; the rules
 // that keep a sent row unchanged until its last reader is done are in
 // program.go. NumRows, Cols and Row read either form.
+// Checksum is the fault decorator's business: it seals what it sends and
+// verifies what it receives. Nothing else reads it; the wire carries it.
 type Message struct {
 	Rows     *tensor.Matrix
 	Checksum uint64
@@ -83,16 +85,23 @@ func NewMessage(rows *tensor.Matrix) Message {
 	return Message{Rows: rows, Checksum: payloadChecksum(rows)}
 }
 
-// Valid reports whether the payload still matches its checksum.
-func (m Message) Valid() bool { return m.Checksum == payloadChecksum(m.Rows) }
+// Valid reports whether the payload, in either form, still matches its
+// checksum.
+func (m Message) Valid() bool { return m.Checksum == m.sum() }
 
-func payloadChecksum(rows *tensor.Matrix) uint64 {
+// sum is the payload's seal: FNV-64a over every float's bits, row by row,
+// read through Row so an in-place message hashes like its materialised copy.
+func (m Message) sum() uint64 {
 	h := fnv64.New()
-	for _, f := range rows.Data {
-		h = h.U32(math.Float32bits(f))
+	for i := range m.NumRows() {
+		for _, f := range m.Row(i) {
+			h = h.U32(math.Float32bits(f))
+		}
 	}
 	return uint64(h)
 }
+
+func payloadChecksum(rows *tensor.Matrix) uint64 { return Message{Rows: rows}.sum() }
 
 // Transport moves one collective's messages between clients. A Transport
 // instance is built per collective (the stage layout is fixed at
@@ -164,9 +173,10 @@ func IsRetryable(err error) bool {
 	return errors.Is(err, ErrDropped) || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrBackpressure)
 }
 
-// TransportError is the structured failure the retry decorator surfaces
-// when a transfer exhausts its budget or deadline: which operation, which
-// transfer, between whom, and after how many attempts.
+// TransportError is the structured failure of one transfer: the retry
+// decorator's when a send exhausts its budget, the stage loop's when the
+// collective's deadline or cancel ends a receive. It says which operation,
+// which transfer, between whom, and after how many attempts.
 type TransportError struct {
 	Op       string // "send" or "recv"
 	Key      TransferKey

@@ -3,6 +3,8 @@ package runtime
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,6 +142,39 @@ func TestFaultTransportCorruptIsDetected(t *testing.T) {
 	}
 }
 
+// TestFaultTransportCorruptsInPlaceMessage sends an in-place message (the
+// sender's own rows) through the fault decorator: it seals the rows itself
+// and corrupts a copy read through Message.Row, so the delivered copy fails
+// its checksum, the sender is NACKed, and the sender's rows are unchanged.
+func TestFaultTransportCorruptsInPlaceMessage(t *testing.T) {
+	sr := &slotRows{own: []float32{1, 2, 3, 4, 5, 6}, arena: []float32{-7, 8.5, 9}, cols: 3}
+	own, arena := slices.Clone(sr.own), slices.Clone(sr.arena)
+	base := NewChanTransport(testStages())
+	tp := NewFaultTransport(base, FaultConfig{Seed: 1, Default: FaultRates{Corrupt: 1}})
+	key := TransferKey{0, 0}
+	msg := Message{from: sr, slots: []int32{1, -1}}
+	if err := tp.Send(context.Background(), key, testTransfer, msg); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("send = %v, want ErrCorrupt (sender NACK)", err)
+	}
+	got, err := base.Recv(context.Background(), key, testTransfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Valid() {
+		t.Fatal("the corrupt copy of an in-place message passes its checksum")
+	}
+	bits := func(fs []float32) []uint32 {
+		out := make([]uint32, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float32bits(f)
+		}
+		return out
+	}
+	if !slices.Equal(bits(sr.own), bits(own)) || !slices.Equal(bits(sr.arena), bits(arena)) {
+		t.Fatalf("corruption wrote the sender's rows: own %v arena %v, want %v %v", sr.own, sr.arena, own, arena)
+	}
+}
+
 func TestFaultTransportDuplicateIsDeliveredTwice(t *testing.T) {
 	tp := NewFaultTransport(NewChanTransport(testStages()),
 		FaultConfig{Seed: 1, Default: FaultRates{Duplicate: 1}})
@@ -216,21 +251,82 @@ func TestRetryTransportExhaustsBudget(t *testing.T) {
 	}
 }
 
-func TestRetryTransportRecvTimeout(t *testing.T) {
-	stats := NewCommStats(2)
-	tp := NewRetryTransport(NewChanTransport(testStages()),
-		RetryPolicy{RecvTimeout: 20 * time.Millisecond}, stats)
+// silentProvider's transport accepts every send and delivers nothing: peers
+// that stopped answering without closing anything.
+type silentProvider struct{}
+
+func (silentProvider) CollectiveTransport([][]core.Transfer, []int) Transport {
+	return silentTransport{}
+}
+
+type silentTransport struct{}
+
+func (silentTransport) Send(context.Context, TransferKey, core.Transfer, Message) error { return nil }
+
+func (silentTransport) Recv(ctx context.Context, _ TransferKey, _ core.Transfer) (Message, error) {
+	<-ctx.Done()
+	return Message{}, ctx.Err()
+}
+
+// TestHealthConvictsSilentSenderWithoutRetry runs a collective whose sends
+// are all silently lost, with no retry policy: the collective's deadline
+// alone ends each receive, and the stage loop reports it as a recv
+// *TransportError naming the sender, charges the receiver one timeout, and
+// so gives the health tracker the strike that convicts the silent sender.
+func TestHealthConvictsSilentSenderWithoutRetry(t *testing.T) {
+	c, local, _ := chaosCluster(t)
+	prog, err := c.program(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Provider = silentProvider{}
+	const deadline = 50 * time.Millisecond
+	c.Timeout = deadline
+	c.Stats = NewCommStats(c.K)
+	c.Health = NewHealthTracker(1, nil)
+
 	start := time.Now()
-	_, err := tp.Recv(context.Background(), TransferKey{0, 0}, testTransfer)
-	var te *TransportError
-	if !errors.As(err, &te) || te.Op != "recv" {
-		t.Fatalf("recv = %v, want recv *TransportError", err)
+	_, err = c.Allgather(local)
+	elapsed := time.Since(start)
+	var ce *CollectiveError
+	if !errors.As(err, &ce) {
+		t.Fatalf("allgather = %v, want *CollectiveError", err)
 	}
-	if time.Since(start) > time.Second {
-		t.Fatal("recv timeout did not bound the wait")
+	if elapsed < deadline || elapsed > time.Second {
+		t.Fatalf("receives ended after %v, want near the %v deadline", elapsed, deadline)
 	}
-	if stats.Timeouts(1) != 1 {
-		t.Fatalf("timeouts = %d, want 1 attributed to receiver", stats.Timeouts(1))
+	var senders []int
+	for d := 0; d < c.K; d++ {
+		// A client blocks on the first receive of its program: every send
+		// before it was accepted.
+		sender := -1
+		for _, cs := range prog.clients[d].stages {
+			if len(cs.recvs) > 0 {
+				sender = cs.recvs[0].tr.Src
+				break
+			}
+		}
+		if sender < 0 {
+			continue
+		}
+		var te *TransportError
+		if !errors.As(ce.PerGPU[d], &te) || te.Op != "recv" || te.Src != sender || te.Dst != d ||
+			!errors.Is(te, context.DeadlineExceeded) {
+			t.Fatalf("GPU %d: %v, want a recv *TransportError from GPU %d ended by the deadline", d, ce.PerGPU[d], sender)
+		}
+		if got := c.Stats.Timeouts(d); got != 1 {
+			t.Fatalf("GPU %d charged %d timeouts, want 1", d, got)
+		}
+		if !slices.Contains(senders, sender) {
+			senders = append(senders, sender)
+		}
+	}
+	if len(senders) == 0 {
+		t.Fatal("no client receives anything; the test exercised nothing")
+	}
+	slices.Sort(senders)
+	if len(ce.Down) == 0 || !slices.Equal(ce.Down, senders) {
+		t.Fatalf("down verdicts %v, want the silent senders %v", ce.Down, senders)
 	}
 }
 
@@ -248,8 +344,7 @@ func TestRetryTransportDiscardsCorruptCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fault layer with zero rates still verifies checksums on Recv.
-	tp := NewRetryTransport(NewFaultTransport(base, FaultConfig{}),
-		RetryPolicy{RecvTimeout: time.Second}, nil)
+	tp := NewRetryTransport(NewFaultTransport(base, FaultConfig{}), RetryPolicy{}, nil)
 	msg, err := tp.Recv(context.Background(), key, testTransfer)
 	if err != nil {
 		t.Fatal(err)
