@@ -202,7 +202,6 @@ func run(dataset string, kind gnn.ModelKind, gpus, scale, epochs int, adam bool,
 			runOpts.Faults = &dgcl.FaultConfig{
 				Seed:    chaos.seed,
 				Default: dgcl.FaultRates{Drop: chaos.drop, Corrupt: chaos.corrupt, Duplicate: chaos.dup},
-				Stats:   &dgcl.FaultStats{},
 			}
 			fmt.Printf("chaos: drop %.2f corrupt %.2f dup %.2f, %d retries, %s deadline (simulated timing is the fault-free model)\n",
 				chaos.drop, chaos.corrupt, chaos.dup, chaos.retries, chaos.timeout)

@@ -230,13 +230,12 @@ type System struct {
 	// from BuildCommInfo so degraded replans weight the plan identically;
 	// dtopo is the degraded fabric after Degrade (nil = full fabric); alive
 	// maps compact device index -> original device id (nil = identity);
-	// runOpts reapplies transport options after a rebuild; crash and health
-	// outlive cluster rebuilds so dead devices stay dead.
+	// runOpts reapplies transport options after a rebuild; health holds the
+	// down set and outlives cluster rebuilds so dead devices stay dead.
 	featureDim int
 	dtopo      *Topology
 	alive      []int
 	runOpts    *RunOptions
-	crash      *runtime.CrashTracker
 	health     *runtime.HealthTracker
 
 	// Worker-mode state (see SetWorkerMode): the client ranks this process
@@ -339,8 +338,9 @@ func (s *System) planAndLocalGraphs(g *Graph, rel *Relation, topo *Topology, fea
 
 // buildPlan runs the configured planner for the relation over the given
 // fabric (the full topology normally, a degraded one after Degrade) and
-// records the modeled cost. Degraded replans over a warm plan cache
-// short-circuit planning entirely on repeat failures.
+// records the modeled cost. With Options.Plan.CacheDir set it plans through
+// the content-addressed cache, which answers a degraded fabric only when an
+// earlier run planned that same fabric.
 func (s *System) buildPlan(rel *Relation, topo *Topology, featureDim int) (*Plan, error) {
 	bytesPerVertex := int64(featureDim) * 4
 	var plan *Plan
@@ -419,7 +419,8 @@ type RunOptions struct {
 	Crash *CrashConfig
 	// DownAfter enables failure detection without a schedule: this many
 	// consecutive deadline-class failures blamed on one device convert into
-	// a down verdict (0 leaves detection to Train's default).
+	// a down verdict (0 keeps the current threshold, 2 unless set before).
+	// It takes effect whenever set, before or after Train.
 	DownAfter int
 	// Transport, when non-nil, supplies the base transport for every
 	// collective instead of the in-memory channels — the seam the wire
@@ -437,11 +438,9 @@ func (s *System) SetRunOptions(opts RunOptions) error {
 		return err
 	}
 	s.runOpts = &opts
-	if opts.Crash != nil {
-		s.crash = runtime.NewCrashTracker(*opts.Crash)
-	}
 	if opts.Crash != nil || opts.DownAfter > 0 {
-		s.ensureResilience(opts.DownAfter)
+		s.ensureResilience()
+		s.health.Configure(opts.DownAfter, opts.Crash)
 	}
 	s.applyRunOptions()
 	return nil
@@ -449,23 +448,24 @@ func (s *System) SetRunOptions(opts RunOptions) error {
 
 // applyRunOptions (re)installs the recorded run options on the current
 // cluster. Called after SetRunOptions and after every rebuild
-// (BuildCommInfo, Degrade) so transport decorators, stats, and the
-// crash/health trackers follow the cluster across degraded replans.
+// (BuildCommInfo, Degrade) so transport decorators, stats, and the health
+// tracker follow the cluster across degraded replans. Stats are on whenever
+// the health tracker is, since recovery reports read them.
 func (s *System) applyRunOptions() {
 	if s.clu == nil {
 		return
 	}
-	if s.runOpts != nil {
-		opts := s.runOpts
+	stats := s.health != nil
+	if opts := s.runOpts; opts != nil {
 		s.clu.Timeout = opts.Timeout
 		s.clu.Faults = opts.Faults
 		s.clu.Retry = opts.Retry
 		s.clu.Provider = opts.Transport
-		if (opts.CollectStats || opts.Retry != nil || opts.Faults != nil) && s.clu.Stats == nil {
-			s.clu.Stats = runtime.NewCommStats(s.rel.K)
-		}
+		stats = stats || opts.CollectStats || opts.Retry != nil || opts.Faults != nil
 	}
-	s.clu.Crash = s.crash
+	if stats && s.clu.Stats == nil {
+		s.clu.Stats = runtime.NewCommStats(s.rel.K)
+	}
 	s.clu.Health = s.health
 	s.clu.DeviceIDs = append([]int(nil), s.alive...)
 	s.clu.Ranks = s.ranks
@@ -518,23 +518,17 @@ func (s *System) fireEpochEnd(epoch int, model *Model) {
 	}
 }
 
-// ensureResilience installs the crash tracker and health tracker (detection
-// threshold downAfter; 0 = default) that the resilient loop and the
-// runtime's stage loop share, plus the stats recovery reports. Idempotent.
-func (s *System) ensureResilience(downAfter int) {
-	if s.crash == nil {
-		s.crash = runtime.NewCrashTracker(runtime.CrashConfig{})
-	}
-	if s.clu != nil && s.clu.Stats == nil {
-		s.clu.Stats = runtime.NewCommStats(s.rel.K)
-	}
+// ensureResilience installs the health tracker that the resilient loop and
+// the runtime's stage loop share: default threshold, no schedule. Idempotent.
+func (s *System) ensureResilience() {
 	if s.health == nil {
-		s.health = runtime.NewHealthTracker(downAfter, s.crash)
+		s.health = runtime.NewHealthTracker(0, runtime.CrashConfig{})
 	}
 }
 
 // Stats returns the per-GPU communication counters, or nil when collection
-// was never enabled (see RunOptions.CollectStats).
+// was never enabled (see RunOptions.CollectStats). A degraded rebuild
+// renumbers the clients, so the counters restart there.
 func (s *System) Stats() *CommStats {
 	if s.clu == nil {
 		return nil

@@ -2,6 +2,7 @@ package dgcl
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -286,5 +287,89 @@ func TestDegradeValidation(t *testing.T) {
 	}
 	if got := sys.AliveDevices(); !reflect.DeepEqual(got, []int{1, 3}) {
 		t.Fatalf("alive = %v, want [1 3]", got)
+	}
+}
+
+// TestRecoveryKeepsCommStats pins that a crash-only run keeps its transfer
+// counters across a recovery: the rebuilt cluster gets fresh stats (client
+// indices are renumbered), and they count the post-recovery epochs.
+func TestRecoveryKeepsCommStats(t *testing.T) {
+	sys, _, model, feat, targ := resilientFixture(t, 11)
+	if err := sys.SetRunOptions(RunOptions{
+		Crash: &CrashConfig{Events: []CrashEvent{{Device: 1, Epoch: 2, Stage: 0}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	opts := trainOpts(4, "")
+	var atRecovery *CommStats
+	opts.OnRecovery = func(RecoveryEvent) { atRecovery = sys.Stats() }
+	res, err := sys.Train(context.Background(), model, feat, targ, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Recoveries) != 1 {
+		t.Fatalf("recoveries = %+v, want exactly one", res.Recoveries)
+	}
+	if atRecovery == nil || sys.Stats() != atRecovery {
+		t.Fatalf("stats at recovery %p, at the end %p: want the rebuilt cluster's counters throughout", atRecovery, sys.Stats())
+	}
+	for d := range sys.AliveDevices() {
+		if msgs, _ := atRecovery.Sent(d); msgs == 0 {
+			t.Fatalf("survivor client %d sent nothing after the recovery: %v", d, atRecovery)
+		}
+	}
+}
+
+// TestHealthKeepsOneDownSetAcrossRunOptions pins that a detection threshold
+// set first and a crash schedule set later share one down set: a verdict is
+// what Train recovers from, and the stage loop fast-fails the device.
+func TestHealthKeepsOneDownSetAcrossRunOptions(t *testing.T) {
+	sys, _, _, feat, _ := resilientFixture(t, 13)
+	if err := sys.SetRunOptions(RunOptions{DownAfter: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 10 * time.Second
+	if err := sys.SetRunOptions(RunOptions{
+		Timeout: deadline,
+		Crash:   &CrashConfig{Events: []CrashEvent{{Device: 3, Epoch: 99, Stage: 0}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.health.ObserveStrike(2) {
+		t.Fatal("one strike did not convict device 2 at DownAfter 1")
+	}
+	if got := sys.pendingDown(); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("pendingDown = %v, want [2]", got)
+	}
+	local, err := sys.DispatchFeatures(feat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = sys.GraphAllgather(local)
+	if elapsed := time.Since(start); elapsed > deadline/2 {
+		t.Fatalf("allgather took %v; a device with a verdict should fail fast", elapsed)
+	}
+	var dde *DeviceDownError
+	if !errors.As(err, &dde) || dde.Device != 2 {
+		t.Fatalf("allgather = %v, want a DeviceDownError naming device 2", err)
+	}
+}
+
+// TestHealthDownAfterAppliesAfterTrain pins that a threshold set after Train
+// (which installs the default detector) takes effect.
+func TestHealthDownAfterAppliesAfterTrain(t *testing.T) {
+	sys, _, model, feat, targ := resilientFixture(t, 17)
+	if _, err := sys.Train(context.Background(), model, feat, targ, trainOpts(1, "")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetRunOptions(RunOptions{DownAfter: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.health.ObserveStrike(1) {
+		t.Fatal("one strike did not convict device 1 at DownAfter 1")
+	}
+	if got := sys.pendingDown(); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("pendingDown = %v, want [1]", got)
 	}
 }

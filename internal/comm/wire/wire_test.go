@@ -284,7 +284,7 @@ func TestFabricMidCollectiveKillMapsToDeviceDown(t *testing.T) {
 	local := randomLocals(rel, 4, 3)
 	fab := newFabric(t, c)
 	c.Provider = &killerProvider{fab: fab, dev: dead}
-	c.Health = runtime.NewHealthTracker(1, nil)
+	c.Health = runtime.NewHealthTracker(1, runtime.CrashConfig{})
 	c.Timeout = 10 * time.Second
 
 	_, err := c.Allgather(local)

@@ -10,7 +10,7 @@
 // data movement goes through the Transport interface (transport.go): the
 // default in-memory channel transport or a provider's (the wire transport),
 // optionally wrapped with fault injection and retry decorators. The stage
-// loop itself checks endpoints against the crash tracker's down set, reports
+// loop itself checks endpoints against the health tracker's down set, reports
 // a receive the collective's deadline ended, and counts transfers into
 // CommStats. The runtime is the correctness half of the reproduction; timing
 // comes from package simnet.
@@ -60,14 +60,12 @@ type Cluster struct {
 	// a context deadline when the caller's context has none); that deadline
 	// is the one bound on a receive.
 	Timeout time.Duration
-	// Crash, when non-nil, injects/propagates fail-stop device failures:
-	// the stage loop fails transfers touching a down device fast with
-	// ErrDeviceDown and the collective aborts instead of running out its
-	// deadline.
-	Crash *CrashTracker
-	// Health, when non-nil, grades every collective and converts repeated
-	// deadline failures or explicit down evidence into per-device verdicts
-	// (surfaced via CollectiveError.Down).
+	// Health, when non-nil, holds the down set: its crash schedule fires as
+	// the stage loop reaches each scheduled stage, and it grades every
+	// collective, converting repeated deadline failures or explicit down
+	// evidence into verdicts (surfaced via CollectiveError.Down). The stage
+	// loop fails transfers touching a down device fast with ErrDeviceDown,
+	// and the collective aborts instead of running out its deadline.
 	Health *HealthTracker
 	// DeviceIDs maps client index -> external device id. Nil means the
 	// identity mapping; a degraded cluster rebuilt over survivors sets it so
@@ -409,12 +407,12 @@ func (sr *slotRows) land(slots []int32, msg Message, add bool) {
 // done), and a materialised copy otherwise; so the channel path moves each
 // row once, from the sender's storage into the receiver's.
 //
-// The loop also applies the per-transfer policies. With a crash tracker
-// installed it advances the tracker once per stage in which the client has a
-// transfer, fails any send or receive touching a down device with its
-// *DeviceDownError, and names the dead device after any failed transfer
-// whose endpoint died meanwhile (a receiver blocked on a dead sender is
-// unblocked by abortOnDeviceDown, since that sender's own client fails). A
+// The loop also applies the per-transfer policies. With a health tracker
+// installed it advances the crash schedule once per stage in which the
+// client has a transfer, fails any send or receive touching a down device
+// with its *DeviceDownError, and names the dead device after any failed
+// transfer whose endpoint died meanwhile (a receiver blocked on a dead sender
+// is unblocked by abortOnDeviceDown, since that sender's own client fails). A
 // receive the collective's context ended otherwise becomes a recv
 // *TransportError naming its sender, the health tracker's strike. With Stats
 // installed it counts each successful transfer and each receive the deadline
@@ -426,8 +424,8 @@ func (c *Cluster) runClient(ctx context.Context, d int, tx stack, cp *clientProg
 	}
 	rowBytes := int64(sr.cols * 4)
 	for si, cs := range cp.stages {
-		if c.Crash != nil && len(cs.sends)+len(cs.recvs) > 0 {
-			c.Crash.advance(si)
+		if c.Health != nil && len(cs.sends)+len(cs.recvs) > 0 {
+			c.Health.advance(si)
 		}
 		// Send phase: hand over the rows and set done flags.
 		for _, snd := range cs.sends {
@@ -473,12 +471,12 @@ func (c *Cluster) runClient(ctx context.Context, d int, tx stack, cp *clientProg
 }
 
 // deviceDown returns the *DeviceDownError of the first endpoint of tr (in
-// external ids) the crash tracker has down, or nil.
+// external ids) the health tracker has down, or nil.
 func (c *Cluster) deviceDown(tr core.Transfer) error {
-	if c.Crash == nil {
+	if c.Health == nil {
 		return nil
 	}
-	return c.Crash.downEndpoint(c.deviceID(tr.Src), c.deviceID(tr.Dst))
+	return c.Health.downEndpoint(c.deviceID(tr.Src), c.deviceID(tr.Dst))
 }
 
 // blame replaces a failed transfer's error with the *DeviceDownError of an

@@ -7,16 +7,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Fail-stop crash injection. Message-level faults (fault.go) model lossy
 // links that retries can hide; this layer models the failure mode that
 // dominates long multi-machine GNN jobs: a whole device dying mid-epoch and
 // never coming back. A CrashConfig is a seeded-free, fully deterministic
-// schedule ("device d dies at epoch E, stage S"); the CrashTracker turns it
-// into a monotone per-device down set, and each client's stage loop
+// schedule ("device d dies at epoch E, stage S"); the HealthTracker fires it
+// into its one monotone per-device down set, and each client's stage loop
 // (Cluster.runClient) fails every send or receive touching a crashed device
 // fast with a DeviceDownError, above the retry decorator, so no retry budget
 // is spent on it. Callers distinguish
@@ -44,9 +42,9 @@ func (e *DeviceDownError) Error() string {
 func (e *DeviceDownError) Unwrap() error { return ErrDeviceDown }
 
 // DownDevices reads which devices a failed collective found fail-stop dead
-// (external ids, ascending): the health tracker's verdicts when it reached
-// any (from explicit evidence or from deadline strikes), otherwise every
-// distinct DeviceDownError among the per-GPU errors. Otherwise an error
+// (external ids, ascending): the health tracker's down set when it holds
+// any (a fired schedule, explicit evidence or deadline strikes), otherwise
+// every distinct DeviceDownError among the per-GPU errors. Otherwise an error
 // blames nobody — a lossy link or a lone deadline is not a death — and an
 // empty result means nothing to degrade.
 func DownDevices(err error) []int {
@@ -129,118 +127,4 @@ func ParseCrashSchedule(s string) (*CrashConfig, error) {
 		return nil, fmt.Errorf("runtime: empty crash schedule %q", s)
 	}
 	return cfg, nil
-}
-
-// CrashTracker executes a CrashConfig: it tracks the current epoch, fires
-// scheduled events as each client's stage loop reaches their stage, and
-// exposes the monotone down set. One tracker outlives cluster rebuilds, so
-// devices that died before a degraded replan stay dead in the rebuilt world.
-// All methods are safe for concurrent use by the client goroutines of a
-// collective; the two the stage loop calls per transfer or stage (Down and
-// advance) take no lock unless an event of the current epoch is pending.
-type CrashTracker struct {
-	mu      sync.Mutex
-	pending []CrashEvent
-	epoch   int
-	// armed is set while a pending event belongs to the current epoch.
-	armed atomic.Bool
-	// down is the ascending down set. Writers replace it under mu and never
-	// mutate a published slice, so readers load it without the lock.
-	down atomic.Pointer[[]int]
-}
-
-// NewCrashTracker builds a tracker for the schedule. A nil-safe empty
-// config yields a tracker that never fires (but MarkDown still works, so the
-// health tracker can feed verdicts into it).
-func NewCrashTracker(cfg CrashConfig) *CrashTracker {
-	return &CrashTracker{pending: slices.Clone(cfg.Events), epoch: -1}
-}
-
-// BeginEpoch advances the tracker's epoch clock. The trainer calls it before
-// each epoch's first collective; events of earlier epochs that never fired
-// (their stage was beyond the plan) fire now, keeping the schedule monotone.
-func (t *CrashTracker) BeginEpoch(epoch int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.epoch = epoch
-	t.fireLocked(func(e CrashEvent) bool { return e.Epoch < epoch })
-}
-
-// advance fires every pending event of the current epoch whose stage has
-// been reached. A client's stage loop calls it once per stage in which the
-// client has a transfer, before that stage's first send or receive, so the
-// down decision is a pure function of (epoch, stage) rather than of
-// goroutine scheduling.
-func (t *CrashTracker) advance(stage int) {
-	if !t.armed.Load() {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.fireLocked(func(e CrashEvent) bool { return e.Epoch == t.epoch && e.Stage <= stage })
-}
-
-// fireLocked marks down every pending event matching the predicate and
-// re-arms advance for what is left of the current epoch. Caller holds t.mu.
-func (t *CrashTracker) fireLocked(match func(CrashEvent) bool) {
-	armed := false
-	kept := t.pending[:0]
-	for _, e := range t.pending {
-		if match(e) {
-			t.markDownLocked(e.Device)
-		} else {
-			kept = append(kept, e)
-			armed = armed || e.Epoch == t.epoch
-		}
-	}
-	t.pending = kept
-	t.armed.Store(armed)
-}
-
-func (t *CrashTracker) markDownLocked(dev int) {
-	var down []int
-	if p := t.down.Load(); p != nil {
-		down = *p
-	}
-	i, found := slices.BinarySearch(down, dev)
-	if found {
-		return
-	}
-	down = slices.Insert(slices.Clip(down), i, dev)
-	t.down.Store(&down)
-}
-
-// MarkDown records an externally detected failure (e.g. a health-tracker
-// verdict) as a fail-stop death.
-func (t *CrashTracker) MarkDown(dev int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.markDownLocked(dev)
-}
-
-// Down reports whether the device has failed.
-func (t *CrashTracker) Down(dev int) bool {
-	p := t.down.Load()
-	return p != nil && slices.Contains(*p, dev)
-}
-
-// DownDevices returns every failed device, ascending.
-func (t *CrashTracker) DownDevices() []int {
-	out := []int{}
-	if p := t.down.Load(); p != nil {
-		out = append(out, *p...)
-	}
-	return out
-}
-
-// downEndpoint returns a *DeviceDownError naming the first of src, dst
-// (external ids) that is down, or nil when both are alive.
-func (t *CrashTracker) downEndpoint(src, dst int) error {
-	if t.Down(src) {
-		return &DeviceDownError{Device: src}
-	}
-	if t.Down(dst) {
-		return &DeviceDownError{Device: dst}
-	}
-	return nil
 }

@@ -66,9 +66,9 @@ func TestParseCrashSchedule(t *testing.T) {
 	}
 }
 
-func TestCrashTrackerFiresAsPureFunctionOfEpochAndStage(t *testing.T) {
+func TestCrashScheduleFiresAsPureFunctionOfEpochAndStage(t *testing.T) {
 	run := func() [][]int {
-		tr := NewCrashTracker(CrashConfig{Events: []CrashEvent{
+		tr := NewHealthTracker(0, CrashConfig{Events: []CrashEvent{
 			{Device: 0, Epoch: 1, Stage: 0},
 			{Device: 1, Epoch: 1, Stage: 2},
 			{Device: 2, Epoch: 3, Stage: 99}, // beyond any stage: fires at BeginEpoch(4)
@@ -102,7 +102,7 @@ func TestCrashTrackerFiresAsPureFunctionOfEpochAndStage(t *testing.T) {
 	}
 }
 
-func TestCrashTrackerOutlivesRebuildAndMapsExternalIDs(t *testing.T) {
+func TestCrashDownSetOutlivesRebuildAndMapsExternalIDs(t *testing.T) {
 	// A degraded cluster renumbers survivors compactly: three clients whose
 	// DeviceIDs are the external devices 0, 1 and 3, with external device 2
 	// dead since before the rebuild.
@@ -112,9 +112,9 @@ func TestCrashTrackerOutlivesRebuildAndMapsExternalIDs(t *testing.T) {
 	for d := range local {
 		local[d] = tensor.New(len(rel.Local[d]), 3).FillRandom(int64(d))
 	}
-	c.Crash = NewCrashTracker(CrashConfig{})
-	c.Crash.MarkDown(2)
-	c.Crash.BeginEpoch(0)
+	c.Health = NewHealthTracker(0, CrashConfig{})
+	c.Health.ObserveEvidence(2)
+	c.Health.BeginEpoch(0)
 	c.DeviceIDs = []int{0, 1, 3}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -123,12 +123,12 @@ func TestCrashTrackerOutlivesRebuildAndMapsExternalIDs(t *testing.T) {
 	if _, err := c.AllgatherContext(ctx, local); err != nil {
 		t.Fatalf("collective over survivors failed: %v", err)
 	}
-	if !c.Crash.Down(2) || c.Crash.Down(3) {
-		t.Fatalf("down set %v, want external device 2 only", c.Crash.DownDevices())
+	if !c.Health.Down(2) || c.Health.Down(3) {
+		t.Fatalf("down set %v, want external device 2 only", c.Health.DownDevices())
 	}
 	// Once external device 3 dies, compact client 2's transfers fail naming
 	// it by its external id.
-	c.Crash.MarkDown(3)
+	c.Health.ObserveEvidence(3)
 	_, err := c.AllgatherContext(ctx, local)
 	var dde *DeviceDownError
 	if !errors.As(err, &dde) || dde.Device != 3 {
@@ -136,16 +136,15 @@ func TestCrashTrackerOutlivesRebuildAndMapsExternalIDs(t *testing.T) {
 	}
 }
 
-// trainStack installs what dgcl.System.Train wires on every cluster: stats,
-// a crash tracker over cfg and a health tracker feeding it.
+// trainStack installs what dgcl.System.Train wires on every cluster: stats
+// and a health tracker running the crash schedule cfg.
 func trainStack(c *Cluster, cfg CrashConfig) {
 	c.Stats = NewCommStats(c.K)
-	c.Crash = NewCrashTracker(cfg)
-	c.Health = NewHealthTracker(0, c.Crash)
+	c.Health = NewHealthTracker(0, cfg)
 }
 
-// crashedCluster builds a 4-GPU cluster with a crash tracker, health tracker
-// and stats wired the way dgcl.System does, and a collective deadline.
+// crashedCluster builds a 4-GPU cluster with a health tracker and stats
+// wired the way dgcl.System does, and a collective deadline.
 func crashedCluster(t *testing.T, cfg CrashConfig) (*Cluster, []*tensor.Matrix) {
 	t.Helper()
 	g := graph.CommunityGraph(300, 10, 4, 0.8, 42)
@@ -197,7 +196,7 @@ func requireDeviceDown(t *testing.T, err error, dev int) {
 
 func TestCrashAbortsCollectiveStructuredAndLeakFree(t *testing.T) {
 	c, local := crashedCluster(t, CrashConfig{Events: []CrashEvent{{Device: 2, Epoch: 0, Stage: 0}}})
-	c.Crash.BeginEpoch(0)
+	c.Health.BeginEpoch(0)
 
 	before := testutil.Goroutines()
 	start := time.Now()
@@ -235,19 +234,19 @@ func TestCrashAbortsCollectiveStructuredAndLeakFree(t *testing.T) {
 
 func TestCrashBeforeScheduledEpochIsHarmless(t *testing.T) {
 	c, local := crashedCluster(t, CrashConfig{Events: []CrashEvent{{Device: 1, Epoch: 5, Stage: 0}}})
-	c.Crash.BeginEpoch(0)
+	c.Health.BeginEpoch(0)
 	if _, err := c.Allgather(local); err != nil {
 		t.Fatalf("epoch 0 allgather failed with a crash scheduled for epoch 5: %v", err)
 	}
-	if down := c.Crash.DownDevices(); len(down) != 0 {
+	if down := c.Health.DownDevices(); len(down) != 0 {
 		t.Fatalf("devices %v down before their scheduled epoch", down)
 	}
 }
 
 func TestCrashTransportFastFailsBothDirections(t *testing.T) {
 	c, local := crashedCluster(t, CrashConfig{})
-	c.Crash.BeginEpoch(0)
-	c.Crash.MarkDown(1)
+	c.Health.BeginEpoch(0)
+	c.Health.ObserveEvidence(1)
 	grad := crashedGradients(c)
 	for _, backward := range []bool{false, true} {
 		start := time.Now()
@@ -285,7 +284,7 @@ func TestCrashWatcherUnblocksPendingRecv(t *testing.T) {
 				t.Run(fmt.Sprintf("backward=%v/stage%d/dev%d", backward, stage, dev), func(t *testing.T) {
 					c, local := crashedCluster(t, CrashConfig{Events: []CrashEvent{{Device: dev, Epoch: 0, Stage: stage}}})
 					c.Timeout = 0
-					c.Crash.BeginEpoch(0)
+					c.Health.BeginEpoch(0)
 					grad := crashedGradients(c)
 					before := testutil.Goroutines()
 					done := make(chan error, 1)
@@ -312,8 +311,7 @@ func TestCrashWatcherUnblocksPendingRecv(t *testing.T) {
 }
 
 func TestHealthTrackerStrikesAndExoneration(t *testing.T) {
-	crash := NewCrashTracker(CrashConfig{})
-	h := NewHealthTracker(2, crash)
+	h := NewHealthTracker(2, CrashConfig{})
 	deadline := func(self, peer int) error {
 		return &TransportError{Op: "recv", Src: peer, Dst: self, Attempts: 1, Err: context.DeadlineExceeded}
 	}
@@ -329,12 +327,12 @@ func TestHealthTrackerStrikesAndExoneration(t *testing.T) {
 	if !reflect.DeepEqual(down, []int{3}) {
 		t.Fatalf("down after two strike rounds = %v, want [3]", down)
 	}
-	if !crash.Down(3) {
-		t.Fatal("verdict was not fed back into the crash tracker")
+	if err := h.downEndpoint(0, 3); !reflect.DeepEqual(err, &DeviceDownError{Device: 3}) {
+		t.Fatalf("stage loop fast-fail after the verdict = %v, want device 3 down", err)
 	}
 
 	// A clean round from the suspect itself clears accumulated strikes.
-	h2 := NewHealthTracker(2, nil)
+	h2 := NewHealthTracker(2, CrashConfig{})
 	h2.ObserveCollective([]error{deadline(0, 2), nil, nil, nil}, nil)
 	h2.ObserveCollective([]error{nil, nil, nil, nil}, nil) // device 2 answers cleanly
 	down = h2.ObserveCollective([]error{deadline(0, 2), nil, nil, nil}, nil)
@@ -344,7 +342,7 @@ func TestHealthTrackerStrikesAndExoneration(t *testing.T) {
 
 	// Explicit down evidence is an immediate verdict regardless of strikes,
 	// and plain cancellation implicates nobody.
-	h3 := NewHealthTracker(2, nil)
+	h3 := NewHealthTracker(2, CrashConfig{})
 	down = h3.ObserveCollective([]error{&DeviceDownError{Device: 1}, context.Canceled, nil, nil}, nil)
 	if !reflect.DeepEqual(down, []int{1}) {
 		t.Fatalf("down after explicit evidence = %v, want [1]", down)
@@ -352,7 +350,7 @@ func TestHealthTrackerStrikesAndExoneration(t *testing.T) {
 }
 
 func TestHealthTrackerMapsClientIndicesToExternalIDs(t *testing.T) {
-	h := NewHealthTracker(1, nil)
+	h := NewHealthTracker(1, CrashConfig{})
 	// Compact client 1 times out against compact client 2; ids maps compact
 	// 2 to external device 5.
 	err := &TransportError{Op: "recv", Src: 2, Dst: 1, Attempts: 1, Err: context.DeadlineExceeded}

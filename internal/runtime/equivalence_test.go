@@ -365,7 +365,7 @@ func checkSteadyStateAllocs(t *testing.T, name string, run func(c *Cluster, loca
 	plain := measure(nil)
 	train := measure(func(c *Cluster) {
 		trainStack(c, CrashConfig{})
-		c.Crash.BeginEpoch(0)
+		c.Health.BeginEpoch(0)
 	})
 	retry := measure(func(c *Cluster) {
 		p := DefaultRetryPolicy()

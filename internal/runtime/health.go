@@ -3,56 +3,142 @@ package runtime
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
-// Failure detection. The stage loop makes transfers touching a *known* dead
-// device fail fast, but a real fail-stop failure first shows up as
-// repeated receive deadlines: the peer simply stops answering. The
-// HealthTracker is the cluster's failure detector — it grades each client's
-// collective outcome, converts explicit DeviceDownError evidence into an
-// immediate verdict, and converts DownAfter consecutive deadline-class
-// failures blamed on the same peer into a suspicion verdict. Verdicts are
-// fed back into the CrashTracker (so the stage loop starts fast-failing the
-// device) and surfaced to callers via CollectiveError.Down, which is
-// what the resilient training loop keys recovery on.
+// Failure state. The HealthTracker holds the cluster's one monotone down set
+// and every way a device enters it. A CrashConfig schedule fires into it as
+// the client stage loops reach the scheduled stage. The failure detector
+// feeds it too: a real fail-stop failure first shows up as repeated receive
+// deadlines (the peer simply stops answering), so the tracker grades each
+// client's collective outcome, converts explicit DeviceDownError evidence
+// into an immediate verdict, and converts downAfter consecutive
+// deadline-class failures blamed on the same peer into a suspicion verdict.
+// The stage loop fast-fails every transfer touching a device in the set,
+// ObserveCollective surfaces the set via CollectiveError.Down, and the
+// resilient training loop recovers from it.
 
 // DefaultDownAfter is the consecutive deadline-strike threshold before a
 // device with no explicit down evidence is declared dead.
 const DefaultDownAfter = 2
 
-// HealthTracker converts per-collective client errors into per-device down
-// verdicts. Methods are safe for concurrent use.
+// HealthTracker owns the down set, the strikes against live devices and the
+// pending crash schedule. One tracker outlives cluster rebuilds, so devices
+// that died before a degraded replan stay dead in the rebuilt world. Methods
+// are safe for concurrent use by the client goroutines of a collective; the
+// two the stage loop calls per transfer or stage (downEndpoint and advance)
+// take no lock unless an event of the current epoch is pending.
 type HealthTracker struct {
-	// DownAfter is the number of consecutive deadline-class strikes against
-	// one device before it is declared down (<=0 means DefaultDownAfter).
-	DownAfter int
-
-	mu       sync.Mutex
-	crash    *CrashTracker
-	strikes  map[int]int
-	verdicts map[int]bool
+	mu sync.Mutex
+	// downAfter is the number of consecutive deadline-class strikes against
+	// one device before it is declared down.
+	downAfter int
+	strikes   map[int]int
+	pending   []CrashEvent
+	epoch     int
+	// armed is set while a pending event belongs to the current epoch.
+	armed atomic.Bool
+	// down is the ascending down set. Writers replace it under mu and never
+	// mutate a published slice, so readers load it without the lock.
+	down atomic.Pointer[[]int]
 }
 
-// NewHealthTracker builds a detector that reports verdicts into crash (may
-// be nil) so the stage loop fast-fails confirmed-dead devices.
-func NewHealthTracker(downAfter int, crash *CrashTracker) *HealthTracker {
-	if downAfter <= 0 {
-		downAfter = DefaultDownAfter
+// NewHealthTracker builds a tracker with the strike threshold downAfter
+// (<=0 means DefaultDownAfter) and the fail-stop schedule (an empty one
+// schedules no death).
+func NewHealthTracker(downAfter int, schedule CrashConfig) *HealthTracker {
+	h := &HealthTracker{downAfter: DefaultDownAfter, strikes: make(map[int]int), epoch: -1}
+	h.Configure(downAfter, &schedule)
+	return h
+}
+
+// Configure replaces the strike threshold when downAfter > 0 and the pending
+// schedule when schedule is non-nil. Fired events and verdicts stay: the down
+// set only grows.
+func (h *HealthTracker) Configure(downAfter int, schedule *CrashConfig) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if downAfter > 0 {
+		h.downAfter = downAfter
 	}
-	return &HealthTracker{
-		DownAfter: downAfter,
-		crash:     crash,
-		strikes:   make(map[int]int),
-		verdicts:  make(map[int]bool),
+	if schedule != nil {
+		h.pending = slices.Clone(schedule.Events)
+		h.fireLocked(func(CrashEvent) bool { return false }) // re-arm only
+	}
+}
+
+// BeginEpoch advances the schedule's epoch clock. The trainer calls it before
+// each epoch's first collective; events of earlier epochs that never fired
+// (their stage was beyond the plan) fire now, keeping the schedule monotone.
+func (h *HealthTracker) BeginEpoch(epoch int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.epoch = epoch
+	h.fireLocked(func(e CrashEvent) bool { return e.Epoch < epoch })
+}
+
+// advance fires every pending event of the current epoch whose stage has
+// been reached. A client's stage loop calls it once per stage in which the
+// client has a transfer, before that stage's first send or receive, so the
+// down decision is a pure function of (epoch, stage) rather than of
+// goroutine scheduling.
+func (h *HealthTracker) advance(stage int) {
+	if !h.armed.Load() {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.fireLocked(func(e CrashEvent) bool { return e.Epoch == h.epoch && e.Stage <= stage })
+}
+
+// fireLocked marks down every pending event matching the predicate and
+// re-arms advance for what is left of the current epoch. Caller holds h.mu.
+func (h *HealthTracker) fireLocked(match func(CrashEvent) bool) {
+	armed := false
+	kept := h.pending[:0]
+	for _, e := range h.pending {
+		if match(e) {
+			h.markDownLocked(e.Device)
+		} else {
+			kept = append(kept, e)
+			armed = armed || e.Epoch == h.epoch
+		}
+	}
+	h.pending = kept
+	h.armed.Store(armed)
+}
+
+// markDownLocked adds dev to the down set and clears its strikes; every
+// verdict path ends here. Caller holds h.mu.
+func (h *HealthTracker) markDownLocked(dev int) {
+	delete(h.strikes, dev)
+	down := h.downSet()
+	i, found := slices.BinarySearch(down, dev)
+	if found {
+		return
+	}
+	down = slices.Insert(slices.Clip(down), i, dev)
+	h.down.Store(&down)
+}
+
+// strikeLocked charges a live dev one deadline-class strike and convicts it
+// at the threshold. Caller holds h.mu.
+func (h *HealthTracker) strikeLocked(dev int) {
+	if h.Down(dev) {
+		return
+	}
+	h.strikes[dev]++
+	if h.strikes[dev] >= h.downAfter {
+		h.markDownLocked(dev)
 	}
 }
 
 // ObserveCollective grades one finished collective: errs[d] is the error
 // client d returned (nil for a clean finish) and ids maps client index to
-// external device id (nil = identity). It returns every device now judged
-// down, ascending, in external ids.
+// external device id (nil = identity). It returns every device now down,
+// ascending, in external ids.
 func (h *HealthTracker) ObserveCollective(errs []error, ids []int) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -73,7 +159,7 @@ func (h *HealthTracker) ObserveCollective(errs []error, ids []int) []int {
 		}
 		var down *DeviceDownError
 		if errors.As(err, &down) {
-			h.verdictLocked(down.Device)
+			h.markDownLocked(down.Device)
 			indicted[down.Device] = true
 			continue
 		}
@@ -82,13 +168,7 @@ func (h *HealthTracker) ObserveCollective(errs []error, ids []int) []int {
 		}
 	}
 	for d := range indicted {
-		if h.verdicts[d] {
-			continue
-		}
-		h.strikes[d]++
-		if h.strikes[d] >= h.DownAfter {
-			h.verdictLocked(d)
-		}
+		h.strikeLocked(d)
 	}
 	// A device that answered cleanly this round is alive: clear its strikes.
 	for i, err := range errs {
@@ -96,20 +176,7 @@ func (h *HealthTracker) ObserveCollective(errs []error, ids []int) []int {
 			delete(h.strikes, dev(i))
 		}
 	}
-	return h.downLocked()
-}
-
-// verdictLocked records a down verdict and tells the crash tracker so the
-// stage loop fast-fails the device from now on.
-func (h *HealthTracker) verdictLocked(dev int) {
-	if h.verdicts[dev] {
-		return
-	}
-	h.verdicts[dev] = true
-	delete(h.strikes, dev)
-	if h.crash != nil {
-		h.crash.MarkDown(dev)
-	}
+	return slices.Clone(h.downSet())
 }
 
 // suspectOf extracts the peer a client error implicates: a deadline-class
@@ -135,9 +202,9 @@ func suspectOf(err error, self int) (int, bool) {
 // heartbeats, internal/worker) feed the same verdict model one observation at
 // a time: a renewal is proof of life, a missed lease deadline is one
 // deadline-class strike, and a connection loss is explicit fail-stop
-// evidence. Strikes accumulate to the same DownAfter threshold and verdicts
-// are just as persistent, so "stalled" and "dead" mean the same thing on the
-// control plane as they do on the data plane.
+// evidence. Strikes accumulate to the same threshold and verdicts are just
+// as persistent, so "stalled" and "dead" mean the same thing on the control
+// plane as they do on the data plane.
 
 // ObserveRenewal records direct proof of life for dev (a heartbeat arrived):
 // its consecutive-strike count resets. Verdicts are persistent — a renewal
@@ -149,18 +216,12 @@ func (h *HealthTracker) ObserveRenewal(dev int) {
 }
 
 // ObserveStrike records one deadline-class strike against dev (a lease
-// expired with no heartbeat) and reports whether dev now has a down verdict.
+// expired with no heartbeat) and reports whether dev is now down.
 func (h *HealthTracker) ObserveStrike(dev int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.verdicts[dev] {
-		return true
-	}
-	h.strikes[dev]++
-	if h.strikes[dev] >= h.DownAfter {
-		h.verdictLocked(dev)
-	}
-	return h.verdicts[dev]
+	h.strikeLocked(dev)
+	return h.Down(dev)
 }
 
 // ObserveEvidence records explicit fail-stop evidence against dev (its
@@ -169,7 +230,7 @@ func (h *HealthTracker) ObserveStrike(dev int) bool {
 func (h *HealthTracker) ObserveEvidence(dev int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.verdictLocked(dev)
+	h.markDownLocked(dev)
 }
 
 // Strikes returns dev's current consecutive deadline-strike count (0 after a
@@ -180,25 +241,32 @@ func (h *HealthTracker) Strikes(dev int) int {
 	return h.strikes[dev]
 }
 
-// Down reports whether the device (external id) has a down verdict.
-func (h *HealthTracker) Down(dev int) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.verdicts[dev]
-}
-
-// DownDevices returns every device with a down verdict, ascending.
-func (h *HealthTracker) DownDevices() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.downLocked()
-}
-
-func (h *HealthTracker) downLocked() []int {
-	out := make([]int, 0, len(h.verdicts))
-	for d := range h.verdicts {
-		out = append(out, d)
+// downSet returns the published down set; callers must not mutate it.
+func (h *HealthTracker) downSet() []int {
+	if p := h.down.Load(); p != nil {
+		return *p
 	}
-	sort.Ints(out)
-	return out
+	return nil
+}
+
+// Down reports whether the device (external id) is down.
+func (h *HealthTracker) Down(dev int) bool {
+	return slices.Contains(h.downSet(), dev)
+}
+
+// DownDevices returns every down device, ascending.
+func (h *HealthTracker) DownDevices() []int {
+	return append([]int{}, h.downSet()...)
+}
+
+// downEndpoint returns a *DeviceDownError naming the first of src, dst
+// (external ids) that is down, or nil when both are alive.
+func (h *HealthTracker) downEndpoint(src, dst int) error {
+	if h.Down(src) {
+		return &DeviceDownError{Device: src}
+	}
+	if h.Down(dst) {
+		return &DeviceDownError{Device: dst}
+	}
+	return nil
 }

@@ -11,7 +11,7 @@ import (
 // same verdict model as the collective path.
 
 func TestHealthDirectStrikesReachVerdict(t *testing.T) {
-	h := NewHealthTracker(3, nil)
+	h := NewHealthTracker(3, CrashConfig{})
 	if h.ObserveStrike(5) {
 		t.Fatal("first strike produced a verdict")
 	}
@@ -33,7 +33,7 @@ func TestHealthDirectStrikesReachVerdict(t *testing.T) {
 }
 
 func TestHealthRenewalClearsStrikesButNotVerdicts(t *testing.T) {
-	h := NewHealthTracker(2, nil)
+	h := NewHealthTracker(2, CrashConfig{})
 	h.ObserveStrike(3)
 	h.ObserveRenewal(3)
 	if got := h.Strikes(3); got != 0 {
@@ -57,14 +57,13 @@ func TestHealthRenewalClearsStrikesButNotVerdicts(t *testing.T) {
 }
 
 func TestHealthEvidenceIsImmediateAndFeedsCrash(t *testing.T) {
-	crash := NewCrashTracker(CrashConfig{})
-	h := NewHealthTracker(5, crash)
+	h := NewHealthTracker(5, CrashConfig{})
 	h.ObserveEvidence(7)
 	if !h.Down(7) {
 		t.Fatal("explicit evidence did not produce an immediate verdict")
 	}
-	if !crash.Down(7) {
-		t.Fatal("verdict did not reach the crash tracker")
+	if err := h.downEndpoint(7, 0); !reflect.DeepEqual(err, &DeviceDownError{Device: 7}) {
+		t.Fatalf("stage loop fast-fail after the verdict = %v, want device 7 down", err)
 	}
 	h.ObserveStrike(2)
 	h.ObserveEvidence(2)

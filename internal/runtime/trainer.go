@@ -62,8 +62,8 @@ func (tr *Trainer) Epoch() (float64, error) {
 // first transfer reaching their stage. Callers of the resilient loop use it
 // so crash injection is a deterministic function of the epoch counter.
 func (tr *Trainer) EpochAt(ctx context.Context, epoch int) (float64, error) {
-	if tr.Cluster.Crash != nil {
-		tr.Cluster.Crash.BeginEpoch(epoch)
+	if tr.Cluster.Health != nil {
+		tr.Cluster.Health.BeginEpoch(epoch)
 	}
 	return tr.EpochContext(ctx)
 }

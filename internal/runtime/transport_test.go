@@ -283,7 +283,7 @@ func TestHealthConvictsSilentSenderWithoutRetry(t *testing.T) {
 	const deadline = 50 * time.Millisecond
 	c.Timeout = deadline
 	c.Stats = NewCommStats(c.K)
-	c.Health = NewHealthTracker(1, nil)
+	c.Health = NewHealthTracker(1, CrashConfig{})
 
 	start := time.Now()
 	_, err = c.Allgather(local)

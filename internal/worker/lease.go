@@ -36,7 +36,7 @@ func newLeases(clk clock.Clock, timeout time.Duration, downAfter int) *leases {
 	return &leases{
 		clock:   clk,
 		timeout: timeout,
-		health:  runtime.NewHealthTracker(downAfter, nil),
+		health:  runtime.NewHealthTracker(downAfter, runtime.CrashConfig{}),
 		last:    make(map[int]time.Time),
 		dev:     make(map[int]int),
 	}

@@ -17,11 +17,11 @@ import (
 // Crash-tolerant training (DESIGN.md §10). DGCL's separation of the
 // communication relation from the physical topology makes recovery cheap:
 // when a device fails fail-stop, its vertices are reassigned to the
-// least-loaded survivors, the SPST planner replans over the degraded fabric
-// (hitting the plan cache on repeat failures), and training resumes from the
-// newest intact checkpoint. A resume with no crash is bit-identical to an
-// uninterrupted run; a crashed-and-recovered run converges to the same loss
-// band over the surviving replicas.
+// least-loaded survivors, the SPST planner runs again over the degraded
+// fabric, and training resumes from the newest intact checkpoint. A resume
+// with no crash is bit-identical to an uninterrupted run; a
+// crashed-and-recovered run converges to the same loss band over the
+// surviving replicas.
 
 // AliveDevices returns the original device ids still participating,
 // ascending (all devices before any Degrade).
@@ -41,8 +41,8 @@ func (s *System) AliveDevices() []int {
 // reassigned to the least-loaded survivors (deterministically: ascending
 // vertex id, ties to the lower device index), the communication relation is
 // rebuilt and the planner re-run over the degraded fabric, and the recorded
-// run options — including the crash/health trackers, so dead devices stay
-// dead — are reapplied to the rebuilt cluster. Devices already removed are
+// run options — including the health tracker, so dead devices stay dead —
+// are reapplied to the rebuilt cluster. Devices already removed are
 // ignored; unknown ids are an error.
 func (s *System) Degrade(down []int) error {
 	if err := s.ready(); err != nil {
@@ -147,10 +147,10 @@ func (s *System) Degrade(down []int) error {
 	return nil
 }
 
-// pendingDown returns the devices the trackers judged dead that are still in
-// the active cluster — the set Degrade must remove.
+// pendingDown returns the devices the health tracker has down that are still
+// in the active cluster — the set Degrade must remove.
 func (s *System) pendingDown() []int {
-	if s.crash == nil {
+	if s.health == nil {
 		return nil
 	}
 	cur := make(map[int]bool)
@@ -158,7 +158,7 @@ func (s *System) pendingDown() []int {
 		cur[id] = true
 	}
 	var out []int
-	for _, d := range s.crash.DownDevices() {
+	for _, d := range s.health.DownDevices() {
 		if cur[d] {
 			out = append(out, d)
 		}
@@ -241,7 +241,7 @@ func (s *System) Train(ctx context.Context, model *Model, features, targets *Mat
 		newOpt = func() Optimizer { return gnn.NewSGD(0.01, 0) }
 	}
 	maxRecoveries := s.topo.NumGPUs() - 1
-	s.ensureResilience(0)
+	s.ensureResilience()
 	s.applyRunOptions()
 
 	var store *checkpoint.Store
