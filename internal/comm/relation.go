@@ -213,11 +213,18 @@ func BuildLocalGraphs(g *graph.Graph, r *Relation) []*LocalGraph {
 		globalID := make([]int32, 0, nl+nr)
 		globalID = append(globalID, r.Local[d]...)
 		globalID = append(globalID, r.Remote[d]...)
-		index := make(map[int32]int32, nl+nr)
+		// index is global id -> local id, dense over the global graph: only
+		// the entries of globalID are ever read (every neighbour of a local
+		// vertex is local or remote).
+		index := make([]int32, g.NumVertices())
 		for i, v := range globalID {
 			index[v] = int32(i)
 		}
-		var edges []graph.Edge
+		deg := 0
+		for _, u := range r.Local[d] {
+			deg += g.Degree(u)
+		}
+		edges := make([]graph.Edge, 0, deg)
 		for li, u := range r.Local[d] {
 			for _, v := range g.Neighbors(u) {
 				edges = append(edges, graph.Edge{Src: int32(li), Dst: index[v]})

@@ -23,6 +23,10 @@ type Aggregator struct {
 	NumOut int
 	// Mean selects mean aggregation (1/deg weighting) instead of sum.
 	Mean bool
+	// nbrs[u] is N(u) for every produced row u, each index checked once,
+	// here, against G's vertex count: the kernels then check only that an
+	// operand holds that many rows.
+	nbrs []tensor.RowIndex
 }
 
 // NewAggregator builds an aggregator producing rows for the first numOut
@@ -31,7 +35,11 @@ func NewAggregator(g *graph.Graph, numOut int, mean bool) *Aggregator {
 	if numOut > g.NumVertices() {
 		panic(fmt.Sprintf("gnn: numOut %d exceeds graph size %d", numOut, g.NumVertices()))
 	}
-	return &Aggregator{G: g, NumOut: numOut, Mean: mean}
+	nbrs := make([]tensor.RowIndex, numOut)
+	for u := range nbrs {
+		nbrs[u] = tensor.NewRowIndex(g.Neighbors(int32(u)), g.NumVertices())
+	}
+	return &Aggregator{G: g, NumOut: numOut, Mean: mean, nbrs: nbrs}
 }
 
 func (a *Aggregator) weight(u int32) float32 {
@@ -45,20 +53,28 @@ func (a *Aggregator) weight(u int32) float32 {
 	return 1 / float32(d)
 }
 
-// Forward aggregates h (|V|×f) into a NumOut×f matrix.
+// Forward aggregates h (|V|×f) into a new NumOut×f matrix.
 func (a *Aggregator) Forward(h *tensor.Matrix) *tensor.Matrix {
+	return a.ForwardInto(tensor.New(a.NumOut, h.Cols), h)
+}
+
+// ForwardInto is Forward into out (NumOut×f, overwritten), which it returns.
+func (a *Aggregator) ForwardInto(out, h *tensor.Matrix) *tensor.Matrix {
 	if h.Rows != a.G.NumVertices() {
 		panic(fmt.Sprintf("gnn: aggregate input %d rows for graph with %d vertices", h.Rows, a.G.NumVertices()))
 	}
-	out := tensor.New(a.NumOut, h.Cols)
+	if out.Rows != a.NumOut || out.Cols != h.Cols {
+		panic(fmt.Sprintf("gnn: aggregate into %dx%d, want %dx%d", out.Rows, out.Cols, a.NumOut, h.Cols))
+	}
 	// Each output row u receives its neighbours' rows one at a time in
-	// ascending neighbour order, duplicates in place: one GatherAxpy per row,
-	// which holds the row in registers across all its neighbours without
-	// changing that order. The sum path shares it: 1*x == x bitwise for every
-	// float32 x. Both keep the result bit-identical to the per-edge serial
-	// loop.
-	for u := 0; u < a.NumOut; u++ {
-		tensor.GatherAxpy(a.weight(int32(u)), h.Data, a.G.Neighbors(int32(u)), out.Row(u))
+	// ascending neighbour order, duplicates in place, starting from +0: one
+	// GatherAxpyIndexed per row, which holds the row in registers across all
+	// its neighbours without changing that order. The sum path shares it:
+	// 1*x == x bitwise for every float32 x. Both keep the result
+	// bit-identical to the per-edge serial loop.
+	clear(out.Data)
+	for u, ix := range a.nbrs {
+		tensor.GatherAxpyIndexed(a.weight(int32(u)), h.Data, ix, out.Row(u))
 	}
 	return out
 }
@@ -69,16 +85,24 @@ func (a *Aggregator) Forward(h *tensor.Matrix) *tensor.Matrix {
 // remote rows are the gradients distributed training must ship back to the
 // owning GPUs.
 func (a *Aggregator) Backward(grad *tensor.Matrix) *tensor.Matrix {
+	return a.BackwardInto(tensor.New(a.G.NumVertices(), grad.Cols), grad)
+}
+
+// BackwardInto is Backward into out (|V|×f, overwritten), which it returns.
+func (a *Aggregator) BackwardInto(out, grad *tensor.Matrix) *tensor.Matrix {
 	if grad.Rows != a.NumOut {
 		panic(fmt.Sprintf("gnn: aggregate grad %d rows, want %d", grad.Rows, a.NumOut))
 	}
-	out := tensor.New(a.G.NumVertices(), grad.Cols)
+	if out.Rows != a.G.NumVertices() || out.Cols != grad.Cols {
+		panic(fmt.Sprintf("gnn: aggregate grad into %dx%d, want %dx%d", out.Rows, out.Cols, a.G.NumVertices(), grad.Cols))
+	}
 	// Input row v receives w_u·grad_u in ascending u and, within one u, in
-	// neighbour order: one ScatterAxpy per u, which rounds w_u·grad_u once
-	// into registers and adds those identical products the per-edge loop
-	// produced into each neighbour's row.
-	for u := 0; u < a.NumOut; u++ {
-		tensor.ScatterAxpy(a.weight(int32(u)), grad.Row(u), a.G.Neighbors(int32(u)), out.Data)
+	// neighbour order, starting from +0: one ScatterAxpyIndexed per u, which
+	// rounds w_u·grad_u once into registers and adds those identical
+	// products the per-edge loop produced into each neighbour's row.
+	clear(out.Data)
+	for u, ix := range a.nbrs {
+		tensor.ScatterAxpyIndexed(a.weight(int32(u)), grad.Row(u), ix, out.Data)
 	}
 	return out
 }

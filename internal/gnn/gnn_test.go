@@ -264,7 +264,8 @@ func TestReforwardMatchesFreshForward(t *testing.T) {
 			h := tensor.New(30, 6).FillRandom(5)
 			gradOut := tensor.New(20, 4).FillRandom(6)
 			m := NewModel(kind, 6, 4, 1, 7)
-			first := m.Layers[0].Forward(agg, h)
+			// The output is the layer's own buffer, which Reforward rewrites.
+			first := m.Layers[0].Forward(agg, h).Clone()
 			m.Layers[0].Backward(agg, gradOut)
 			m.Step(0.05)
 

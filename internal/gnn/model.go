@@ -69,13 +69,21 @@ func (m *Model) FLOPsPerEpoch(vertices, edges int64) int64 {
 // MSELossGrad computes 0.5*Σ(out-target)² and its gradient (out - target).
 func MSELossGrad(out, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	grad := tensor.New(out.Rows, out.Cols)
+	return MSELossGradInto(grad, out, target), grad
+}
+
+// MSELossGradInto is MSELossGrad writing the gradient into grad (out's
+// shape, overwritten) and returning the loss.
+func MSELossGradInto(grad, out, target *tensor.Matrix) float64 {
+	if grad.Rows != out.Rows || grad.Cols != out.Cols {
+		panic(fmt.Sprintf("gnn: loss gradient %dx%d for %dx%d output", grad.Rows, grad.Cols, out.Rows, out.Cols))
+	}
 	for i := range out.Data {
 		grad.Data[i] = out.Data[i] - target.Data[i]
 	}
 	// 0.5·Σd² equals the historical per-element Σ(0.5·d²) bit for bit:
 	// scaling by a power of two is exact, so it commutes with each rounding.
-	loss := 0.5 * tensor.SumSquares(grad.Data)
-	return loss, grad
+	return 0.5 * tensor.SumSquares(grad.Data)
 }
 
 // SingleDevice trains a model on one device holding the whole graph; it is

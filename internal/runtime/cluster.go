@@ -248,14 +248,22 @@ func (c *Cluster) Allgather(local []*tensor.Matrix) ([]*tensor.Matrix, error) {
 // AllgatherContext is Allgather bounded by a context: cancellation or a
 // deadline aborts all clients with a structured error.
 func (c *Cluster) AllgatherContext(ctx context.Context, local []*tensor.Matrix) ([]*tensor.Matrix, error) {
-	return c.collective(ctx, local, false)
+	return c.collective(ctx, local, nil, false)
 }
 
 // collective runs one allgather in either direction: every locally-executed
 // client runs its compiled program for that direction on its own goroutine
 // over one transport stack, and the collective fails as a whole with the
 // structured per-GPU errors. A dead device anywhere aborts the rest.
-func (c *Cluster) collective(ctx context.Context, in []*tensor.Matrix, backward bool) ([]*tensor.Matrix, error) {
+//
+// dst holds the result matrices: dst[d] is written in place when it has
+// client d's result shape and replaced by a new matrix otherwise, and dst
+// itself is returned (a failed collective returns nil and leaves partial
+// results in dst's matrices). A nil dst means a fresh slice of fresh
+// matrices, the public Allgather's contract. No destination is zeroed first: every row of a
+// result is written, owned rows by the up-front copy and every other row by
+// exactly one receive (the plan delivers every remote vertex).
+func (c *Cluster) collective(ctx context.Context, in, dst []*tensor.Matrix, backward bool) ([]*tensor.Matrix, error) {
 	cols, err := c.validateInputs(in, backward)
 	if err != nil {
 		return nil, err
@@ -271,11 +279,21 @@ func (c *Cluster) collective(ctx context.Context, in []*tensor.Matrix, backward 
 	if backward {
 		op, run = "backward graphAllgather", c.runBackwardClient
 	}
-	c.eachActive(func(d int) { st.bind(d, cols, prog.clients[d].arenaRows) })
-	out := make([]*tensor.Matrix, c.K)
+	if dst == nil {
+		dst = make([]*tensor.Matrix, c.K)
+	}
+	c.eachActive(func(d int) {
+		st.bind(d, cols, prog.clients[d].arenaRows)
+		lg := c.Locals[d]
+		rows := lg.NumLocal
+		if !backward {
+			rows += lg.NumRemote
+		}
+		dst[d] = tensor.Reuse(dst[d], rows, cols)
+	})
 	errs := make([]error, c.K)
 	c.onEachRank(func(d int) {
-		out[d], errs[d] = run(ctx, d, in[d], tx, &prog.clients[d], &st.slots[d])
+		errs[d] = run(ctx, d, in[d], dst[d], tx, &prog.clients[d], &st.slots[d])
 		abortOnDeviceDown(errs[d], cancel)
 	})
 	// Every reader is done: drop the state's hold on this collective's
@@ -285,7 +303,7 @@ func (c *Cluster) collective(ctx context.Context, in []*tensor.Matrix, backward 
 	if err := c.finishCollective(op, errs); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return dst, nil
 }
 
 func anyError(errs []error) bool {
@@ -337,19 +355,14 @@ func (c *Cluster) validateInputs(in []*tensor.Matrix, backward bool) (int, error
 	return cols, nil
 }
 
-// runForwardClient executes one client's compiled forward program. The
-// output `full` doubles as the vertex store: owned rows are block-copied up
-// front, received rows land directly at their precomputed local-graph
-// offset, and relay-only rows live in the program's arena.
-func (c *Cluster) runForwardClient(ctx context.Context, d int, local *tensor.Matrix, tx stack, cp *clientProgram, sr *slotRows) (*tensor.Matrix, error) {
-	lg := c.Locals[d]
-	full := tensor.New(lg.NumLocal+lg.NumRemote, sr.cols)
-	copy(full.Data[:lg.NumLocal*sr.cols], local.Data)
+// runForwardClient executes one client's compiled forward program into full
+// (NumLocal+NumRemote rows). full doubles as the vertex store: owned rows are
+// block-copied up front, received rows land directly at their precomputed
+// local-graph offset, and relay-only rows live in the program's arena.
+func (c *Cluster) runForwardClient(ctx context.Context, d int, local, full *tensor.Matrix, tx stack, cp *clientProgram, sr *slotRows) error {
+	copy(full.Data[:c.Locals[d].NumLocal*sr.cols], local.Data)
 	sr.own = full.Data
-	if err := c.runClient(ctx, d, tx, cp, sr, false); err != nil {
-		return nil, err
-	}
-	return full, nil
+	return c.runClient(ctx, d, tx, cp, sr, false)
 }
 
 // slotRows is one client's slot storage for one collective, under
@@ -507,28 +520,24 @@ func (c *Cluster) BackwardAllgather(gradFull []*tensor.Matrix) ([]*tensor.Matrix
 
 // BackwardAllgatherContext is BackwardAllgather bounded by a context.
 func (c *Cluster) BackwardAllgatherContext(ctx context.Context, gradFull []*tensor.Matrix) ([]*tensor.Matrix, error) {
-	return c.collective(ctx, gradFull, true)
+	return c.collective(ctx, gradFull, nil, true)
 }
 
-// runBackwardClient executes one client's compiled backward program. The
-// owned-gradient accumulator starts from the local rows of gradFull; the
-// program's arena holds the running gradient for every non-owned vertex this
-// client touches — rows [0, NumRemote) start as the remote rows of gradFull
-// (this client's own consumer contribution), relay-only rows start at zero
-// (zeroed explicitly: the arena still holds the last collective's sums).
-// Receives accumulate row i of the payload into its precomputed slot in the
-// exact legacy iteration order, so results are bit-identical to the
-// map-based path.
-func (c *Cluster) runBackwardClient(ctx context.Context, d int, gradFull *tensor.Matrix, tx stack, cp *clientProgram, sr *slotRows) (*tensor.Matrix, error) {
+// runBackwardClient executes one client's compiled backward program into
+// own (NumLocal rows), the owned-gradient accumulator, which starts from the
+// local rows of gradFull; the program's arena holds the running gradient for
+// every non-owned vertex this client touches — rows [0, NumRemote) start as
+// the remote rows of gradFull (this client's own consumer contribution),
+// relay-only rows start at zero (zeroed explicitly: the arena still holds
+// the last collective's sums). Receives accumulate row i of the payload into
+// its precomputed slot in the exact legacy iteration order, so results are
+// bit-identical to the map-based path.
+func (c *Cluster) runBackwardClient(ctx context.Context, d int, gradFull, own *tensor.Matrix, tx stack, cp *clientProgram, sr *slotRows) error {
 	lg := c.Locals[d]
 	cols := sr.cols
-	own := tensor.New(lg.NumLocal, cols)
 	copy(own.Data, gradFull.Data[:lg.NumLocal*cols])
 	sr.own = own.Data
 	copy(sr.arena[:lg.NumRemote*cols], gradFull.Data[lg.NumLocal*cols:])
 	clear(sr.arena[cp.zeroFrom*cols:])
-	if err := c.runClient(ctx, d, tx, cp, sr, true); err != nil {
-		return nil, err
-	}
-	return own, nil
+	return c.runClient(ctx, d, tx, cp, sr, true)
 }

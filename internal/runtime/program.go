@@ -55,6 +55,14 @@ import (
 //     state. A rank-resident epoch without that barrier (ROADMAP item 4)
 //     must replace it with a done flag per arena: a client may not rewrite
 //     its arena until its readers have signalled they are done.
+//   - across epochs: a Trainer hands its forward collectives the gathered
+//     inputs it keeps per layer and rank (and its backward collectives the
+//     owned-gradient results), so a sender's `full` — owned rows and relay
+//     rows alike, read in place by its receivers — is rewritten by the same
+//     layer's collective in the next epoch. Only onEachRank's barrier at the
+//     end of this collective orders that rewrite after every reader; the
+//     rank-resident epoch of ROADMAP item 4 must keep that order with a done
+//     flag per sender's `full` as well as per arena.
 
 // ChunkRows bounds the rows of one transfer: compile splits every wider plan
 // transfer into consecutive sub-transfers of at most this many rows within

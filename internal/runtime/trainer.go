@@ -35,13 +35,35 @@ type Trainer struct {
 	// is the same matrix every epoch (§3 strategy (1)): later forwards run
 	// no layer-0 allgather and rerun only layer 0's dense update.
 	aggregated0 bool
+
+	// The buffers the steady epoch's collectives and loss write into, as
+	// the layers write into theirs (§6.1: outputs land in buffers the
+	// framework already holds), indexed [layer][rank] or [rank]: gathered
+	// is the forward collective's result, layer l's input with the remote
+	// rows (l >= 1: layer 0's, at the feature width, runs once per trainer
+	// and is not kept); ownGrad the backward collective's, the owned rows
+	// of the gradient of layer l's input; lossGrad the loss gradient. Each
+	// is reallocated only when its shape changes. A sender's gathered rows
+	// are read in place by its receivers, so one epoch's collective may
+	// rewrite them only after the last one's readers are done
+	// (program.go's in-place rules).
+	gathered, ownGrad [][]*tensor.Matrix
+	lossGrad          []*tensor.Matrix
 }
 
 // NewTrainer shards the global features/targets across the cluster's
 // partitions (the dispatch_features step of Listing 1) and replicates the
 // model onto every client.
 func NewTrainer(c *Cluster, model *gnn.Model, features, targets *tensor.Matrix) (*Trainer, error) {
-	tr := &Trainer{Cluster: c}
+	tr := &Trainer{Cluster: c, lossGrad: make([]*tensor.Matrix, c.K)}
+	perLayer := func() [][]*tensor.Matrix {
+		m := make([][]*tensor.Matrix, len(model.Layers))
+		for l := range m {
+			m[l] = make([]*tensor.Matrix, c.K)
+		}
+		return m
+	}
+	tr.gathered, tr.ownGrad = perLayer(), perLayer()
 	for d := 0; d < c.K; d++ {
 		lg := c.Locals[d]
 		tr.Models = append(tr.Models, model.Clone())
@@ -95,9 +117,9 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 	// Loss on local outputs; worker mode fills in the other processes' rank
 	// losses so the global loss stays a bit-identical rank-ordered sum.
 	losses := make([]float64, c.K)
-	grads := make([]*tensor.Matrix, c.K)
 	for _, d := range active {
-		losses[d], grads[d] = gnn.MSELossGrad(h[d], tr.Targets[d])
+		tr.lossGrad[d] = tensor.Reuse(tr.lossGrad[d], h[d].Rows, h[d].Cols)
+		losses[d] = gnn.MSELossGradInto(tr.lossGrad[d], h[d], tr.Targets[d])
 	}
 	if tr.Peers != nil {
 		if err := tr.Peers.ExchangeFloat64s(ctx, "loss", active, losses); err != nil {
@@ -110,6 +132,7 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 	// (features are not trained), so the final backward allgather is skipped
 	// — a trainer's first 2-layer epoch communicates 2 forward + 1 backward
 	// allgathers, every later one 1 + 1 (see forward).
+	grads := tr.lossGrad
 	for l := numLayers - 1; l >= 0; l-- {
 		gradFull := make([]*tensor.Matrix, c.K)
 		c.onEachRank(func(d int) {
@@ -127,7 +150,7 @@ func (tr *Trainer) EpochContext(ctx context.Context) (float64, error) {
 			break
 		}
 		var err error
-		grads, err = c.BackwardAllgatherContext(ctx, gradFull)
+		grads, err = c.collective(ctx, gradFull, tr.ownGrad[l], true)
 		if err != nil {
 			return 0, fmt.Errorf("runtime: backward allgather layer %d: %w", l, err)
 		}
@@ -157,7 +180,11 @@ func (tr *Trainer) forward(ctx context.Context) ([]*tensor.Matrix, error) {
 			h = next
 			continue
 		}
-		full, err := c.AllgatherContext(ctx, h)
+		var dst []*tensor.Matrix
+		if l > 0 {
+			dst = tr.gathered[l]
+		}
+		full, err := c.collective(ctx, h, dst, false)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: forward allgather layer %d: %w", l, err)
 		}

@@ -432,3 +432,184 @@ rows1Term:
 
 rowsDone:
 	RET
+
+// func axpyRowsOutRow(ws, x, add, bias, y []float32)
+//
+// Per block of y: from +0 (y is never read), for t in order, block +=
+// ws[t]·(row t of x, same columns); then block += add when add is non-nil,
+// and block = max(block + bias, +0) when bias is non-nil, before the block's
+// one store. MAXPS with the +0 operand second returns that +0 unless the
+// block's lane compares greater, so NaN and -0 both come out as +0. AX and
+// R9 hold add and bias (0 when nil), and R13 is the block's byte offset
+// into them. With no terms the loops are skipped and the block stays +0.
+#define ZERO8 XORPS X0, X0; XORPS X1, X1; XORPS X2, X2; XORPS X3, X3; XORPS X4, X4; XORPS X5, X5; XORPS X6, X6; XORPS X7, X7
+// ADDAT adds the 16 bytes at off(p)(R13) into acc through X9.
+#define ADDAT(p, off, acc) MOVUPS off(p)(R13*1), X9; ADDPS X9, acc
+#define ADDAT8(p) ADDAT(p, 0, X0); ADDAT(p, 16, X1); ADDAT(p, 32, X2); ADDAT(p, 48, X3); ADDAT(p, 64, X4); ADDAT(p, 80, X5); ADDAT(p, 96, X6); ADDAT(p, 112, X7)
+#define MAX8 MAXPS X8, X0; MAXPS X8, X1; MAXPS X8, X2; MAXPS X8, X3; MAXPS X8, X4; MAXPS X8, X5; MAXPS X8, X6; MAXPS X8, X7
+TEXT ·axpyRowsOutRow(SB), NOSPLIT, $0-120
+	MOVQ ws_base+0(FP), DI
+	MOVQ ws_len+8(FP), BX
+	MOVQ x_base+24(FP), SI     // x at the block's first column
+	MOVQ add_base+48(FP), AX
+	MOVQ bias_base+72(FP), R9
+	MOVQ y_base+96(FP), DX     // y at the block's first column
+	MOVQ y_len+104(FP), CX     // columns left
+	MOVQ CX, R8
+	SHLQ $2, R8
+	XORQ R13, R13
+
+out32:
+	CMPQ  CX, $32
+	JB    out8
+	ZERO8
+	TESTQ BX, BX
+	JZ    out32Add
+	TERMS
+	MOVQ  SI, R11
+
+out32Term:
+	MOVSS  (R10), X8
+	SHUFPS $0, X8, X8
+	MULADD8(R11)
+	ADDQ   R8, R11
+	NEXT(out32Term)
+
+out32Add:
+	TESTQ AX, AX
+	JZ    out32Bias
+	ADDAT8(AX)
+
+out32Bias:
+	TESTQ R9, R9
+	JZ    out32Store
+	ADDAT8(R9)
+	XORPS X8, X8
+	MAX8
+
+out32Store:
+	STORE8(DX)
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ $128, R13
+	SUBQ $32, CX
+	JMP  out32
+
+out8:
+	CMPQ  CX, $8
+	JB    out4
+	XORPS X0, X0
+	XORPS X1, X1
+	TESTQ BX, BX
+	JZ    out8Add
+	TERMS
+	MOVQ  SI, R11
+
+out8Term:
+	MOVSS  (R10), X8
+	SHUFPS $0, X8, X8
+	MULADD(R11, 0, X9, X0)
+	MULADD(R11, 16, X10, X1)
+	ADDQ   R8, R11
+	NEXT(out8Term)
+
+out8Add:
+	TESTQ AX, AX
+	JZ    out8Bias
+	ADDAT(AX, 0, X0)
+	ADDAT(AX, 16, X1)
+
+out8Bias:
+	TESTQ R9, R9
+	JZ    out8Store
+	ADDAT(R9, 0, X0)
+	ADDAT(R9, 16, X1)
+	XORPS X8, X8
+	MAXPS X8, X0
+	MAXPS X8, X1
+
+out8Store:
+	MOVUPS X0, (DX)
+	MOVUPS X1, 16(DX)
+	ADDQ   $32, SI
+	ADDQ   $32, DX
+	ADDQ   $32, R13
+	SUBQ   $8, CX
+	JMP    out8
+
+out4:
+	CMPQ  CX, $4
+	JB    out1
+	XORPS X0, X0
+	TESTQ BX, BX
+	JZ    out4Add
+	TERMS
+	MOVQ  SI, R11
+
+out4Term:
+	MOVSS  (R10), X8
+	SHUFPS $0, X8, X8
+	MULADD(R11, 0, X9, X0)
+	ADDQ   R8, R11
+	NEXT(out4Term)
+
+out4Add:
+	TESTQ AX, AX
+	JZ    out4Bias
+	ADDAT(AX, 0, X0)
+
+out4Bias:
+	TESTQ R9, R9
+	JZ    out4Store
+	ADDAT(R9, 0, X0)
+	XORPS X8, X8
+	MAXPS X8, X0
+
+out4Store:
+	MOVUPS X0, (DX)
+	ADDQ   $16, SI
+	ADDQ   $16, DX
+	ADDQ   $16, R13
+	SUBQ   $4, CX
+	JMP    out4
+
+out1:
+	TESTQ CX, CX
+	JZ    outDone
+	XORPS X0, X0
+	TESTQ BX, BX
+	JZ    out1Add
+	TERMS
+	MOVQ  SI, R11
+
+out1Term:
+	MOVSS (R11), X9
+	MULSS (R10), X9
+	ADDSS X9, X0
+	ADDQ  R8, R11
+	NEXT(out1Term)
+
+out1Add:
+	TESTQ AX, AX
+	JZ    out1Bias
+	MOVSS (AX)(R13*1), X9
+	ADDSS X9, X0
+
+out1Bias:
+	TESTQ R9, R9
+	JZ    out1Store
+	MOVSS (R9)(R13*1), X9
+	ADDSS X9, X0
+	XORPS X8, X8
+	MAXSS X8, X0
+
+out1Store:
+	MOVSS X0, (DX)
+	ADDQ  $4, SI
+	ADDQ  $4, DX
+	ADDQ  $4, R13
+	DECQ  CX
+	JMP   out1
+
+outDone:
+	RET

@@ -14,3 +14,5 @@ func gatherAxpyRow(w float32, x []float32, idx []int32, y []float32) { gatherAxp
 func scatterAxpyRow(w float32, x []float32, idx []int32, y []float32) { scatterAxpyGo(w, x, idx, y) }
 
 func axpyRowsRow(ws, x, y []float32) { axpyRowsGo(ws, x, y) }
+
+func axpyRowsOutRow(ws, x, add, bias, y []float32) { axpyRowsOutGo(ws, x, add, bias, y) }

@@ -266,3 +266,139 @@ func TestRowKernelsShortOperandPanics(t *testing.T) {
 		}
 	}
 }
+
+// unfusedOut is what AxpyRowsSet (bias nil) and AxpyRowsBiasReLU compute,
+// as the separate passes they replaced: AxpyRows into a zeroed row, the add,
+// the bias, then the `if` ReLU over a zeroed result.
+func unfusedOut(ws, x, add, bias []float32, n int) []float32 {
+	y := make([]float32, n)
+	axpyRowsGo(ws, x, y)
+	if add != nil {
+		addToGo(y, add)
+	}
+	if bias == nil {
+		return y
+	}
+	addToGo(y, bias)
+	out := make([]float32, n)
+	for j, v := range y {
+		if v > 0 {
+			out[j] = v
+		}
+	}
+	return out
+}
+
+// TestRowKernelsAxpyRowsOutBitIdentical holds AxpyRowsSet and
+// AxpyRowsBiasReLU, with and without an add, to their portable loop and
+// both to the unfused passes, over every length, offset and table operand:
+// the fused epilogue and the branch-free mask must give the `if` loop's bits
+// for NaN, both zeros, denormals and both infinities. y starts as junk,
+// which neither may read, and the elements either side of y must come back
+// untouched.
+func TestRowKernelsAxpyRowsOutBitIdentical(t *testing.T) {
+	const guard = 12345.5
+	forEachRowCase(t, func(n int, buf func(int) []float32, scalar func() float32) {
+		for _, terms := range []int{0, 1, 2, 5, 41} {
+			ws := make([]float32, terms)
+			for i := range ws {
+				ws[i] = scalar()
+			}
+			x, add, bias := buf(terms), buf(1), buf(1)
+			for _, c := range []struct {
+				name      string
+				add, bias []float32
+			}{{"AxpyRowsSet", nil, nil}, {"AxpyRowsBiasReLU", nil, bias}, {"AxpyRowsBiasReLU+add", add, bias}} {
+				want := unfusedOut(ws, x, c.add, c.bias, n)
+				port := buf(1)
+				axpyRowsOutGo(ws, x, c.add, c.bias, port)
+				backing := append(append([]float32{guard}, buf(1)...), guard)
+				y := backing[1 : 1+n]
+				if c.bias == nil {
+					AxpyRowsSet(ws, x, y)
+				} else {
+					AxpyRowsBiasReLU(ws, x, c.add, c.bias, y)
+				}
+				if i, ok := sameBits(port, want); !ok {
+					t.Fatalf("%s portable n=%d terms=%d: y[%d] = %x, unfused %x", c.name, n, terms, i,
+						math.Float32bits(port[i]), math.Float32bits(want[i]))
+				}
+				if i, ok := sameBits(y, want); !ok {
+					t.Fatalf("%s n=%d terms=%d: y[%d] = %x, unfused %x", c.name, n, terms, i,
+						math.Float32bits(y[i]), math.Float32bits(want[i]))
+				}
+				if backing[0] != guard || backing[n+1] != guard {
+					t.Fatalf("%s n=%d: wrote outside its row", c.name, n)
+				}
+			}
+		}
+	})
+}
+
+// TestRowKernelsReLUMaskBitIdentical: the branch-free mask equals the `if`
+// loop (ReLUGrad) bit for bit, on random bit patterns and on the table, in
+// place as well; positive agrees with v > 0 on the table, on every NaN and
+// infinity boundary, and on random bits.
+func TestRowKernelsReLUMaskBitIdentical(t *testing.T) {
+	forEachRowCase(t, func(n int, buf func(int) []float32, _ func() float32) {
+		post, grad := FromData(1, n, buf(1)), FromData(1, n, buf(1))
+		want := ReLUGrad(post, grad)
+		out := FromData(1, n, buf(1))
+		ReLUMaskInto(out, post, grad)
+		if !bitsEqual(out, want) {
+			t.Fatalf("ReLUMaskInto n=%d: %v, if loop %v", n, out.Data, want.Data)
+		}
+		ReLUMaskInto(grad, post, grad)
+		if !bitsEqual(grad, want) {
+			t.Fatalf("ReLUMaskInto in place n=%d: %v, if loop %v", n, grad.Data, want.Data)
+		}
+	})
+	bounds := []uint32{0, 1, 0x007fffff, 0x00800000, 0x7f7fffff, 0x7f800000, 0x7f800001, 0x7fc00000, 0x7fffffff,
+		0x80000000, 0x80000001, 0xff800000, 0xff800001, 0xffc00000, 0xffffffff}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1<<16; i++ {
+		bounds = append(bounds, rng.Uint32())
+	}
+	for _, v := range edgeValues {
+		bounds = append(bounds, math.Float32bits(v))
+	}
+	for _, b := range bounds {
+		v := math.Float32frombits(b)
+		if want := v > 0; (positive(v) == ^uint32(0)) != want || (positive(v) != 0 && positive(v) != ^uint32(0)) {
+			t.Fatalf("positive(%x) = %x, v > 0 is %v", b, positive(v), want)
+		}
+	}
+}
+
+// TestRowKernelsIndexedShortOperandPanics: a RowIndex is checked once, so
+// NewRowIndex must panic on any index outside its bound, and the indexed
+// kernels must panic in Go, before anything is written, when the matrix
+// operand holds fewer rows than that bound — even when every index in the
+// list names a row the operand does hold.
+func TestRowKernelsIndexedShortOperandPanics(t *testing.T) {
+	y := make([]float32, 8)
+	ok := make([]float32, 16)
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	for _, idx := range [][]int32{{2}, {-1}, {0, 1, 2}, {1, -1, 0}, {1 << 30}, {math.MinInt32}} {
+		mustPanic(fmt.Sprintf("NewRowIndex idx=%v rows=2", idx), func() { NewRowIndex(idx, 2) })
+	}
+	ix := NewRowIndex([]int32{0, 1}, 3)
+	mustPanic("GatherAxpyIndexed h with too few rows", func() { GatherAxpyIndexed(1, ok, ix, y) })
+	mustPanic("ScatterAxpyIndexed y with too few rows", func() { ScatterAxpyIndexed(1, y, ix, ok) })
+	for _, v := range append(y, ok...) {
+		if v != 0 {
+			t.Fatalf("operand written before the panic: %v %v", y, ok)
+		}
+	}
+	// At the bound both run.
+	GatherAxpyIndexed(1, make([]float32, 24), ix, y)
+	ScatterAxpyIndexed(1, y, ix, make([]float32, 24))
+}

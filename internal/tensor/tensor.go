@@ -1,7 +1,10 @@
 // Package tensor provides the dense float32 linear algebra used by the GNN
 // substrate: row-major matrices with the operations GNN layers need
-// (matmul, transposed matmuls for backprop, bias, ReLU, row gather/scatter)
-// plus deterministic Xavier initialization. Its kernels are what an epoch
+// (matmul, transposed matmuls for backprop, a matmul with its bias and ReLU
+// fused in, the ReLU mask, row gather/scatter) plus deterministic Xavier
+// initialization. The operations a training epoch runs write into
+// caller-owned matrices (the …Into forms), so buffers kept across epochs
+// are reused instead of allocated. Its kernels are what an epoch
 // spends its time in, so they are built for speed under one fixed guarantee:
 // every output element receives its terms one at a time, in one order (the
 // serial loop's) — no reassociation, no partial sums. All of them run on
@@ -83,78 +86,108 @@ func (m *Matrix) FillRandom(seed int64) *Matrix {
 	return m
 }
 
+// Reuse returns m when it is a rows×cols matrix and a new zero one otherwise
+// (m may be nil): a buffer kept across calls is reallocated only when its
+// shape changes. A reused m keeps whatever its last writer left in it.
+func Reuse(m *Matrix, rows, cols int) *Matrix {
+	if m != nil && m.Rows == rows && m.Cols == cols {
+		return m
+	}
+	return New(rows, cols)
+}
+
 // MatMul returns a × b. The historical data-dependent zero-skip on a's
 // elements is gone: it made kernel cost a function of activation sparsity in
 // a way the device cost model never priced, for a win that only materialized
 // on artificially sparse inputs (aggregated embeddings are dense in
 // practice; see DESIGN.md §11 for the before/after numbers).
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := New(a.Rows, b.Cols)
-	matMulRows(a, *b, out)
+	MatMulInto(out, a, b)
 	return out
 }
 
-// MatMulATB returns aᵀ × b (used for weight gradients).
-func MatMulATB(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: matmulATB %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	// The column scratch sits behind the result in one slab, as MatMulABT's
-	// transposed copy does, so it costs no allocation of its own.
-	n := a.Cols * b.Cols
-	slab := make([]float32, n+a.Rows)
-	out := FromData(a.Cols, b.Cols, slab[:n:n])
-	matMulATBRows(a, b, out, slab[n:])
-	return out
-}
-
-// MatMulABT returns a × bᵀ (used for input gradients): MatMul against a
-// transposed copy of b, which is the small operand (a weight matrix). Every
-// output element still receives a[i][k]·b[j][k] in ascending k starting from
-// +0 — the fixed-order inner product Dot(a.Row(i), b.Row(j)) — but as row
-// updates, so it runs on the same kernel as the other two matmuls. The copy
-// costs no allocation of its own: its floats sit behind the result's in one
-// slab and its header is passed by value.
-func MatMulABT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulABT %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	n := a.Rows * b.Rows
-	slab := make([]float32, n+len(b.Data))
-	out := FromData(a.Rows, b.Rows, slab[:n:n])
-	bt := Matrix{Rows: b.Cols, Cols: b.Rows, Data: slab[n:]}
-	for j := 0; j < b.Rows; j++ {
-		for k, v := range b.Row(j) {
-			bt.Data[k*bt.Cols+j] = v
-		}
-	}
-	matMulRows(a, bt, out)
-	return out
-}
-
-// matMulRows computes out = a × b with the serial i-k-j loop: one AxpyRows
-// per output row, whose k-terms land one at a time in ascending k. b is a
-// header by value so that MatMulABT's transposed copy needs no heap header.
-func matMulRows(a *Matrix, b Matrix, out *Matrix) {
+// MatMulInto sets out = a × b with the serial i-k-j loop: one AxpyRowsSet
+// per output row, whose k-terms land one at a time in ascending k from +0.
+// out is overwritten, never read.
+func MatMulInto(out, a, b *Matrix) {
+	checkMatMul("matmul", out, a, b)
 	for i := 0; i < a.Rows; i++ {
-		AxpyRows(a.Row(i), b.Data, out.Row(i))
+		AxpyRowsSet(a.Row(i), b.Data, out.Row(i))
 	}
 }
 
-// matMulATBRows computes out = aᵀ × b. The output-row loop k is outermost:
-// column k of a is copied into col (a.Rows floats), and one AxpyRows then
-// builds output row k from its per-i contributions in ascending i — the
-// serial order, since iteration order within one output row is all that
-// bit-identity depends on.
-func matMulATBRows(a, b, out *Matrix, col []float32) {
+// MatMulBiasReLUInto sets out = ReLU(a × w + bias) in one sweep per output
+// row: AxpyRowsBiasReLU adds the bias and applies the mask to each block of
+// the row while its sum is still in registers. Every element is the
+// unfused MatMul, bias add and ReLU's, bit for bit.
+func MatMulBiasReLUInto(out, a, w, bias *Matrix) {
+	checkMatMul("matmul", out, a, w)
+	checkBias(out, bias)
+	for i := 0; i < a.Rows; i++ {
+		AxpyRowsBiasReLU(a.Row(i), w.Data, nil, bias.Data, out.Row(i))
+	}
+}
+
+// MatMulSumBiasReLUInto sets out = ReLU((a × w + c × v) + bias), each product
+// summed on its own from +0 (CommNet's self and neighbour paths): per output
+// row, c × v's row goes into row (out.Cols floats of scratch), then one
+// AxpyRowsBiasReLU sums a × w's row and adds row and the bias in registers.
+func MatMulSumBiasReLUInto(out, a, w, c, v, bias *Matrix, row []float32) {
+	checkMatMul("matmul", out, a, w)
+	checkMatMul("matmul", out, c, v)
+	checkBias(out, bias)
+	row = row[:out.Cols]
+	for i := 0; i < a.Rows; i++ {
+		AxpyRowsSet(c.Row(i), v.Data, row)
+		AxpyRowsBiasReLU(a.Row(i), w.Data, row, bias.Data, out.Row(i))
+	}
+}
+
+// MatMulATBInto sets out = aᵀ × b (weight gradients), using col (a.Rows
+// floats) as scratch. The output-row loop k is outermost: column k of a is
+// copied into col, and one AxpyRowsSet then builds output row k from its
+// per-i contributions in ascending i — the serial order, since iteration
+// order within one output row is all that bit-identity depends on.
+func MatMulATBInto(out, a, b *Matrix, col []float32) {
+	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: matmulATB %dx%d × %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
+	col = col[:a.Rows]
 	for k := 0; k < a.Cols; k++ {
 		for i := range col {
 			col[i] = a.Data[i*a.Cols+k]
 		}
-		AxpyRows(col, b.Data, out.Row(k))
+		AxpyRowsSet(col, b.Data, out.Row(k))
+	}
+}
+
+// MatMulABTInto sets out = a × bᵀ (input gradients): MatMulInto against a
+// transposed copy of b, which is the small operand (a weight matrix), written
+// into bt (len(b.Data) floats of scratch). Every output element still
+// receives a[i][k]·b[j][k] in ascending k starting from +0 — the fixed-order
+// inner product Dot(a.Row(i), b.Row(j)) — but as row updates, so it runs on
+// the same kernel as the other matmuls.
+func MatMulABTInto(out, a, b *Matrix, bt []float32) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: matmulABT %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	t := Matrix{Rows: b.Cols, Cols: b.Rows, Data: bt[:len(b.Data)]}
+	for j := 0; j < b.Rows; j++ {
+		for k, v := range b.Row(j) {
+			t.Data[k*t.Cols+j] = v
+		}
+	}
+	MatMulInto(out, a, &t)
+}
+
+// SumRowsInto sets sum (a.Cols floats) to the rows of a added one at a time
+// from +0 in row order: a bias gradient.
+func SumRowsInto(sum []float32, a *Matrix) {
+	sum = sum[:a.Cols]
+	clear(sum)
+	for i := 0; i < a.Rows; i++ {
+		AddTo(sum, a.Row(i))
 	}
 }
 
@@ -169,49 +202,6 @@ func ScaleInPlace(a *Matrix, s float32) {
 	for i := range a.Data {
 		a.Data[i] *= s
 	}
-}
-
-// AddBiasInPlace adds a 1×cols bias row to every row of a.
-func AddBiasInPlace(a *Matrix, bias *Matrix) {
-	if bias.Rows != 1 || bias.Cols != a.Cols {
-		panic(fmt.Sprintf("tensor: bias %dx%d for %dx%d", bias.Rows, bias.Cols, a.Rows, a.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		AddTo(a.Row(i), bias.Data)
-	}
-}
-
-// BiasGrad sums the rows of grad into a 1×cols matrix.
-func BiasGrad(grad *Matrix) *Matrix {
-	out := New(1, grad.Cols)
-	for i := 0; i < grad.Rows; i++ {
-		AddTo(out.Data, grad.Row(i))
-	}
-	return out
-}
-
-// ReLU returns max(x, 0) elementwise.
-func ReLU(a *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
-	return out
-}
-
-// ReLUGrad masks grad by the activation pattern of pre (the pre-activation
-// input): grad flows only where pre > 0.
-func ReLUGrad(pre, grad *Matrix) *Matrix {
-	checkSameShape("relugrad", pre, grad)
-	out := New(grad.Rows, grad.Cols)
-	for i, v := range pre.Data {
-		if v > 0 {
-			out.Data[i] = grad.Data[i]
-		}
-	}
-	return out
 }
 
 // GatherRows returns the matrix whose i-th row is a's rows[i]-th row.
@@ -238,6 +228,18 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 		}
 	}
 	return m
+}
+
+func checkMatMul(op string, out, a, b *Matrix) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: %s %dx%d × %dx%d into %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
+}
+
+func checkBias(out, bias *Matrix) {
+	if bias.Rows != 1 || bias.Cols != out.Cols {
+		panic(fmt.Sprintf("tensor: bias %dx%d for %dx%d", bias.Rows, bias.Cols, out.Rows, out.Cols))
+	}
 }
 
 func checkSameShape(op string, a, b *Matrix) {

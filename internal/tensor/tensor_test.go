@@ -321,3 +321,71 @@ func BenchmarkMatMul128(b *testing.B) {
 		MatMul(a, c)
 	}
 }
+
+// TestFusedMatMulsBitIdentical holds the buffer-writing matmuls to the
+// unfused, allocating passes they replaced, over random shapes (widths
+// either side of every column block) with random-bit and table operands, each
+// into an output full of NaN that they must overwrite: MatMulBiasReLUInto
+// to MatMul, AddBiasInPlace and ReLU; MatMulSumBiasReLUInto to two MatMuls
+// added, then the bias and ReLU; MatMulInto, MatMulATBInto and
+// MatMulABTInto to MatMul, MatMulATB and MatMulABT; SumRowsInto to
+// BiasGrad.
+func TestFusedMatMulsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	nan := float32(math.NaN())
+	junk := func(rows, cols int) *Matrix {
+		m := New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = nan
+		}
+		return m
+	}
+	for c := 0; c < 300; c++ {
+		m, k, n := 1+rng.Intn(9), rng.Intn(12), 1+rng.Intn(70)
+		edge := c%2 == 1
+		mat := func(rows, cols int) *Matrix { return FromData(rows, cols, fill(rng, rows*cols, edge)) }
+		a, w, c2, v, bias := mat(m, k), mat(k, n), mat(m, k), mat(k, n), mat(1, n)
+
+		pre := MatMul(a, w)
+		AddBiasInPlace(pre, bias)
+		got := junk(m, n)
+		MatMulBiasReLUInto(got, a, w, bias)
+		if want := ReLU(pre); !bitsEqual(got, want) {
+			t.Fatalf("case %d MatMulBiasReLUInto %dx%dx%d: %v, unfused %v", c, m, k, n, got.Data, want.Data)
+		}
+
+		pre = MatMul(a, w)
+		AddInPlace(pre, MatMul(c2, v))
+		AddBiasInPlace(pre, bias)
+		row := make([]float32, n)
+		MatMulSumBiasReLUInto(got, a, w, c2, v, bias, row)
+		if want := ReLU(pre); !bitsEqual(got, want) {
+			t.Fatalf("case %d MatMulSumBiasReLUInto %dx%dx%d: %v, unfused %v", c, m, k, n, got.Data, want.Data)
+		}
+
+		// The plain products may carry NaN, whose payload is not pinned.
+		same := func(what string, got, want *Matrix) {
+			t.Helper()
+			if i, ok := sameBits(got.Data, want.Data); !ok || got.Rows != want.Rows || got.Cols != want.Cols {
+				t.Fatalf("case %d %s %dx%dx%d: element %d is %v, want %v", c, what, m, k, n, i, got.Data[i], want.Data[i])
+			}
+		}
+		mm := junk(m, n)
+		MatMulInto(mm, a, w)
+		same("MatMulInto", mm, serialMatMul(a, w))
+		g := mat(m, n)
+		atb := junk(k, n)
+		MatMulATBInto(atb, a, g, make([]float32, m))
+		same("MatMulATBInto", atb, serialATB(a, g))
+		abt := junk(m, n)
+		wt := mat(n, k)
+		MatMulABTInto(abt, a, wt, make([]float32, n*k))
+		same("MatMulABTInto", abt, serialABT(a, wt))
+		sum := make([]float32, n)
+		for i := range sum {
+			sum[i] = nan
+		}
+		SumRowsInto(sum, g)
+		same("SumRowsInto", FromData(1, n, sum), BiasGrad(g))
+	}
+}
